@@ -26,9 +26,9 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ContextCalcError, ExprSyntaxError
+from .errors import ContextCalcError, DuplicateName, ExprSyntaxError
 from .evaluator import Environment, evaluate
-from .lexer import END, INT, NAME, STRING, tokenize
+from .lexer import END, INT, NAME, Cursor, tokenize
 from .model import (
     Context,
     ContextSet,
@@ -102,8 +102,6 @@ def _stream_value_json(v):
 def _render_result(session: Session, value) -> str:
     kind, payload = _value_record(value)
     if session.mode == "json":
-        if kind == "bool":
-            return json.dumps({"kind": kind, "value": payload})
         return json.dumps({"kind": kind, "value": payload})
     if kind == "bool":
         return "true" if payload else "false"
@@ -122,20 +120,8 @@ def _render_prefix(session: Session, values) -> str:
 # --- command implementations -------------------------------------------------
 
 
-def _parse_domain_value(tok_iter):
-    tok = next(tok_iter)
-    if tok.kind == INT:
-        return int(tok.text)
-    if tok.kind == "-":
-        nxt = next(tok_iter)
-        if nxt.kind != INT:
-            raise ExprSyntaxError("expected an integer after '-' in a domain")
-        return -int(nxt.text)
-    if tok.kind == STRING:
-        return tok.text
-    if tok.kind == NAME and tok.text in ("true", "false"):
-        return tok.text == "true"
-    raise ExprSyntaxError(f"bad domain value {tok.text!r}")
+def _bad_domain_value(text):
+    raise ExprSyntaxError(f"bad domain value {text!r}")
 
 
 def _dim_command(session: Session, rest: str) -> list:
@@ -164,14 +150,10 @@ def _dim_command(session: Session, rest: str) -> list:
         raise ExprSyntaxError(f"unknown tag kind {kind_word!r}")
     domain = None
     if len(parts) > 1 and parts[1].strip():
-        toks = tokenize(parts[1])
-        it = iter(toks[:-1])  # drop the end marker
+        cur = Cursor(tokenize(parts[1]))
         domain = []
-        try:
-            while True:
-                domain.append(_parse_domain_value(it))
-        except StopIteration:
-            pass
+        while cur.peek().kind != END:
+            domain.append(cur.tag(_bad_domain_value))
     dim = session.env.registry.register(name, kinds[kind_word], domain)
     suffix = ""
     if dim.domain is not None:
@@ -190,10 +172,7 @@ def _let_command(session: Session, rest: str) -> list:
     session.env.bind(name, value)
     if session.mode == "json":
         return []
-    kind, payload = _value_record(value)
-    if kind == "bool":
-        payload = "true" if payload else "false"
-    return [f"{name} = {payload}"]
+    return [f"{name} = {_render_result(session, value)}"]
 
 
 def _stream_command(session: Session, rest: str) -> list:
@@ -206,8 +185,6 @@ def _stream_command(session: Session, rest: str) -> list:
     expr = streams.parse_stream_expr(expr_text)
     merged = dict(session.equations)
     if name in merged:
-        from .errors import DuplicateName
-
         raise DuplicateName(f"stream {name!r} is already defined")
     merged[name] = expr
     streams.define_streams(merged)  # validates references
@@ -218,26 +195,14 @@ def _stream_command(session: Session, rest: str) -> list:
 
 
 def _show_command(session: Session, rest: str) -> list:
-    tokens = tokenize(rest)
-    expr, leftover = streams.parse_stream_expr_prefix(tokens)
-    dim = streams.TIME
-    count = 10
-    args = [t for t in leftover if t.kind != END]
-    if len(args) == 1:
-        if args[0].kind == INT:
-            count = int(args[0].text)
-        elif args[0].kind == NAME:
-            dim = args[0].text
-        else:
-            raise ExprSyntaxError(f"bad show argument {args[0].text!r}")
-    elif len(args) == 2:
-        if args[0].kind != NAME or args[1].kind != INT:
-            raise ExprSyntaxError("show syntax: show <expr> [dim] [count]")
-        dim = args[0].text
-        count = int(args[1].text)
-    elif args:
-        raise ExprSyntaxError("show syntax: show <expr> [dim] [count]")
-    eqs = streams.define_streams(session.equations)
+    expr, leftover = streams.parse_stream_expr_prefix(tokenize(rest))
+    args = Cursor(leftover)
+    dim = args.advance().text if args.peek().kind == NAME else streams.TIME
+    count = int(args.advance().text) if args.peek().kind == INT else 10
+    if args.peek().kind != END:
+        args.fail("show syntax: show <expr> [dim] [count]")
+    # Every equation was validated when _stream_command added it.
+    eqs = streams.EquationSet(session.equations)
     values = streams.eval_prefix(
         expr, dim, count, eqs, session.warehouse, session.budget
     )

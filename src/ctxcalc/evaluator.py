@@ -104,18 +104,13 @@ def _mismatch(op, left, right):
     )
 
 
-def _literal_tag(env, dim, raw):
-    if isinstance(raw, SymbolLit):
-        return dim.coerce(raw.name)
-    return dim.coerce(raw)
+def _micro(env: Environment, name: str, raw) -> MicroContext:
+    tag = raw.name if isinstance(raw, SymbolLit) else raw
+    return MicroContext(env.registry.get(name), tag)  # which coerces the tag
 
 
 def _context_from_literal(env: Environment, node: ContextLit) -> Context:
-    micros = []
-    for name, raw in node.pairs:
-        dim = env.registry.get(name)
-        micros.append(MicroContext(dim, _literal_tag(env, dim, raw)))
-    return Context(micros)
+    return Context(_micro(env, name, raw) for name, raw in node.pairs)
 
 
 def evaluate(node: Node, env: Environment) -> Value:
@@ -130,8 +125,7 @@ def evaluate(node: Node, env: Environment) -> Value:
     if isinstance(node, SetLit):
         return ContextSet(_context_from_literal(env, item) for item in node.items)
     if isinstance(node, PairLit):
-        dim = env.registry.get(node.dim)
-        return Context([MicroContext(dim, _literal_tag(env, dim, node.tag))])
+        return Context([_micro(env, node.dim, node.tag)])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
     if isinstance(node, BinOp):

@@ -9,6 +9,7 @@ need simplicity check it at call time, not at construction.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
@@ -32,6 +33,7 @@ class TagKind(enum.Enum):
     ENUM = "enum"
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class EnumValue:
     """One element of a named, finite, ordered enumeration.
@@ -46,6 +48,11 @@ class EnumValue:
 
     def __repr__(self):
         return f"{self.enumeration}.{self.symbol}"
+
+    def __lt__(self, other):
+        if not isinstance(other, EnumValue) or other.enumeration != self.enumeration:
+            raise TagTypeMismatch(f"cannot order {self!r} against {other!r}")
+        return self.ordinal < other.ordinal
 
 
 TagValue = Union[int, str, bool, EnumValue]
@@ -75,22 +82,7 @@ def tag_lt(a: TagValue, b: TagValue) -> bool:
         raise TagTypeMismatch(
             f"cannot order {a!r} ({ka.value}) against {b!r} ({kb.value})"
         )
-    if ka is TagKind.ENUM:
-        if a.enumeration != b.enumeration:
-            raise TagTypeMismatch(
-                f"cannot order values of enums {a.enumeration!r} and {b.enumeration!r}"
-            )
-        return a.ordinal < b.ordinal
     return a < b
-
-
-def tag_order_key(value: TagValue):
-    """Sort key for tags of one dimension (all the same kind)."""
-    if isinstance(value, EnumValue):
-        return value.ordinal
-    if isinstance(value, bool):
-        return int(value)
-    return value
 
 
 def format_tag(value: TagValue) -> str:
@@ -174,10 +166,6 @@ class Dimension:
         return value
 
 
-# A set of dimensions, as consumed by projection/hiding and friends.
-DimSet = frozenset
-
-
 class DimensionRegistry:
     """Name -> Dimension mapping; the single authority on dimension identity.
 
@@ -197,9 +185,7 @@ class DimensionRegistry:
 
     def _build(self, name, tag_type, domain) -> Dimension:
         if tag_type is TagKind.ENUM:
-            if not domain:
-                raise IllFormedDomain(f"enum dimension {name!r} needs a domain")
-            symbols = list(domain)
+            symbols = list(domain or ())
             for sym in symbols:
                 if not isinstance(sym, str):
                     raise IllFormedDomain(
@@ -293,15 +279,6 @@ class Context:
             return ContextOrder.SUPERSET
         return ContextOrder.INCOMPARABLE
 
-    def tag_of(self, dimension: Dimension) -> TagValue:
-        """The tag bound to a dimension; defined for simple contexts."""
-        for m in self.entries:
-            if m.dimension == dimension:
-                return m.tag
-        raise UnknownDimension(
-            f"dimension {dimension.name!r} is not bound in this context"
-        )
-
     # -- container protocol ---------------------------------------------------
 
     def __iter__(self):
@@ -321,7 +298,7 @@ class Context:
 
     def __str__(self):
         ordered = sorted(
-            self.entries, key=lambda m: (m.dimension.name, tag_order_key(m.tag))
+            self.entries, key=lambda m: (m.dimension.name, m.tag)
         )
         return "{" + ", ".join(map(repr, ordered)) + "}"
 

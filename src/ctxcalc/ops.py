@@ -24,7 +24,6 @@ from .model import (
     MicroContext,
     TagKind,
     tag_lt,
-    tag_order_key,
 )
 
 
@@ -135,7 +134,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
         (d for d in per_dim if per_dim[d]), key=lambda d: d.name
     )
     value_lists = [
-        sorted(per_dim[d], key=tag_order_key) for d in ranged
+        sorted(per_dim[d]) for d in ranged
     ]
     members = []
     for combo in itertools.product(*value_lists):

@@ -3,38 +3,22 @@
 Both expression families share one token syntax and overlap on most
 operator symbols (projection, hiding, substitution, choice, override,
 difference), so a single grammar covers them and the operand kinds are
-checked during evaluation, not during parsing.  The precedence ladder
-keeps the relative order required by each family:
-
-    tightest   !  ^  /          projection, hiding, substitution
-               |                choice
-               &  %             conjunction, disjunction
-               (+)  (-)         override, difference
-               <=>  =>          undirected / directed range
-               ><  [&]  [+]     join, set intersection, set union
-    loosest    ==  <<=  >>=     comparison
-
-Operators on one line associate left to right; parentheses override.
-``a <= b`` is accepted as argument-swapped sugar for ``b => a``.
+checked during evaluation, not during parsing.  ``CONTEXT`` is the table
+this grammar gives the operator-precedence core in ``lexer``; its binding
+powers are the indices of ``PRECEDENCE_LEVELS``.  ``a <= b`` is accepted
+as argument-swapped sugar for ``b => a``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple, Union
 
-from .errors import ExprSyntaxError, UnbalancedParens
-from .lexer import END, INT, NAME, STRING, Token, tokenize
-from .sets import (
-    Arith,
-    BoolExpr,
-    Cmp,
-    Lit,
-    Logic,
-    Name,
-    Not,
-    predicate_text,
-)
+from .lexer import END, NAME, Cursor, Grammar, Rule, tokenize
+from .model import format_tag
+from .sets import BoolExpr, predicate_text
+from .streams import PREDICATE
 
 # --- AST -----------------------------------------------------------------
 
@@ -105,254 +89,93 @@ PRECEDENCE_LEVELS = (
 BINDING = {
     op: level for level, ops in enumerate(PRECEDENCE_LEVELS) for op in ops
 }
-_TIGHTEST = len(PRECEDENCE_LEVELS)
 
-_PRED_CMP = ("==", "!=", "<", "<=", ">", ">=")
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != END:
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r} but found {tok.text or 'end of input'!r} "
-                f"at position {tok.column}",
-                position=tok.column,
-            )
-        return self.advance()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ExprSyntaxError(
-            f"{message} at position {tok.column}", position=tok.column
-        )
-
-    # -- expression grammar ------------------------------------------------
-
-    def parse(self) -> Node:
-        node = self.binary(0)
-        tok = self.peek()
-        if tok.kind != END:
-            if tok.kind == ")":
-                raise UnbalancedParens(
-                    f"unmatched ')' at position {tok.column}", position=tok.column
-                )
-            self.fail(f"unexpected {tok.text!r}")
-        return node
-
-    def binary(self, level: int) -> Node:
-        if level >= _TIGHTEST:
-            return self.atom()
-        node = self.binary(level + 1)
-        while self.peek().kind in PRECEDENCE_LEVELS[level]:
-            op = self.advance().kind
-            right = self.binary(level + 1)
-            if op == "<=":
-                node = BinOp("=>", right, node)
-            else:
-                node = BinOp(op, node, right)
-        return node
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == NAME:
-            if tok.text == "Box" and self.tokens[self.i + 1].kind == "[":
-                return self.box_literal()
-            self.advance()
-            return VarRef(tok.text)
-        if tok.kind == "{":
-            return self.brace_literal()
-        if tok.kind == "(":
-            open_tok = self.advance()
-            node = self.binary(0)
-            if self.peek().kind != ")":
-                raise UnbalancedParens(
-                    f"unclosed '(' at position {open_tok.column}",
-                    position=open_tok.column,
-                )
-            self.advance()
-            return node
-        if tok.kind == "<":
-            return self.pair_literal()
-        if tok.kind == END:
-            self.fail("unexpected end of input")
-        self.fail(f"unexpected {tok.text!r}")
-
-    # -- literals -------------------------------------------------------------
-
-    def tag_literal(self) -> TagLiteral:
-        tok = self.peek()
-        if tok.kind == INT:
-            self.advance()
-            return int(tok.text)
-        if tok.kind == "-":
-            self.advance()
-            value = self.expect(INT)
-            return -int(value.text)
-        if tok.kind == STRING:
-            self.advance()
-            return tok.text
-        if tok.kind == NAME:
-            self.advance()
-            if tok.text == "true":
-                return True
-            if tok.text == "false":
-                return False
-            return SymbolLit(tok.text)
-        self.fail("expected a tag literal")
-
-    def context_pair(self):
-        self.expect("(")
-        dim = self.expect(NAME).text
-        self.expect(",")
-        tag = self.tag_literal()
-        self.expect(")")
-        return dim, tag
-
-    def brace_literal(self) -> Node:
-        self.expect("{")
-        tok = self.peek()
-        if tok.kind == "}":
-            self.advance()
-            return ContextLit(())
-        if tok.kind == "(":
-            pairs = [self.context_pair()]
-            while self.peek().kind == ",":
-                self.advance()
-                pairs.append(self.context_pair())
-            self.expect("}")
-            return ContextLit(tuple(pairs))
-        if tok.kind == "{":
-            items = [self.brace_literal()]
-            while self.peek().kind == ",":
-                self.advance()
-                items.append(self.brace_literal())
-            self.expect("}")
-            for item in items:
-                if not isinstance(item, ContextLit):
-                    self.fail("a set literal may only contain context literals")
-            return SetLit(tuple(items))
-        if tok.kind == NAME:
-            names = [self.advance().text]
-            while self.peek().kind == ",":
-                self.advance()
-                names.append(self.expect(NAME).text)
-            self.expect("}")
-            return DimSetLit(tuple(names))
-        self.fail("expected a context, set, or dimension-set literal")
-
-    def pair_literal(self) -> PairLit:
-        self.expect("<")
-        dim = self.expect(NAME).text
-        self.expect(",")
-        tag = self.tag_literal()
-        self.expect(">")
-        return PairLit(dim, tag)
-
-    def box_literal(self) -> BoxLit:
-        self.expect(NAME)  # Box
-        self.expect("[")
-        names = [self.expect(NAME).text]
-        while self.peek().kind == ",":
-            self.advance()
-            names.append(self.expect(NAME).text)
-        self.expect("|")
-        predicate = self.pred_or()
-        self.expect("]")
-        return BoxLit(tuple(names), predicate)
-
-    # -- box predicate grammar ---------------------------------------------
-    # or < and < not < comparison < additive < multiplicative < atom
-
-    def pred_or(self) -> BoolExpr:
-        node = self.pred_and()
-        while self.peek().kind == NAME and self.peek().text == "or":
-            self.advance()
-            node = Logic("or", node, self.pred_and())
-        return node
-
-    def pred_and(self) -> BoolExpr:
-        node = self.pred_not()
-        while self.peek().kind == NAME and self.peek().text == "and":
-            self.advance()
-            node = Logic("and", node, self.pred_not())
-        return node
-
-    def pred_not(self) -> BoolExpr:
-        if self.peek().kind == NAME and self.peek().text == "not":
-            self.advance()
-            return Not(self.pred_not())
-        return self.pred_cmp()
-
-    def pred_cmp(self) -> BoolExpr:
-        node = self.pred_add()
-        if self.peek().kind in _PRED_CMP:
-            op = self.advance().kind
-            node = Cmp(op, node, self.pred_add())
-        return node
-
-    def pred_add(self) -> BoolExpr:
-        node = self.pred_mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = Arith(op, node, self.pred_mul())
-        return node
-
-    def pred_mul(self) -> BoolExpr:
-        node = self.pred_atom()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Arith("*", node, self.pred_atom())
-        return node
-
-    def pred_atom(self) -> BoolExpr:
-        tok = self.peek()
-        if tok.kind == INT:
-            self.advance()
-            return Lit(int(tok.text))
-        if tok.kind == "-":
-            self.advance()
-            return Lit(-int(self.expect(INT).text))
-        if tok.kind == STRING:
-            self.advance()
-            return Lit(tok.text)
-        if tok.kind == NAME:
-            self.advance()
-            if tok.text == "true":
-                return Lit(True)
-            if tok.text == "false":
-                return Lit(False)
-            return Name(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.pred_or()
-            self.expect(")")
-            return node
-        self.fail("expected a predicate term")
+# --- literals ------------------------------------------------------------------
 
 
-def _as_tokens(source):
-    if isinstance(source, str):
-        return tokenize(source)
-    return list(source)
+def _name(cur: Cursor) -> str:
+    return cur.expect(NAME).text
+
+
+def _context_pair(cur: Cursor, open_kind="(", close_kind=")"):
+    cur.expect(open_kind)
+    dim = _name(cur)
+    cur.expect(",")
+    tag = cur.tag(SymbolLit)
+    cur.expect(close_kind)
+    return dim, tag
+
+
+def _brace_literal(cur: Cursor) -> Node:
+    cur.expect("{")
+    tok = cur.peek()
+    if tok.kind == "}":
+        cur.advance()
+        return ContextLit(())
+    if tok.kind == "(":
+        pairs = cur.comma_list(_context_pair)
+        cur.expect("}")
+        return ContextLit(tuple(pairs))
+    if tok.kind == "{":
+        items = cur.comma_list(_brace_literal)
+        cur.expect("}")
+        for item in items:
+            if not isinstance(item, ContextLit):
+                cur.fail("a set literal may only contain context literals")
+        return SetLit(tuple(items))
+    if tok.kind == NAME:
+        names = cur.comma_list(_name)
+        cur.expect("}")
+        return DimSetLit(tuple(names))
+    cur.fail("expected a context, set, or dimension-set literal")
+
+
+def _box_literal(cur: Cursor) -> BoxLit:
+    cur.expect(NAME)  # Box
+    cur.expect("[")
+    names = cur.comma_list(_name)
+    cur.expect("|")
+    predicate = cur.expression(PREDICATE)
+    cur.close("]")
+    return BoxLit(tuple(names), predicate)
+
+
+def _atom(cur: Cursor) -> Node:
+    tok = cur.peek()
+    if tok.kind == NAME:
+        if tok.text == "Box" and cur.tokens[cur.i + 1].kind == "[":
+            return _box_literal(cur)
+        cur.advance()
+        return VarRef(tok.text)
+    if tok.kind == "{":
+        return _brace_literal(cur)
+    if tok.kind == "<":
+        return PairLit(*_context_pair(cur, "<", ">"))
+    if tok.kind == END:
+        cur.fail("unexpected end of input")
+    cur.fail(f"unexpected {tok.text!r}")
+
+
+def _swapped_range(left, right):
+    return BinOp("=>", right, left)
+
+
+CONTEXT = Grammar(
+    prefix={},
+    infix={
+        op: Rule(level, _swapped_range if op == "<=" else partial(BinOp, op))
+        for op, level in BINDING.items()
+    },
+    atom=_atom,
+)
 
 
 def parse_expr(source) -> Node:
     """Parse a context or context-set expression from text or tokens."""
-    return _Parser(_as_tokens(source)).parse()
+    cur = Cursor(tokenize(source) if isinstance(source, str) else list(source))
+    node = cur.expression(CONTEXT)
+    cur.close()
+    return node
 
 
 def parse_context_expr(source) -> Node:
@@ -373,21 +196,13 @@ def parse_context_set_expr(source) -> Node:
 
 
 def _tag_literal_text(tag: TagLiteral) -> str:
-    if isinstance(tag, bool):
-        return "true" if tag else "false"
-    if isinstance(tag, int):
-        return str(tag)
-    if isinstance(tag, str):
-        return f'"{tag}"'
-    return tag.name
+    return tag.name if isinstance(tag, SymbolLit) else format_tag(tag)
 
 
-def _operand_text(child: Node, level: int, right_side: bool) -> str:
+def _operand_text(child: Node, min_bp: int) -> str:
     text = to_text(child)
-    if isinstance(child, BinOp):
-        child_level = BINDING[child.op]
-        if child_level < level or (child_level == level and right_side):
-            return f"({text})"
+    if isinstance(child, BinOp) and BINDING[child.op] < min_bp:
+        return f"({text})"
     return text
 
 
@@ -411,8 +226,8 @@ def to_text(node: Node) -> str:
         names = ", ".join(node.dims)
         return f"Box[{names} | {predicate_text(node.predicate)}]"
     if isinstance(node, BinOp):
-        level = BINDING[node.op]
-        left = _operand_text(node.left, level, right_side=False)
-        right = _operand_text(node.right, level, right_side=True)
+        rule = CONTEXT.infix[node.op]
+        left = _operand_text(node.left, rule.left_bp)
+        right = _operand_text(node.right, rule.right_bp)
         return f"{left} {node.op} {right}"
     raise TypeError(f"not an expression node: {node!r}")

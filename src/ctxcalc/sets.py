@@ -29,8 +29,8 @@ from .model import (
     TagValue,
     format_tag,
     kind_of,
-    tag_lt,
 )
+from .streams import OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref
 from . import ops
 
 
@@ -107,49 +107,21 @@ def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
 
 # --- box predicates -----------------------------------------------------------
+#
+# A predicate is a tag expression of the stream language; the names below
+# are the predicate vocabulary for the stream node classes.
 
-@dataclass(frozen=True)
-class Lit:
-    value: TagValue
+Lit = Const
+Name = Ref  # a dimension variable or an enum symbol
+Arith = Cmp = Logic = Pointwise
+Not = NotOp
 
+BoolExpr = Union[Const, Ref, Pointwise, NotOp]
 
-@dataclass(frozen=True)
-class Name:
-    """A bare identifier: a dimension variable or an enum symbol."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Arith:
-    op: str  # + - *
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # == != < <= > >=
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class Logic:
-    op: str  # and / or
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: "BoolExpr"
-
-
-BoolExpr = Union[Lit, Name, Arith, Cmp, Logic, Not]
-
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-_PRED_LEVEL = {"or": 0, "and": 1, "not": 2, "cmp": 3, "add": 4, "mul": 5}
+_INT = (TagKind.INT, None)
+_BOOL = (TagKind.BOOL, None)
+_ARITHMETIC = ("+", "-", "*")
+_LOGIC = ("and", "or")
 
 
 def _resolve_symbol(name: str, dims) -> EnumValue:
@@ -168,122 +140,79 @@ def _resolve_symbol(name: str, dims) -> EnumValue:
     raise IllTypedPredicate(f"ambiguous enum symbol {name!r} in box predicate")
 
 
-def _kind_descriptor(value_kind, enumeration=None):
-    return (value_kind, enumeration)
-
-
 def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
     """Kind of a predicate node: (TagKind, enumeration-or-None)."""
-    if isinstance(node, Lit):
+    if isinstance(node, Const):
         k = kind_of(node.value)
-        enum_name = node.value.enumeration if k is TagKind.ENUM else None
-        return _kind_descriptor(k, enum_name)
-    if isinstance(node, Name):
+        return k, node.value.enumeration if k is TagKind.ENUM else None
+    if isinstance(node, Ref):
         dim = dims_by_name.get(node.name)
         if dim is not None:
             if dim.tag_type is TagKind.ENUM:
-                return _kind_descriptor(TagKind.ENUM, dim.domain[0].enumeration)
-            return _kind_descriptor(dim.tag_type)
+                return TagKind.ENUM, dim.domain[0].enumeration
+            return dim.tag_type, None
         member = _resolve_symbol(node.name, dims_by_name.values())
-        return _kind_descriptor(TagKind.ENUM, member.enumeration)
-    if isinstance(node, Arith):
-        for side in (node.left, node.right):
-            if _predicate_kind(side, dims_by_name) != _kind_descriptor(TagKind.INT):
-                raise IllTypedPredicate(
-                    f"arithmetic {node.op!r} needs integer operands"
-                )
-        return _kind_descriptor(TagKind.INT)
-    if isinstance(node, Cmp):
-        lk = _predicate_kind(node.left, dims_by_name)
-        rk = _predicate_kind(node.right, dims_by_name)
-        if lk != rk:
-            raise IllTypedPredicate(
-                f"comparison {node.op!r} over mismatched kinds"
-            )
-        return _kind_descriptor(TagKind.BOOL)
-    if isinstance(node, Logic):
-        for side in (node.left, node.right):
-            if _predicate_kind(side, dims_by_name) != _kind_descriptor(TagKind.BOOL):
+        return TagKind.ENUM, member.enumeration
+    if isinstance(node, Pointwise) and (node.op in OPERATORS or node.op in _LOGIC):
+        sides = (node.left, node.right)
+        lk, rk = (_predicate_kind(side, dims_by_name) for side in sides)
+        if node.op in _LOGIC:
+            if lk != _BOOL or rk != _BOOL:
                 raise IllTypedPredicate(f"{node.op!r} needs boolean operands")
-        return _kind_descriptor(TagKind.BOOL)
-    if isinstance(node, Not):
-        if _predicate_kind(node.operand, dims_by_name) != _kind_descriptor(TagKind.BOOL):
+        elif node.op in _ARITHMETIC:
+            if lk != _INT or rk != _INT:
+                raise IllTypedPredicate(f"arithmetic {node.op!r} needs integer operands")
+            return _INT
+        elif lk != rk:
+            raise IllTypedPredicate(f"comparison {node.op!r} over mismatched kinds")
+        return _BOOL
+    if isinstance(node, NotOp):
+        if _predicate_kind(node.operand, dims_by_name) != _BOOL:
             raise IllTypedPredicate("'not' needs a boolean operand")
-        return _kind_descriptor(TagKind.BOOL)
+        return _BOOL
     raise IllTypedPredicate(f"not a predicate node: {node!r}")
 
 
 def eval_predicate(node: BoolExpr, dims_by_name, assignment) -> TagValue:
     """Evaluate a predicate under an assignment of dimension names to tags."""
-    if isinstance(node, Lit):
+    if isinstance(node, Const):
         return node.value
-    if isinstance(node, Name):
+    if isinstance(node, Ref):
         if node.name in assignment:
             return assignment[node.name]
         return _resolve_symbol(node.name, dims_by_name.values())
-    if isinstance(node, Arith):
-        a = eval_predicate(node.left, dims_by_name, assignment)
-        b = eval_predicate(node.right, dims_by_name, assignment)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
-    if isinstance(node, Cmp):
-        a = eval_predicate(node.left, dims_by_name, assignment)
-        b = eval_predicate(node.right, dims_by_name, assignment)
-        if node.op == "==":
-            return a == b
-        if node.op == "!=":
-            return a != b
-        if node.op == "<":
-            return tag_lt(a, b)
-        if node.op == "<=":
-            return not tag_lt(b, a)
-        if node.op == ">":
-            return tag_lt(b, a)
-        return not tag_lt(a, b)
-    if isinstance(node, Logic):
+    if isinstance(node, Pointwise):
         a = eval_predicate(node.left, dims_by_name, assignment)
         if node.op == "and":
             return bool(a) and bool(eval_predicate(node.right, dims_by_name, assignment))
-        return bool(a) or bool(eval_predicate(node.right, dims_by_name, assignment))
-    if isinstance(node, Not):
+        if node.op == "or":
+            return bool(a) or bool(eval_predicate(node.right, dims_by_name, assignment))
+        b = eval_predicate(node.right, dims_by_name, assignment)
+        return OPERATORS[node.op](a, b)
+    if isinstance(node, NotOp):
         return not eval_predicate(node.operand, dims_by_name, assignment)
     raise IllTypedPredicate(f"not a predicate node: {node!r}")
 
 
-def predicate_text(node: BoolExpr, parent_level: int = -1) -> str:
-    """Render a predicate in the syntax the box-literal parser accepts."""
-    if isinstance(node, Lit):
+def predicate_text(node: BoolExpr, min_bp: int = 0) -> str:
+    """Render a predicate in the syntax the box-literal parser accepts,
+    bracketed if it binds looser than min_bp."""
+    if isinstance(node, Const):
         return format_tag(node.value)
-    if isinstance(node, Name):
+    if isinstance(node, Ref):
         return node.name
-    if isinstance(node, Not):
-        level = _PRED_LEVEL["not"]
-        inner = predicate_text(node.operand, level)
-        text = f"not {inner}"
-    elif isinstance(node, Cmp):
-        level = _PRED_LEVEL["cmp"]
+    if isinstance(node, NotOp):
+        rule = PREDICATE.prefix["not"]
+        text = f"not {predicate_text(node.operand, rule.bp + 1)}"
+    elif isinstance(node, Pointwise):
+        rule = PREDICATE.infix[node.op]
         text = (
-            f"{predicate_text(node.left, level)} {node.op} "
-            f"{predicate_text(node.right, level)}"
-        )
-    elif isinstance(node, Logic):
-        level = _PRED_LEVEL[node.op]
-        text = (
-            f"{predicate_text(node.left, level - 1)} {node.op} "
-            f"{predicate_text(node.right, level)}"
-        )
-    elif isinstance(node, Arith):
-        level = _PRED_LEVEL["mul"] if node.op == "*" else _PRED_LEVEL["add"]
-        text = (
-            f"{predicate_text(node.left, level - 1)} {node.op} "
-            f"{predicate_text(node.right, level)}"
+            f"{predicate_text(node.left, rule.left_bp)} {node.op} "
+            f"{predicate_text(node.right, rule.right_bp)}"
         )
     else:
         raise IllTypedPredicate(f"not a predicate node: {node!r}")
-    if level <= parent_level:
+    if rule.bp < min_bp:
         return f"({text})"
     return text
 
@@ -314,7 +243,7 @@ def box_make(dims, predicate: BoolExpr) -> Box:
     by_name = {d.name: d for d in dims}
     if len(by_name) != len(dims):
         raise IllTypedPredicate("box dimensions must be distinct")
-    if _predicate_kind(predicate, by_name) != _kind_descriptor(TagKind.BOOL):
+    if _predicate_kind(predicate, by_name) != _BOOL:
         raise IllTypedPredicate("box predicate must be boolean")
     return Box(dims, predicate)
 

@@ -19,17 +19,18 @@ true) into a DemandExhausted error instead of a hang.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import Mapping, Optional, Tuple, Union
 
 from .errors import (
     DemandExhausted,
     DuplicateName,
-    ExprSyntaxError,
     KindMismatch,
     UnresolvedReference,
 )
-from .lexer import END, INT, NAME, Token, tokenize
+from .lexer import INT, NAME, NONE, RIGHT, Cursor, Grammar, Rule, tokenize
 
 TIME = "time"
 
@@ -297,34 +298,19 @@ class _State:
     demand: _Demand
 
 
-def _truthy(value) -> bool:
-    return bool(value)
-
-
-def _pointwise(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "and":
-        return _truthy(a) and _truthy(b)
-    if op == "or":
-        return _truthy(a) or _truthy(b)
-    raise KindMismatch(f"unknown pointwise operator {op!r}")
+# The value of every pointwise operator except the logical ones, which
+# stay control flow.  Box predicates evaluate with the same table.
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
@@ -353,17 +339,24 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
         b = _eval(expr.right, ctx, st)
         if a is None or b is None:
             return None
-        return _pointwise(expr.op, a, b)
+        fn = OPERATORS.get(expr.op)
+        if fn is not None:
+            return fn(a, b)
+        if expr.op == "and":
+            return bool(a) and bool(b)
+        if expr.op == "or":
+            return bool(a) or bool(b)
+        raise KindMismatch(f"unknown pointwise operator {expr.op!r}")
 
     if isinstance(expr, NotOp):
         a = _eval(expr.operand, ctx, st)
-        return None if a is None else not _truthy(a)
+        return None if a is None else not a
 
     if isinstance(expr, If):
         cond = _eval(expr.cond, ctx, st)
         if cond is None:
             return None
-        return _eval(expr.then if _truthy(cond) else expr.orelse, ctx, st)
+        return _eval(expr.then if cond else expr.orelse, ctx, st)
 
     if isinstance(expr, Query):
         return ctx.tag(expr.dim)
@@ -407,7 +400,7 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
             guard = _eval(expr.right, ctx.with_tag(expr.dim, s), st)
             if guard is None:
                 return None
-            if _truthy(guard):
+            if guard:
                 if remaining == 0:
                     return _eval(expr.left, ctx.with_tag(expr.dim, s), st)
                 remaining -= 1
@@ -427,7 +420,7 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
             guard = _eval(expr.right, ctx.with_tag(expr.dim, sy), st)
             if guard is None:
                 return None
-            if _truthy(guard):
+            if guard:
                 sx += 1
             sy += 1
             remaining -= 1
@@ -468,223 +461,127 @@ def eval_prefix(
     ]
 
 
-# --- stream expression syntax ---------------------------------------------
-#
-# Precedence, loosest to tightest:
-#   if/then/else; fby wvr asa upon (right assoc); or; and; comparison;
-#   + -; *; @.d; first next prev not - (prefix); atoms.
-# Temporal operators take an optional .dimension suffix and default to
-# the time dimension.
+# --- stream and predicate syntax ---------------------------------------------
 
-_TEMPORAL_BINARY = {"fby": Fby, "wvr": Wvr, "asa": Asa, "upon": Upon}
-_TEMPORAL_UNARY = {"first": First, "next": Next, "prev": Prev}
-_CMP = ("==", "!=", "<", "<=", ">", ">=")
-_KEYWORDS = (
-    set(_TEMPORAL_BINARY)
-    | set(_TEMPORAL_UNARY)
-    | {"if", "then", "else", "and", "or", "not", "true", "false", "nil"}
+_PREFIX_BP = 9  # first next prev not -
+
+_POINTWISE = {
+    "or": Rule(2, partial(Pointwise, "or")),
+    "and": Rule(3, partial(Pointwise, "and")),
+    **{op: Rule(5, partial(Pointwise, op), NONE)
+       for op in ("==", "!=", "<", "<=", ">", ">=")},
+    "+": Rule(6, partial(Pointwise, "+")),
+    "-": Rule(6, partial(Pointwise, "-")),
+    "*": Rule(7, partial(Pointwise, "*")),
+}
+
+
+def _predicate_atom(cur: Cursor) -> StreamExpr:
+    value = cur.tag(Ref)
+    return value if isinstance(value, Ref) else Const(value)
+
+
+PREDICATE = Grammar(
+    prefix={"not": Rule(4, NotOp, RIGHT)},
+    infix=_POINTWISE,
+    atom=_predicate_atom,
 )
 
 
-class _StreamParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+def _dim(cur: Cursor) -> str:
+    cur.expect(".")
+    return cur.expect(NAME).text
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != END:
-            self.i += 1
-        return tok
+def _opt_dim(cur: Cursor) -> str:
+    return _dim(cur) if cur.peek().kind == "." else TIME
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r} but found {tok.text or 'end of input'!r} "
-                f"at position {tok.column}",
-                position=tok.column,
-            )
-        return self.advance()
 
-    def expect_word(self, word: str):
-        tok = self.peek()
-        if tok.kind != NAME or tok.text != word:
-            raise ExprSyntaxError(
-                f"expected {word!r} at position {tok.column}", position=tok.column
-            )
-        self.advance()
+def _if_head(cur: Cursor):
+    """``cond then x else``: what sits between 'if' and its last operand."""
+    cond = cur.expression(STREAM)
+    cur.expect_word("then")
+    then = cur.expression(STREAM)
+    cur.expect_word("else")
+    return cond, then
 
-    def at_word(self, *words) -> bool:
-        tok = self.peek()
-        return tok.kind == NAME and tok.text in words
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ExprSyntaxError(
-            f"{message} at position {tok.column}", position=tok.column
-        )
+def _negate(operand: StreamExpr) -> StreamExpr:
+    if isinstance(operand, Const) and isinstance(operand.value, int):
+        return Const(-operand.value)
+    return Pointwise("-", Const(0), operand)
 
-    def opt_dim(self) -> str:
-        if self.peek().kind == ".":
-            self.advance()
-            return self.expect(NAME).text
-        return TIME
 
-    def expr(self) -> StreamExpr:
-        if self.at_word("if"):
-            self.advance()
-            cond = self.expr()
-            self.expect_word("then")
-            then = self.expr()
-            self.expect_word("else")
-            orelse = self.expr()
-            return If(cond, then, orelse)
-        return self.temporal()
+_LITERAL_WORDS = {"nil": None, "true": True, "false": False}
 
-    def temporal(self) -> StreamExpr:
-        left = self.or_expr()
-        if self.at_word(*_TEMPORAL_BINARY):
-            word = self.advance().text
-            dim = self.opt_dim()
-            right = self.temporal()  # right associative
-            return _TEMPORAL_BINARY[word](left, right, dim)
-        return left
 
-    def or_expr(self) -> StreamExpr:
-        node = self.and_expr()
-        while self.at_word("or"):
-            self.advance()
-            node = Pointwise("or", node, self.and_expr())
-        return node
+def _literal_item(cur: Cursor) -> Value:
+    tok = cur.peek()
+    if tok.kind in (INT, "-"):
+        return cur.signed_int()
+    if tok.kind == NAME and tok.text in _LITERAL_WORDS:
+        cur.advance()
+        return _LITERAL_WORDS[tok.text]
+    cur.fail("expected a stream literal element")
 
-    def and_expr(self) -> StreamExpr:
-        node = self.cmp_expr()
-        while self.at_word("and"):
-            self.advance()
-            node = Pointwise("and", node, self.cmp_expr())
-        return node
 
-    def cmp_expr(self) -> StreamExpr:
-        node = self.add_expr()
-        if self.peek().kind in _CMP:
-            op = self.advance().kind
-            node = Pointwise(op, node, self.add_expr())
-        return node
+def _stream_atom(cur: Cursor) -> StreamExpr:
+    tok = cur.peek()
+    if tok.kind == INT or (tok.kind == NAME and tok.text in _LITERAL_WORDS):
+        return Const(_literal_item(cur))
+    if tok.kind == NAME:
+        if tok.text in _KEYWORDS:
+            cur.fail(f"unexpected keyword {tok.text!r}")
+        cur.advance()
+        return Ref(tok.text)
+    if tok.kind == "#":
+        cur.advance()
+        return Query(_dim(cur))
+    if tok.kind == "[":
+        cur.advance()
+        values = [] if cur.peek().kind == "]" else cur.comma_list(_literal_item)
+        cur.expect("]")
+        return Literal(tuple(values))
+    cur.fail(f"unexpected {tok.text or 'end of input'!r}")
 
-    def add_expr(self) -> StreamExpr:
-        node = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = Pointwise(op, node, self.mul_expr())
-        return node
 
-    def mul_expr(self) -> StreamExpr:
-        node = self.at_expr()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Pointwise("*", node, self.at_expr())
-        return node
-
-    def at_expr(self) -> StreamExpr:
-        node = self.unary()
-        while self.peek().kind == "@":
-            self.advance()
-            self.expect(".")
-            dim = self.expect(NAME).text
-            node = At(node, dim, self.unary())
-        return node
-
-    def unary(self) -> StreamExpr:
-        if self.at_word(*_TEMPORAL_UNARY):
-            word = self.advance().text
-            dim = self.opt_dim()
-            return _TEMPORAL_UNARY[word](self.unary(), dim)
-        if self.at_word("not"):
-            self.advance()
-            return NotOp(self.unary())
-        if self.peek().kind == "-":
-            self.advance()
-            operand = self.unary()
-            if isinstance(operand, Const) and isinstance(operand.value, int):
-                return Const(-operand.value)
-            return Pointwise("-", Const(0), operand)
-        return self.atom()
-
-    def atom(self) -> StreamExpr:
-        tok = self.peek()
-        if tok.kind == INT:
-            self.advance()
-            return Const(int(tok.text))
-        if tok.kind == NAME:
-            self.advance()
-            if tok.text == "nil":
-                return Const(None)
-            if tok.text == "true":
-                return Const(True)
-            if tok.text == "false":
-                return Const(False)
-            if tok.text in _KEYWORDS:
-                raise ExprSyntaxError(
-                    f"unexpected keyword {tok.text!r} at position {tok.column}",
-                    position=tok.column,
-                )
-            return Ref(tok.text)
-        if tok.kind == "#":
-            self.advance()
-            self.expect(".")
-            return Query(self.expect(NAME).text)
-        if tok.kind == "[":
-            self.advance()
-            values = []
-            if self.peek().kind != "]":
-                values.append(self.literal_item())
-                while self.peek().kind == ",":
-                    self.advance()
-                    values.append(self.literal_item())
-            self.expect("]")
-            return Literal(tuple(values))
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        self.fail(f"unexpected {tok.text or 'end of input'!r}")
-
-    def literal_item(self) -> Value:
-        tok = self.peek()
-        if tok.kind == INT:
-            self.advance()
-            return int(tok.text)
-        if tok.kind == "-":
-            self.advance()
-            return -int(self.expect(INT).text)
-        if tok.kind == NAME and tok.text in ("nil", "true", "false"):
-            self.advance()
-            return {"nil": None, "true": True, "false": False}[tok.text]
-        self.fail("expected a stream literal element")
+STREAM = Grammar(
+    prefix={
+        "if": Rule(0, lambda orelse, head: If(*head, orelse), RIGHT, _if_head),
+        "not": Rule(_PREFIX_BP, NotOp, RIGHT),
+        "-": Rule(_PREFIX_BP, _negate, RIGHT),
+        "first": Rule(_PREFIX_BP, First, RIGHT, _opt_dim),
+        "next": Rule(_PREFIX_BP, Next, RIGHT, _opt_dim),
+        "prev": Rule(_PREFIX_BP, Prev, RIGHT, _opt_dim),
+    },
+    infix={
+        **_POINTWISE,
+        "fby": Rule(1, Fby, RIGHT, _opt_dim),
+        "wvr": Rule(1, Wvr, RIGHT, _opt_dim),
+        "asa": Rule(1, Asa, RIGHT, _opt_dim),
+        "upon": Rule(1, Upon, RIGHT, _opt_dim),
+        "@": Rule(8, lambda operand, index, dim: At(operand, dim, index),
+                   suffix=_dim),
+    },
+    atom=_stream_atom,
+)
+# Words that cannot name a stream (true, false and nil are constants).
+_KEYWORDS = {"then", "else"} | {
+    word for word in (*STREAM.prefix, *STREAM.infix) if word.isalpha()
+}
 
 
 def parse_stream_expr(source) -> StreamExpr:
     """Parse a complete stream expression from text or tokens."""
-    tokens = tokenize(source) if isinstance(source, str) else list(source)
-    parser = _StreamParser(tokens)
-    expr = parser.expr()
-    tok = parser.peek()
-    if tok.kind != END:
-        raise ExprSyntaxError(
-            f"unexpected {tok.text!r} at position {tok.column}",
-            position=tok.column,
-        )
+    cur = Cursor(tokenize(source) if isinstance(source, str) else list(source))
+    expr = cur.expression(STREAM)
+    cur.close()
     return expr
 
 
 def parse_stream_expr_prefix(tokens) -> Tuple[StreamExpr, list]:
     """Parse a leading stream expression; return it and the leftover
     tokens (used by commands that take trailing arguments)."""
-    parser = _StreamParser(list(tokens))
-    expr = parser.expr()
-    return expr, parser.tokens[parser.i:]
+    cur = Cursor(list(tokens))
+    expr = cur.expression(STREAM)
+    return expr, cur.tokens[cur.i:]
