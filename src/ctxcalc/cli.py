@@ -134,11 +134,14 @@ def _dim_command(session: Session, rest: str) -> list:
         raise ExprSyntaxError(f"bad dimension name {name!r}")
     tail = tail.strip()
     if tail.startswith("enum"):
-        spec = tail[len("enum"):].strip()
-        if not (spec.startswith("{") and spec.endswith("}")):
-            raise ExprSyntaxError("enum syntax: enum{A,B,...}")
-        symbols = [s.strip() for s in spec[1:-1].split(",") if s.strip()]
-        dim = session.env.registry.register(name, TagKind.ENUM, symbols)
+        cur = Cursor(tokenize(tail[len("enum"):]))
+        cur.expect("{")
+        symbols = []
+        if cur.peek().kind != "}":
+            symbols = cur.comma_list(lambda c: c.expect(NAME).text)
+        cur.expect("}")
+        cur.close()
+        session.env.registry.register(name, TagKind.ENUM, symbols)
         domain_text = "{" + ",".join(symbols) + "}"
         return [f"dim {name} : enum{domain_text}"]
     parts = tail.split(None, 1)
@@ -183,12 +186,11 @@ def _stream_command(session: Session, rest: str) -> list:
     if not name.isidentifier():
         raise ExprSyntaxError(f"bad stream name {name!r}")
     expr = streams.parse_stream_expr(expr_text)
-    merged = dict(session.equations)
-    if name in merged:
+    if name in session.equations:
         raise DuplicateName(f"stream {name!r} is already defined")
-    merged[name] = expr
-    streams.define_streams(merged)  # validates references
-    session.equations = merged
+    # The defined equations were checked when they were added.
+    streams.check_references(name, expr, session.equations)
+    session.equations[name] = expr
     if session.mode == "json":
         return []
     return [f"stream {name}"]
@@ -249,6 +251,18 @@ def _load_command(session: Session, rest: str) -> list:
     return out
 
 
+_HANDLERS = {
+    "dim": _dim_command,
+    "let": _let_command,
+    "stream": _stream_command,
+    "show": _show_command,
+    "eval": _eval_command,
+    "seed": _seed_command,
+    "mode": _mode_command,
+    "load": _load_command,
+}
+
+
 def run_command(session: Session, line: str) -> list:
     """Execute one command line; returns the rendered output lines.
 
@@ -260,17 +274,7 @@ def run_command(session: Session, line: str) -> list:
     word, _, rest = stripped.partition(" ")
     if word == "quit":
         raise _Quit()
-    handlers = {
-        "dim": _dim_command,
-        "let": _let_command,
-        "stream": _stream_command,
-        "show": _show_command,
-        "eval": _eval_command,
-        "seed": _seed_command,
-        "mode": _mode_command,
-        "load": _load_command,
-    }
-    handler = handlers.get(word)
+    handler = _HANDLERS.get(word)
     if handler is None:
         raise ExprSyntaxError(f"unknown command {word!r}")
     return handler(session, rest)

@@ -1,10 +1,12 @@
 """Evaluation of parsed expressions against an environment of bindings.
 
-Operand kinds are dynamic: the same operator symbol dispatches to the
-context or the lifted set operator depending on what its operands turn
-out to be.  A box used where a context set is expected is enumerated on
-the spot.  The environment's rng drives every choice operator, so results
-are reproducible under a fixed seed; chained choices pick pairwise, one
+An operator is defined by the operand kinds it accepts: ``ROWS`` maps
+(operator, left kind, right kind) to what it computes for that pair, a
+context operator or its lift to context sets.  The kinds are context,
+context set (a Box is one, enumerated once its row is found) and
+dimension set; a pair with no row raises ``KindMismatch``.  The
+environment's rng drives every choice operator, so results are
+reproducible under a fixed seed; chained choices pick pairwise, one
 uniform two-way pick per ``|`` node.
 """
 
@@ -74,34 +76,55 @@ class Environment:
             raise UnboundVariable(f"unbound variable {name!r}") from None
 
 
-def _kind_name(value) -> str:
-    if isinstance(value, Context):
-        return "context"
-    if isinstance(value, ContextSet):
-        return "context set"
-    if isinstance(value, Box):
-        return "box"
-    if isinstance(value, frozenset):
-        return "dimension set"
-    if isinstance(value, bool):
-        return "boolean"
-    return type(value).__name__
+_CTX, _SET, _DIMS = "context", "context set", "dimension set"
+_KINDS = {Context: _CTX, ContextSet: _SET, Box: _SET, frozenset: _DIMS,
+          bool: "boolean"}
 
 
-def _as_context_set(value):
-    """Coerce a value to a context set if possible, else None."""
-    if isinstance(value, ContextSet):
-        return value
-    if isinstance(value, Box):
-        return box_enumerate(value)
-    return None
+def _kind(value) -> str:
+    return _KINDS.get(type(value), type(value).__name__)
 
 
-def _mismatch(op, left, right):
-    return KindMismatch(
-        f"operator {op!r} cannot combine a {_kind_name(left)} "
-        f"with a {_kind_name(right)}"
-    )
+def _substitute_pair(s: ContextSet, pair: Context, rng) -> ContextSet:
+    if not pair.is_micro():
+        raise KindMismatch(
+            "set substitution needs a <dimension, tag> pair on the right"
+        )
+    micro = next(iter(pair.entries))
+    return lift_substitution(s, micro.dimension, micro.tag)
+
+
+_AT_MOST = (ContextOrder.EQUAL, ContextOrder.SUBSET)
+_AT_LEAST = (ContextOrder.EQUAL, ContextOrder.SUPERSET)
+
+# Each row is called as row(left, right, rng).  The rows name ops.<name>
+# and this module's set operators inside their bodies, so both are looked
+# up when a row runs: rebinding them (the benchmark's tracer wraps them)
+# reaches the evaluator, which functions stored in the table would not.
+ROWS = {
+    ("!", _CTX, _DIMS): lambda a, b, rng: ops.projection(a, b),
+    ("!", _SET, _DIMS): lambda a, b, rng: lift_projection(a, b),
+    ("^", _CTX, _DIMS): lambda a, b, rng: ops.hiding(a, b),
+    ("^", _SET, _DIMS): lambda a, b, rng: lift_hiding(a, b),
+    ("/", _CTX, _CTX): lambda a, b, rng: ops.substitution(a, b),
+    ("/", _SET, _CTX): _substitute_pair,
+    ("|", _CTX, _CTX): lambda a, b, rng: ops.choice([a, b], rng),
+    ("|", _SET, _SET): lambda a, b, rng: lift_choice(a, b, rng),
+    ("&", _CTX, _CTX): lambda a, b, rng: ops.conjunction(a, b),
+    ("%", _CTX, _CTX): lambda a, b, rng: ops.disjunction(a, b),
+    ("(+)", _CTX, _CTX): lambda a, b, rng: ops.override(a, b),
+    ("(+)", _SET, _SET): lambda a, b, rng: lift_override(a, b),
+    ("(-)", _CTX, _CTX): lambda a, b, rng: ops.difference(a, b),
+    ("(-)", _SET, _SET): lambda a, b, rng: lift_difference(a, b),
+    ("<=>", _CTX, _CTX): lambda a, b, rng: ops.undirected_range(a, b),
+    ("=>", _CTX, _CTX): lambda a, b, rng: ops.directed_range(a, b),
+    ("><", _SET, _SET): lambda a, b, rng: join(a, b),
+    ("[&]", _SET, _SET): lambda a, b, rng: set_intersection(a, b),
+    ("[+]", _SET, _SET): lambda a, b, rng: set_union(a, b),
+    ("==", _CTX, _CTX): lambda a, b, rng: a.compare(b) is ContextOrder.EQUAL,
+    ("<<=", _CTX, _CTX): lambda a, b, rng: a.compare(b) in _AT_MOST,
+    (">>=", _CTX, _CTX): lambda a, b, rng: a.compare(b) in _AT_LEAST,
+}
 
 
 def _micro(env: Environment, name: str, raw) -> MicroContext:
@@ -113,9 +136,7 @@ def _context_from_literal(env: Environment, node: ContextLit) -> Context:
     return Context(_micro(env, name, raw) for name, raw in node.pairs)
 
 
-def evaluate(node: Node, env: Environment) -> Value:
-    """Evaluate a parsed expression to a context, set, box, dimension set,
-    or boolean."""
+def _leaf(node: Node, env: Environment) -> Value:
     if isinstance(node, VarRef):
         return env.lookup(node.name)
     if isinstance(node, ContextLit):
@@ -128,88 +149,35 @@ def evaluate(node: Node, env: Environment) -> Value:
         return Context([_micro(env, node.dim, node.tag)])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
-    if isinstance(node, BinOp):
-        return _apply(node.op, evaluate(node.left, env), evaluate(node.right, env), env)
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def evaluate(node: Node, env: Environment) -> Value:
+    """Evaluate a parsed expression to a context, set, box, dimension set,
+    or boolean.  A chain of left operands is walked with a loop, innermost
+    operator first; only right operands are evaluated recursively."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    value = _leaf(node, env)
+    for op in reversed(spine):
+        value = _apply(op.op, value, evaluate(op.right, env), env)
+    return value
+
+
 def _apply(op: str, left: Value, right: Value, env: Environment) -> Value:
-    if op in ("!", "^"):
-        if not isinstance(right, frozenset):
-            raise KindMismatch(
-                f"operator {op!r} needs a dimension set on the right, "
-                f"got a {_kind_name(right)}"
-            )
-        if isinstance(left, Context):
-            fn = ops.projection if op == "!" else ops.hiding
-            return fn(left, right)
-        ls = _as_context_set(left)
-        if ls is not None:
-            fn = lift_projection if op == "!" else lift_hiding
-            return fn(ls, right)
-        raise _mismatch(op, left, right)
-
-    if op == "/":
-        if isinstance(left, Context) and isinstance(right, Context):
-            return ops.substitution(left, right)
-        ls = _as_context_set(left)
-        if ls is not None and isinstance(right, Context) and right.is_micro():
-            micro = next(iter(right.entries))
-            return lift_substitution(ls, micro.dimension, micro.tag)
-        if ls is not None:
-            raise KindMismatch(
-                "set substitution needs a <dimension, tag> pair on the right"
-            )
-        raise _mismatch(op, left, right)
-
-    if op == "|":
-        if isinstance(left, Context) and isinstance(right, Context):
-            return ops.choice([left, right], env.rng)
-        ls, rs = _as_context_set(left), _as_context_set(right)
-        if ls is not None and rs is not None:
-            return lift_choice(ls, rs, env.rng)
-        raise _mismatch(op, left, right)
-
-    if op in ("&", "%"):
-        if isinstance(left, Context) and isinstance(right, Context):
-            fn = ops.conjunction if op == "&" else ops.disjunction
-            return fn(left, right)
-        raise _mismatch(op, left, right)
-
-    if op in ("(+)", "(-)"):
-        if isinstance(left, Context) and isinstance(right, Context):
-            fn = ops.override if op == "(+)" else ops.difference
-            return fn(left, right)
-        ls, rs = _as_context_set(left), _as_context_set(right)
-        if ls is not None and rs is not None:
-            fn = lift_override if op == "(+)" else lift_difference
-            return fn(ls, rs)
-        raise _mismatch(op, left, right)
-
-    if op in ("<=>", "=>"):
-        if isinstance(left, Context) and isinstance(right, Context):
-            fn = ops.undirected_range if op == "<=>" else ops.directed_range
-            return fn(left, right)
-        raise _mismatch(op, left, right)
-
-    if op in ("><", "[&]", "[+]"):
-        ls, rs = _as_context_set(left), _as_context_set(right)
-        if ls is not None and rs is not None:
-            fn = {"><": join, "[&]": set_intersection, "[+]": set_union}[op]
-            return fn(ls, rs)
-        raise _mismatch(op, left, right)
-
-    if op in ("==", "<<=", ">>="):
-        if isinstance(left, Context) and isinstance(right, Context):
-            verdict = left.compare(right)
-            if op == "==":
-                return verdict is ContextOrder.EQUAL
-            if op == "<<=":
-                return verdict in (ContextOrder.EQUAL, ContextOrder.SUBSET)
-            return verdict in (ContextOrder.EQUAL, ContextOrder.SUPERSET)
-        raise _mismatch(op, left, right)
-
-    raise KindMismatch(f"unknown operator {op!r}")
+    row = ROWS.get((op, _kind(left), _kind(right)))
+    if row is None:
+        raise KindMismatch(
+            f"operator {op!r} cannot combine a {_kind(left)} "
+            f"with a {_kind(right)}"
+        )
+    if isinstance(left, Box):
+        left = box_enumerate(left)
+    if isinstance(right, Box):
+        right = box_enumerate(right)
+    return row(left, right, env.rng)
 
 
 # The two expression families share one evaluator; these names mirror the

@@ -16,8 +16,11 @@ Parentheses are parsed here, the same way for every grammar.  The printers
 (``parser.to_text``, ``sets.predicate_text``) bracket an operand whose
 binding power is below the rule's ``left_bp`` or ``right_bp``.
 
-To add an operator, add one row to its grammar's table, and one entry to
-``streams.OPERATORS`` if it evaluates pointwise.
+To add an operator, touch three places: its symbol in ``SYMBOLS`` (a
+keyword operator needs none), its precedence row in the grammar's table
+(``parser.PRECEDENCE_LEVELS``, ``streams.PREDICATE`` or ``streams.STREAM``),
+and the rows that say what it computes: ``evaluator.ROWS`` for a context
+or set operator, one ``streams.OPERATORS`` entry for a pointwise one.
 """
 
 from __future__ import annotations
@@ -122,6 +125,9 @@ def tokenize(text: str) -> list:
 
 LEFT, RIGHT, NONE = "left", "right", "none"
 _UNLIMITED = 1 << 30
+# How deeply operands may nest (parentheses, prefix operators, right
+# operands); the parser recurses once per level, and so do the evaluators.
+MAX_DEPTH = 200
 
 
 class Rule:
@@ -152,11 +158,12 @@ class Grammar(NamedTuple):
 class Cursor:
     """A position in a token list, and the Pratt loop that reads it."""
 
-    __slots__ = ("tokens", "i")
+    __slots__ = ("tokens", "i", "depth")
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -245,6 +252,9 @@ class Cursor:
         # when both associate to the left.
         limit = _UNLIMITED
         tok = self.tokens[self.i]
+        if self.depth == MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
         if tok.kind == "(":
             self.i += 1
             left = self.expression(grammar)
@@ -266,6 +276,7 @@ class Cursor:
             tok = self.tokens[self.i]
             rule = infix.get(tok.text if tok.kind == NAME else tok.kind)
             if rule is None or not min_bp <= rule.bp < limit:
+                self.depth -= 1
                 return left
             self.i += 1
             left = self._apply(grammar, rule, left)

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
     DuplicateDimension,
+    ExprSyntaxError,
     IllFormedDomain,
     NonSimpleOperand,
     TagOutsideDomain,
@@ -111,7 +112,7 @@ class Dimension:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("dimension name must be a non-empty identifier")
+            raise ExprSyntaxError("dimension name must be a non-empty identifier")
         if self.tag_type is TagKind.ENUM:
             if not self.domain:
                 raise IllFormedDomain(

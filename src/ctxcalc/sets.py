@@ -16,7 +16,6 @@ from typing import Tuple, Union
 from .errors import (
     IllTypedPredicate,
     NonSimpleOperand,
-    NonSimpleResidue,
     UnboundedBox,
 )
 from .model import (
@@ -98,11 +97,6 @@ def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
         for b in s2:
             members.append(ops.disjunction(a, ops.hiding(b, shared)))
             members.append(ops.disjunction(b, ops.hiding(a, shared)))
-    for m in members:
-        # Unshared-dimension clashes cannot arise: any clashing dimension
-        # is shared and therefore hidden from the other operand.
-        if not m.is_simple():
-            raise NonSimpleResidue(f"set union produced a non-simple member {m}")
     return ContextSet(members)
 
 

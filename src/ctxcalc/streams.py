@@ -244,12 +244,18 @@ def define_streams(equations) -> EquationSet:
             raise DuplicateName(f"stream {name!r} is defined twice")
         eqs[name] = expr
     for name, expr in eqs.items():
-        for ref in references(expr):
-            if ref not in eqs:
-                raise UnresolvedReference(
-                    f"stream {name!r} references undefined stream {ref!r}"
-                )
+        check_references(name, expr, eqs)
     return EquationSet(eqs)
+
+
+def check_references(name: str, expr: StreamExpr, defined):
+    """Raise UnresolvedReference unless every stream that equation
+    ``name = expr`` refers to is ``name`` itself or in ``defined``."""
+    for ref in references(expr):
+        if ref != name and ref not in defined:
+            raise UnresolvedReference(
+                f"stream {name!r} references undefined stream {ref!r}"
+            )
 
 
 class Warehouse:
