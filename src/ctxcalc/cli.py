@@ -1,21 +1,22 @@
 """Interactive REPL and script runner.
 
-Commands (one per line; a line whose first non-blank character is ``#``
-is a comment):
+One command per line; a blank line, or one whose first non-blank character
+is ``#``, does nothing.  ``quit`` ends the session and ``load <path>`` runs
+the commands of a file.  Every other line is read as one token stream (see
+``lexer``), so an error position counts from the start of the line:
 
-    dim <name> : <int|str|bool|enum{A,B,...}> [domain values...]
-    let <name> = <context / set / box / dimension-set expression>
-    stream <name> = <stream expression>
-    show <stream expression> [dimension] [count]
-    eval <expression>
-    seed <n>
+    dim NAME : int|str|bool TAG...        TAGs, if any, are the domain
+    dim NAME : enum { NAME, ... }
+    let NAME = EXPR                       a context, set, Box or dimension set
+    stream NAME = STREAM                  a stream equation
+    show STREAM [NAME] [INT]              INT (10) values along NAME (time)
+    eval EXPR
+    seed ['-'] INT
     mode plain|json
-    load <file>
-    quit
 
 Commands mutate the session only when they succeed.  In json mode, eval
-and show emit one machine-readable record per result; other commands are
-silent.  Exit codes: 0 success, 1 command error, 2 I/O error.
+and show emit one machine-readable record per result; other commands but
+dim are silent.  Exit codes: 0 success, 1 command error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ContextCalcError, DuplicateName, ExprSyntaxError
+from .errors import ContextCalcError, ExprSyntaxError
 from .evaluator import Environment, evaluate
 from .lexer import END, INT, NAME, Cursor, tokenize
 from .model import (
@@ -50,7 +51,7 @@ class _Quit(Exception):
 @dataclass
 class Session:
     env: Environment
-    equations: dict = field(default_factory=dict)
+    equations: streams.EquationSet = field(default_factory=streams.EquationSet)
     warehouse: streams.Warehouse = field(default_factory=streams.Warehouse)
     mode: str = "plain"
     budget: int = streams.DEFAULT_BUDGET
@@ -83,22 +84,6 @@ def _value_record(value):
     raise ContextCalcError(f"cannot render value {value!r}")
 
 
-def _stream_value_text(v) -> str:
-    if v is None:
-        return "nil"
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    return str(v)
-
-
-def _stream_value_json(v):
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return 1 if v else 0
-    return v
-
-
 def _render_result(session: Session, value) -> str:
     kind, payload = _value_record(value)
     if session.mode == "json":
@@ -109,145 +94,104 @@ def _render_result(session: Session, value) -> str:
 
 
 def _render_prefix(session: Session, values) -> str:
+    # A stream value is an int, a bool or nil; a bool prints as 0 or 1.
+    ints = [None if v is None else int(v) for v in values]
     if session.mode == "json":
-        return json.dumps(
-            {"kind": "stream_prefix",
-             "value": [_stream_value_json(v) for v in values]}
-        )
-    return " ".join(_stream_value_text(v) for v in values)
+        return json.dumps({"kind": "stream_prefix", "value": ints})
+    return " ".join("nil" if v is None else str(v) for v in ints)
 
 
 # --- command implementations -------------------------------------------------
 
+# The tag kinds a dim line may name.
+_TAG_KINDS = {kind.value: kind for kind in TagKind}
 
-def _bad_domain_value(text):
-    raise ExprSyntaxError(f"bad domain value {text!r}")
 
-
-def _dim_command(session: Session, rest: str) -> list:
-    # dim <name> : <kind> [domain ...]   (':' is spelled in the raw text)
-    head, sep, tail = rest.partition(":")
-    if not sep:
-        raise ExprSyntaxError("dim syntax: dim <name> : <kind> [domain...]")
-    name = head.strip()
-    if not name.isidentifier():
-        raise ExprSyntaxError(f"bad dimension name {name!r}")
-    tail = tail.strip()
-    if tail.startswith("enum"):
-        cur = Cursor(tokenize(tail[len("enum"):]))
+def _dim_command(session: Session, cur: Cursor) -> list:
+    name = cur.expect(NAME).text
+    cur.expect(":")
+    tok = cur.peek()
+    kind = _TAG_KINDS.get(tok.text) if tok.kind == NAME else None
+    if kind is None:
+        cur.fail("expected a tag kind: int, str, bool or enum")
+    cur.advance()
+    domain = []
+    if kind is TagKind.ENUM:
         cur.expect("{")
-        symbols = []
         if cur.peek().kind != "}":
-            symbols = cur.comma_list(lambda c: c.expect(NAME).text)
+            domain = cur.comma_list(lambda c: c.expect(NAME).text)
         cur.expect("}")
         cur.close()
-        session.env.registry.register(name, TagKind.ENUM, symbols)
-        domain_text = "{" + ",".join(symbols) + "}"
-        return [f"dim {name} : enum{domain_text}"]
-    parts = tail.split(None, 1)
-    if not parts:
-        raise ExprSyntaxError("dim needs a tag kind")
-    kind_word = parts[0]
-    kinds = {"int": TagKind.INT, "str": TagKind.STR, "bool": TagKind.BOOL}
-    if kind_word not in kinds:
-        raise ExprSyntaxError(f"unknown tag kind {kind_word!r}")
-    domain = None
-    if len(parts) > 1 and parts[1].strip():
-        cur = Cursor(tokenize(parts[1]))
-        domain = []
+    else:
         while cur.peek().kind != END:
-            domain.append(cur.tag(_bad_domain_value))
-    dim = session.env.registry.register(name, kinds[kind_word], domain)
-    suffix = ""
-    if dim.domain is not None:
-        suffix = " " + " ".join(format_tag(v) for v in dim.domain)
-    return [f"dim {name} : {kind_word}{suffix}"]
+            domain.append(cur.tag(lambda text: cur.fail(f"bad domain value {text!r}")))
+    dim = session.env.registry.register(name, kind, domain or None)
+    values = [format_tag(v) for v in dim.domain or ()]
+    if kind is TagKind.ENUM:
+        return [f"dim {name} : enum{{{','.join(values)}}}"]
+    return [" ".join([f"dim {name} : {kind.value}", *values])]
 
 
-def _let_command(session: Session, rest: str) -> list:
-    name, sep, expr_text = rest.partition("=")
-    if not sep:
-        raise ExprSyntaxError("let syntax: let <name> = <expression>")
-    name = name.strip()
-    if not name.isidentifier():
-        raise ExprSyntaxError(f"bad binding name {name!r}")
-    value = evaluate(parse_expr(expr_text), session.env)
+def _let_command(session: Session, cur: Cursor) -> list:
+    name = cur.expect(NAME).text
+    cur.expect("=")
+    value = evaluate(parse_expr(cur.rest()), session.env)
     session.env.bind(name, value)
     if session.mode == "json":
         return []
     return [f"{name} = {_render_result(session, value)}"]
 
 
-def _stream_command(session: Session, rest: str) -> list:
-    name, sep, expr_text = rest.partition("=")
-    if not sep:
-        raise ExprSyntaxError("stream syntax: stream <name> = <expression>")
-    name = name.strip()
-    if not name.isidentifier():
-        raise ExprSyntaxError(f"bad stream name {name!r}")
-    expr = streams.parse_stream_expr(expr_text)
-    if name in session.equations:
-        raise DuplicateName(f"stream {name!r} is already defined")
-    # The defined equations were checked when they were added.
-    streams.check_references(name, expr, session.equations)
-    session.equations[name] = expr
-    if session.mode == "json":
-        return []
-    return [f"stream {name}"]
+def _stream_command(session: Session, cur: Cursor) -> list:
+    name = cur.expect(NAME).text
+    cur.expect("=")
+    session.equations.add(name, streams.parse_stream_expr(cur.rest()))
+    return [] if session.mode == "json" else [f"stream {name}"]
 
 
-def _show_command(session: Session, rest: str) -> list:
-    expr, leftover = streams.parse_stream_expr_prefix(tokenize(rest))
+def _show_command(session: Session, cur: Cursor) -> list:
+    expr, leftover = streams.parse_stream_expr_prefix(cur.rest())
     args = Cursor(leftover)
     dim = args.advance().text if args.peek().kind == NAME else streams.TIME
-    count = int(args.advance().text) if args.peek().kind == INT else 10
+    count = args.signed_int() if args.peek().kind == INT else 10
     if args.peek().kind != END:
         args.fail("show syntax: show <expr> [dim] [count]")
-    # Every equation was validated when _stream_command added it.
-    eqs = streams.EquationSet(session.equations)
     values = streams.eval_prefix(
-        expr, dim, count, eqs, session.warehouse, session.budget
+        expr, dim, count, session.equations, session.warehouse, session.budget
     )
     return [_render_prefix(session, values)]
 
 
-def _eval_command(session: Session, rest: str) -> list:
-    value = evaluate(parse_expr(rest), session.env)
+def _eval_command(session: Session, cur: Cursor) -> list:
+    value = evaluate(parse_expr(cur.rest()), session.env)
     return [_render_result(session, value)]
 
 
-def _seed_command(session: Session, rest: str) -> list:
-    try:
-        n = int(rest.strip())
-    except ValueError:
-        raise ExprSyntaxError("seed needs an integer") from None
+def _seed_command(session: Session, cur: Cursor) -> list:
+    n = cur.signed_int()
+    cur.close()
     session.env.rng.seed(n)
     return [] if session.mode == "json" else [f"seed {n}"]
 
 
-def _mode_command(session: Session, rest: str) -> list:
-    word = rest.strip()
-    if word not in ("plain", "json"):
-        raise ExprSyntaxError("mode is 'plain' or 'json'")
+def _mode_command(session: Session, cur: Cursor) -> list:
+    word = cur.peek().text
+    if cur.peek().kind != NAME or word not in ("plain", "json"):
+        cur.fail("mode is 'plain' or 'json'")
+    cur.advance()
+    cur.close()
     session.mode = word
     return [] if word == "json" else [f"mode {word}"]
 
 
-def _load_command(session: Session, rest: str) -> list:
-    path = rest.strip()
+def _load_command(session: Session, path: str) -> list:
+    out = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        _run_file(session, path, out.append)
     except OSError as exc:
         raise ContextCalcError(f"cannot read {path!r}: {exc}") from None
-    out = []
-    for lineno, line in enumerate(lines, 1):
-        try:
-            out.extend(run_command(session, line))
-        except _Quit:
-            break
-        except ContextCalcError as exc:
-            raise ContextCalcError(f"{path} line {lineno}: {exc}") from exc
+    except ContextCalcError as exc:
+        raise ContextCalcError(f"{path} {exc}") from exc
     return out
 
 
@@ -259,7 +203,6 @@ _HANDLERS = {
     "eval": _eval_command,
     "seed": _seed_command,
     "mode": _mode_command,
-    "load": _load_command,
 }
 
 
@@ -274,10 +217,33 @@ def run_command(session: Session, line: str) -> list:
     word, _, rest = stripped.partition(" ")
     if word == "quit":
         raise _Quit()
+    if word == "load":
+        return _load_command(session, rest.strip())
     handler = _HANDLERS.get(word)
     if handler is None:
         raise ExprSyntaxError(f"unknown command {word!r}")
-    return handler(session, rest)
+    cur = Cursor(tokenize(line))
+    cur.advance()  # the command word
+    return handler(session, cur)
+
+
+def _run_file(session: Session, path: str, emit):
+    """Run the commands of a file in order, passing each output line to
+    emit, up to the end of the file or a quit line.
+
+    Raises OSError when the file cannot be read, and a ContextCalcError
+    that starts with ``line N:`` when the command on line N fails.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        try:
+            for text in run_command(session, line):
+                emit(text)
+        except _Quit:
+            return
+        except ContextCalcError as exc:
+            raise ContextCalcError(f"line {lineno}: {exc}") from exc
 
 
 def run_script(path: str, session: Session = None, out=None, err=None) -> int:
@@ -291,20 +257,13 @@ def run_script(path: str, session: Session = None, out=None, err=None) -> int:
     if session is None:
         session = new_session()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        _run_file(session, path, lambda text: print(text, file=out))
     except OSError as exc:
         print(f"error: cannot read {path!r}: {exc}", file=err)
         return 2
-    for lineno, line in enumerate(lines, 1):
-        try:
-            for text in run_command(session, line):
-                print(text, file=out)
-        except _Quit:
-            return 0
-        except ContextCalcError as exc:
-            print(f"error: line {lineno}: {exc}", file=err)
-            return 1
+    except ContextCalcError as exc:
+        print(f"error: {exc}", file=err)
+        return 1
     return 0
 
 

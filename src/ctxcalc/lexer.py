@@ -1,6 +1,11 @@
 """Tokenizer and the operator-precedence parser shared by the context,
 context-set, Box-predicate and stream grammars.
 
+A token is a name, an ASCII integer, a double-quoted string (a backslash
+escapes the next character) or one of the fixed ``SYMBOLS``.  One of
+those, ``:``, is read only by the REPL's ``dim`` command; the three
+grammars refuse it.
+
 Each grammar is a table for one Pratt loop (Pratt, "Top down operator
 precedence", 1973): prefix and infix ``Rule``s keyed by operator kind or
 keyword, plus an atom rule for everything else.  The three tables are
@@ -26,7 +31,6 @@ or set operator, one ``streams.OPERATORS`` entry for a pointwise one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ExprSyntaxError, UnbalancedParens, UnknownToken
@@ -42,7 +46,7 @@ SYMBOLS = (
     "=>", "<=", ">=", "==", "!=", "><",
     "^", "!", "|", "/", "&", "%", "<", ">",
     "{", "}", "(", ")", "[", "]", ",", ".", "@", "#",
-    "+", "-", "*", "=",
+    "+", "-", "*", "=", ":",
 )
 
 # Single-character synonyms for the ASCII operator spellings.
@@ -72,18 +76,21 @@ _SYMBOL_KIND = {**{s: s for s in SYMBOLS}, **UNICODE_ALIASES}
 
 # Digits are ASCII only.  A name is a run of word characters; whether it
 # starts with a letter or '_' is checked after the match, because no regex
-# class means str.isalpha().
+# class means str.isalpha().  Inside a string a backslash escapes the next
+# character: \" is a quote and \\ a backslash.
 _TOKEN = re.compile(
     r"\s*(?:(?P<symbol>"
     + "|".join(re.escape(s) for s in SYMBOLS if len(s) > 1)
     + "|["
     + "".join(re.escape(s) for s in _SYMBOL_KIND if len(s) == 1)
-    + r"])|(?P<int>[0-9]+)|(?P<name>\w+)|\"(?P<string>[^\"]*)\"|(?P<bad>\S))"
+    + r"])|(?P<int>[0-9]+)|(?P<name>\w+)"
+    + r"|\"(?P<string>[^\"\\]*(?:\\.[^\"\\]*)*)\"|(?P<bad>\S))",
+    re.DOTALL,
 )
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME | INT | STRING | END | one of SYMBOLS
     text: str
     pos: int  # 0-based offset into the source
@@ -103,6 +110,8 @@ def tokenize(text: str) -> list:
         if kind == "symbol":
             tokens.append(Token(_SYMBOL_KIND[lexeme], lexeme, pos))
         elif kind == STRING:
+            if "\\" in lexeme:
+                lexeme = _ESCAPED.sub(r"\1", lexeme)
             tokens.append(Token(STRING, lexeme, pos - 1))
         elif lexeme == '"':
             raise ExprSyntaxError(
@@ -217,18 +226,25 @@ class Cursor:
 
     def tag(self, name: Callable):
         """A tag literal: a signed integer, a string, true or false.  Any
-        other bare name is returned as ``name(text)``."""
+        other bare name is returned as ``name(text)``, called before the
+        cursor moves past it."""
         tok = self.tokens[self.i]
         if tok.kind in (INT, "-"):
             return self.signed_int()
-        if tok.kind not in (STRING, NAME):
-            self.fail("expected a tag literal")
-        self.i += 1
         if tok.kind == STRING:
-            return tok.text
-        if tok.text in ("true", "false"):
-            return tok.text == "true"
-        return name(tok.text)
+            value = tok.text
+        elif tok.kind != NAME:
+            self.fail("expected a tag literal")
+        elif tok.text in ("true", "false"):
+            value = tok.text == "true"
+        else:
+            value = name(tok.text)
+        self.i += 1
+        return value
+
+    def rest(self) -> list:
+        """The tokens not yet read, ending with the end-of-input marker."""
+        return self.tokens[self.i:]
 
     def close(self, kind: str = END) -> Token:
         """Consume the token that ends an expression."""

@@ -93,7 +93,7 @@ def format_tag(value: TagValue) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return f'"{value}"'
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return value.symbol
 
 

@@ -13,13 +13,15 @@ The filtering operators unfold their defining recursions iteratively:
     X upon Y  X advanced once for every position below t where Y holds
 
 A per-query demand budget turns divergent scans (a guard that is never
-true) into a DemandExhausted error instead of a hang.
+true) into a DemandExhausted error instead of a hang, and so does a chain
+of demands nested deeper than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Tuple, Union
@@ -205,26 +207,20 @@ def references(expr: StreamExpr):
     return out
 
 
-class EquationSet:
-    """A validated, immutable mapping from stream names to expressions."""
+class EquationSet(dict):
+    """Stream equations by name.  Looking up a name with no equation raises
+    UnresolvedReference."""
 
-    def __init__(self, equations: Mapping[str, StreamExpr]):
-        self._eqs = dict(equations)
+    def __missing__(self, name):
+        raise UnresolvedReference(f"no equation for stream {name!r}")
 
-    def get(self, name: str) -> StreamExpr:
-        try:
-            return self._eqs[name]
-        except KeyError:
-            raise UnresolvedReference(f"no equation for stream {name!r}") from None
-
-    def names(self):
-        return list(self._eqs)
-
-    def __contains__(self, name):
-        return name in self._eqs
-
-    def __len__(self):
-        return len(self._eqs)
+    def add(self, name: str, expr: StreamExpr):
+        """Add equation ``name = expr``; it may refer to itself and to the
+        equations already here."""
+        if name in self:
+            raise DuplicateName(f"stream {name!r} is already defined")
+        check_references(name, expr, self)
+        self[name] = expr
 
 
 def define_streams(equations) -> EquationSet:
@@ -235,17 +231,15 @@ def define_streams(equations) -> EquationSet:
     recursion is allowed.
     """
     if isinstance(equations, Mapping):
-        pairs = list(equations.items())
-    else:
-        pairs = list(equations)
-    eqs = {}
-    for name, expr in pairs:
+        equations = equations.items()
+    eqs = EquationSet()
+    for name, expr in equations:
         if name in eqs:
             raise DuplicateName(f"stream {name!r} is defined twice")
         eqs[name] = expr
     for name, expr in eqs.items():
         check_references(name, expr, eqs)
-    return EquationSet(eqs)
+    return eqs
 
 
 def check_references(name: str, expr: StreamExpr, defined):
@@ -335,7 +329,7 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
             hit, value = st.warehouse.lookup(key)
             if hit:
                 return value
-        value = _eval(st.eqs.get(expr.name), ctx, st)
+        value = _eval(st.eqs[expr.name], ctx, st)
         if st.warehouse is not None:
             st.warehouse.store(key, value)
         return value
@@ -445,7 +439,14 @@ def eval_stream(
     """Evaluate one stream expression at one context."""
     if budget <= 0:
         raise DemandExhausted("demand budget must be positive")
-    return _eval(expr, ctx, _State(eqs, warehouse, _Demand(budget)))
+    try:
+        return _eval(expr, ctx, _State(eqs, warehouse, _Demand(budget)))
+    except RecursionError:
+        # _eval recurses once per nested demand.
+        raise DemandExhausted(
+            "stream demand nests too deeply "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None
 
 
 def eval_prefix(
@@ -460,7 +461,7 @@ def eval_prefix(
     if isinstance(expr, str):
         expr = Ref(expr)
     if eqs is None:
-        eqs = EquationSet({})
+        eqs = EquationSet()
     return [
         eval_stream(expr, EvalContext({dim: t}), eqs, warehouse, budget)
         for t in range(count)
@@ -590,4 +591,4 @@ def parse_stream_expr_prefix(tokens) -> Tuple[StreamExpr, list]:
     tokens (used by commands that take trailing arguments)."""
     cur = Cursor(list(tokens))
     expr = cur.expression(STREAM)
-    return expr, cur.tokens[cur.i:]
+    return expr, cur.rest()

@@ -1,0 +1,243 @@
+"""The REPL's command grammar.
+
+Every command line but ``load`` is one token stream over the whole line,
+so an error position counts from the start of the line.  The session's
+stream equations live in one ``streams.EquationSet``.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxcalc import streams
+from ctxcalc.cli import new_session, repl, run_command, run_script
+from ctxcalc.errors import (
+    ContextCalcError,
+    DuplicateName,
+    ExprSyntaxError,
+    UnknownToken,
+    UnresolvedReference,
+)
+from ctxcalc.evaluator import Environment, evaluate
+from ctxcalc.lexer import NAME, Token, tokenize
+from ctxcalc.model import DimensionRegistry, TagKind, make_context
+from ctxcalc.parser import parse_expr
+
+SETUP = (
+    "dim d : int",
+    "dim e : int 1 2 3",
+    "let a = {(d, 1)}",
+    "stream A = [1, 2, 3]",
+)
+
+
+def session():
+    s = new_session(seed=3)
+    for line in SETUP:
+        run_command(s, line)
+    return s
+
+
+# --- command lines and what they print ----------------------------------------
+
+OUTPUTS = [
+    ("dim k : int", ["dim k : int"]),
+    ("dim k:int -2 0 3", ["dim k : int -2 0 3"]),
+    ('dim s : str "a" "b\\"c" "d\\\\e"', ['dim s : str "a" "b\\"c" "d\\\\e"']),
+    ("dim b : bool false true", ["dim b : bool false true"]),
+    ("dim m : enum { A , B }", ["dim m : enum{A,B}"]),
+    ("  let b = a (+) {(e, 2)}", ["b = {(d, 1), (e, 2)}"]),
+    ("stream B = A + 1", ["stream B"]),
+    ("show A", ["1 2 3 nil nil nil nil nil nil nil"]),
+    ("show A time 2", ["1 2"]),
+    ("show A == A 2", ["1 1"]),
+    ("show (prev A) 3", ["nil 1 2"]),
+    ("show A - 1 2", ["0 1"]),
+    ("eval a", ["{(d, 1)}"]),
+    ("eval a == a", ["true"]),
+    ("seed -4", ["seed -4"]),
+    ("seed 007", ["seed 7"]),
+    ("mode plain", ["mode plain"]),
+    ("mode json", []),
+    ("   # a comment", []),
+    ("", []),
+]
+
+
+@pytest.mark.parametrize("line, expected", OUTPUTS)
+def test_command_output(line, expected):
+    assert run_command(session(), line) == expected
+
+
+# --- malformed lines: the error class and its column in the line ---------------
+
+ERRORS = [
+    # dim
+    ("dim m : enum{1a}", ExprSyntaxError, 14),
+    ("dim k : int 1 foo", ExprSyntaxError, 15),
+    ("dim 1k : int", ExprSyntaxError, 5),
+    ("dim k int", ExprSyntaxError, 7),
+    ("dim k : float", ExprSyntaxError, 9),
+    ('dim k : "int"', ExprSyntaxError, 9),
+    ("dim k : enum A", ExprSyntaxError, 14),
+    ("dim k : enum{A} B", ExprSyntaxError, 17),
+    ("dim k : enum{A,}", ExprSyntaxError, 16),
+    ("dim k : int 1 -", ExprSyntaxError, 16),
+    ("dim k : int :", ExprSyntaxError, 13),
+    # let
+    ("let = a", ExprSyntaxError, 5),
+    ("let b a", ExprSyntaxError, 7),
+    ("let b == a", ExprSyntaxError, 7),
+    ("let b =", ExprSyntaxError, 8),
+    ("let b = a (+)", ExprSyntaxError, 14),
+    ("let a$ = a", UnknownToken, 6),
+    # stream
+    ("stream 9 = 1", ExprSyntaxError, 8),
+    ("stream B 1", ExprSyntaxError, 10),
+    ("stream B = fby", ExprSyntaxError, 12),
+    # show
+    ("show", ExprSyntaxError, 5),
+    ("show A 2 time", ExprSyntaxError, 10),
+    ("show A time x", ExprSyntaxError, 13),
+    ("show A 2 3", ExprSyntaxError, 10),
+    ('show A "x"', ExprSyntaxError, 8),
+    # eval
+    ("eval {(d, 1)} $", UnknownToken, 15),
+    ("  eval $", UnknownToken, 8),
+    # seed
+    ("seed", ExprSyntaxError, 5),
+    ("seed +3", ExprSyntaxError, 6),
+    ("seed 1_000", ExprSyntaxError, 7),
+    ("seed 3 4", ExprSyntaxError, 8),
+    ("seed x", ExprSyntaxError, 6),
+    ("seed ٣", UnknownToken, 6),
+    # mode
+    ("mode", ExprSyntaxError, 5),
+    ("mode xml", ExprSyntaxError, 6),
+    ("mode json extra", ExprSyntaxError, 11),
+    # ':' belongs to dim only
+    ("eval a : a", ExprSyntaxError, 8),
+    ("let b = a : a", ExprSyntaxError, 11),
+    ("stream B = A : 1", ExprSyntaxError, 14),
+]
+
+
+@pytest.mark.parametrize("line, error, position", ERRORS)
+def test_command_error_position_counts_from_the_line(line, error, position):
+    s = session()
+    before = (dict(s.env.bindings), dict(s.equations), s.mode)
+    with pytest.raises(error) as info:
+        run_command(s, line)
+    assert type(info.value) is error
+    assert info.value.position == position
+    assert f"at position {position}" in str(info.value)
+    assert (dict(s.env.bindings), dict(s.equations), s.mode) == before
+
+
+def test_unknown_command_names_the_word():
+    with pytest.raises(ExprSyntaxError, match="unknown command 'frobnicate'"):
+        run_command(session(), "frobnicate $")
+
+
+# --- the session's equations ------------------------------------------------------
+
+
+def test_show_passes_the_session_equations_without_copying(monkeypatch):
+    s = session()
+    seen = []
+    eval_prefix = streams.eval_prefix
+
+    def spy(expr, dim, count, eqs, *rest):
+        seen.append(eqs)
+        return eval_prefix(expr, dim, count, eqs, *rest)
+
+    monkeypatch.setattr(streams, "eval_prefix", spy)
+    assert run_command(s, "show A 2") == ["1 2"]
+    assert isinstance(s.equations, streams.EquationSet)
+    assert seen[0] is s.equations
+
+
+def test_second_stream_definition_is_refused():
+    s = session()
+    run_command(s, "stream X = 1")
+    before = dict(s.equations)
+    with pytest.raises(DuplicateName):
+        run_command(s, "stream X = 2")
+    # a duplicate name is reported before an unresolved reference
+    with pytest.raises(DuplicateName):
+        run_command(s, "stream X = Nope")
+    assert s.equations == before
+    assert run_command(s, "show X 2") == ["1 1"]
+
+
+def test_equation_set_refuses_unknown_names():
+    eqs = streams.EquationSet()
+    eqs.add("X", streams.Next(streams.Ref("X")))
+    with pytest.raises(UnresolvedReference):
+        eqs["Y"]
+    with pytest.raises(UnresolvedReference):
+        eqs.add("Z", streams.Ref("Y"))
+    assert eqs == {"X": streams.Next(streams.Ref("X"))}
+
+
+def test_too_deep_demand_is_typed_and_the_repl_goes_on():
+    out, err = io.StringIO(), io.StringIO()
+    lines = "stream N = 0 fby N + 1\nshow (N @.time 5000) time 1\nshow N time 3\n"
+    assert repl(new_session(), io.StringIO(lines), out, err) == 0
+    assert out.getvalue() == "stream N\n0 1 2\n"
+    assert err.getvalue().startswith("error: stream demand nests too deeply")
+
+
+# --- files ----------------------------------------------------------------------
+
+
+def test_load_and_script_share_one_file_loop(tmp_path):
+    inner = tmp_path / "inner.ctx"
+    inner.write_text("dim d : int\nquit\neval nope\n")
+    outer = tmp_path / "outer.ctx"
+    outer.write_text(f"load {inner}\neval {{(d, 2)}}\neval nope\n")
+    out, err = io.StringIO(), io.StringIO()
+    # quit ends the loaded file only; the outer one stops at its line 3
+    assert run_script(str(outer), out=out, err=err) == 1
+    assert out.getvalue() == "dim d : int\n{(d, 2)}\n"
+    assert err.getvalue().startswith("error: line 3: ")
+
+
+def test_load_reports_the_file_and_line(tmp_path):
+    inner = tmp_path / "inner.ctx"
+    inner.write_text("dim d : int\nseed +3\n")
+    with pytest.raises(ContextCalcError) as info:
+        run_command(new_session(), f"load {inner}")
+    assert str(info.value).startswith(f"{inner} line 2: ")
+    with pytest.raises(ContextCalcError, match="cannot read"):
+        run_command(new_session(), f"load {tmp_path / 'missing.ctx'}")
+
+
+# --- tokens and string tags ---------------------------------------------------------
+
+
+def test_token_is_a_named_tuple():
+    tok = tokenize("  abc")[0]
+    assert isinstance(tok, tuple) and tok == Token(NAME, "abc", 2)
+    assert (tok.kind, tok.text, tok.pos, tok.column) == (NAME, "abc", 2, 3)
+
+
+def test_string_escapes():
+    assert tokenize(r'"a\"b\\c\d"')[0].text == 'a"b\\cd'
+    with pytest.raises(ExprSyntaxError, match="unterminated"):
+        tokenize(r'"a\"')
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_string_tags_print_back_as_text_that_parses(text):
+    registry = DimensionRegistry()
+    registry.register("s", TagKind.STR)
+    context = make_context(registry, [("s", text)])
+    env = Environment(registry=registry, rng=random.Random(0))
+    assert evaluate(parse_expr(str(context)), env) == context
