@@ -2,8 +2,9 @@
 
 One command per line; a blank line, or one whose first non-blank character
 is ``#``, does nothing.  ``quit`` ends the session and ``load <path>`` runs
-the commands of a file.  Every other line is read as one token stream (see
-``lexer``), so an error position counts from the start of the line:
+the commands of a file (one that is not already being loaded).  Every
+other line is read as one token stream (see ``lexer``), so an error
+position counts from the start of the line:
 
     dim NAME : int|str|bool TAG...        TAGs, if any, are the domain
     dim NAME : enum { NAME, ... }
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -55,6 +57,7 @@ class Session:
     warehouse: streams.Warehouse = field(default_factory=streams.Warehouse)
     mode: str = "plain"
     budget: int = streams.DEFAULT_BUDGET
+    loading: set = field(default_factory=set)  # real paths of open loads
 
 
 def new_session(seed: int = 0, mode: str = "plain",
@@ -143,6 +146,9 @@ def _let_command(session: Session, cur: Cursor) -> list:
 
 
 def _stream_command(session: Session, cur: Cursor) -> list:
+    word = cur.peek().text
+    if word in streams.KEYWORDS:
+        cur.fail(f"{word!r} cannot name a stream")
     name = cur.expect(NAME).text
     cur.expect("=")
     session.equations.add(name, streams.parse_stream_expr(cur.rest()))
@@ -231,19 +237,27 @@ def _run_file(session: Session, path: str, emit):
     """Run the commands of a file in order, passing each output line to
     emit, up to the end of the file or a quit line.
 
-    Raises OSError when the file cannot be read, and a ContextCalcError
+    Raises OSError when the file cannot be read, a ContextCalcError when
+    the file is already being run (a load cycle), and a ContextCalcError
     that starts with ``line N:`` when the command on line N fails.
     """
+    real = os.path.realpath(path)
+    if real in session.loading:
+        raise ContextCalcError(f"load cycle: {path!r} is already being loaded")
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    for lineno, line in enumerate(lines, 1):
-        try:
-            for text in run_command(session, line):
-                emit(text)
-        except _Quit:
-            return
-        except ContextCalcError as exc:
-            raise ContextCalcError(f"line {lineno}: {exc}") from exc
+    session.loading.add(real)
+    try:
+        for lineno, line in enumerate(lines, 1):
+            try:
+                for text in run_command(session, line):
+                    emit(text)
+            except _Quit:
+                return
+            except ContextCalcError as exc:
+                raise ContextCalcError(f"line {lineno}: {exc}") from exc
+    finally:
+        session.loading.discard(real)
 
 
 def run_script(path: str, session: Session = None, out=None, err=None) -> int:
@@ -301,7 +315,7 @@ def main(argv=None) -> int:
     parser.add_argument("--script", metavar="PATH",
                         help="run a command file instead of the REPL")
     parser.add_argument("--budget", type=int, default=streams.DEFAULT_BUDGET,
-                        help="stream demand limit per query")
+                        help="stream demand limit per show line or query")
     args = parser.parse_args(argv)
     session = new_session(
         seed=args.seed,

@@ -6,15 +6,26 @@ positions actually demanded and memoizes named stream values in a
 warehouse keyed by (name, context).  ``None`` is the undefined value and
 propagates through every pointwise operation.
 
-The filtering operators unfold their defining recursions iteratively:
+The filtering operators read their guard Y through a scan cursor:
 
-    X wvr Y   value t of the subsequence of X at positions where Y holds
-    X asa Y   value 0 of (X wvr Y), at every position
-    X upon Y  X advanced once for every position below t where Y holds
+    X wvr Y   X at the t-th position where Y holds, counting from 0
+    X asa Y   X at the first position where Y holds, at every position
+    X upon Y  X at the number of positions below t where Y holds
 
-A per-query demand budget turns divergent scans (a guard that is never
-true) into a DemandExhausted error instead of a hang, and so does a chain
-of demands nested deeper than the interpreter's recursion limit.
+A cursor belongs to one guard along one dimension in one context (the
+evaluation context with that dimension set to 0), so every filter over
+that guard shares it.  It holds the positions where the guard was found
+true, the next position to read, and whether a nil guard stopped the scan
+there.  A filter reads the cursor and scans further only when it needs a
+position not yet read, so a prefix of n values reads each guard position
+once.  The cursor stores positions, not values: X is still evaluated
+through the warehouse.  Cursors live as long as the warehouse, or for one
+call when there is none.
+
+A demand budget, shared by every position of one call, turns divergent
+scans (a guard that is never true) into a DemandExhausted error instead of
+a hang, and so does a chain of demands nested deeper than the
+interpreter's recursion limit.  Every guard position read spends one unit.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Tuple, Union
@@ -253,7 +265,8 @@ def check_references(name: str, expr: StreamExpr, defined):
 
 
 class Warehouse:
-    """Memo cache for named stream values, keyed by (name, context).
+    """Memo cache for named stream values, keyed by (name, context), and
+    for the filters' scan cursors (see ``_scan``).
 
     Entries are write-once: equations are referentially transparent, so a
     key always recomputes to the same value and duplicate concurrent
@@ -262,6 +275,7 @@ class Warehouse:
 
     def __init__(self):
         self._cache = {}
+        self.cursors = {}
         self.hits = 0
         self.misses = 0
 
@@ -291,11 +305,23 @@ class _Demand:
             raise DemandExhausted("demand budget exhausted")
 
 
+class _Scan:
+    """How far a guard has been read along one dimension in one context."""
+
+    __slots__ = ("trues", "next", "stopped")
+
+    def __init__(self):
+        self.trues = []  # positions where the guard holds, ascending
+        self.next = 0  # the next position to read, or the nil one
+        self.stopped = False  # a nil guard at ``next`` ended the scan
+
+
 @dataclass
 class _State:
     eqs: EquationSet
     warehouse: Optional[Warehouse]
     demand: _Demand
+    cursors: dict
 
 
 # The value of every pointwise operator except the logical ones, which
@@ -390,43 +416,59 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
             return _eval(expr.left, ctx, st)
         return _eval(expr.right, ctx.with_tag(expr.dim, t - 1), st)
 
-    if isinstance(expr, Wvr):
-        # Scan the guard from position 0, counting down the demanded
-        # position through the true spots.
-        remaining = ctx.tag(expr.dim)
-        s = 0
-        while True:
-            st.demand.spend()
-            guard = _eval(expr.right, ctx.with_tag(expr.dim, s), st)
-            if guard is None:
-                return None
-            if guard:
-                if remaining == 0:
-                    return _eval(expr.left, ctx.with_tag(expr.dim, s), st)
-                remaining -= 1
-            s += 1
-
-    if isinstance(expr, Asa):
-        return _eval(Wvr(expr.left, expr.right, expr.dim), ctx.with_tag(expr.dim, 0), st)
+    if isinstance(expr, (Wvr, Asa)):
+        n = ctx.tag(expr.dim) if isinstance(expr, Wvr) else 0
+        scan = _scan(expr, ctx, st, lambda sc: len(sc.trues) > n)
+        if len(scan.trues) <= n:
+            return None
+        return _eval(expr.left, ctx.with_tag(expr.dim, scan.trues[n]), st)
 
     if isinstance(expr, Upon):
-        # The left stream advances once per true guard strictly below the
-        # demanded position; the guard itself always advances.
-        remaining = ctx.tag(expr.dim)
-        sx = 0
-        sy = 0
-        while remaining > 0:
-            st.demand.spend()
-            guard = _eval(expr.right, ctx.with_tag(expr.dim, sy), st)
-            if guard is None:
-                return None
-            if guard:
-                sx += 1
-            sy += 1
-            remaining -= 1
-        return _eval(expr.left, ctx.with_tag(expr.dim, sx), st)
+        t = ctx.tag(expr.dim)
+        scan = _scan(expr, ctx, st, lambda sc: sc.next >= t)
+        if scan.next < t:
+            return None
+        return _eval(expr.left, ctx.with_tag(expr.dim, bisect_left(scan.trues, t)), st)
 
     raise KindMismatch(f"not a stream expression: {expr!r}")
+
+
+def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
+    """The cursor of the guard of filter ``expr`` in ``ctx``, read further
+    until ``done(cursor)`` holds or a nil guard stops it."""
+    base = ctx.with_tag(expr.dim, 0)
+    key = (expr.right, expr.dim, base)
+    scan = st.cursors.get(key)
+    if scan is None:
+        scan = st.cursors[key] = _Scan()
+    while not scan.stopped and not done(scan):
+        st.demand.spend()
+        s = scan.next
+        guard = _eval(expr.right, base.with_tag(expr.dim, s), st)
+        if guard is None:
+            scan.stopped = True
+        else:
+            if guard:
+                scan.trues.append(s)
+            scan.next = s + 1
+    return scan
+
+
+def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
+    """The values of ``expr`` at each context, with one demand budget and
+    one set of filter cursors for them all."""
+    if budget <= 0:
+        raise DemandExhausted("demand budget must be positive")
+    cursors = {} if warehouse is None else warehouse.cursors
+    st = _State(eqs, warehouse, _Demand(budget), cursors)
+    try:
+        return [_eval(expr, ctx, st) for ctx in contexts]
+    except RecursionError:
+        # _eval recurses once per nested demand.
+        raise DemandExhausted(
+            "stream demand nests too deeply "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None
 
 
 def eval_stream(
@@ -437,16 +479,7 @@ def eval_stream(
     budget: int = DEFAULT_BUDGET,
 ) -> Value:
     """Evaluate one stream expression at one context."""
-    if budget <= 0:
-        raise DemandExhausted("demand budget must be positive")
-    try:
-        return _eval(expr, ctx, _State(eqs, warehouse, _Demand(budget)))
-    except RecursionError:
-        # _eval recurses once per nested demand.
-        raise DemandExhausted(
-            "stream demand nests too deeply "
-            f"(recursion limit {sys.getrecursionlimit()})"
-        ) from None
+    return _evaluate(expr, [ctx], eqs, warehouse, budget)[0]
 
 
 def eval_prefix(
@@ -457,15 +490,14 @@ def eval_prefix(
     warehouse: Optional[Warehouse] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list:
-    """Evaluate an expression (or stream name) at tags 0..count-1 along dim."""
+    """Evaluate an expression (or stream name) at tags 0..count-1 along
+    dim; ``budget`` bounds the demand of the whole prefix."""
     if isinstance(expr, str):
         expr = Ref(expr)
     if eqs is None:
         eqs = EquationSet()
-    return [
-        eval_stream(expr, EvalContext({dim: t}), eqs, warehouse, budget)
-        for t in range(count)
-    ]
+    contexts = (EvalContext({dim: t}) for t in range(count))
+    return _evaluate(expr, contexts, eqs, warehouse, budget)
 
 
 # --- stream and predicate syntax ---------------------------------------------
@@ -537,7 +569,7 @@ def _stream_atom(cur: Cursor) -> StreamExpr:
     if tok.kind == INT or (tok.kind == NAME and tok.text in _LITERAL_WORDS):
         return Const(_literal_item(cur))
     if tok.kind == NAME:
-        if tok.text in _KEYWORDS:
+        if tok.text in KEYWORDS:
             cur.fail(f"unexpected keyword {tok.text!r}")
         cur.advance()
         return Ref(tok.text)
@@ -572,8 +604,8 @@ STREAM = Grammar(
     },
     atom=_stream_atom,
 )
-# Words that cannot name a stream (true, false and nil are constants).
-_KEYWORDS = {"then", "else"} | {
+# Words that cannot name a stream.
+KEYWORDS = {"then", "else", *_LITERAL_WORDS} | {
     word for word in (*STREAM.prefix, *STREAM.infix) if word.isalpha()
 }
 

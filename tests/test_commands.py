@@ -18,6 +18,7 @@ from ctxcalc import streams
 from ctxcalc.cli import new_session, repl, run_command, run_script
 from ctxcalc.errors import (
     ContextCalcError,
+    DemandExhausted,
     DuplicateName,
     ExprSyntaxError,
     UnknownToken,
@@ -100,6 +101,11 @@ ERRORS = [
     ("stream 9 = 1", ExprSyntaxError, 8),
     ("stream B 1", ExprSyntaxError, 10),
     ("stream B = fby", ExprSyntaxError, 12),
+    ("stream if = 1", ExprSyntaxError, 8),
+    ("stream  wvr = A", ExprSyntaxError, 9),
+    ("stream then = 1", ExprSyntaxError, 8),
+    ("stream true = 1", ExprSyntaxError, 8),
+    ("stream nil = A", ExprSyntaxError, 8),
     # show
     ("show", ExprSyntaxError, 5),
     ("show A 2 time", ExprSyntaxError, 10),
@@ -193,6 +199,21 @@ def test_too_deep_demand_is_typed_and_the_repl_goes_on():
     assert err.getvalue().startswith("error: stream demand nests too deeply")
 
 
+def test_one_budget_bounds_a_whole_show_line():
+    # each value of A costs two units, so 40 values fit a budget of 100
+    # and 1000 do not, although every single position would
+    out, err = io.StringIO(), io.StringIO()
+    lines = "stream A = [1, 2]\nshow A 40\nshow A 1000\nshow A 3\n"
+    assert repl(new_session(budget=100), io.StringIO(lines), out, err) == 0
+    assert out.getvalue().splitlines() == [
+        "stream A", " ".join(["1", "2"] + ["nil"] * 38), "1 2 nil"]
+    assert err.getvalue() == "error: demand budget exhausted\n"
+    # a constant costs one unit per value
+    assert run_command(new_session(budget=100), "show 1 100") == [" ".join(["1"] * 100)]
+    with pytest.raises(DemandExhausted):
+        run_command(new_session(budget=100), "show 1 101")
+
+
 # --- files ----------------------------------------------------------------------
 
 
@@ -216,6 +237,43 @@ def test_load_reports_the_file_and_line(tmp_path):
     assert str(info.value).startswith(f"{inner} line 2: ")
     with pytest.raises(ContextCalcError, match="cannot read"):
         run_command(new_session(), f"load {tmp_path / 'missing.ctx'}")
+
+
+def test_a_file_that_loads_itself_is_refused(tmp_path):
+    path = tmp_path / "self.ctx"
+    # the file names itself by another spelling of the same path
+    path.write_text(f"stream A = 1\nload {tmp_path / '.' / 'self.ctx'}\n")
+    s = new_session()
+    with pytest.raises(ContextCalcError) as info:
+        run_command(s, f"load {path}")
+    assert type(info.value) is ContextCalcError
+    assert "load cycle" in str(info.value) and "self.ctx" in str(info.value)
+    assert str(info.value).startswith(f"{path} line 2: ")
+    assert run_command(s, "show A 2") == ["1 1"]
+    assert s.loading == set()
+
+
+def test_a_load_cycle_through_two_files_is_refused(tmp_path):
+    a, b = tmp_path / "a.ctx", tmp_path / "b.ctx"
+    a.write_text(f"load {b}\n")
+    b.write_text(f"dim d : int\nload {a}\n")
+    s = new_session()
+    with pytest.raises(ContextCalcError, match=f"load cycle: '{a}'"):
+        run_command(s, f"load {a}")
+    assert run_command(s, "eval {(d, 1)}") == ["{(d, 1)}"]
+    err = io.StringIO()
+    assert run_script(str(b), out=io.StringIO(), err=err) == 1
+    assert "load cycle" in err.getvalue()
+
+
+def test_a_file_may_be_loaded_twice_without_a_cycle(tmp_path):
+    leaf = tmp_path / "leaf.ctx"
+    leaf.write_text("eval {(d, 3)}\n")
+    top = tmp_path / "top.ctx"
+    top.write_text(f"dim d : int\nload {leaf}\nload {leaf}\n")
+    s = new_session()
+    assert run_command(s, f"load {top}") == ["dim d : int", "{(d, 3)}", "{(d, 3)}"]
+    assert run_command(s, f"load {leaf}") == ["{(d, 3)}"]
 
 
 # --- tokens and string tags ---------------------------------------------------------
