@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
@@ -97,18 +97,27 @@ def format_tag(value: TagValue) -> str:
     return value.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dimension:
     """A named axis with a tag kind and an optional finite ordered domain.
 
     A declared domain restricts which tags the dimension admits and is
     required for box enumeration over the dimension.  Enum dimensions
     always carry their domain (it is the enumeration itself).
+
+    Identity is the name and the tag kind: the registry already decides
+    which dimension a name denotes, so two dimensions that agree on both
+    are equal and hash equal whatever their domains.  The hash is computed
+    once.  Beside the domain tuple, ``index`` maps each tag to its
+    position and, for enums, ``symbols`` maps each symbol to its member.
     """
 
     name: str
     tag_type: TagKind
     domain: Optional[Tuple[TagValue, ...]] = None
+    index: Optional[dict] = field(default=None, init=False, repr=False)
+    symbols: Optional[dict] = field(default=None, init=False, repr=False)
+    _hash: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if not self.name:
@@ -131,6 +140,20 @@ class Dimension:
                     raise IllFormedDomain(
                         f"domain of {self.name!r} must be strictly increasing"
                     )
+            index = {v: i for i, v in enumerate(self.domain)}
+            object.__setattr__(self, "index", index)
+            if self.tag_type is TagKind.ENUM:
+                symbols = {m.symbol: m for m in self.domain}
+                object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "_hash", hash((self.name, self.tag_type)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Dimension):
+            return NotImplemented
+        return self.name == other.name and self.tag_type is other.tag_type
+
+    def __hash__(self):
+        return self._hash
 
     def coerce(self, value) -> TagValue:
         """Validate a raw value as a tag for this dimension.
@@ -140,15 +163,15 @@ class Dimension:
         """
         if self.tag_type is TagKind.ENUM:
             if isinstance(value, EnumValue):
-                if value in self.domain:
+                if value in self.index:
                     return value
                 raise TagTypeMismatch(
                     f"{value!r} does not belong to enum dimension {self.name!r}"
                 )
             if isinstance(value, str):
-                for member in self.domain:
-                    if member.symbol == value:
-                        return member
+                member = self.symbols.get(value)
+                if member is not None:
+                    return member
                 raise TagOutsideDomain(
                     f"{value!r} is not a symbol of enum dimension {self.name!r}"
                 )
@@ -160,7 +183,7 @@ class Dimension:
                 f"dimension {self.name!r} expects {self.tag_type.value} tags, "
                 f"got {value!r}"
             )
-        if self.domain is not None and value not in self.domain:
+        if self.index is not None and value not in self.index:
             raise TagOutsideDomain(
                 f"{value!r} is outside the declared domain of {self.name!r}"
             )
@@ -244,10 +267,11 @@ class Context:
     empty context (degree 0) plays the role of the null value.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_dims")
 
     def __init__(self, entries: Iterable[MicroContext] = ()):
         object.__setattr__(self, "entries", frozenset(entries))
+        object.__setattr__(self, "_dims", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Context is immutable")
@@ -255,7 +279,12 @@ class Context:
     # -- inspection ---------------------------------------------------------
 
     def dims(self) -> frozenset:
-        return frozenset(m.dimension for m in self.entries)
+        """The dimensions the entries bind, built once and then cached."""
+        dims = self._dims
+        if dims is None:
+            dims = frozenset(m.dimension for m in self.entries)
+            object.__setattr__(self, "_dims", dims)
+        return dims
 
     def degree(self) -> int:
         return len(self.dims())
@@ -331,10 +360,7 @@ class ContextSet:
 
     def dims_union(self) -> frozenset:
         """The union of the members' dimension sets."""
-        out = frozenset()
-        for c in self.members:
-            out |= c.dims()
-        return out
+        return frozenset().union(*(c.dims() for c in self.members))
 
     def __iter__(self):
         return iter(self.members)

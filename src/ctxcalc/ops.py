@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .errors import (
@@ -93,12 +94,15 @@ def _check_steppable(dim: Dimension):
 
 
 def _subrange(dim: Dimension, lo, hi):
-    """Inclusive tag subrange lo..hi along one dimension."""
+    """Inclusive tag subrange lo..hi along one dimension.
+
+    Over a declared domain this is a slice of the ordered domain between
+    the bisected places of lo and hi, so it costs the length of its output.
+    """
     if dim.domain is not None:
-        return [
-            v for v in dim.domain if not tag_lt(v, lo) and not tag_lt(hi, v)
-        ]
-    return list(range(lo, hi + 1))
+        domain = dim.domain
+        return domain[bisect_left(domain, lo):bisect_right(domain, hi)]
+    return range(lo, hi + 1)
 
 
 def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:

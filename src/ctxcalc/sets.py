@@ -8,7 +8,6 @@ a predicate over the current tags instead of by enumeration.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -29,7 +28,7 @@ from .model import (
     format_tag,
     kind_of,
 )
-from .streams import OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref
+from .streams import OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref, references
 from . import ops
 
 
@@ -73,15 +72,21 @@ def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
 
 
 def join(s1: ContextSet, s2: ContextSet) -> ContextSet:
-    """Natural join: unite pairs that agree on the shared dimensions."""
+    """Natural join: unite pairs that agree on the shared dimensions.
+
+    A hash join: the members of s2 are bucketed by their projection onto
+    the shared dimensions, and each member of s1 probes its own bucket, so
+    the cost is |s1| + |s2| plus the pairs that agree.
+    """
     shared = _shared_dims(s1, s2)
-    members = []
-    for a in s1:
-        pa = ops.projection(a, shared)
-        for b in s2:
-            if pa == ops.projection(b, shared):
-                members.append(ops.disjunction(a, b))
-    return ContextSet(members)
+    buckets: dict = {}
+    for b in s2:
+        buckets.setdefault(ops.projection(b, shared), []).append(b)
+    return ContextSet(
+        ops.disjunction(a, b)
+        for a in s1
+        for b in buckets.get(ops.projection(a, shared), ())
+    )
 
 
 def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
@@ -90,14 +95,21 @@ def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
 
 def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
-    """Pairwise union where each member keeps the other's unshared part."""
+    """Pairwise union where each member keeps the other's unshared part.
+
+    The distinct unshared remainders of each side are built once; each
+    member is then united with every remainder of the other side, so the
+    work is that of the output rather than of 2·|s1|·|s2| candidates.
+    """
     shared = _shared_dims(s1, s2)
-    members = []
-    for a in s1:
-        for b in s2:
-            members.append(ops.disjunction(a, ops.hiding(b, shared)))
-            members.append(ops.disjunction(b, ops.hiding(a, shared)))
-    return ContextSet(members)
+    rest1 = {ops.hiding(a, shared) for a in s1}
+    rest2 = {ops.hiding(b, shared) for b in s2}
+    return ContextSet(
+        ops.disjunction(c, r)
+        for side, rest in ((s1, rest2), (s2, rest1))
+        for c in side
+        for r in rest
+    )
 
 
 # --- box predicates -----------------------------------------------------------
@@ -120,13 +132,7 @@ _LOGIC = ("and", "or")
 
 def _resolve_symbol(name: str, dims) -> EnumValue:
     """Resolve a non-dimension identifier as an enum symbol of one box dim."""
-    hits = [
-        member
-        for d in dims
-        if d.tag_type is TagKind.ENUM
-        for member in d.domain
-        if member.symbol == name
-    ]
+    hits = [d.symbols[name] for d in dims if d.symbols and name in d.symbols]
     if len(hits) == 1:
         return hits[0]
     if not hits:
@@ -254,19 +260,114 @@ def box_contains(box: Box, c: Context) -> bool:
     return bool(eval_predicate(box.predicate, by_name, assignment))
 
 
+def _bind_symbols(node: BoolExpr, by_name) -> BoolExpr:
+    """The predicate with each enum-symbol name replaced by its member, so
+    evaluation no longer searches the enum domains."""
+    if isinstance(node, Ref) and node.name not in by_name:
+        return Const(_resolve_symbol(node.name, by_name.values()))
+    if isinstance(node, Pointwise):
+        return Pointwise(
+            node.op, _bind_symbols(node.left, by_name), _bind_symbols(node.right, by_name)
+        )
+    if isinstance(node, NotOp):
+        return NotOp(_bind_symbols(node.operand, by_name))
+    return node
+
+
+def _conjuncts(node: BoolExpr) -> list:
+    """The operands of the top-level ``and`` chain, left to right."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Pointwise) and n.op == "and":
+            stack += (n.right, n.left)
+        else:
+            out.append(n)
+    return out
+
+
+def _solved_side(conjunct: BoolExpr, name: str, bound) -> BoolExpr:
+    """For ``name == E`` or ``E == name`` with E over bound dimensions
+    only, the expression E that fixes the dimension; else None."""
+    if not (isinstance(conjunct, Pointwise) and conjunct.op == "=="):
+        return None
+    for side, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+        if isinstance(side, Ref) and side.name == name and references(other) <= bound:
+            return other
+    return None
+
+
+def _admits(tests, by_name, assignment) -> bool:
+    """Whether one candidate tag passes the conjuncts its binding completes."""
+    for t in tests:
+        if not eval_predicate(t, by_name, assignment):
+            return False
+    return True
+
+
 def box_enumerate(box: Box) -> ContextSet:
-    """Materialize the box over the declared domains of its dimensions."""
+    """Materialize the box over the declared domains of its dimensions.
+
+    The dimensions are bound in box order.  The predicate is split into
+    its top-level ``and`` conjuncts, and each conjunct is tested as soon as
+    the last dimension it reads is bound, so a failing prefix prunes every
+    extension of it; a conjunct that reads no dimension is tested once,
+    before any is bound.  When a conjunct is ``d == E`` (either way round)
+    with E over dimensions bound before d, d is not swept: E is evaluated
+    and the domain's own tag equal to it, if the index has one, is the
+    only candidate.  Enum symbols are resolved once per call.  The result
+    equals filtering the full product of the domains.
+    """
     for d in box.dims:
         if d.domain is None:
             raise UnboundedBox(
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
     by_name = {d.name: d for d in box.dims}
+    level_of = {d.name: i for i, d in enumerate(box.dims)}
+    tests = [[] for _ in box.dims]
+    for conjunct in _conjuncts(_bind_symbols(box.predicate, by_name)):
+        names = references(conjunct)
+        if not names:
+            if not _admits([conjunct], by_name, {}):
+                return ContextSet()
+            continue
+        tests[max(level_of[n] for n in names)].append(conjunct)
+    if not box.dims:
+        return ContextSet([Context()])
+    solved = []
+    for i, d in enumerate(box.dims):
+        bound = {e.name for e in box.dims[:i]}
+        sides = (_solved_side(t, d.name, bound) for t in tests[i])
+        solved.append(next((e for e in sides if e is not None), None))
+
+    assignment: dict = {}
+
+    def candidates(i):
+        d = box.dims[i]
+        if solved[i] is None:
+            return d.domain
+        k = d.index.get(eval_predicate(solved[i], by_name, assignment))
+        return () if k is None else (d.domain[k],)
+
+    # pending[i] yields the untried candidates of dimension i under the
+    # tags bound to the dimensions before it
     members = []
-    for combo in itertools.product(*(d.domain for d in box.dims)):
-        assignment = {d.name: v for d, v in zip(box.dims, combo)}
-        if eval_predicate(box.predicate, by_name, assignment):
+    pending = [iter(candidates(0))]
+    while pending:
+        i = len(pending) - 1
+        d = box.dims[i]
+        for v in pending[-1]:
+            assignment[d.name] = v
+            if _admits(tests[i], by_name, assignment):
+                break
+        else:
+            pending.pop()
+            continue
+        if len(pending) < len(box.dims):
+            pending.append(iter(candidates(i + 1)))
+        else:
             members.append(
-                Context(MicroContext(d, v) for d, v in zip(box.dims, combo))
+                Context(MicroContext(e, assignment[e.name]) for e in box.dims)
             )
     return ContextSet(members)

@@ -53,6 +53,13 @@ Value = Union[int, bool, None]
 DEFAULT_BUDGET = 1_000_000
 
 
+def _check_tag(dim: str, t):
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise KindMismatch(
+            f"tag for dimension {dim!r} must be a natural number, got {t!r}"
+        )
+
+
 class EvalContext:
     """Immutable map from dimension names to natural tags.
 
@@ -65,11 +72,10 @@ class EvalContext:
     def __init__(self, tags: Mapping[str, int] = ()):
         items = dict(tags)
         for d, t in items.items():
-            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-                raise KindMismatch(
-                    f"tag for dimension {d!r} must be a natural number, got {t!r}"
-                )
-        clean = {d: t for d, t in items.items() if t != 0}
+            _check_tag(d, t)
+        self._set({d: t for d, t in items.items() if t != 0})
+
+    def _set(self, clean: dict):
         object.__setattr__(self, "_tags", clean)
         object.__setattr__(self, "_key", frozenset(clean.items()))
 
@@ -80,9 +86,17 @@ class EvalContext:
         return self._tags.get(dim, 0)
 
     def with_tag(self, dim: str, t: int) -> "EvalContext":
+        """This context with dim moved to t.  Only the new tag is checked:
+        the rest of the map was checked when it was built."""
+        _check_tag(dim, t)
         new = dict(self._tags)
-        new[dim] = t
-        return EvalContext(new)
+        if t:
+            new[dim] = t
+        else:
+            new.pop(dim, None)
+        out = EvalContext.__new__(EvalContext)
+        out._set(new)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, EvalContext) and self._key == other._key

@@ -15,6 +15,7 @@ from ctxcalc.model import (
     NULL_CONTEXT,
     Context,
     ContextOrder,
+    Dimension,
     DimensionRegistry,
     EnumValue,
     MicroContext,
@@ -134,6 +135,34 @@ def test_bool_is_not_int_tag():
         make_context(REG, [("d", True)])
 
 
+def test_dimension_identity_is_name_and_kind():
+    a = Dimension("k", TagKind.INT, (1, 2, 3))
+    b = Dimension("k", TagKind.INT, (7,))
+    assert a == b and hash(a) == hash(b)
+    assert a != Dimension("k", TagKind.STR) and a != Dimension("j", TagKind.INT)
+    assert a.domain == (1, 2, 3) and a.index == {1: 0, 2: 1, 3: 2}
+
+
+def test_coerce_keeps_kind_and_domain_checks():
+    reg = DimensionRegistry()
+    k = reg.register("k", TagKind.INT, [0, 1, 2])
+    b = reg.register("b", TagKind.BOOL, [False, True])
+    month = reg.register("month", TagKind.ENUM, MONTHS)
+    other = DimensionRegistry().register("other", TagKind.ENUM, MONTHS)
+    # True == 1 hashes alike, so the index alone would admit it
+    with pytest.raises(TagTypeMismatch):
+        k.coerce(True)
+    with pytest.raises(TagTypeMismatch):
+        b.coerce(1)
+    with pytest.raises(TagOutsideDomain):
+        k.coerce(3)
+    with pytest.raises(TagTypeMismatch):
+        month.coerce(other.domain[0])
+    with pytest.raises(TagOutsideDomain):
+        month.coerce("Xx")
+    assert month.coerce("De") is month.domain[-1]
+
+
 # --- inspection ------------------------------------------------------------
 
 
@@ -146,6 +175,11 @@ def test_dims_and_tags():
 
 def test_tags_multiplicity():
     assert ctx(("d", 1), ("e", 1)).tags() == Counter({1: 2})
+
+
+def test_dims_is_built_once():
+    c = ctx(("d", 1), ("e", 4))
+    assert c.dims() is c.dims()
 
 
 def test_simple_and_micro():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from ctxcalc.model import (
     DimensionRegistry,
     TagKind,
     make_context,
+    tag_lt,
 )
 
 from conftest import int_registry, undirected_range_oracle
@@ -264,3 +266,52 @@ def test_undirected_range_symmetric(c1, c2):
 @given(simple_st, simple_st)
 def test_undirected_range_matches_oracle(c1, c2):
     assert ops.undirected_range(c1, c2) == undirected_range_oracle(c1, c2)
+
+
+def tag_lt_range_oracle(c1, c2, directed):
+    """A range as plain (name, tag) pairs, each subrange over a declared
+    domain found by filtering the domain with tag_lt."""
+    by_name = {m.dimension.name: m for m in c1}
+    other = {m.dimension.name: m for m in c2}
+    shared = sorted(by_name.keys() & other.keys())
+    residue = {
+        (m.dimension.name, m.tag)
+        for m in list(c1) + list(c2)
+        if m.dimension.name not in shared
+    }
+    axes = []
+    for name in shared:
+        a, b = by_name[name].tag, other[name].tag
+        if directed and not tag_lt(a, b):
+            continue
+        lo, hi = (b, a) if tag_lt(b, a) else (a, b)
+        domain = by_name[name].dimension.domain
+        if domain is None:
+            values = range(lo, hi + 1)
+        else:
+            values = [v for v in domain if not tag_lt(v, lo) and not tag_lt(hi, v)]
+        axes.append([(name, v) for v in values])
+    return {frozenset(residue | set(combo)) for combo in itertools.product(*axes)}
+
+
+@given(st.data())
+def test_range_over_declared_domain_matches_tag_lt_filter(data):
+    reg = DimensionRegistry()
+    domain = sorted(data.draw(st.sets(st.integers(-20, 40), min_size=1, max_size=12)))
+    reg.register("k", TagKind.INT, domain)
+    reg.register("month", TagKind.ENUM, ["Ja", "Fe", "Mr", "Ap", "Ma"])
+    reg.register("u", TagKind.INT)
+    choices = {
+        "k": st.sampled_from(domain),
+        "month": st.sampled_from(reg.get("month").domain),
+        "u": st.integers(0, 3),
+    }
+
+    def context():
+        names = data.draw(st.sets(st.sampled_from(sorted(choices)), max_size=2))
+        return make_context(reg, [(n, data.draw(choices[n])) for n in names])
+
+    c1, c2 = context(), context()
+    for directed, fn in ((False, ops.undirected_range), (True, ops.directed_range)):
+        got = {frozenset((m.dimension.name, m.tag) for m in c) for c in fn(c1, c2)}
+        assert got == tag_lt_range_oracle(c1, c2, directed)

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -260,6 +262,8 @@ def test_box_false_is_empty():
     reg = box_registry()
     b = box_make([reg.get("d1")], Lit(False))
     assert box_enumerate(b) == cs()
+    # a box built without dimensions enumerates the one empty context
+    assert box_enumerate(Box((), Lit(True))) == cs(NULL_CONTEXT)
 
 
 def test_box_enumerate_needs_domains():
@@ -293,6 +297,17 @@ def test_box_enum_symbol_resolution():
     assert got == want
 
 
+def test_box_ambiguous_enum_symbol_rejected():
+    reg = DimensionRegistry()
+    reg.register("month", TagKind.ENUM, ["Ja", "Fe"])
+    reg.register("name", TagKind.ENUM, ["Fe", "Jo"])
+    dims = [reg.get("month"), reg.get("name")]
+    with pytest.raises(IllTypedPredicate, match="ambiguous"):
+        box_make(dims, Cmp("==", Name("month"), Name("Fe")))
+    b = box_make(dims, Cmp("==", Name("name"), Name("Jo")))
+    assert len(box_enumerate(b)) == 2
+
+
 def test_box_members_share_domain():
     reg = box_registry()
     b = box_make(
@@ -314,3 +329,204 @@ def test_box_enumerate_matches_contains_brute_force():
         for j in (1, 2, 3):
             c = make_context(reg, [("d1", i), ("d2", j)])
             assert box_contains(b, c) == (c in enumerated)
+
+
+# --- oracles over plain frozensets of (name, tag) pairs -----------------------
+
+
+def plain(s):
+    return {frozenset((m.dimension.name, m.tag) for m in c) for c in s}
+
+
+def names_of(members):
+    return {name for c in members for name, _ in c}
+
+
+def join_oracle(p1, p2):
+    """Nested-loop natural join."""
+    shared = names_of(p1) & names_of(p2)
+    return {
+        a | b
+        for a in p1
+        for b in p2
+        if {x for x in a if x[0] in shared} == {x for x in b if x[0] in shared}
+    }
+
+
+def union_oracle(p1, p2):
+    """The 2·|s1|·|s2| candidates of the pairwise union definition."""
+    shared = names_of(p1) & names_of(p2)
+    out = set()
+    for a in p1:
+        for b in p2:
+            out.add(a | {x for x in b if x[0] not in shared})
+            out.add(b | {x for x in a if x[0] not in shared})
+    return out
+
+
+wide_st = st.lists(
+    st.dictionaries(st.sampled_from("defgh"), st.integers(0, 2), max_size=4).map(
+        lambda d: make_context(REG, list(d.items()))
+    ),
+    max_size=8,
+).map(ContextSet)
+
+
+@given(wide_st, wide_st)
+def test_join_matches_nested_loop(s1, s2):
+    assert plain(join(s1, s2)) == join_oracle(plain(s1), plain(s2))
+
+
+@given(wide_st, wide_st)
+def test_set_union_matches_pairwise_definition(s1, s2):
+    assert plain(set_union(s1, s2)) == union_oracle(plain(s1), plain(s2))
+
+
+def one_to_one_grids(n, right="f"):
+    left = ContextSet(ctx(("d", i), ("e", i)) for i in range(n))
+    return left, ContextSet(ctx(("d", i), (right, i)) for i in range(n))
+
+
+def count_disjunctions(monkeypatch):
+    calls = []
+    real = ops.disjunction
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ops, "disjunction", counted)
+    return calls
+
+
+def test_join_builds_only_agreeing_pairs(monkeypatch):
+    s1, s2 = one_to_one_grids(600)
+    calls = count_disjunctions(monkeypatch)
+    out = join(s1, s2)
+    assert len(out) == 600 and len(calls) == 600  # not 600 * 600 pairs
+
+
+def test_set_union_builds_each_member_once(monkeypatch):
+    s1, s2 = one_to_one_grids(600, right="e")
+    calls = count_disjunctions(monkeypatch)
+    out = set_union(s1, s2)
+    assert out == s1 and len(calls) == 1200  # not 2 * 600 * 600 candidates
+
+
+# --- box enumeration against the filter over the full product ------------------
+
+
+def box_oracle_registry():
+    reg = DimensionRegistry()
+    reg.register("x", TagKind.INT, range(5))
+    reg.register("y", TagKind.INT, [1, 3, 5, 7])
+    reg.register("m", TagKind.ENUM, ["Ja", "Fe", "Mr"])
+    reg.register("b", TagKind.BOOL, [False, True])
+    return reg
+
+
+BREG = box_oracle_registry()
+SYMBOLS = {v.symbol: v for v in BREG.get("m").domain}
+BOX_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, ">=": operator.ge,
+}
+
+
+def ev(t, env):
+    """Independent evaluator of a predicate written as nested tuples."""
+    tag = t[0]
+    if tag == "const":
+        return t[1]
+    if tag == "ref":
+        return env[t[1]] if t[1] in env else SYMBOLS[t[1]]
+    if tag == "not":
+        return not ev(t[1], env)
+    if t[1] == "and":
+        return bool(ev(t[2], env)) and bool(ev(t[3], env))
+    if t[1] == "or":
+        return bool(ev(t[2], env)) or bool(ev(t[3], env))
+    return BOX_OPS[t[1]](ev(t[2], env), ev(t[3], env))
+
+
+def node(t):
+    if t[0] == "const":
+        return Lit(t[1])
+    if t[0] == "ref":
+        return Name(t[1])
+    if t[0] == "not":
+        return sets.Not(node(t[1]))
+    return Logic(t[1], node(t[2]), node(t[3]))
+
+
+def op(o, a, b, swap=False):
+    return ("op", o, b, a) if swap else ("op", o, a, b)
+
+
+int_term = st.recursive(
+    st.sampled_from([("ref", "x"), ("ref", "y")])
+    | st.integers(-2, 12).map(lambda v: ("const", v)),
+    lambda sub: st.builds(op, st.sampled_from("+-*"), sub, sub),
+    max_leaves=3,
+)
+int_cmp = st.builds(op, st.sampled_from(["==", "!=", "<", ">="]), int_term, int_term)
+atom = st.one_of(
+    # a bare dimension on one side of == is solved, its value maybe outside
+    # the domain
+    st.builds(op, st.just("=="), st.sampled_from([("ref", "x"), ("ref", "y")]),
+              int_term, st.booleans()),
+    int_cmp,
+    st.builds(op, st.sampled_from(["==", "<", "!="]), st.just(("ref", "m")),
+              st.sampled_from([("ref", s) for s in SYMBOLS]), st.booleans()),
+    st.just(("ref", "b")),
+    st.builds(op, st.just("=="), st.just(("ref", "b")), int_cmp, st.booleans()),
+    # bool against int: True == 1 and False == 0 hash alike
+    st.builds(op, st.just("=="), st.just(("ref", "x")), int_cmp, st.booleans()),
+)
+conjunct = st.recursive(
+    atom,
+    lambda sub: st.builds(op, st.just("or"), sub, sub) | sub.map(lambda t: ("not", t)),
+    max_leaves=3,
+)
+
+
+@given(
+    st.lists(conjunct, min_size=1, max_size=4),
+    st.permutations(["x", "y", "m", "b"]),
+)
+def test_box_enumerate_matches_product_filter(conjuncts, order):
+    pred = conjuncts[0]
+    for c in conjuncts[1:]:
+        pred = ("op", "and", pred, c)
+    dims = [BREG.get(n) for n in order]
+    # built directly: box_make would reject the bool/int comparisons
+    got = box_enumerate(Box(tuple(dims), node(pred)))
+    want = {
+        frozenset(zip(order, combo))
+        for combo in itertools.product(*(d.domain for d in dims))
+        if ev(pred, dict(zip(order, combo)))
+    }
+    assert plain(got) == want
+
+
+def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "xyz":
+        reg.register(n, TagKind.INT, range(60))
+    x, y, z = (reg.get(n) for n in "xyz")
+    pred = Logic(
+        "and",
+        Logic("and", Cmp("==", Name("x"), Lit(3)), Cmp("==", Name("y"), Lit(4))),
+        Cmp("==", Name("z"), Lit(5)),
+    )
+    tries = []
+    real = sets._admits
+
+    def counted(tests, by_name, assignment):
+        tries.append(1)
+        return real(tests, by_name, assignment)
+
+    monkeypatch.setattr(sets, "_admits", counted)
+    got = box_enumerate(box_make([x, y, z], pred))
+    assert got == cs(make_context(reg, [("x", 3), ("y", 4), ("z", 5)]))
+    assert len(tries) <= 3 * 60  # the full product is 216,000

@@ -63,6 +63,18 @@ def test_eval_context_rejects_bad_tags():
         EvalContext({"time": True})
 
 
+def test_with_tag_checks_the_new_tag_and_drops_zero():
+    ctx = EvalContext({"space": 2}).with_tag("time", 3)
+    assert ctx == EvalContext({"space": 2, "time": 3})
+    moved = ctx.with_tag("time", 0).with_tag("space", 0)
+    assert moved == EvalContext()
+    assert hash(moved) == hash(EvalContext())
+    assert hash(ctx.with_tag("space", 5)) == hash(EvalContext({"space": 5, "time": 3}))
+    for bad in (-1, True, "1"):
+        with pytest.raises(KindMismatch):
+            ctx.with_tag("time", bad)
+
+
 # --- equation sets -----------------------------------------------------------
 
 
