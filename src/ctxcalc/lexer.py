@@ -135,7 +135,9 @@ def tokenize(text: str) -> list:
 LEFT, RIGHT, NONE = "left", "right", "none"
 _UNLIMITED = 1 << 30
 # How deeply operands may nest (parentheses, prefix operators, right
-# operands); the parser recurses once per level, and so do the evaluators.
+# operands); the parser recurses once per level, and so do the context and
+# Box-predicate evaluators and printers.  A chain of left operands is no
+# nesting: the parser and those walkers read it with a loop, at any length.
 MAX_DEPTH = 200
 
 

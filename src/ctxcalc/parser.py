@@ -208,26 +208,34 @@ def _operand_text(child: Node, min_bp: int) -> str:
 
 def to_text(node: Node) -> str:
     """Render a parse tree back to source text that reparses to an equal
-    tree."""
+    tree.  A chain of left operands is rendered with a loop, innermost
+    operator first; only right operands are rendered recursively."""
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    chain.reverse()
     if isinstance(node, VarRef):
-        return node.name
-    if isinstance(node, ContextLit):
+        text = node.name
+    elif isinstance(node, ContextLit):
         pairs = ", ".join(
             f"({d}, {_tag_literal_text(t)})" for d, t in node.pairs
         )
-        return "{" + pairs + "}"
-    if isinstance(node, DimSetLit):
-        return "{" + ", ".join(node.names) + "}"
-    if isinstance(node, SetLit):
-        return "{" + ", ".join(to_text(item) for item in node.items) + "}"
-    if isinstance(node, PairLit):
-        return f"<{node.dim}, {_tag_literal_text(node.tag)}>"
-    if isinstance(node, BoxLit):
+        text = "{" + pairs + "}"
+    elif isinstance(node, DimSetLit):
+        text = "{" + ", ".join(node.names) + "}"
+    elif isinstance(node, SetLit):
+        text = "{" + ", ".join(to_text(item) for item in node.items) + "}"
+    elif isinstance(node, PairLit):
+        text = f"<{node.dim}, {_tag_literal_text(node.tag)}>"
+    elif isinstance(node, BoxLit):
         names = ", ".join(node.dims)
-        return f"Box[{names} | {predicate_text(node.predicate)}]"
-    if isinstance(node, BinOp):
-        rule = CONTEXT.infix[node.op]
-        left = _operand_text(node.left, rule.left_bp)
-        right = _operand_text(node.right, rule.right_bp)
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
+        text = f"Box[{names} | {predicate_text(node.predicate)}]"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    for n, above in zip(chain, chain[1:] + [None]):
+        rule = CONTEXT.infix[n.op]
+        text = f"{text} {n.op} {_operand_text(n.right, rule.right_bp)}"
+        if above is not None and rule.bp < CONTEXT.infix[above.op].left_bp:
+            text = f"({text})"
+    return text

@@ -140,55 +140,87 @@ def _resolve_symbol(name: str, dims) -> EnumValue:
     raise IllTypedPredicate(f"ambiguous enum symbol {name!r} in box predicate")
 
 
+def _left_chain(node: BoolExpr) -> tuple:
+    """The operand that ends node's chain of left operands, and the
+    operator nodes above it, innermost first.  The predicate walkers fold
+    the chain with a loop and recurse only into right operands, so a long
+    chain such as ``x == 1 or x == 2 or ...`` costs them no recursion."""
+    chain = []
+    while isinstance(node, Pointwise) and node.op in PREDICATE.infix:
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return node, chain
+
+
 def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
     """Kind of a predicate node: (TagKind, enumeration-or-None)."""
+    node, chain = _left_chain(node)
     if isinstance(node, Const):
         k = kind_of(node.value)
-        return k, node.value.enumeration if k is TagKind.ENUM else None
-    if isinstance(node, Ref):
+        kind = k, node.value.enumeration if k is TagKind.ENUM else None
+    elif isinstance(node, Ref):
         dim = dims_by_name.get(node.name)
-        if dim is not None:
-            if dim.tag_type is TagKind.ENUM:
-                return TagKind.ENUM, dim.domain[0].enumeration
-            return dim.tag_type, None
-        member = _resolve_symbol(node.name, dims_by_name.values())
-        return TagKind.ENUM, member.enumeration
-    if isinstance(node, Pointwise) and (node.op in OPERATORS or node.op in _LOGIC):
-        sides = (node.left, node.right)
-        lk, rk = (_predicate_kind(side, dims_by_name) for side in sides)
-        if node.op in _LOGIC:
-            if lk != _BOOL or rk != _BOOL:
-                raise IllTypedPredicate(f"{node.op!r} needs boolean operands")
-        elif node.op in _ARITHMETIC:
-            if lk != _INT or rk != _INT:
-                raise IllTypedPredicate(f"arithmetic {node.op!r} needs integer operands")
-            return _INT
-        elif lk != rk:
-            raise IllTypedPredicate(f"comparison {node.op!r} over mismatched kinds")
-        return _BOOL
-    if isinstance(node, NotOp):
+        if dim is None:
+            member = _resolve_symbol(node.name, dims_by_name.values())
+            kind = TagKind.ENUM, member.enumeration
+        elif dim.tag_type is TagKind.ENUM:
+            kind = TagKind.ENUM, dim.domain[0].enumeration
+        else:
+            kind = dim.tag_type, None
+    elif isinstance(node, NotOp):
         if _predicate_kind(node.operand, dims_by_name) != _BOOL:
             raise IllTypedPredicate("'not' needs a boolean operand")
-        return _BOOL
-    raise IllTypedPredicate(f"not a predicate node: {node!r}")
+        kind = _BOOL
+    else:
+        raise IllTypedPredicate(f"not a predicate node: {node!r}")
+    for n in chain:
+        lk, rk = kind, _predicate_kind(n.right, dims_by_name)
+        kind = _BOOL
+        if n.op in _LOGIC:
+            if lk != _BOOL or rk != _BOOL:
+                raise IllTypedPredicate(f"{n.op!r} needs boolean operands")
+        elif n.op in _ARITHMETIC:
+            if lk != _INT or rk != _INT:
+                raise IllTypedPredicate(f"arithmetic {n.op!r} needs integer operands")
+            kind = _INT
+        elif lk != rk:
+            raise IllTypedPredicate(f"comparison {n.op!r} over mismatched kinds")
+    return kind
 
 
 def eval_predicate(node: BoolExpr, dims_by_name, assignment) -> TagValue:
     """Evaluate a predicate under an assignment of dimension names to tags."""
-    if isinstance(node, Const):
-        return node.value
+    # _left_chain inlined, as this runs once per Box candidate
+    chain = []
+    while isinstance(node, Pointwise):
+        chain.append(node)
+        node = node.left
+    value = _operand_value(node, dims_by_name, assignment)
+    for n in reversed(chain):
+        op = n.op
+        if op == "and":
+            value = bool(value) and bool(
+                _operand_value(n.right, dims_by_name, assignment))
+        elif op == "or":
+            value = bool(value) or bool(
+                _operand_value(n.right, dims_by_name, assignment))
+        else:
+            value = OPERATORS[op](
+                value, _operand_value(n.right, dims_by_name, assignment))
+    return value
+
+
+def _operand_value(node: BoolExpr, dims_by_name, assignment) -> TagValue:
+    """The value of one operand in ``eval_predicate``'s chain."""
     if isinstance(node, Ref):
         if node.name in assignment:
             return assignment[node.name]
         return _resolve_symbol(node.name, dims_by_name.values())
+    if isinstance(node, Const):
+        return node.value
     if isinstance(node, Pointwise):
-        a = eval_predicate(node.left, dims_by_name, assignment)
-        if node.op == "and":
-            return bool(a) and bool(eval_predicate(node.right, dims_by_name, assignment))
-        if node.op == "or":
-            return bool(a) or bool(eval_predicate(node.right, dims_by_name, assignment))
-        b = eval_predicate(node.right, dims_by_name, assignment)
-        return OPERATORS[node.op](a, b)
+        return eval_predicate(node, dims_by_name, assignment)
     if isinstance(node, NotOp):
         return not eval_predicate(node.operand, dims_by_name, assignment)
     raise IllTypedPredicate(f"not a predicate node: {node!r}")
@@ -197,23 +229,25 @@ def eval_predicate(node: BoolExpr, dims_by_name, assignment) -> TagValue:
 def predicate_text(node: BoolExpr, min_bp: int = 0) -> str:
     """Render a predicate in the syntax the box-literal parser accepts,
     bracketed if it binds looser than min_bp."""
+    node, chain = _left_chain(node)
+    # min_bp of each chain node: the left_bp of the node above it
+    rules = [PREDICATE.infix[n.op] for n in chain]
+    bps = [rule.left_bp for rule in rules] + [min_bp]
     if isinstance(node, Const):
-        return format_tag(node.value)
-    if isinstance(node, Ref):
-        return node.name
-    if isinstance(node, NotOp):
+        text = format_tag(node.value)
+    elif isinstance(node, Ref):
+        text = node.name
+    elif isinstance(node, NotOp):
         rule = PREDICATE.prefix["not"]
         text = f"not {predicate_text(node.operand, rule.bp + 1)}"
-    elif isinstance(node, Pointwise):
-        rule = PREDICATE.infix[node.op]
-        text = (
-            f"{predicate_text(node.left, rule.left_bp)} {node.op} "
-            f"{predicate_text(node.right, rule.right_bp)}"
-        )
+        if rule.bp < bps[0]:
+            text = f"({text})"
     else:
         raise IllTypedPredicate(f"not a predicate node: {node!r}")
-    if rule.bp < min_bp:
-        return f"({text})"
+    for n, rule, bp in zip(chain, rules, bps[1:]):
+        text = f"{text} {n.op} {predicate_text(n.right, rule.right_bp)}"
+        if rule.bp < bp:
+            text = f"({text})"
     return text
 
 
@@ -263,14 +297,13 @@ def box_contains(box: Box, c: Context) -> bool:
 def _bind_symbols(node: BoolExpr, by_name) -> BoolExpr:
     """The predicate with each enum-symbol name replaced by its member, so
     evaluation no longer searches the enum domains."""
+    node, chain = _left_chain(node)
     if isinstance(node, Ref) and node.name not in by_name:
-        return Const(_resolve_symbol(node.name, by_name.values()))
-    if isinstance(node, Pointwise):
-        return Pointwise(
-            node.op, _bind_symbols(node.left, by_name), _bind_symbols(node.right, by_name)
-        )
-    if isinstance(node, NotOp):
-        return NotOp(_bind_symbols(node.operand, by_name))
+        node = Const(_resolve_symbol(node.name, by_name.values()))
+    elif isinstance(node, NotOp):
+        node = NotOp(_bind_symbols(node.operand, by_name))
+    for n in chain:
+        node = Pointwise(n.op, node, _bind_symbols(n.right, by_name))
     return node
 
 

@@ -19,8 +19,12 @@ true, the next position to read, and whether a nil guard stopped the scan
 there.  A filter reads the cursor and scans further only when it needs a
 position not yet read, so a prefix of n values reads each guard position
 once.  The cursor stores positions, not values: X is still evaluated
-through the warehouse.  Cursors live as long as the warehouse, or for one
-call when there is none.
+through the warehouse.  Cursors live as long as the warehouse.
+
+Every call evaluates through a warehouse: the caller's, which keeps its
+values and cursors for later calls, or a new one that lives for the call
+alone.  Either way a named value, once computed, is not computed again
+within the call.
 
 A demand budget, shared by every position of one call, turns divergent
 scans (a guard that is never true) into a DemandExhausted error instead of
@@ -280,7 +284,8 @@ def check_references(name: str, expr: StreamExpr, defined):
 
 class Warehouse:
     """Memo cache for named stream values, keyed by (name, context), and
-    for the filters' scan cursors (see ``_scan``).
+    for the filters' scan cursors (see ``_scan``).  ``hits`` counts the
+    values read from it and ``misses`` the values computed and stored.
 
     Entries are write-once: equations are referentially transparent, so a
     key always recomputes to the same value and duplicate concurrent
@@ -293,30 +298,8 @@ class Warehouse:
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key):
-        if key in self._cache:
-            self.hits += 1
-            return True, self._cache[key]
-        return False, None
-
-    def store(self, key, value):
-        self.misses += 1
-        self._cache[key] = value
-
     def __len__(self):
         return len(self._cache)
-
-
-class _Demand:
-    __slots__ = ("remaining",)
-
-    def __init__(self, budget: int):
-        self.remaining = budget
-
-    def spend(self):
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise DemandExhausted("demand budget exhausted")
 
 
 class _Scan:
@@ -330,12 +313,19 @@ class _Scan:
         self.stopped = False  # a nil guard at ``next`` ended the scan
 
 
-@dataclass
+@dataclass(slots=True)
 class _State:
+    """One evaluation call: its equations, its warehouse and the demand it
+    may still spend."""
+
     eqs: EquationSet
-    warehouse: Optional[Warehouse]
-    demand: _Demand
-    cursors: dict
+    warehouse: Warehouse
+    remaining: int
+
+    def spend(self):
+        self.remaining -= 1
+        if self.remaining < 0:
+            raise DemandExhausted("demand budget exhausted")
 
 
 # The value of every pointwise operator except the logical ones, which
@@ -354,7 +344,7 @@ OPERATORS = {
 
 
 def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
-    st.demand.spend()
+    st.spend()
 
     if isinstance(expr, Const):
         return expr.value
@@ -365,13 +355,12 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
 
     if isinstance(expr, Ref):
         key = (expr.name, ctx)
-        if st.warehouse is not None:
-            hit, value = st.warehouse.lookup(key)
-            if hit:
-                return value
-        value = _eval(st.eqs[expr.name], ctx, st)
-        if st.warehouse is not None:
-            st.warehouse.store(key, value)
+        wh = st.warehouse
+        if key in wh._cache:
+            wh.hits += 1
+            return wh._cache[key]
+        value = wh._cache[key] = _eval(st.eqs[expr.name], ctx, st)
+        wh.misses += 1
         return value
 
     if isinstance(expr, Pointwise):
@@ -405,10 +394,6 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
         index = _eval(expr.index, ctx, st)
         if index is None:
             return None
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-            raise KindMismatch(
-                f"navigation tag must be a natural number, got {index!r}"
-            )
         return _eval(expr.operand, ctx.with_tag(expr.dim, index), st)
 
     if isinstance(expr, First):
@@ -452,11 +437,12 @@ def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
     until ``done(cursor)`` holds or a nil guard stops it."""
     base = ctx.with_tag(expr.dim, 0)
     key = (expr.right, expr.dim, base)
-    scan = st.cursors.get(key)
+    cursors = st.warehouse.cursors
+    scan = cursors.get(key)
     if scan is None:
-        scan = st.cursors[key] = _Scan()
+        scan = cursors[key] = _Scan()
     while not scan.stopped and not done(scan):
-        st.demand.spend()
+        st.spend()
         s = scan.next
         guard = _eval(expr.right, base.with_tag(expr.dim, s), st)
         if guard is None:
@@ -470,11 +456,10 @@ def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
 
 def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
     """The values of ``expr`` at each context, with one demand budget and
-    one set of filter cursors for them all."""
+    one warehouse for them all: ``warehouse``, or a new one if it is None."""
     if budget <= 0:
         raise DemandExhausted("demand budget must be positive")
-    cursors = {} if warehouse is None else warehouse.cursors
-    st = _State(eqs, warehouse, _Demand(budget), cursors)
+    st = _State(eqs, Warehouse() if warehouse is None else warehouse, budget)
     try:
         return [_eval(expr, ctx, st) for ctx in contexts]
     except RecursionError:
@@ -492,7 +477,8 @@ def eval_stream(
     warehouse: Optional[Warehouse] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Value:
-    """Evaluate one stream expression at one context."""
+    """Evaluate one stream expression at one context, memoizing in
+    ``warehouse`` if given and otherwise in a warehouse of its own."""
     return _evaluate(expr, [ctx], eqs, warehouse, budget)[0]
 
 
@@ -505,7 +491,8 @@ def eval_prefix(
     budget: int = DEFAULT_BUDGET,
 ) -> list:
     """Evaluate an expression (or stream name) at tags 0..count-1 along
-    dim; ``budget`` bounds the demand of the whole prefix."""
+    dim; ``budget`` bounds the demand of the whole prefix, and one
+    warehouse, ``warehouse`` or a new one, memoizes it."""
     if isinstance(expr, str):
         expr = Ref(expr)
     if eqs is None:

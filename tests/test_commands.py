@@ -25,7 +25,7 @@ from ctxcalc.errors import (
     UnresolvedReference,
 )
 from ctxcalc.evaluator import Environment, evaluate
-from ctxcalc.lexer import NAME, Token, tokenize
+from ctxcalc.lexer import NAME, SYMBOLS, Token, tokenize
 from ctxcalc.model import DimensionRegistry, TagKind, make_context
 from ctxcalc.parser import parse_expr
 
@@ -212,6 +212,45 @@ def test_one_budget_bounds_a_whole_show_line():
     assert run_command(new_session(budget=100), "show 1 100") == [" ".join(["1"] * 100)]
     with pytest.raises(DemandExhausted):
         run_command(new_session(budget=100), "show 1 101")
+
+
+# --- fuzz -----------------------------------------------------------------------
+# Random command lines: a command word, then a soup of lexer symbols,
+# keywords, names, strings, small integers and a few whole operands.
+# Whatever the line, only a typed ContextCalcError may leave run_command.
+
+_FUZZ_SETUP = SETUP + (
+    "dim m : enum { P, Q }",
+    "let s = {{(d, 1)}, {(d, 2), (e, 3)}}",
+    "stream N = 0 fby N + 1",
+    "stream G = N wvr (N > 2)",
+)
+_SOUP = st.sampled_from(
+    [*SYMBOLS, *sorted(streams.KEYWORDS),
+     "Box", "int", "str", "bool", "enum", "time", "plain", "json",
+     "d", "e", "m", "P", "a", "s", "A", "N", "G", "X",
+     '"s"', '""', *"0123456789",
+     # a few well-formed operands, so more lines get past the parser
+     "{(e, 2)}", "{d}", "N + 1", "(N > 2)"]
+)
+_FUZZ_LINE = st.builds(
+    lambda word, soup: " ".join([word, *soup]),
+    st.sampled_from(["dim", "let", "stream", "show", "eval", "seed", "mode"]),
+    st.lists(_SOUP, max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FUZZ_LINE, min_size=1, max_size=3))
+def test_random_command_lines_raise_only_typed_errors(lines):
+    s = new_session(seed=3, budget=20_000)
+    for line in _FUZZ_SETUP:
+        run_command(s, line)
+    for line in lines:
+        try:
+            run_command(s, line)
+        except ContextCalcError:
+            pass
 
 
 # --- files ----------------------------------------------------------------------

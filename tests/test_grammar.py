@@ -17,7 +17,7 @@ from ctxcalc.errors import (
 )
 from ctxcalc.lexer import END, INT, NAME, tokenize
 from ctxcalc.model import DimensionRegistry, TagKind
-from ctxcalc.parser import BinOp, BoxLit, VarRef, parse_expr
+from ctxcalc.parser import BinOp, BoxLit, DimSetLit, VarRef, parse_expr, to_text
 from ctxcalc.sets import (
     Arith,
     Cmp,
@@ -214,6 +214,52 @@ def test_predicate_text_brackets():
     assert predicate_text(Arith("-", Name("a"), Arith("-", Name("b"), Lit(-1)))) == (
         "a - (b - -1)"
     )
+
+
+# --- long left-associated chains ------------------------------------------------
+# The parser reads a left chain with a loop, so its length is unbounded; the
+# Box checks, the evaluators and the printers must not recurse along it.
+
+CHAIN = 1500
+
+
+def chain_session():
+    session = new_session()
+    run_command(session, "dim x : int 1 2 3")
+    return session
+
+
+@pytest.mark.parametrize("predicate", [
+    " or ".join(f"x == {k}" for k in range(1, CHAIN + 1)),
+    "x" + " + 1" * (CHAIN - 1) + f" > {CHAIN - 1}",
+], ids=["or-chain", "plus-chain"])
+def test_a_long_box_predicate_chain_prints_and_enumerates(predicate):
+    session = chain_session()
+    assert run_command(session, f"let B = Box[x | {predicate}]") == [
+        f"B = Box[x | {predicate}]"
+    ]
+    assert run_command(session, "eval B ! {x}") == ["{{(x, 1)}, {(x, 2)}, {(x, 3)}}"]
+
+
+def left_spine(node):
+    """A left chain as its innermost operand and (operator, right operand)
+    pairs, compared without recursing along the chain."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append((node.op, node.right))
+        node = node.left
+    return node, spine
+
+
+def test_to_text_of_a_long_chain_reparses_to_an_equal_tree():
+    ops = ["(+)", "(-)"]
+    text = " ".join(["c"] + [f"{ops[k % 2]} c{k}" for k in range(CHAIN - 1)])
+    tree = parse_expr(text)
+    assert to_text(tree) == text
+    assert left_spine(parse_expr(to_text(tree))) == left_spine(tree)
+    bracketed = BinOp("!", tree, DimSetLit(("x",)))
+    assert to_text(bracketed) == f"({text}) ! {{x}}"
+    assert left_spine(parse_expr(to_text(bracketed))) == left_spine(bracketed)
 
 
 # --- enum comparisons ----------------------------------------------------------------

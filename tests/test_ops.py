@@ -12,6 +12,7 @@ from ctxcalc.errors import (
     NonSimpleResidue,
     UnorderedRangeDimension,
 )
+from ctxcalc.evaluator import Environment, evaluate
 from ctxcalc.model import (
     NULL_CONTEXT,
     Context,
@@ -21,6 +22,7 @@ from ctxcalc.model import (
     make_context,
     tag_lt,
 )
+from ctxcalc.parser import parse_expr
 
 from conftest import int_registry, undirected_range_oracle
 
@@ -315,3 +317,47 @@ def test_range_over_declared_domain_matches_tag_lt_filter(data):
     for directed, fn in ((False, ops.undirected_range), (True, ops.directed_range)):
         got = {frozenset((m.dimension.name, m.tag) for m in c) for c in fn(c1, c2)}
         assert got == tag_lt_range_oracle(c1, c2, directed)
+
+
+# --- Lucx laws against an oracle over plain pair sets ---------------------------
+# A context is modelled as a frozenset of (name, tag) pairs; conjunction and
+# disjunction are set intersection and union, and override drops the left
+# pairs on the right's dimensions.  The laws are evaluated through the
+# expression language.
+
+plain_st = st.frozensets(
+    st.tuples(st.sampled_from("defg"), st.integers(0, 3)), max_size=6
+)
+simple_plain_st = st.dictionaries(
+    st.sampled_from("defg"), st.integers(0, 3), max_size=4
+).map(lambda d: frozenset(d.items()))
+
+
+def plain_ctx(c):
+    return frozenset((m.dimension.name, m.tag) for m in c)
+
+
+def law_value(text, **bindings):
+    env = Environment(registry=REG, rng=random.Random(0))
+    for name, value in bindings.items():
+        env.bind(name, value)
+    return evaluate(parse_expr(text), env)
+
+
+@given(plain_st, plain_st)
+def test_absorption_laws(p, q):
+    c, d = make_context(REG, p), make_context(REG, q)
+    assert plain_ctx(law_value("c & (c % d)", c=c, d=d)) == p & (p | q) == p
+    assert plain_ctx(law_value("c % (c & d)", c=c, d=d)) == p | (p & q) == p
+
+
+@given(plain_st, simple_plain_st)
+def test_override_against_hiding_and_projection(p, q):
+    names = {n for n, _ in q}
+    want = frozenset(pair for pair in p if pair[0] not in names) | q
+    c, d, D = make_context(REG, p), make_context(REG, q), dims(*names)
+    assert plain_ctx(law_value("c (+) d", c=c, d=d)) == want
+    assert plain_ctx(law_value("(c ^ D) % d", c=c, d=d, D=D)) == want
+    assert law_value("c (+) d == (c ^ D) % d", c=c, d=d, D=D) is True
+    assert plain_ctx(law_value("(c (+) d) ! D", c=c, d=d, D=D)) == q
+    assert law_value("(c (+) d) ! D == d", c=c, d=d, D=D) is True

@@ -305,6 +305,21 @@ def test_warehouse_entries_stable():
     assert first == second
 
 
+def test_a_call_without_a_warehouse_memoizes_within_itself():
+    # Unmemoized, F at time t demands F at t - 2 both directly and through
+    # F at t - 1, so the demand grows like fib(t) and at time 30 outruns
+    # the default budget.
+    eqs = define_streams({"F": parse_stream_expr("1 fby (1 fby (F + next F))")})
+    assert eval_stream(Ref("F"), EvalContext({"time": 30}), eqs) == 1346269
+
+
+@pytest.mark.parametrize("index", [Const(-1), Const(True)])
+def test_a_bad_navigation_tag_is_refused_by_the_context(index):
+    eqs = define_streams({"X": Literal((1, 2))})
+    with pytest.raises(KindMismatch, match="tag for dimension 'time' must be a natural"):
+        eval_stream(At(Ref("X"), "time", index), EvalContext(), eqs)
+
+
 def test_all_false_guard_exhausts_budget():
     eqs = example_eqs()
     with pytest.raises(DemandExhausted):
