@@ -233,9 +233,6 @@ class DimensionRegistry:
     def __contains__(self, name) -> bool:
         return name in self._dims
 
-    def names(self):
-        return list(self._dims)
-
 
 @dataclass(frozen=True)
 class MicroContext:

@@ -1,10 +1,12 @@
 """Demand-driven evaluator for multidimensional stream equations.
 
-A stream expression denotes a value at every evaluation context (a finite
-map from dimension names to natural tags).  Evaluation computes only the
-positions actually demanded and memoizes named stream values in a
-warehouse keyed by (name, context).  ``None`` is the undefined value and
-propagates through every pointwise operation.
+A stream expression denotes a value at every evaluation context: a finite
+set of (dimension, tag) pairs with natural tags, an absent dimension
+reading as 0.  ``EvalContext`` stores a context as one tuple, its nonzero
+pairs sorted by dimension name.  Evaluation computes only the positions
+actually demanded and memoizes named stream values in a warehouse keyed
+by (name, context).  ``None`` is the undefined value and propagates
+through every pointwise operation.
 
 The filtering operators read their guard Y through a scan cursor:
 
@@ -29,7 +31,10 @@ within the call.
 A demand budget, shared by every position of one call, turns divergent
 scans (a guard that is never true) into a DemandExhausted error instead of
 a hang, and so does a chain of demands nested deeper than the
-interpreter's recursion limit.  Every guard position read spends one unit.
+interpreter's recursion limit.  Every node evaluated and every guard
+position read spends one unit.  A left chain of pointwise operators
+(``1 + 1 + ... + 1``) is walked with a loop, so only nested demands,
+not long expressions, use up the recursion limit.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Tuple, Union
@@ -64,52 +69,39 @@ def _check_tag(dim: str, t):
         )
 
 
-class EvalContext:
-    """Immutable map from dimension names to natural tags.
+class EvalContext(tuple):
+    """A position: the nonzero (dimension, tag) pairs, sorted by dimension.
 
-    Absent dimensions read as 0, and zero entries are normalized away so
-    equal positions hash identically in the warehouse.
+    The pairs are the only stored form, so the tuple type gives equality,
+    hashing and immutability.  Absent dimensions read as 0, and zero tags
+    are dropped, so equal positions are equal tuples in the warehouse.
     """
 
-    __slots__ = ("_tags", "_key")
+    __slots__ = ()
 
-    def __init__(self, tags: Mapping[str, int] = ()):
+    def __new__(cls, tags: Mapping[str, int] = ()):
         items = dict(tags)
         for d, t in items.items():
             _check_tag(d, t)
-        self._set({d: t for d, t in items.items() if t != 0})
-
-    def _set(self, clean: dict):
-        object.__setattr__(self, "_tags", clean)
-        object.__setattr__(self, "_key", frozenset(clean.items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EvalContext is immutable")
+        return tuple.__new__(cls, sorted((d, t) for d, t in items.items() if t != 0))
 
     def tag(self, dim: str) -> int:
-        return self._tags.get(dim, 0)
+        for d, t in self:
+            if d == dim:
+                return t
+        return 0
 
     def with_tag(self, dim: str, t: int) -> "EvalContext":
         """This context with dim moved to t.  Only the new tag is checked:
-        the rest of the map was checked when it was built."""
+        the other pairs were checked when they were built."""
         _check_tag(dim, t)
-        new = dict(self._tags)
+        pairs = [p for p in self if p[0] != dim]
         if t:
-            new[dim] = t
-        else:
-            new.pop(dim, None)
-        out = EvalContext.__new__(EvalContext)
-        out._set(new)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, EvalContext) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+            insort(pairs, (dim, t))
+        return tuple.__new__(EvalContext, pairs)
 
     def __repr__(self):
-        inner = ", ".join(f"{d}: {t}" for d, t in sorted(self._tags.items()))
+        inner = ", ".join(f"{d}: {t}" for d, t in self)
         return f"EvalContext({{{inner}}})"
 
 
@@ -364,18 +356,18 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
         return value
 
     if isinstance(expr, Pointwise):
-        a = _eval(expr.left, ctx, st)
-        b = _eval(expr.right, ctx, st)
-        if a is None or b is None:
-            return None
-        fn = OPERATORS.get(expr.op)
-        if fn is not None:
-            return fn(a, b)
-        if expr.op == "and":
-            return bool(a) and bool(b)
-        if expr.op == "or":
-            return bool(a) or bool(b)
-        raise KindMismatch(f"unknown pointwise operator {expr.op!r}")
+        # A left chain is walked with a loop, spending one unit per node
+        # in the order recursion would, so its length costs no host stack.
+        chain = [expr]
+        node = expr.left
+        while isinstance(node, Pointwise):
+            st.spend()
+            chain.append(node)
+            node = node.left
+        a = _eval(node, ctx, st)
+        for n in reversed(chain):
+            a = _pointwise(n.op, a, _eval(n.right, ctx, st))
+        return a
 
     if isinstance(expr, NotOp):
         a = _eval(expr.operand, ctx, st)
@@ -430,6 +422,19 @@ def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
         return _eval(expr.left, ctx.with_tag(expr.dim, bisect_left(scan.trues, t)), st)
 
     raise KindMismatch(f"not a stream expression: {expr!r}")
+
+
+def _pointwise(op: str, a: Value, b: Value) -> Value:
+    if a is None or b is None:
+        return None
+    fn = OPERATORS.get(op)
+    if fn is not None:
+        return fn(a, b)
+    if op == "and":
+        return bool(a) and bool(b)
+    if op == "or":
+        return bool(a) or bool(b)
+    raise KindMismatch(f"unknown pointwise operator {op!r}")
 
 
 def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:

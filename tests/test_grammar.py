@@ -241,6 +241,13 @@ def test_a_long_box_predicate_chain_prints_and_enumerates(predicate):
     assert run_command(session, "eval B ! {x}") == ["{{(x, 1)}, {(x, 2)}, {(x, 3)}}"]
 
 
+def test_a_long_stream_chain_shows():
+    session = new_session()
+    chain = " + ".join(["1"] * CHAIN)
+    assert run_command(session, f"stream T = {chain}") == ["stream T"]
+    assert run_command(session, "show T 2") == [f"{CHAIN} {CHAIN}"]
+
+
 def left_spine(node):
     """A left chain as its innermost operand and (operator, right operand)
     pairs, compared without recursing along the chain."""

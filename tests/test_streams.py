@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from ctxcalc.errors import (
     DemandExhausted,
@@ -73,6 +75,51 @@ def test_with_tag_checks_the_new_tag_and_drops_zero():
     for bad in (-1, True, "1"):
         with pytest.raises(KindMismatch):
             ctx.with_tag("time", bad)
+
+
+DIMS = ("time", "space", "x")
+dim_st = st.sampled_from(DIMS)
+tags_st = st.dictionaries(dim_st, st.integers(0, 5))
+moves_st = st.lists(st.tuples(dim_st, st.integers(0, 5)), max_size=8)
+bad_tag_st = st.one_of(
+    st.integers(max_value=-1), st.booleans(), st.floats(), st.text(), st.none()
+)
+
+
+def after_moves(tags, moves):
+    """A context and its plain-dict oracle after the same with_tag moves."""
+    ctx, oracle = EvalContext(tags), dict(tags)
+    for d, t in moves:
+        ctx = ctx.with_tag(d, t)
+        oracle[d] = t
+    return ctx, oracle
+
+
+def nonzero(oracle):
+    return {d: t for d, t in oracle.items() if t}
+
+
+@given(tags_st, moves_st, tags_st, moves_st)
+def test_eval_context_agrees_with_a_dict_oracle(tags_a, moves_a, tags_b, moves_b):
+    a, oracle_a = after_moves(tags_a, moves_a)
+    b, oracle_b = after_moves(tags_b, moves_b)
+    for d in DIMS:
+        assert a.tag(d) == oracle_a.get(d, 0)
+    assert (a == b) == (nonzero(oracle_a) == nonzero(oracle_b))
+    if a == b:
+        assert hash(a) == hash(b)
+    built = EvalContext(oracle_a)
+    assert built == a and hash(built) == hash(a)
+    with pytest.raises(AttributeError):
+        a.tags = oracle_a
+
+
+@given(tags_st, dim_st, bad_tag_st)
+def test_eval_context_refuses_a_tag_that_is_not_natural(tags, dim, bad):
+    with pytest.raises(KindMismatch):
+        EvalContext({**tags, dim: bad})
+    with pytest.raises(KindMismatch):
+        EvalContext(tags).with_tag(dim, bad)
 
 
 # --- equation sets -----------------------------------------------------------
@@ -326,6 +373,15 @@ def test_all_false_guard_exhausts_budget():
         eval_stream(
             Wvr(Ref("A"), Const(0)), EvalContext(), eqs, budget=10_000
         )
+
+
+@pytest.mark.parametrize("terms, budget", [(300, 1200), (1500, 6000)])
+def test_a_left_pointwise_chain_spends_one_unit_per_node(terms, budget):
+    # a position costs the reference to T and the chain's 2 * terms - 1 nodes
+    eqs = define_streams({"T": parse_stream_expr(" + ".join(["1"] * terms))})
+    assert eval_prefix("T", count=2, eqs=eqs, budget=budget) == [terms, terms]
+    with pytest.raises(DemandExhausted, match="budget exhausted"):
+        eval_prefix("T", count=2, eqs=eqs, budget=budget - 1)
 
 
 def test_budget_must_be_positive():
