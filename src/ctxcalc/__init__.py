@@ -69,12 +69,7 @@ from .parser import (
     parse_expr,
     to_text,
 )
-from .evaluator import (
-    Environment,
-    evaluate,
-    evaluate_context_expr,
-    evaluate_context_set_expr,
-)
+from .evaluator import Environment, evaluate
 from .streams import (
     EquationSet,
     EvalContext,

@@ -90,7 +90,7 @@ def _substitute_pair(s: ContextSet, pair: Context, rng) -> ContextSet:
         raise KindMismatch(
             "set substitution needs a <dimension, tag> pair on the right"
         )
-    micro = next(iter(pair.entries))
+    micro = next(iter(pair))
     return lift_substitution(s, micro.dimension, micro.tag)
 
 
@@ -178,9 +178,3 @@ def _apply(op: str, left: Value, right: Value, env: Environment) -> Value:
     if isinstance(right, Box):
         right = box_enumerate(right)
     return row(left, right, env.rng)
-
-
-# The two expression families share one evaluator; these names mirror the
-# two parse entry points.
-evaluate_context_expr = evaluate
-evaluate_context_set_expr = evaluate

@@ -1,9 +1,11 @@
 """Dimensions, tags, and contexts: the value model everything else builds on.
 
-A context is a finite set of (dimension, tag) pairs.  Duplicate pairs
-collapse under set semantics.  A dimension may appear with several
-different tags, in which case the context is *non-simple*; operators that
-need simplicity check it at call time, not at construction.
+A context is a finite set of (dimension, tag) pairs, and a context set is
+a finite set of simple contexts; ``Context`` and ``ContextSet`` are
+frozensets of their members.  Duplicate pairs collapse under set
+semantics.  A dimension may appear with several different tags, in which
+case the context is *non-simple*; operators that need simplicity check it
+at call time, not at construction.
 """
 
 from __future__ import annotations
@@ -257,29 +259,33 @@ class ContextOrder(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-class Context:
-    """A finite set of micro contexts.
+class Context(frozenset):
+    """A finite set of micro contexts, stored as a frozenset of them.
 
-    Immutable and hashable; equality is set equality of the entries.  The
-    empty context (degree 0) plays the role of the null value.
+    The frozenset type supplies immutability, hashing and set equality of
+    the entries; the one extra slot caches ``dims()``.  Equality is that of
+    frozensets, so a context equals any frozenset holding the same pairs:
+    ``Context() == ContextSet() == frozenset()`` is true in Python.  The
+    language still keeps the kinds apart, because the evaluator dispatches
+    on the exact type of a value.  The empty context (degree 0) plays the
+    role of the null value.
     """
 
-    __slots__ = ("entries", "_dims")
+    __slots__ = ("_dims",)
 
-    def __init__(self, entries: Iterable[MicroContext] = ()):
-        object.__setattr__(self, "entries", frozenset(entries))
+    # frozenset.__new__ has already taken the entries; "/" makes a keyword
+    # call fail here rather than build an empty context.
+    def __init__(self, entries: Iterable[MicroContext] = (), /):
         object.__setattr__(self, "_dims", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Context is immutable")
 
-    # -- inspection ---------------------------------------------------------
-
     def dims(self) -> frozenset:
         """The dimensions the entries bind, built once and then cached."""
         dims = self._dims
         if dims is None:
-            dims = frozenset(m.dimension for m in self.entries)
+            dims = frozenset(m.dimension for m in self)
             object.__setattr__(self, "_dims", dims)
         return dims
 
@@ -288,45 +294,26 @@ class Context:
 
     def tags(self) -> Counter:
         """The multiset of tag values (multiplicity across dimensions)."""
-        return Counter(m.tag for m in self.entries)
+        return Counter(m.tag for m in self)
 
     def is_simple(self) -> bool:
         """True when no dimension is bound to two different tags."""
-        return len(self.entries) == self.degree()
+        return len(self) == self.degree()
 
     def is_micro(self) -> bool:
-        return len(self.entries) == 1
+        return len(self) == 1
 
     def compare(self, other: "Context") -> ContextOrder:
-        if self.entries == other.entries:
+        if self == other:
             return ContextOrder.EQUAL
-        if self.entries < other.entries:
+        if self < other:
             return ContextOrder.SUBSET
-        if self.entries > other.entries:
+        if self > other:
             return ContextOrder.SUPERSET
         return ContextOrder.INCOMPARABLE
 
-    # -- container protocol ---------------------------------------------------
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, micro):
-        return micro in self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, Context) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def __str__(self):
-        ordered = sorted(
-            self.entries, key=lambda m: (m.dimension.name, m.tag)
-        )
+        ordered = sorted(self, key=lambda m: (m.dimension.name, m.tag))
         return "{" + ", ".join(map(repr, ordered)) + "}"
 
     def __repr__(self):
@@ -336,46 +323,28 @@ class Context:
 NULL_CONTEXT = Context()
 
 
-class ContextSet:
-    """A finite set of simple contexts.
+class ContextSet(frozenset):
+    """A finite set of simple contexts, stored as a frozenset of them.
 
-    Members with different dimension domains may coexist; rejecting a
-    non-simple member is the one construction-time check.
+    Like ``Context``, it is immutable and hashable with frozenset equality,
+    so it equals any frozenset of the same contexts.  Members with
+    different dimension domains may coexist; rejecting a non-simple member
+    is the one construction-time check.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ()
 
-    def __init__(self, members: Iterable[Context] = ()):
-        frozen = frozenset(members)
-        for c in frozen:
+    def __init__(self, members: Iterable[Context] = (), /):
+        for c in self:
             if not c.is_simple():
                 raise NonSimpleOperand(f"context set member {c} is not simple")
-        object.__setattr__(self, "members", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContextSet is immutable")
 
     def dims_union(self) -> frozenset:
         """The union of the members' dimension sets."""
-        return frozenset().union(*(c.dims() for c in self.members))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, context):
-        return context in self.members
-
-    def __eq__(self, other):
-        return isinstance(other, ContextSet) and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
+        return frozenset().union(*(c.dims() for c in self))
 
     def __str__(self):
-        return "{" + ", ".join(sorted(str(c) for c in self.members)) + "}"
+        return "{" + ", ".join(sorted(str(c) for c in self)) + "}"
 
     def __repr__(self):
         return f"ContextSet({self})"

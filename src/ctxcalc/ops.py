@@ -42,17 +42,17 @@ def override(c1: Context, c2: Context) -> Context:
 
 def difference(c1: Context, c2: Context) -> Context:
     """Set difference of the micro-context sets."""
-    return Context(c1.entries - c2.entries)
+    return Context(c1 - c2)
 
 
 def conjunction(c1: Context, c2: Context) -> Context:
     """Set intersection of the micro-context sets."""
-    return Context(c1.entries & c2.entries)
+    return Context(c1 & c2)
 
 
 def disjunction(c1: Context, c2: Context) -> Context:
     """Set union of the micro-context sets; the result may be non-simple."""
-    return Context(c1.entries | c2.entries)
+    return Context(c1 | c2)
 
 
 def choice(candidates: Sequence[Context], rng: random.Random):
@@ -142,7 +142,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     ]
     members = []
     for combo in itertools.product(*value_lists):
-        micros = set(residue.entries)
+        micros = set(residue)
         micros.update(MicroContext(d, v) for d, v in zip(ranged, combo))
         members.append(Context(micros))
     return ContextSet(members)

@@ -502,7 +502,8 @@ def eval_prefix(
         expr = Ref(expr)
     if eqs is None:
         eqs = EquationSet()
-    contexts = (EvalContext({dim: t}) for t in range(count))
+    origin = EvalContext()
+    contexts = (origin.with_tag(dim, t) for t in range(count))
     return _evaluate(expr, contexts, eqs, warehouse, budget)
 
 

@@ -41,7 +41,7 @@ def undirected_range_oracle(c1, c2):
         envelopes.append(range(min(tags), max(tags) + 1))
     members = set()
     for combo in itertools.product(*envelopes):
-        micros = set(residue.entries)
+        micros = set(residue)
         micros.update(MicroContext(d, v) for d, v in zip(dims, combo))
         members.add(Context(micros))
     return ContextSet(members)

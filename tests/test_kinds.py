@@ -18,7 +18,13 @@ from ctxcalc.errors import (
     KindMismatch,
 )
 from ctxcalc.lexer import MAX_DEPTH
-from ctxcalc.model import Dimension, DimensionRegistry, TagKind
+from ctxcalc.model import (
+    Context,
+    ContextSet,
+    Dimension,
+    DimensionRegistry,
+    TagKind,
+)
 from ctxcalc.parser import BINDING, parse_expr
 from ctxcalc.streams import parse_stream_expr
 
@@ -66,6 +72,17 @@ def _matrix_session():
     run_command(session, "dim d : int 1 2 3")
     run_command(session, "dim e : int 1 2 3")
     return session
+
+
+def test_equal_empty_values_keep_their_kinds():
+    # The three values are equal frozensets in Python; the evaluator and
+    # the renderer must dispatch on the exact type, not on equality.
+    values = (Context(), ContextSet(), frozenset())
+    assert values[0] == values[1] == values[2]
+    assert [evaluator._kind(v) for v in values] == [
+        "context", "context set", "dimension set"]
+    assert [cli._value_record(v)[0] for v in values] == [
+        "context", "context_set", "dim_set"]
 
 
 def test_accepts_covers_every_operator():

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from ctxcalc.errors import (
     DuplicateDimension,
     IllFormedDomain,
+    NonSimpleOperand,
     TagOutsideDomain,
     TagTypeMismatch,
     UnknownDimension,
@@ -15,6 +16,7 @@ from ctxcalc.model import (
     NULL_CONTEXT,
     Context,
     ContextOrder,
+    ContextSet,
     Dimension,
     DimensionRegistry,
     EnumValue,
@@ -253,3 +255,79 @@ def test_context_hashable_and_immutable():
 def test_micro_repr_and_str():
     assert str(ctx(("e", 4), ("d", 1))) == "{(d, 1), (e, 4)}"
     assert repr(MicroContext(REG.get("d"), 1)) == "(d, 1)"
+
+
+# --- against an oracle of plain frozensets of (name, tag) pairs -------------
+
+
+def _oracle_order(o1, o2):
+    if o1 == o2:
+        return ContextOrder.EQUAL
+    if o1 < o2:
+        return ContextOrder.SUBSET
+    if o1 > o2:
+        return ContextOrder.SUPERSET
+    return ContextOrder.INCOMPARABLE
+
+
+def _oracle_text(oracle):
+    return "{" + ", ".join(f"({n}, {t})" for n, t in sorted(oracle)) + "}"
+
+
+def _oracle_is_simple(oracle):
+    return len(oracle) == len({n for n, _ in oracle})
+
+
+@given(pairs_st, pairs_st)
+def test_context_agrees_with_frozenset_oracle(p1, p2):
+    a, b = ctx(*p1), ctx(*p2)
+    oa, ob = frozenset(p1), frozenset(p2)
+    assert (a == b) == (oa == ob)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a.compare(b) is _oracle_order(oa, ob)
+    names = {n for n, _ in oa}
+    assert {d.name for d in a.dims()} == names
+    assert a.degree() == len(names)
+    assert a.is_simple() == _oracle_is_simple(oa)
+    assert str(a) == _oracle_text(oa)
+
+
+contexts_st = st.lists(pairs_st, max_size=4)
+
+
+@given(contexts_st, contexts_st)
+def test_context_set_agrees_with_frozenset_oracle(l1, l2):
+    o1 = frozenset(frozenset(p) for p in l1)
+    o2 = frozenset(frozenset(p) for p in l2)
+    if not all(map(_oracle_is_simple, o1 | o2)):
+        with pytest.raises(NonSimpleOperand):
+            ContextSet(ctx(*p) for p in l1 + l2)
+        return
+    s1 = ContextSet(ctx(*p) for p in l1)
+    s2 = ContextSet(ctx(*p) for p in l2)
+    assert (s1 == s2) == (o1 == o2)
+    if s1 == s2:
+        assert hash(s1) == hash(s2)
+    assert {d.name for d in s1.dims_union()} == {n for o in o1 for n, _ in o}
+    assert str(s1) == "{" + ", ".join(sorted(map(_oracle_text, o1))) + "}"
+
+
+def test_contexts_and_sets_reject_assignment():
+    c = ctx(("d", 1))
+    for name in ("entries", "_dims", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, frozenset())
+    s = ContextSet([c])
+    for name in ("members", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, frozenset())
+    assert c.dims() == frozenset([REG.get("d")]) and s == ContextSet([c])
+
+
+def test_constructors_take_their_members_positionally():
+    m = MicroContext(REG.get("d"), 1)
+    with pytest.raises(TypeError):
+        Context(entries=[m])
+    with pytest.raises(TypeError):
+        ContextSet(members=[Context([m])])
