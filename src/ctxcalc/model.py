@@ -157,6 +157,11 @@ class Dimension:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt from its arguments, so the string hash is that of the
+        # process that loads it.
+        return type(self), (self.name, self.tag_type, self.domain)
+
     def coerce(self, value) -> TagValue:
         """Validate a raw value as a tag for this dimension.
 
@@ -280,6 +285,10 @@ class Context(frozenset):
 
     def __setattr__(self, name, value):
         raise AttributeError("Context is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the members; the cache starts empty.
+        return type(self), (tuple(self),)
 
     def dims(self) -> frozenset:
         """The dimensions the entries bind, built once and then cached."""

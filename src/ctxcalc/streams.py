@@ -28,13 +28,21 @@ values and cursors for later calls, or a new one that lives for the call
 alone.  Either way a named value, once computed, is not computed again
 within the call.
 
+Each node type has one handler, found in the table ``_HANDLERS`` by the
+node's exact type; a type with no entry gets a handler that raises
+KindMismatch.  A handler spends its node's unit on entry and evaluates
+each child with one call through the table, so a nested demand costs one
+host frame per node, no more.
+
 A demand budget, shared by every position of one call, turns divergent
 scans (a guard that is never true) into a DemandExhausted error instead of
 a hang, and so does a chain of demands nested deeper than the
-interpreter's recursion limit.  Every node evaluated and every guard
-position read spends one unit.  A left chain of pointwise operators
-(``1 + 1 + ... + 1``) is walked with a loop, so only nested demands,
-not long expressions, use up the recursion limit.
+interpreter's recursion limit.  A unit is spent by each handler for its
+node, by the left-chain loop of ``Pointwise`` for each chain node below
+the first, in the order recursion would spend them, and by ``_scan`` for
+each guard position it reads.  The loop walks a left chain of pointwise
+operators (``1 + 1 + ... + 1``) without recursion, so only nested
+demands, not long expressions, use up the recursion limit.
 """
 
 from __future__ import annotations
@@ -94,7 +102,10 @@ class EvalContext(tuple):
     def with_tag(self, dim: str, t: int) -> "EvalContext":
         """This context with dim moved to t.  Only the new tag is checked:
         the other pairs were checked when they were built."""
-        _check_tag(dim, t)
+        if type(t) is not int or t < 0:
+            _check_tag(dim, t)
+        if not self or (len(self) == 1 and self[0][0] == dim):
+            return tuple.__new__(EvalContext, ((dim, t),) if t else ())
         pairs = [p for p in self if p[0] != dim]
         if t:
             insort(pairs, (dim, t))
@@ -214,19 +225,19 @@ StreamExpr = Union[
 
 
 def references(expr: StreamExpr):
-    """All stream names an expression refers to."""
-    out = set()
+    """The stream names an expression refers to, as a set-like view that
+    iterates them in source order, each once."""
+    out = {}
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Ref):
-            out.add(node.name)
+            out[node.name] = None
         elif dataclasses.is_dataclass(node):
-            for f in dataclasses.fields(node):
-                value = getattr(node, f.name)
-                if dataclasses.is_dataclass(value):
-                    stack.append(value)
-    return out
+            # fields are in source order; push them so the first pops first
+            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            stack += [c for c in reversed(children) if dataclasses.is_dataclass(c)]
+    return out.keys()
 
 
 class EquationSet(dict):
@@ -335,93 +346,171 @@ OPERATORS = {
 }
 
 
-def _eval(expr: StreamExpr, ctx: EvalContext, st: _State) -> Value:
+# --- one handler per node type ---------------------------------------------
+#
+# A handler takes (node, context, state).  The helpers it calls (spend,
+# _scan, _pointwise) return before it demands a child, so they add no frame
+# to a nested demand.
+
+
+def _const(expr, ctx, st):
     st.spend()
+    return expr.value
 
-    if isinstance(expr, Const):
-        return expr.value
 
-    if isinstance(expr, Literal):
-        t = ctx.tag(expr.dim)
-        return expr.values[t] if t < len(expr.values) else None
+def _literal(expr, ctx, st):
+    st.spend()
+    t = ctx.tag(expr.dim)
+    return expr.values[t] if t < len(expr.values) else None
 
-    if isinstance(expr, Ref):
-        key = (expr.name, ctx)
-        wh = st.warehouse
-        if key in wh._cache:
-            wh.hits += 1
-            return wh._cache[key]
-        value = wh._cache[key] = _eval(st.eqs[expr.name], ctx, st)
-        wh.misses += 1
+
+_MISSING = object()
+
+
+def _ref(expr, ctx, st):
+    st.spend()
+    key = (expr.name, ctx)
+    wh = st.warehouse
+    value = wh._cache.get(key, _MISSING)
+    if value is not _MISSING:
+        wh.hits += 1
         return value
+    body = st.eqs[expr.name]
+    value = wh._cache[key] = _HANDLERS[type(body)](body, ctx, st)
+    wh.misses += 1
+    return value
 
-    if isinstance(expr, Pointwise):
-        # A left chain is walked with a loop, spending one unit per node
-        # in the order recursion would, so its length costs no host stack.
-        chain = [expr]
-        node = expr.left
-        while isinstance(node, Pointwise):
-            st.spend()
-            chain.append(node)
-            node = node.left
-        a = _eval(node, ctx, st)
-        for n in reversed(chain):
-            a = _pointwise(n.op, a, _eval(n.right, ctx, st))
-        return a
 
-    if isinstance(expr, NotOp):
-        a = _eval(expr.operand, ctx, st)
-        return None if a is None else not a
+def _pointwise_chain(expr, ctx, st):
+    # A left chain is walked with a loop, spending one unit per node in
+    # the order recursion would, so its length costs no host stack.
+    st.spend()
+    chain = [expr]
+    node = expr.left
+    while isinstance(node, Pointwise):
+        st.spend()
+        chain.append(node)
+        node = node.left
+    a = _HANDLERS[type(node)](node, ctx, st)
+    for n in reversed(chain):
+        b = n.right
+        a = _pointwise(n.op, a, _HANDLERS[type(b)](b, ctx, st))
+    return a
 
-    if isinstance(expr, If):
-        cond = _eval(expr.cond, ctx, st)
-        if cond is None:
-            return None
-        return _eval(expr.then if cond else expr.orelse, ctx, st)
 
-    if isinstance(expr, Query):
-        return ctx.tag(expr.dim)
+def _not(expr, ctx, st):
+    st.spend()
+    x = expr.operand
+    a = _HANDLERS[type(x)](x, ctx, st)
+    return None if a is None else not a
 
-    if isinstance(expr, At):
-        index = _eval(expr.index, ctx, st)
-        if index is None:
-            return None
-        return _eval(expr.operand, ctx.with_tag(expr.dim, index), st)
 
-    if isinstance(expr, First):
-        return _eval(expr.operand, ctx.with_tag(expr.dim, 0), st)
+def _if(expr, ctx, st):
+    st.spend()
+    x = expr.cond
+    cond = _HANDLERS[type(x)](x, ctx, st)
+    if cond is None:
+        return None
+    x = expr.then if cond else expr.orelse
+    return _HANDLERS[type(x)](x, ctx, st)
 
-    if isinstance(expr, Next):
-        t = ctx.tag(expr.dim)
-        return _eval(expr.operand, ctx.with_tag(expr.dim, t + 1), st)
 
-    if isinstance(expr, Prev):
-        t = ctx.tag(expr.dim)
-        if t == 0:
-            return None
-        return _eval(expr.operand, ctx.with_tag(expr.dim, t - 1), st)
+def _query(expr, ctx, st):
+    st.spend()
+    return ctx.tag(expr.dim)
 
-    if isinstance(expr, Fby):
-        t = ctx.tag(expr.dim)
-        if t == 0:
-            return _eval(expr.left, ctx, st)
-        return _eval(expr.right, ctx.with_tag(expr.dim, t - 1), st)
 
-    if isinstance(expr, (Wvr, Asa)):
-        n = ctx.tag(expr.dim) if isinstance(expr, Wvr) else 0
-        scan = _scan(expr, ctx, st, lambda sc: len(sc.trues) > n)
-        if len(scan.trues) <= n:
-            return None
-        return _eval(expr.left, ctx.with_tag(expr.dim, scan.trues[n]), st)
+def _at(expr, ctx, st):
+    st.spend()
+    x = expr.index
+    index = _HANDLERS[type(x)](x, ctx, st)
+    if index is None:
+        return None
+    x = expr.operand
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, index), st)
 
-    if isinstance(expr, Upon):
-        t = ctx.tag(expr.dim)
-        scan = _scan(expr, ctx, st, lambda sc: sc.next >= t)
-        if scan.next < t:
-            return None
-        return _eval(expr.left, ctx.with_tag(expr.dim, bisect_left(scan.trues, t)), st)
 
+def _first(expr, ctx, st):
+    st.spend()
+    x = expr.operand
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, 0), st)
+
+
+def _next(expr, ctx, st):
+    st.spend()
+    x = expr.operand
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, ctx.tag(expr.dim) + 1), st)
+
+
+def _prev(expr, ctx, st):
+    st.spend()
+    t = ctx.tag(expr.dim)
+    if t == 0:
+        return None
+    x = expr.operand
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, t - 1), st)
+
+
+def _fby(expr, ctx, st):
+    st.spend()
+    t = ctx.tag(expr.dim)
+    if t == 0:
+        x = expr.left
+        return _HANDLERS[type(x)](x, ctx, st)
+    x = expr.right
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, t - 1), st)
+
+
+def _wvr_asa(expr, ctx, st):
+    # wvr picks the t-th true guard position, asa always the first.
+    st.spend()
+    n = ctx.tag(expr.dim) if type(expr) is Wvr else 0
+    scan = _scan(expr, ctx, st, lambda sc: len(sc.trues) > n)
+    if len(scan.trues) <= n:
+        return None
+    x = expr.left
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, scan.trues[n]), st)
+
+
+def _upon(expr, ctx, st):
+    st.spend()
+    t = ctx.tag(expr.dim)
+    scan = _scan(expr, ctx, st, lambda sc: sc.next >= t)
+    if scan.next < t:
+        return None
+    x = expr.left
+    return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, bisect_left(scan.trues, t)), st)
+
+
+def _not_a_stream(expr, ctx, st):
+    st.spend()
     raise KindMismatch(f"not a stream expression: {expr!r}")
+
+
+class _Handlers(dict):
+    """Node type -> handler.  A type with no entry gets _not_a_stream."""
+
+    def __missing__(self, cls):
+        return _not_a_stream
+
+
+_HANDLERS = _Handlers({
+    Const: _const,
+    Literal: _literal,
+    Ref: _ref,
+    Pointwise: _pointwise_chain,
+    NotOp: _not,
+    If: _if,
+    Query: _query,
+    At: _at,
+    First: _first,
+    Next: _next,
+    Prev: _prev,
+    Fby: _fby,
+    Wvr: _wvr_asa,
+    Asa: _wvr_asa,
+    Upon: _upon,
+})
 
 
 def _pointwise(op: str, a: Value, b: Value) -> Value:
@@ -440,8 +529,9 @@ def _pointwise(op: str, a: Value, b: Value) -> Value:
 def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
     """The cursor of the guard of filter ``expr`` in ``ctx``, read further
     until ``done(cursor)`` holds or a nil guard stops it."""
+    y = expr.right
     base = ctx.with_tag(expr.dim, 0)
-    key = (expr.right, expr.dim, base)
+    key = (y, expr.dim, base)
     cursors = st.warehouse.cursors
     scan = cursors.get(key)
     if scan is None:
@@ -449,7 +539,7 @@ def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
     while not scan.stopped and not done(scan):
         st.spend()
         s = scan.next
-        guard = _eval(expr.right, base.with_tag(expr.dim, s), st)
+        guard = _HANDLERS[type(y)](y, base.with_tag(expr.dim, s), st)
         if guard is None:
             scan.stopped = True
         else:
@@ -465,10 +555,11 @@ def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
     if budget <= 0:
         raise DemandExhausted("demand budget must be positive")
     st = _State(eqs, Warehouse() if warehouse is None else warehouse, budget)
+    handler = _HANDLERS[type(expr)]
     try:
-        return [_eval(expr, ctx, st) for ctx in contexts]
+        return [handler(expr, ctx, st) for ctx in contexts]
     except RecursionError:
-        # _eval recurses once per nested demand.
+        # A handler calls the handler of each child it demands.
         raise DemandExhausted(
             "stream demand nests too deeply "
             f"(recursion limit {sys.getrecursionlimit()})"

@@ -199,6 +199,14 @@ def test_too_deep_demand_is_typed_and_the_repl_goes_on():
     assert err.getvalue().startswith("error: stream demand nests too deeply")
 
 
+def test_a_nested_demand_takes_one_host_frame_per_node():
+    # N at time 300 nests 900 demands (N, fby, +) under the recursion
+    # limit of 1000, which only one frame per evaluated node leaves room for
+    session = new_session()
+    run_command(session, "stream N = 0 fby N + 1")
+    assert run_command(session, "show (N @.time 300) time 1") == ["300"]
+
+
 def test_one_budget_bounds_a_whole_show_line():
     # each value of A costs two units, so 40 values fit a budget of 100
     # and 1000 do not, although every single position would

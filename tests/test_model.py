@@ -1,3 +1,8 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -331,3 +336,60 @@ def test_constructors_take_their_members_positionally():
         Context(entries=[m])
     with pytest.raises(TypeError):
         ContextSet(members=[Context([m])])
+
+
+# --- copies and pickles ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_values_survive_copy_and_pickle(trip):
+    reg = DimensionRegistry()
+    reg.register("d", TagKind.INT, [1, 2, 3])
+    reg.register("m", TagKind.ENUM, MONTHS)
+    c = make_context(reg, [("d", 2), ("m", "Fe")])
+    cs = ContextSet([c, make_context(reg, [("d", 3)])])
+    for value in (reg.get("d"), reg.get("m"), NULL_CONTEXT, c, cs):
+        got = trip(value)
+        assert type(got) is type(value)
+        assert got == value
+        assert got in {value} and value in {got}
+    got = trip(c)
+    assert got.dims() == c.dims()
+    assert got.is_simple() and str(got) == str(c)
+    assert trip(reg.get("m")).index == reg.get("m").index
+    assert trip(cs).dims_union() == cs.dims_union()
+
+
+_BUILD = """
+from ctxcalc.model import ContextSet, DimensionRegistry, TagKind, make_context
+reg = DimensionRegistry()
+reg.register("day", TagKind.INT)
+reg.register("mood", TagKind.ENUM, ["calm", "busy"])
+reg.register("room", TagKind.STR)
+c = make_context(reg, [("day", 3), ("mood", "busy"), ("room", "b12")])
+value = ContextSet([c])
+"""
+
+
+def _in_child(seed, code, data=b""):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    proc = subprocess.run([sys.executable, "-c", _BUILD + code], input=data,
+                          capture_output=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_a_pickle_loads_under_another_hash_seed():
+    data = _in_child(1, "import pickle, sys; sys.stdout.buffer.write(pickle.dumps(value))")
+    check = (
+        "import pickle, sys\n"
+        "got = pickle.loads(sys.stdin.buffer.read())\n"
+        "[gc] = got\n"
+        "assert got == value and got in {value}\n"
+        "assert gc in {c} and gc.dims() == c.dims()\n"
+        "assert all(d in set(c.dims()) for d in gc.dims())\n"
+        "assert all(reg.get(d.name) in {d} for d in gc.dims())\n"
+        "print('ok')\n"
+    )
+    assert _in_child(2, check, data).decode().split() == ["ok"]

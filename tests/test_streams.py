@@ -1,4 +1,5 @@
 import random
+import typing
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from ctxcalc.errors import (
     KindMismatch,
     UnresolvedReference,
 )
+from ctxcalc import streams
 from ctxcalc.streams import (
     Asa,
     At,
@@ -26,6 +28,7 @@ from ctxcalc.streams import (
     Prev,
     Query,
     Ref,
+    StreamExpr,
     Upon,
     Warehouse,
     Wvr,
@@ -148,6 +151,19 @@ def test_define_streams_unresolved_reference():
 def test_references_walks_nested():
     expr = Fby(Pointwise("+", Ref("A"), Const(1)), Wvr(Ref("B"), Ref("C")))
     assert references(expr) == {"A", "B", "C"}
+    # in source order, each once
+    expr = parse_stream_expr("if C then (B @.time A) else next D + C wvr E")
+    assert list(references(expr)) == ["C", "B", "A", "D", "E"]
+
+
+def test_an_unresolved_reference_names_the_leftmost_undefined_stream():
+    # the name reported must not depend on the string hash seed
+    names = [f"U{k}" for k in range(20)]
+    expr = parse_stream_expr(" + ".join(["A", *names]))
+    with pytest.raises(UnresolvedReference, match="undefined stream 'U0'"):
+        define_streams({"A": Const(1)}).add("Z", expr)
+    with pytest.raises(UnresolvedReference, match="undefined stream 'U0'"):
+        define_streams({"A": Const(1), "Z": expr})
 
 
 # --- the worked rows ---------------------------------------------------------
@@ -382,6 +398,56 @@ def test_a_left_pointwise_chain_spends_one_unit_per_node(terms, budget):
     assert eval_prefix("T", count=2, eqs=eqs, budget=budget) == [terms, terms]
     with pytest.raises(DemandExhausted, match="budget exhausted"):
         eval_prefix("T", count=2, eqs=eqs, budget=budget - 1)
+
+
+# The least budget with which each node type answers a 5-value prefix over
+# a fresh warehouse: one unit per node evaluated and one per guard position
+# read.  Pinned by the recursive evaluator the handler table replaced.
+_A, _B = Ref("A"), Ref("B")
+LEAST_BUDGETS = [
+    (Const(7), 5, [7, 7, 7, 7, 7]),
+    (Literal((1, 2, 3)), 5, [1, 2, 3, None, None]),
+    (_A, 10, [1, 2, 3, 4, 5]),
+    (Pointwise("+", Pointwise("*", _A, Const(2)), _B), 35, [2, 4, 7, 8, 11]),
+    (NotOp(_B), 15, [True, True, False, True, False]),
+    (If(_B, _A, Const(0)), 22, [0, 0, 3, 0, 5]),
+    (First(_A), 11, [1, 1, 1, 1, 1]),
+    (Next(_A), 15, [2, 3, 4, 5, None]),
+    (Prev(_A), 13, [None, 1, 2, 3, 4]),
+    (Fby(_A, _B), 15, [1, 0, 0, 1, 0]),
+    (Wvr(_A, _B), 27, [3, 5, None, None, None]),
+    (Asa(_A, _B), 20, [3, 3, 3, 3, 3]),
+    (Upon(_A, _B), 24, [1, 1, 1, 2, 2]),
+    (At(_A, "time", _B), 22, [1, 1, 2, 1, 2]),
+    (Query("time"), 5, [0, 1, 2, 3, 4]),
+]
+
+
+def test_the_budget_cases_cover_every_node_type():
+    assert {type(e) for e, _, _ in LEAST_BUDGETS} == set(typing.get_args(StreamExpr))
+
+
+@pytest.mark.parametrize(
+    "expr, budget, values", LEAST_BUDGETS,
+    ids=[type(e).__name__ for e, _, _ in LEAST_BUDGETS])
+def test_each_node_type_answers_at_its_least_budget(expr, budget, values):
+    def prefix(b):
+        return eval_prefix(expr, count=5, eqs=example_eqs(), warehouse=Warehouse(), budget=b)
+
+    assert prefix(budget) == values
+    with pytest.raises(DemandExhausted, match="budget exhausted"):
+        prefix(budget - 1)
+
+
+def test_every_node_type_has_one_handler():
+    assert set(streams._HANDLERS) == set(typing.get_args(StreamExpr))
+
+
+def test_an_unknown_node_is_refused():
+    with pytest.raises(KindMismatch, match="not a stream expression: 'A'"):
+        eval_stream("A", EvalContext(), example_eqs())
+    with pytest.raises(KindMismatch, match="not a stream expression: 1.5"):
+        eval_stream(NotOp(1.5), EvalContext(), example_eqs())
 
 
 def test_budget_must_be_positive():
