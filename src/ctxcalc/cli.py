@@ -8,7 +8,7 @@ position counts from the start of the line:
 
     dim NAME : int|str|bool TAG...        TAGs, if any, are the domain
     dim NAME : enum { NAME, ... }
-    let NAME = EXPR                       a context, set, Box or dimension set
+    let NAME = EXPR                       a context, set, Box, dimension set or boolean
     stream NAME = STREAM                  a stream equation
     show STREAM [NAME] [INT]              INT (10) values along NAME (time)
     eval EXPR
@@ -39,7 +39,7 @@ from .model import (
     TagKind,
     format_tag,
 )
-from .parser import parse_expr
+from .parser import BOOLEANS, parse_expr
 from .sets import Box
 from . import streams
 
@@ -136,6 +136,9 @@ def _dim_command(session: Session, cur: Cursor) -> list:
 
 
 def _let_command(session: Session, cur: Cursor) -> list:
+    word = cur.peek().text
+    if word in BOOLEANS:
+        cur.fail(f"{word!r} cannot name a variable")
     name = cur.expect(NAME).text
     cur.expect("=")
     value = evaluate(parse_expr(cur.rest()), session.env)

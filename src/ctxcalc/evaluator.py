@@ -26,6 +26,7 @@ from .model import (
 )
 from .parser import (
     BinOp,
+    BoolLit,
     BoxLit,
     ContextLit,
     DimSetLit,
@@ -149,6 +150,8 @@ def _leaf(node: Node, env: Environment) -> Value:
         return Context([_micro(env, node.dim, node.tag)])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
+    if isinstance(node, BoolLit):
+        return node.value
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
@@ -241,18 +242,55 @@ class DimensionRegistry:
         return name in self._dims
 
 
-@dataclass(frozen=True)
 class MicroContext:
-    """A single (dimension, tag) pair; the atom contexts are built from."""
+    """A single (dimension, tag) pair; the atom contexts are built from.
 
-    dimension: Dimension
-    tag: TagValue
+    The constructor coerces the tag (see ``Dimension.coerce``).  The hash
+    and the printed text ``(d, tag)`` are computed once, at construction,
+    and kept in fixed slots; the value is immutable and has no instance
+    ``__dict__``.  Two micro contexts are equal when their dimensions and
+    tags are equal.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "tag", self.dimension.coerce(self.tag))
+    __slots__ = ("dimension", "tag", "_hash", "_text")
+
+    def __init__(self, dimension: Dimension, tag: TagValue):
+        tag = dimension.coerce(tag)
+        put = object.__setattr__
+        put(self, "dimension", dimension)
+        put(self, "tag", tag)
+        put(self, "_hash", hash((dimension, tag)))
+        put(self, "_text", f"({dimension.name}, {format_tag(tag)})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MicroContext is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MicroContext is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.tag == other.tag
+                and self.dimension == other.dimension)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its arguments, so the hash is that of the process
+        # that loads it.
+        return type(self), (self.dimension, self.tag)
 
     def __repr__(self):
-        return f"({self.dimension.name}, {format_tag(self.tag)})"
+        return self._text
+
+
+# C-level accessors, so that printing a context and taking its dimensions
+# make no Python call per micro context.
+_DIMENSION = operator.attrgetter("dimension")
+_TEXT = operator.attrgetter("_text")
+_ORDER = operator.attrgetter("dimension.name", "tag")
 
 
 class ContextOrder(enum.Enum):
@@ -294,7 +332,7 @@ class Context(frozenset):
         """The dimensions the entries bind, built once and then cached."""
         dims = self._dims
         if dims is None:
-            dims = frozenset(m.dimension for m in self)
+            dims = frozenset(map(_DIMENSION, self))
             object.__setattr__(self, "_dims", dims)
         return dims
 
@@ -307,7 +345,7 @@ class Context(frozenset):
 
     def is_simple(self) -> bool:
         """True when no dimension is bound to two different tags."""
-        return len(self) == self.degree()
+        return len(self) == len(self.dims())
 
     def is_micro(self) -> bool:
         return len(self) == 1
@@ -322,8 +360,7 @@ class Context(frozenset):
         return ContextOrder.INCOMPARABLE
 
     def __str__(self):
-        ordered = sorted(self, key=lambda m: (m.dimension.name, m.tag))
-        return "{" + ", ".join(map(repr, ordered)) + "}"
+        return "{" + ", ".join(map(_TEXT, sorted(self, key=_ORDER))) + "}"
 
     def __repr__(self):
         return f"Context({self})"
@@ -353,7 +390,7 @@ class ContextSet(frozenset):
         return frozenset().union(*(c.dims() for c in self))
 
     def __str__(self):
-        return "{" + ", ".join(sorted(str(c) for c in self)) + "}"
+        return "{" + ", ".join(sorted(map(str, self))) + "}"
 
     def __repr__(self):
         return f"ContextSet({self})"

@@ -134,18 +134,17 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
             "unshared remainders of the range operands are not simple"
         )
 
+    # Each (dimension, tag) micro context is built once, not once per member.
     ranged = sorted(
         (d for d in per_dim if per_dim[d]), key=lambda d: d.name
     )
-    value_lists = [
-        sorted(per_dim[d]) for d in ranged
+    micro_lists = [
+        [MicroContext(d, v) for v in sorted(per_dim[d])] for d in ranged
     ]
-    members = []
-    for combo in itertools.product(*value_lists):
-        micros = set(residue)
-        micros.update(MicroContext(d, v) for d, v in zip(ranged, combo))
-        members.append(Context(micros))
-    return ContextSet(members)
+    return ContextSet(
+        Context(residue.union(combo))
+        for combo in itertools.product(*micro_lists)
+    )
 
 
 def undirected_range(c1: Context, c2: Context) -> ContextSet:

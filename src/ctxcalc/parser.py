@@ -68,13 +68,20 @@ class BoxLit:
 
 
 @dataclass(frozen=True)
+class BoolLit:
+    """The literal ``true`` or ``false``, as comparisons print their result."""
+
+    value: bool
+
+
+@dataclass(frozen=True)
 class BinOp:
     op: str
     left: "Node"
     right: "Node"
 
 
-Node = Union[VarRef, ContextLit, DimSetLit, SetLit, PairLit, BoxLit, BinOp]
+Node = Union[VarRef, ContextLit, DimSetLit, SetLit, PairLit, BoxLit, BoolLit, BinOp]
 
 # Loosest to tightest; operators within a level associate left to right.
 PRECEDENCE_LEVELS = (
@@ -91,6 +98,9 @@ BINDING = {
 }
 
 # --- literals ------------------------------------------------------------------
+
+# The words that are boolean literals, and so cannot name a variable.
+BOOLEANS = {"true": True, "false": False}
 
 
 def _name(cur: Cursor) -> str:
@@ -146,6 +156,8 @@ def _atom(cur: Cursor) -> Node:
         if tok.text == "Box" and cur.tokens[cur.i + 1].kind == "[":
             return _box_literal(cur)
         cur.advance()
+        if tok.text in BOOLEANS:
+            return BoolLit(BOOLEANS[tok.text])
         return VarRef(tok.text)
     if tok.kind == "{":
         return _brace_literal(cur)
@@ -231,6 +243,8 @@ def to_text(node: Node) -> str:
     elif isinstance(node, BoxLit):
         names = ", ".join(node.dims)
         text = f"Box[{names} | {predicate_text(node.predicate)}]"
+    elif isinstance(node, BoolLit):
+        text = format_tag(node.value)
     else:
         raise TypeError(f"not an expression node: {node!r}")
     for n, above in zip(chain, chain[1:] + [None]):

@@ -34,6 +34,10 @@ from . import ops
 
 # --- lifted operators -------------------------------------------------------
 
+def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
+    return s1.dims_union() & s2.dims_union()
+
+
 def lift_projection(s: ContextSet, dims: frozenset) -> ContextSet:
     """Project every member onto ``dims``."""
     return ContextSet(ops.projection(c, dims) for c in s)
@@ -56,20 +60,37 @@ def lift_choice(s1: ContextSet, s2: ContextSet, rng: random.Random) -> ContextSe
 
 
 def lift_override(s1: ContextSet, s2: ContextSet) -> ContextSet:
-    """Pairwise override over the cartesian product of the two sets."""
-    return ContextSet(ops.override(a, b) for a in s1 for b in s2)
+    """Pairwise override over the cartesian product of the two sets.
+
+    Override drops the left operand's bindings on the right operand's
+    dimensions, so ``c1 (+) c2 == (c1 ^ dims(c2)) (+) c2``.  The members of
+    s2 are grouped by their dimension sets; for each group D, each distinct
+    remainder ``c1 ^ D`` of s1 is overridden with each member of the group.
+    """
+    groups: dict = {}
+    for b in s2:
+        groups.setdefault(b.dims(), []).append(b)
+    return ContextSet(
+        ops.override(r, b)
+        for taken, group in groups.items()
+        for r in {ops.hiding(a, taken) for a in s1}
+        for b in group
+    )
 
 
 def lift_difference(s1: ContextSet, s2: ContextSet) -> ContextSet:
-    """Pairwise difference over the cartesian product of the two sets."""
-    return ContextSet(ops.difference(a, b) for a in s1 for b in s2)
+    """Pairwise difference over the cartesian product of the two sets.
+
+    Only a binding on a dimension shared by the two sets can be removed, so
+    ``c1 (-) c2 == c1 (-) (c2 ! S)`` with S the shared dimensions; each
+    member of s1 loses each distinct projection of s2 onto S.
+    """
+    shared = _shared_dims(s1, s2)
+    cuts = {ops.projection(b, shared) for b in s2}
+    return ContextSet(ops.difference(a, b) for a in s1 for b in cuts)
 
 
 # --- relational operators -----------------------------------------------------
-
-def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
-    return s1.dims_union() & s2.dims_union()
-
 
 def join(s1: ContextSet, s2: ContextSet) -> ContextSet:
     """Natural join: unite pairs that agree on the shared dimensions.
@@ -90,8 +111,16 @@ def join(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
 
 def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
-    """Pairwise conjunction over the cartesian product of the two sets."""
-    return ContextSet(ops.conjunction(a, b) for a in s1 for b in s2)
+    """Pairwise conjunction over the cartesian product of the two sets.
+
+    A common binding lies on a dimension shared by the two sets, so
+    ``c1 & c2 == (c1 ! S) & (c2 ! S)`` with S the shared dimensions; each
+    distinct projection of s1 onto S is conjoined with each of s2's.
+    """
+    shared = _shared_dims(s1, s2)
+    cuts1 = {ops.projection(a, shared) for a in s1}
+    cuts2 = {ops.projection(b, shared) for b in s2}
+    return ContextSet(ops.conjunction(a, b) for a in cuts1 for b in cuts2)
 
 
 def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:

@@ -67,6 +67,9 @@ OUTPUTS = [
     ("mode json", []),
     ("   # a comment", []),
     ("", []),
+    ("eval true", ["true"]),
+    ("eval (false)", ["false"]),
+    ("let t = a <<= a", ["t = true"]),
 ]
 
 
@@ -97,6 +100,8 @@ ERRORS = [
     ("let b =", ExprSyntaxError, 8),
     ("let b = a (+)", ExprSyntaxError, 14),
     ("let a$ = a", UnknownToken, 6),
+    ("let true = a", ExprSyntaxError, 5),
+    ("let  false = true", ExprSyntaxError, 6),
     # stream
     ("stream 9 = 1", ExprSyntaxError, 8),
     ("stream B 1", ExprSyntaxError, 10),

@@ -15,9 +15,18 @@ from ctxcalc.errors import (
     UnbalancedParens,
     UnknownToken,
 )
+from ctxcalc.evaluator import evaluate
 from ctxcalc.lexer import END, INT, NAME, tokenize
 from ctxcalc.model import DimensionRegistry, TagKind
-from ctxcalc.parser import BinOp, BoxLit, DimSetLit, VarRef, parse_expr, to_text
+from ctxcalc.parser import (
+    BinOp,
+    BoolLit,
+    BoxLit,
+    DimSetLit,
+    VarRef,
+    parse_expr,
+    to_text,
+)
 from ctxcalc.sets import (
     Arith,
     Cmp,
@@ -89,6 +98,10 @@ PINNED = [
            Logic("and", Cmp(">", Name("d1"), Lit(1)), Lit(True)))),
     (box, '(d1 - 1) - 2 == "s"',
      Cmp("==", Arith("-", Arith("-", Name("d1"), Lit(1)), Lit(2)), Lit("s"))),
+    # true and false are literals in the context grammar too, not names
+    (parse_expr, "x == true", BinOp("==", VarRef("x"), BoolLit(True))),
+    (parse_expr, "(false)", BoolLit(False)),
+    (parse_expr, "true_x", VarRef("true_x")),
 ]
 
 
@@ -267,6 +280,24 @@ def test_to_text_of_a_long_chain_reparses_to_an_equal_tree():
     bracketed = BinOp("!", tree, DimSetLit(("x",)))
     assert to_text(bracketed) == f"({text}) ! {{x}}"
     assert left_spine(parse_expr(to_text(bracketed))) == left_spine(bracketed)
+
+
+# --- boolean results print as literals that read back ------------------------------
+
+pairs_st = st.dictionaries(st.sampled_from("de"), st.integers(0, 2), max_size=2).map(
+    lambda d: "{" + ", ".join(f"({k}, {v})" for k, v in d.items()) + "}")
+
+
+@given(pairs_st, st.sampled_from(["==", "<<=", ">>="]), pairs_st)
+def test_a_printed_comparison_reads_back_as_the_same_boolean(left, op, right):
+    s = new_session()
+    run_command(s, "dim d : int")
+    run_command(s, "dim e : int")
+    line = f"{left} {op} {right}"
+    value = evaluate(parse_expr(line), s.env)
+    [text] = run_command(s, f"eval {line}")
+    assert evaluate(parse_expr(text), s.env) is value
+    assert to_text(parse_expr(text)) == text
 
 
 # --- enum comparisons ----------------------------------------------------------------

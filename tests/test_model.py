@@ -140,6 +140,12 @@ def test_construction_errors():
 def test_bool_is_not_int_tag():
     with pytest.raises(TagTypeMismatch):
         make_context(REG, [("d", True)])
+    with pytest.raises(TagTypeMismatch):
+        MicroContext(REG.get("d"), True)
+    b = DimensionRegistry().register("b", TagKind.BOOL)
+    with pytest.raises(TagTypeMismatch):
+        MicroContext(b, 1)
+    assert MicroContext(REG.get("d"), 1) != MicroContext(b, True)
 
 
 def test_dimension_identity_is_name_and_kind():
@@ -260,6 +266,67 @@ def test_context_hashable_and_immutable():
 def test_micro_repr_and_str():
     assert str(ctx(("e", 4), ("d", 1))) == "{(d, 1), (e, 4)}"
     assert repr(MicroContext(REG.get("d"), 1)) == "(d, 1)"
+    # by name, then by tag: numbers by value, enums by ordinal
+    reg = DimensionRegistry()
+    reg.register("d", TagKind.INT)
+    reg.register("m", TagKind.ENUM, ["zeta", "alpha", "mu"])
+    reg.register("s", TagKind.STR)
+    c = make_context(reg, [("s", 'a"b\\c'), ("m", "mu"), ("d", 10), ("m", "alpha"),
+                           ("d", 2), ("m", "zeta")])
+    assert str(c) == (
+        '{(d, 2), (d, 10), (m, zeta), (m, alpha), (m, mu), (s, "a\\"b\\\\c")}'
+    )
+
+
+# --- micro contexts ---------------------------------------------------------------
+
+
+def two_registries():
+    """Two registries whose dimensions agree on some names and kinds."""
+    one, two = DimensionRegistry(), DimensionRegistry()
+    one.register("d", TagKind.INT)
+    two.register("d", TagKind.INT, [0, 1, 2])
+    one.register("b", TagKind.BOOL)
+    two.register("b", TagKind.INT)
+    one.register("s", TagKind.STR)
+    two.register("s", TagKind.STR)
+    one.register("m", TagKind.ENUM, ["x", "y"])
+    two.register("m", TagKind.ENUM, ["y", "x"])
+    return one, two
+
+
+TAGS = {TagKind.INT: [0, 1, 2], TagKind.BOOL: [False, True],
+        TagKind.STR: ["", "x", '"'], TagKind.ENUM: ["x", "y"]}
+
+
+@st.composite
+def micro_st(draw):
+    reg = draw(st.sampled_from(two_registries()))
+    dim = reg.get(draw(st.sampled_from("dbsm")))
+    return MicroContext(dim, draw(st.sampled_from(TAGS[dim.tag_type])))
+
+
+def micro_oracle(m):
+    return m.dimension.name, m.dimension.tag_type, m.tag
+
+
+@given(micro_st(), micro_st())
+def test_micro_equality_and_hash_agree_with_an_oracle(m1, m2):
+    assert (m1 == m2) == (micro_oracle(m1) == micro_oracle(m2))
+    assert (m1 != m2) == (micro_oracle(m1) != micro_oracle(m2))
+    if m1 == m2:
+        assert hash(m1) == hash(m2)
+    assert m1 == MicroContext(m1.dimension, m1.tag) and m1 != micro_oracle(m1)
+
+
+def test_micro_contexts_are_immutable_and_carry_no_dict():
+    m = MicroContext(REG.get("d"), 1)
+    for name in ("tag", "dimension", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 2)
+    with pytest.raises(AttributeError):
+        del m.tag
+    assert not hasattr(m, "__dict__") and m.tag == 1
 
 
 # --- against an oracle of plain frozensets of (name, tag) pairs -------------
@@ -350,10 +417,10 @@ def test_values_survive_copy_and_pickle(trip):
     reg.register("m", TagKind.ENUM, MONTHS)
     c = make_context(reg, [("d", 2), ("m", "Fe")])
     cs = ContextSet([c, make_context(reg, [("d", 3)])])
-    for value in (reg.get("d"), reg.get("m"), NULL_CONTEXT, c, cs):
+    for value in (reg.get("d"), reg.get("m"), *c, NULL_CONTEXT, c, cs):
         got = trip(value)
         assert type(got) is type(value)
-        assert got == value
+        assert got == value and repr(got) == repr(value)
         assert got in {value} and value in {got}
     got = trip(c)
     assert got.dims() == c.dims()
@@ -363,7 +430,8 @@ def test_values_survive_copy_and_pickle(trip):
 
 
 _BUILD = """
-from ctxcalc.model import ContextSet, DimensionRegistry, TagKind, make_context
+from ctxcalc.model import (
+    ContextSet, DimensionRegistry, MicroContext, TagKind, make_context)
 reg = DimensionRegistry()
 reg.register("day", TagKind.INT)
 reg.register("mood", TagKind.ENUM, ["calm", "busy"])
@@ -388,6 +456,8 @@ def test_a_pickle_loads_under_another_hash_seed():
         "[gc] = got\n"
         "assert got == value and got in {value}\n"
         "assert gc in {c} and gc.dims() == c.dims()\n"
+        "assert all(m in set(c) for m in gc)\n"
+        "assert all(hash(m) == hash(MicroContext(m.dimension, m.tag)) for m in gc)\n"
         "assert all(d in set(c.dims()) for d in gc.dims())\n"
         "assert all(reg.get(d.name) in {d} for d in gc.dims())\n"
         "print('ok')\n"

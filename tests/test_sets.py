@@ -372,9 +372,43 @@ wide_st = st.lists(
 ).map(ContextSet)
 
 
+def intersection_oracle(p1, p2):
+    """Nested-loop pairwise conjunction."""
+    return {a & b for a in p1 for b in p2}
+
+
+def difference_oracle(p1, p2):
+    """Nested-loop pairwise difference."""
+    return {a - b for a in p1 for b in p2}
+
+
+def override_oracle(p1, p2):
+    """Nested-loop pairwise override: b wins on the names it binds."""
+    return {
+        frozenset(x for x in a if x[0] not in names_of([b])) | b
+        for a in p1
+        for b in p2
+    }
+
+
 @given(wide_st, wide_st)
 def test_join_matches_nested_loop(s1, s2):
     assert plain(join(s1, s2)) == join_oracle(plain(s1), plain(s2))
+
+
+@given(wide_st, wide_st)
+def test_set_intersection_matches_nested_loop(s1, s2):
+    assert plain(set_intersection(s1, s2)) == intersection_oracle(plain(s1), plain(s2))
+
+
+@given(wide_st, wide_st)
+def test_lift_difference_matches_nested_loop(s1, s2):
+    assert plain(lift_difference(s1, s2)) == difference_oracle(plain(s1), plain(s2))
+
+
+@given(wide_st, wide_st)
+def test_lift_override_matches_nested_loop(s1, s2):
+    assert plain(lift_override(s1, s2)) == override_oracle(plain(s1), plain(s2))
 
 
 @given(wide_st, wide_st)
@@ -387,30 +421,65 @@ def one_to_one_grids(n, right="f"):
     return left, ContextSet(ctx(("d", i), (right, i)) for i in range(n))
 
 
-def count_disjunctions(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Count the calls the set operators make to ops.<name>."""
     calls = []
-    real = ops.disjunction
+    real = getattr(ops, name)
 
     def counted(a, b):
         calls.append(1)
         return real(a, b)
 
-    monkeypatch.setattr(ops, "disjunction", counted)
+    monkeypatch.setattr(ops, name, counted)
     return calls
 
 
 def test_join_builds_only_agreeing_pairs(monkeypatch):
     s1, s2 = one_to_one_grids(600)
-    calls = count_disjunctions(monkeypatch)
+    calls = count_calls(monkeypatch, "disjunction")
     out = join(s1, s2)
     assert len(out) == 600 and len(calls) == 600  # not 600 * 600 pairs
 
 
 def test_set_union_builds_each_member_once(monkeypatch):
     s1, s2 = one_to_one_grids(600, right="e")
-    calls = count_disjunctions(monkeypatch)
+    calls = count_calls(monkeypatch, "disjunction")
     out = set_union(s1, s2)
     assert out == s1 and len(calls) == 1200  # not 2 * 600 * 600 candidates
+
+
+# Two 32 x 32 grids, over (a, b) and over (b, c), that share dimension b.
+# The cartesian product of their members is 1,048,576 pairs.
+SIDE = 32
+ABC = int_registry("abc")
+
+
+def grid(x, y):
+    return ContextSet(
+        make_context(ABC, [(x, i), (y, j)]) for i in range(SIDE) for j in range(SIDE)
+    )
+
+
+def test_set_intersection_conjoins_distinct_projections(monkeypatch):
+    calls = count_calls(monkeypatch, "conjunction")
+    out = set_intersection(grid("a", "b"), grid("b", "c"))
+    agreeing = [make_context(ABC, [("b", j)]) for j in range(SIDE)]
+    assert out == ContextSet([*agreeing, NULL_CONTEXT])
+    assert len(calls) <= SIDE * SIDE
+
+
+def test_lift_difference_subtracts_distinct_projections(monkeypatch):
+    calls = count_calls(monkeypatch, "difference")
+    out = lift_difference(grid("a", "b"), grid("b", "c"))
+    assert len(out) == SIDE * SIDE + SIDE  # each member, and it without b
+    assert len(calls) <= SIDE * SIDE * SIDE
+
+
+def test_lift_override_overrides_distinct_remainders(monkeypatch):
+    calls = count_calls(monkeypatch, "override")
+    out = lift_override(grid("a", "b"), grid("b", "c"))
+    assert len(out) == SIDE**3
+    assert len(calls) <= SIDE * SIDE * SIDE
 
 
 # --- box enumeration against the filter over the full product ------------------
