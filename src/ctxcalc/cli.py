@@ -29,7 +29,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ContextCalcError, ExprSyntaxError
+from .errors import ContextCalcError, ExprSyntaxError, InternalError
 from .evaluator import Environment, evaluate
 from .lexer import END, INT, NAME, Cursor, tokenize
 from .model import (
@@ -236,13 +236,20 @@ def run_command(session: Session, line: str) -> list:
     return handler(session, cur)
 
 
+def _internal(exc: Exception, where: str = "") -> InternalError:
+    """A raw exception that a command line ended in, as the typed error the
+    REPL and the file runner report it by; it is a defect."""
+    return InternalError(f"{where}internal error: {type(exc).__name__}: {exc}")
+
+
 def _run_file(session: Session, path: str, emit):
     """Run the commands of a file in order, passing each output line to
     emit, up to the end of the file or a quit line.
 
     Raises OSError when the file cannot be read, a ContextCalcError when
     the file is already being run (a load cycle), and a ContextCalcError
-    that starts with ``line N:`` when the command on line N fails.
+    that starts with ``line N:`` when the command on line N fails, an
+    InternalError if it fails with a raw exception.
     """
     real = os.path.realpath(path)
     if real in session.loading:
@@ -259,6 +266,8 @@ def _run_file(session: Session, path: str, emit):
                 return
             except ContextCalcError as exc:
                 raise ContextCalcError(f"line {lineno}: {exc}") from exc
+            except Exception as exc:
+                raise _internal(exc, f"line {lineno}: ") from exc
     finally:
         session.loading.discard(real)
 
@@ -303,6 +312,8 @@ def repl(session: Session, stdin=None, out=None, err=None) -> int:
             return 0
         except ContextCalcError as exc:
             print(f"error: {exc}", file=err)
+        except Exception as exc:
+            print(f"error: {_internal(exc)}", file=err)
     return 0
 
 

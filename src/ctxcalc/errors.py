@@ -5,6 +5,11 @@ class ContextCalcError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class InternalError(ContextCalcError):
+    """A command failed with an exception the package did not raise on
+    purpose: a defect, reported as a typed error instead of a traceback."""
+
+
 # --- dimension and context construction ---------------------------------
 
 class DuplicateDimension(ContextCalcError):

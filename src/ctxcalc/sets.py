@@ -157,6 +157,7 @@ _INT = (TagKind.INT, None)
 _BOOL = (TagKind.BOOL, None)
 _ARITHMETIC = ("+", "-", "*")
 _LOGIC = ("and", "or")
+_LINEAR = ("+", "-")
 
 
 def _resolve_symbol(name: str, dims) -> EnumValue:
@@ -348,15 +349,58 @@ def _conjuncts(node: BoolExpr) -> list:
     return out
 
 
-def _solved_side(conjunct: BoolExpr, name: str, bound) -> BoolExpr:
-    """For ``name == E`` or ``E == name`` with E over bound dimensions
-    only, the expression E that fixes the dimension; else None."""
+def _solved_side(conjunct: BoolExpr, d: Dimension) -> BoolExpr:
+    """For an ``==`` conjunct that fixes dimension d, the expression E with
+    ``conjunct`` equivalent to ``d == E``; else None.
+
+    The conjunct fixes d when d occurs in it exactly once: as one side of
+    the ``==``, or, for an int dimension, reached from one side through
+    binary ``+`` and ``-`` only.  The terms around d are moved across:
+    ``A + B == R`` becomes ``A == R - B`` or ``B == R - A``, and
+    ``A - B == R`` becomes ``A == R + B`` or ``B == A - R``.  Predicate
+    arithmetic is over integers, so the rewrite is exact.  One pass over
+    the conjunct finds d and the path to it.
+    """
     if not (isinstance(conjunct, Pointwise) and conjunct.op == "=="):
         return None
-    for side, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
-        if isinstance(side, Ref) and side.name == name and references(other) <= bound:
-            return other
-    return None
+    linear = d.tag_type is TagKind.INT
+    # A trail is the path from the root down to a node, as a linked list
+    # (node above, whether the path goes left, trail of that node); it is
+    # None below any node other than the root, + and -.
+    path = None
+    stack = [(conjunct.right, (conjunct, False, None)),
+             (conjunct.left, (conjunct, True, None))]
+    while stack:
+        node, trail = stack.pop()
+        if isinstance(node, Ref):
+            if node.name == d.name:
+                if trail is None or path is not None:
+                    return None
+                path = trail
+        elif isinstance(node, Pointwise):
+            if linear and trail is not None and node.op in _LINEAR:
+                stack += ((node.right, (node, False, trail)),
+                          (node.left, (node, True, trail)))
+            else:
+                stack += ((node.right, None), (node.left, None))
+        elif isinstance(node, NotOp):
+            stack.append((node.operand, None))
+    if path is None:
+        return None
+    steps = []
+    while path is not None:
+        node, left, path = path
+        steps.append((node, left))
+    root, left = steps.pop()
+    solution = root.right if left else root.left
+    for node, left in reversed(steps):
+        if node.op == "+":  # A + B == R
+            solution = Pointwise("-", solution, node.right if left else node.left)
+        elif left:  # A - B == R  gives  A == R + B
+            solution = Pointwise("+", solution, node.right)
+        else:  # A - B == R  gives  B == A - R
+            solution = Pointwise("-", node.left, solution)
+    return solution
 
 
 def _admits(tests, by_name, assignment) -> bool:
@@ -374,11 +418,16 @@ def box_enumerate(box: Box) -> ContextSet:
     its top-level ``and`` conjuncts, and each conjunct is tested as soon as
     the last dimension it reads is bound, so a failing prefix prunes every
     extension of it; a conjunct that reads no dimension is tested once,
-    before any is bound.  When a conjunct is ``d == E`` (either way round)
-    with E over dimensions bound before d, d is not swept: E is evaluated
-    and the domain's own tag equal to it, if the index has one, is the
-    only candidate.  Enum symbols are resolved once per call.  The result
-    equals filtering the full product of the domains.
+    before any is bound.  When a conjunct fixes its last dimension d, d is
+    not swept: the conjunct is ``d == E`` (either way round) with E over
+    dimensions bound before d, or a linear equality such as ``d + u == 7``
+    that ``_solved_side`` rewrites into that form once per call.  E is
+    evaluated and the domain's own tag equal to it, if the index has one,
+    is the only candidate; the conjunct itself is still tested.  Enum
+    symbols are resolved once per call.  Each (dimension, tag) micro
+    context is built at most once per call, when the first member that
+    binds it is emitted, and shared by every member that binds it.  The
+    result equals filtering the full product of the domains.
     """
     for d in box.dims:
         if d.domain is None:
@@ -397,10 +446,10 @@ def box_enumerate(box: Box) -> ContextSet:
         tests[max(level_of[n] for n in names)].append(conjunct)
     if not box.dims:
         return ContextSet([Context()])
+    # every name in tests[i] other than box.dims[i] is bound before it
     solved = []
-    for i, d in enumerate(box.dims):
-        bound = {e.name for e in box.dims[:i]}
-        sides = (_solved_side(t, d.name, bound) for t in tests[i])
+    for d, level_tests in zip(box.dims, tests):
+        sides = (_solved_side(t, d) for t in level_tests)
         solved.append(next((e for e in sides if e is not None), None))
 
     assignment: dict = {}
@@ -413,7 +462,13 @@ def box_enumerate(box: Box) -> ContextSet:
         return () if k is None else (d.domain[k],)
 
     # pending[i] yields the untried candidates of dimension i under the
-    # tags bound to the dimensions before it
+    # tags bound to the dimensions before it.  chosen[:fresh] are the micro
+    # contexts of the tags bound now, taken from micros only when a member
+    # is emitted, so a prefix that completes no member builds none.
+    n = len(box.dims)
+    micros = [{} for _ in box.dims]
+    chosen = [None] * n
+    fresh = 0
     members = []
     pending = [iter(candidates(0))]
     while pending:
@@ -426,10 +481,18 @@ def box_enumerate(box: Box) -> ContextSet:
         else:
             pending.pop()
             continue
-        if len(pending) < len(box.dims):
+        if i < fresh:
+            fresh = i
+        if i + 1 < n:
             pending.append(iter(candidates(i + 1)))
-        else:
-            members.append(
-                Context(MicroContext(e, assignment[e.name]) for e in box.dims)
-            )
+            continue
+        for j in range(fresh, n):
+            e = box.dims[j]
+            tag = assignment[e.name]
+            micro = micros[j].get(tag)
+            if micro is None:
+                micro = micros[j][tag] = MicroContext(e, tag)
+            chosen[j] = micro
+        fresh = n
+        members.append(Context(chosen))
     return ContextSet(members)

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxcalc import streams
+from ctxcalc import cli, streams
 from ctxcalc.cli import new_session, repl, run_command, run_script
 from ctxcalc.errors import (
     ContextCalcError,
     DemandExhausted,
     DuplicateName,
     ExprSyntaxError,
+    InternalError,
     UnknownToken,
     UnresolvedReference,
 )
@@ -225,6 +226,44 @@ def test_one_budget_bounds_a_whole_show_line():
     assert run_command(new_session(budget=100), "show 1 100") == [" ".join(["1"] * 100)]
     with pytest.raises(DemandExhausted):
         run_command(new_session(budget=100), "show 1 101")
+
+
+# --- defects ---------------------------------------------------------------------
+# A raw exception is a defect.  The REPL and the file runner report it as a
+# typed InternalError that names it; run_command itself lets it through, so
+# the fuzz test below still sees it.
+
+
+def _raise_value_error(session, cur):
+    raise ValueError("boom")
+
+
+def test_a_raw_exception_is_an_internal_error_and_the_repl_goes_on(monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "eval", _raise_value_error)
+    out, err = io.StringIO(), io.StringIO()
+    lines = "dim d : int\neval {(d, 1)}\nlet c = {(d, 2)}\nquit\neval {(d, 3)}\n"
+    assert repl(new_session(), io.StringIO(lines), out, err) == 0
+    assert out.getvalue() == "dim d : int\nc = {(d, 2)}\n"
+    # quit still ends the session: the last line never runs
+    assert err.getvalue() == "error: internal error: ValueError: boom\n"
+    with pytest.raises(ValueError):
+        run_command(new_session(), "eval {(d, 1)}")
+
+
+def test_a_raw_exception_stops_a_script_or_a_load_at_its_line(monkeypatch, tmp_path):
+    monkeypatch.setitem(cli._HANDLERS, "eval", _raise_value_error)
+    path = tmp_path / "defect.ctx"
+    path.write_text("dim d : int\neval {(d, 1)}\ndim e : int\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_script(str(path), out=out, err=err) == 1
+    assert out.getvalue() == "dim d : int\n"
+    assert err.getvalue() == "error: line 2: internal error: ValueError: boom\n"
+    s = new_session()
+    with pytest.raises(ContextCalcError) as info:
+        run_command(s, f"load {path}")
+    assert str(info.value) == f"{path} line 2: internal error: ValueError: boom"
+    assert isinstance(info.value.__cause__, InternalError)
+    assert s.loading == set()
 
 
 # --- fuzz -----------------------------------------------------------------------

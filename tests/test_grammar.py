@@ -242,16 +242,22 @@ def chain_session():
     return session
 
 
-@pytest.mark.parametrize("predicate", [
-    " or ".join(f"x == {k}" for k in range(1, CHAIN + 1)),
-    "x" + " + 1" * (CHAIN - 1) + f" > {CHAIN - 1}",
-], ids=["or-chain", "plus-chain"])
-def test_a_long_box_predicate_chain_prints_and_enumerates(predicate):
+ALL_X = "{{(x, 1)}, {(x, 2)}, {(x, 3)}}"
+
+
+@pytest.mark.parametrize("predicate, members", [
+    (" or ".join(f"x == {k}" for k in range(1, CHAIN + 1)), ALL_X),
+    ("x" + " + 1" * (CHAIN - 1) + f" > {CHAIN - 1}", ALL_X),
+    # x innermost of the left chain: the equality is solved for x through
+    # every term
+    ("x" + " + 1" * (CHAIN - 1) + f" == {CHAIN + 1}", "{{(x, 2)}}"),
+], ids=["or-chain", "plus-chain", "linear-chain"])
+def test_a_long_box_predicate_chain_prints_and_enumerates(predicate, members):
     session = chain_session()
     assert run_command(session, f"let B = Box[x | {predicate}]") == [
         f"B = Box[x | {predicate}]"
     ]
-    assert run_command(session, "eval B ! {x}") == ["{{(x, 1)}, {(x, 2)}, {(x, 3)}}"]
+    assert run_command(session, "eval B ! {x}") == [members]
 
 
 def test_a_long_stream_chain_shows():

@@ -22,6 +22,7 @@ from ctxcalc.model import (
     make_context,
 )
 from ctxcalc.sets import (
+    Arith,
     Box,
     Cmp,
     Lit,
@@ -491,6 +492,7 @@ def box_oracle_registry():
     reg.register("y", TagKind.INT, [1, 3, 5, 7])
     reg.register("m", TagKind.ENUM, ["Ja", "Fe", "Mr"])
     reg.register("b", TagKind.BOOL, [False, True])
+    reg.register("s", TagKind.STR, ["", "a", "b"])
     return reg
 
 
@@ -539,6 +541,26 @@ int_term = st.recursive(
     max_leaves=3,
 )
 int_cmp = st.builds(op, st.sampled_from(["==", "!=", "<", ">="]), int_term, int_term)
+# + and - over dimensions and constants, with a few products; a sum that
+# holds one box dimension once, under + and - only, is solved for it
+lin_term = st.recursive(
+    st.sampled_from([("ref", "x"), ("ref", "y"), ("ref", "b")])
+    | st.integers(-3, 9).map(lambda v: ("const", v))
+    | st.builds(op, st.just("*"), st.sampled_from([("ref", "x"), ("ref", "y")]),
+                st.integers(-2, 2).map(lambda v: ("const", v))),
+    lambda sub: st.builds(op, st.sampled_from("+-"), sub, sub),
+    max_leaves=5,
+)
+X, Y = ("ref", "x"), ("ref", "y")
+small = st.integers(-2, 12).map(lambda v: ("const", v))
+# x + y == k, k - x == y, x - y + 1 == k, and any sum against any sum
+linear_eq = st.one_of(
+    st.builds(lambda k, swap: op("==", op("+", X, Y), k, swap), small, st.booleans()),
+    st.builds(lambda k, swap: op("==", op("-", k, X), Y, swap), small, st.booleans()),
+    st.builds(lambda k, swap: op("==", op("+", op("-", X, Y), ("const", 1)), k, swap),
+              small, st.booleans()),
+    st.builds(op, st.just("=="), lin_term, lin_term),
+)
 atom = st.one_of(
     # a bare dimension on one side of == is solved, its value maybe outside
     # the domain
@@ -551,6 +573,10 @@ atom = st.one_of(
     st.builds(op, st.just("=="), st.just(("ref", "b")), int_cmp, st.booleans()),
     # bool against int: True == 1 and False == 0 hash alike
     st.builds(op, st.just("=="), st.just(("ref", "x")), int_cmp, st.booleans()),
+    linear_eq,
+    st.builds(op, st.sampled_from(["==", "<", "!="]), st.just(("ref", "s")),
+              st.sampled_from([("const", v) for v in ("", "a", "b", "c")]),
+              st.booleans()),
 )
 conjunct = st.recursive(
     atom,
@@ -561,9 +587,23 @@ conjunct = st.recursive(
 
 @given(
     st.lists(conjunct, min_size=1, max_size=4),
-    st.permutations(["x", "y", "m", "b"]),
+    st.permutations(["x", "y", "m", "b", "s"]),
 )
 def test_box_enumerate_matches_product_filter(conjuncts, order):
+    assert_enumerates_as_filtered(conjuncts, order)
+
+
+@given(
+    st.lists(linear_eq, min_size=1, max_size=2),
+    st.permutations(["x", "y", "b"]),
+)
+def test_box_solves_linear_equalities_as_the_product_filter(conjuncts, order):
+    # either dimension may be the last bound, so each rewrite rule is met
+    # with the solved dimension on either side of + and -
+    assert_enumerates_as_filtered(conjuncts, order)
+
+
+def assert_enumerates_as_filtered(conjuncts, order):
     pred = conjuncts[0]
     for c in conjuncts[1:]:
         pred = ("op", "and", pred, c)
@@ -578,6 +618,19 @@ def test_box_enumerate_matches_product_filter(conjuncts, order):
     assert plain(got) == want
 
 
+def count_admits(monkeypatch):
+    """A list that grows by one on each candidate tag that box_enumerate tries."""
+    tries = []
+    real = sets._admits
+
+    def counted(tests, by_name, assignment):
+        tries.append(1)
+        return real(tests, by_name, assignment)
+
+    monkeypatch.setattr(sets, "_admits", counted)
+    return tries
+
+
 def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
     reg = DimensionRegistry()
     for n in "xyz":
@@ -588,14 +641,42 @@ def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
         Logic("and", Cmp("==", Name("x"), Lit(3)), Cmp("==", Name("y"), Lit(4))),
         Cmp("==", Name("z"), Lit(5)),
     )
-    tries = []
-    real = sets._admits
-
-    def counted(tests, by_name, assignment):
-        tries.append(1)
-        return real(tests, by_name, assignment)
-
-    monkeypatch.setattr(sets, "_admits", counted)
+    tries = count_admits(monkeypatch)
     got = box_enumerate(box_make([x, y, z], pred))
     assert got == cs(make_context(reg, [("x", 3), ("y", 4), ("z", 5)]))
     assert len(tries) <= 3 * 60  # the full product is 216,000
+
+
+def test_box_solves_a_linear_equality_for_its_last_dimension(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "xy":
+        reg.register(n, TagKind.INT, range(60))
+    x, y = reg.get("x"), reg.get("y")
+    tries = count_admits(monkeypatch)
+    pred = Cmp("==", Arith("+", Name("x"), Name("y")), Lit(7))
+    got = box_enumerate(box_make([x, y], pred))
+    assert got == ContextSet(
+        make_context(reg, [("x", k), ("y", 7 - k)]) for k in range(8))
+    # x is swept and y is solved: one try per value of x, where sweeping
+    # y as well tries 60 + 60 * 60
+    assert len(tries) <= 2 * 60
+
+
+def test_box_builds_each_micro_context_once(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "xy":
+        reg.register(n, TagKind.INT, range(60))
+    x, y = reg.get("x"), reg.get("y")
+    built = []
+    real = sets.MicroContext
+
+    def counted(dimension, tag):
+        built.append((dimension.name, tag))
+        return real(dimension, tag)
+
+    monkeypatch.setattr(sets, "MicroContext", counted)
+    got = box_enumerate(box_make([x, y], Cmp("<", Name("x"), Lit(3))))
+    assert len(got) == 180
+    # one per distinct (dimension, tag) of the members: 3 of x, 60 of y,
+    # where one per member per dimension is 360
+    assert len(built) <= 3 + 60
