@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContextCalcError, ExprSyntaxError, InternalError
 from .evaluator import Environment, evaluate
-from .lexer import END, INT, NAME, Cursor, tokenize
+from .lexer import BOOLEANS, END, INT, NAME, Cursor, tokenize
 from .model import (
     Context,
     ContextSet,
@@ -39,7 +39,7 @@ from .model import (
     TagKind,
     format_tag,
 )
-from .parser import BOOLEANS, parse_expr
+from .parser import parse_expr
 from .sets import Box
 from . import streams
 
@@ -110,8 +110,16 @@ def _render_prefix(session: Session, values) -> str:
 _TAG_KINDS = {kind.value: kind for kind in TagKind}
 
 
+def _name(cur: Cursor, what: str) -> str:
+    """A name that is not a boolean word; ``what`` says what it names."""
+    word = cur.peek().text
+    if word in BOOLEANS:
+        cur.fail(f"{word!r} cannot name {what}")
+    return cur.expect(NAME).text
+
+
 def _dim_command(session: Session, cur: Cursor) -> list:
-    name = cur.expect(NAME).text
+    name = _name(cur, "a dimension")
     cur.expect(":")
     tok = cur.peek()
     kind = _TAG_KINDS.get(tok.text) if tok.kind == NAME else None
@@ -122,7 +130,7 @@ def _dim_command(session: Session, cur: Cursor) -> list:
     if kind is TagKind.ENUM:
         cur.expect("{")
         if cur.peek().kind != "}":
-            domain = cur.comma_list(lambda c: c.expect(NAME).text)
+            domain = cur.comma_list(lambda c: _name(c, "an enum symbol"))
         cur.expect("}")
         cur.close()
     else:
@@ -136,10 +144,7 @@ def _dim_command(session: Session, cur: Cursor) -> list:
 
 
 def _let_command(session: Session, cur: Cursor) -> list:
-    word = cur.peek().text
-    if word in BOOLEANS:
-        cur.fail(f"{word!r} cannot name a variable")
-    name = cur.expect(NAME).text
+    name = _name(cur, "a variable")
     cur.expect("=")
     value = evaluate(parse_expr(cur.rest()), session.env)
     session.env.bind(name, value)

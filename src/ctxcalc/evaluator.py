@@ -24,18 +24,7 @@ from .model import (
     DimensionRegistry,
     MicroContext,
 )
-from .parser import (
-    BinOp,
-    BoolLit,
-    BoxLit,
-    ContextLit,
-    DimSetLit,
-    Node,
-    PairLit,
-    SetLit,
-    SymbolLit,
-    VarRef,
-)
+from .parser import BoxLit, ContextLit, DimSetLit, Node, PairLit, SetLit
 from .sets import (
     Box,
     box_enumerate,
@@ -50,6 +39,7 @@ from .sets import (
     set_intersection,
     set_union,
 )
+from .streams import Const, Pointwise, Ref
 from . import ops
 
 Value = Union[Context, ContextSet, Box, frozenset, bool]
@@ -129,7 +119,7 @@ ROWS = {
 
 
 def _micro(env: Environment, name: str, raw) -> MicroContext:
-    tag = raw.name if isinstance(raw, SymbolLit) else raw
+    tag = raw.name if isinstance(raw, Ref) else raw
     return MicroContext(env.registry.get(name), tag)  # which coerces the tag
 
 
@@ -138,7 +128,7 @@ def _context_from_literal(env: Environment, node: ContextLit) -> Context:
 
 
 def _leaf(node: Node, env: Environment) -> Value:
-    if isinstance(node, VarRef):
+    if isinstance(node, Ref):
         return env.lookup(node.name)
     if isinstance(node, ContextLit):
         return _context_from_literal(env, node)
@@ -150,7 +140,7 @@ def _leaf(node: Node, env: Environment) -> Value:
         return Context([_micro(env, node.dim, node.tag)])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
-    if isinstance(node, BoolLit):
+    if isinstance(node, Const):
         return node.value
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -160,7 +150,7 @@ def evaluate(node: Node, env: Environment) -> Value:
     or boolean.  A chain of left operands is walked with a loop, innermost
     operator first; only right operands are evaluated recursively."""
     spine = []
-    while isinstance(node, BinOp):
+    while isinstance(node, Pointwise):
         spine.append(node)
         node = node.left
     value = _leaf(node, env)

@@ -7,6 +7,15 @@ checked during evaluation, not during parsing.  ``CONTEXT`` is the table
 this grammar gives the operator-precedence core in ``lexer``; its binding
 powers are the indices of ``PRECEDENCE_LEVELS``.  ``a <= b`` is accepted
 as argument-swapped sugar for ``b => a``.
+
+A context tree is built from the stream language's nodes where the two
+languages meet: a variable or enum symbol is a ``streams.Ref``, ``true``
+and ``false`` are ``streams.Const``, and an infix operator is a
+``streams.Pointwise``.  ``VarRef``, ``SymbolLit``, ``BoolLit`` and
+``BinOp`` are other names for those classes.  The literal nodes below
+are the context grammar's own.  ``to_text`` is the shared printer,
+``lexer.unparse``, with this grammar's table; ``_leaf_text`` prints the
+literals, and a Box literal's predicate through ``streams.PREDICATE``.
 """
 
 from __future__ import annotations
@@ -15,25 +24,15 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Tuple, Union
 
-from .lexer import END, NAME, Cursor, Grammar, Rule, tokenize
+from .lexer import BOOLEANS, END, NAME, Cursor, Grammar, Rule, tokenize, unparse
 from .model import format_tag
-from .sets import BoolExpr, predicate_text
-from .streams import PREDICATE
+from .streams import PREDICATE, Const, Pointwise, Ref, StreamExpr
 
 # --- AST -----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class VarRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class SymbolLit:
-    """A bare identifier in tag position (an enum symbol)."""
-
-    name: str
-
+VarRef = SymbolLit = Ref  # a variable, or a bare identifier in tag position
+BoolLit = Const  # the literal true or false, as comparisons print their result
+BinOp = Pointwise
 
 TagLiteral = Union[int, str, bool, SymbolLit]
 
@@ -64,24 +63,10 @@ class PairLit:
 @dataclass(frozen=True)
 class BoxLit:
     dims: Tuple[str, ...]
-    predicate: BoolExpr
+    predicate: StreamExpr
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    """The literal ``true`` or ``false``, as comparisons print their result."""
-
-    value: bool
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[VarRef, ContextLit, DimSetLit, SetLit, PairLit, BoxLit, BoolLit, BinOp]
+Node = Union[Ref, ContextLit, DimSetLit, SetLit, PairLit, BoxLit, Const, Pointwise]
 
 # Loosest to tightest; operators within a level associate left to right.
 PRECEDENCE_LEVELS = (
@@ -99,9 +84,6 @@ BINDING = {
 
 # --- literals ------------------------------------------------------------------
 
-# The words that are boolean literals, and so cannot name a variable.
-BOOLEANS = {"true": True, "false": False}
-
 
 def _name(cur: Cursor) -> str:
     return cur.expect(NAME).text
@@ -111,7 +93,7 @@ def _context_pair(cur: Cursor, open_kind="(", close_kind=")"):
     cur.expect(open_kind)
     dim = _name(cur)
     cur.expect(",")
-    tag = cur.tag(SymbolLit)
+    tag = cur.tag(Ref)
     cur.expect(close_kind)
     return dim, tag
 
@@ -157,8 +139,8 @@ def _atom(cur: Cursor) -> Node:
             return _box_literal(cur)
         cur.advance()
         if tok.text in BOOLEANS:
-            return BoolLit(BOOLEANS[tok.text])
-        return VarRef(tok.text)
+            return Const(BOOLEANS[tok.text])
+        return Ref(tok.text)
     if tok.kind == "{":
         return _brace_literal(cur)
     if tok.kind == "<":
@@ -169,16 +151,43 @@ def _atom(cur: Cursor) -> Node:
 
 
 def _swapped_range(left, right):
-    return BinOp("=>", right, left)
+    return Pointwise("=>", right, left)
+
+
+def _tag_literal_text(tag: TagLiteral) -> str:
+    return tag.name if isinstance(tag, Ref) else format_tag(tag)
+
+
+def _leaf_text(node: Node, min_bp: int) -> str:
+    if isinstance(node, Ref):
+        return node.name
+    if isinstance(node, ContextLit):
+        pairs = ", ".join(
+            f"({d}, {_tag_literal_text(t)})" for d, t in node.pairs
+        )
+        return "{" + pairs + "}"
+    if isinstance(node, DimSetLit):
+        return "{" + ", ".join(node.names) + "}"
+    if isinstance(node, SetLit):
+        return "{" + ", ".join(to_text(item) for item in node.items) + "}"
+    if isinstance(node, PairLit):
+        return f"<{node.dim}, {_tag_literal_text(node.tag)}>"
+    if isinstance(node, BoxLit):
+        names = ", ".join(node.dims)
+        return f"Box[{names} | {unparse(node.predicate, PREDICATE)}]"
+    if isinstance(node, Const):
+        return format_tag(node.value)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 CONTEXT = Grammar(
     prefix={},
     infix={
-        op: Rule(level, _swapped_range if op == "<=" else partial(BinOp, op))
+        op: Rule(level, _swapped_range if op == "<=" else partial(Pointwise, op))
         for op, level in BINDING.items()
     },
     atom=_atom,
+    leaf=_leaf_text,
 )
 
 
@@ -204,52 +213,7 @@ def parse_context_set_expr(source) -> Node:
     return parse_expr(source)
 
 
-# --- pretty printing ---------------------------------------------------------
-
-
-def _tag_literal_text(tag: TagLiteral) -> str:
-    return tag.name if isinstance(tag, SymbolLit) else format_tag(tag)
-
-
-def _operand_text(child: Node, min_bp: int) -> str:
-    text = to_text(child)
-    if isinstance(child, BinOp) and BINDING[child.op] < min_bp:
-        return f"({text})"
-    return text
-
-
 def to_text(node: Node) -> str:
     """Render a parse tree back to source text that reparses to an equal
-    tree.  A chain of left operands is rendered with a loop, innermost
-    operator first; only right operands are rendered recursively."""
-    chain = []
-    while isinstance(node, BinOp):
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    if isinstance(node, VarRef):
-        text = node.name
-    elif isinstance(node, ContextLit):
-        pairs = ", ".join(
-            f"({d}, {_tag_literal_text(t)})" for d, t in node.pairs
-        )
-        text = "{" + pairs + "}"
-    elif isinstance(node, DimSetLit):
-        text = "{" + ", ".join(node.names) + "}"
-    elif isinstance(node, SetLit):
-        text = "{" + ", ".join(to_text(item) for item in node.items) + "}"
-    elif isinstance(node, PairLit):
-        text = f"<{node.dim}, {_tag_literal_text(node.tag)}>"
-    elif isinstance(node, BoxLit):
-        names = ", ".join(node.dims)
-        text = f"Box[{names} | {predicate_text(node.predicate)}]"
-    elif isinstance(node, BoolLit):
-        text = format_tag(node.value)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    for n, above in zip(chain, chain[1:] + [None]):
-        rule = CONTEXT.infix[n.op]
-        text = f"{text} {n.op} {_operand_text(n.right, rule.right_bp)}"
-        if above is not None and rule.bp < CONTEXT.infix[above.op].left_bp:
-            text = f"({text})"
-    return text
+    tree."""
+    return unparse(node, CONTEXT)

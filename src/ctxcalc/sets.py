@@ -17,6 +17,7 @@ from .errors import (
     NonSimpleOperand,
     UnboundedBox,
 )
+from .lexer import left_chain, unparse
 from .model import (
     Context,
     ContextSet,
@@ -25,7 +26,6 @@ from .model import (
     MicroContext,
     TagKind,
     TagValue,
-    format_tag,
     kind_of,
 )
 from .streams import OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref, references
@@ -170,22 +170,9 @@ def _resolve_symbol(name: str, dims) -> EnumValue:
     raise IllTypedPredicate(f"ambiguous enum symbol {name!r} in box predicate")
 
 
-def _left_chain(node: BoolExpr) -> tuple:
-    """The operand that ends node's chain of left operands, and the
-    operator nodes above it, innermost first.  The predicate walkers fold
-    the chain with a loop and recurse only into right operands, so a long
-    chain such as ``x == 1 or x == 2 or ...`` costs them no recursion."""
-    chain = []
-    while isinstance(node, Pointwise) and node.op in PREDICATE.infix:
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return node, chain
-
-
 def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
     """Kind of a predicate node: (TagKind, enumeration-or-None)."""
-    node, chain = _left_chain(node)
+    node, chain = left_chain(node, PREDICATE)
     if isinstance(node, Const):
         k = kind_of(node.value)
         kind = k, node.value.enumeration if k is TagKind.ENUM else None
@@ -221,7 +208,7 @@ def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
 
 def eval_predicate(node: BoolExpr, dims_by_name, assignment) -> TagValue:
     """Evaluate a predicate under an assignment of dimension names to tags."""
-    # _left_chain inlined, as this runs once per Box candidate
+    # left_chain inlined, as this runs once per Box candidate
     chain = []
     while isinstance(node, Pointwise):
         chain.append(node)
@@ -256,29 +243,9 @@ def _operand_value(node: BoolExpr, dims_by_name, assignment) -> TagValue:
     raise IllTypedPredicate(f"not a predicate node: {node!r}")
 
 
-def predicate_text(node: BoolExpr, min_bp: int = 0) -> str:
-    """Render a predicate in the syntax the box-literal parser accepts,
-    bracketed if it binds looser than min_bp."""
-    node, chain = _left_chain(node)
-    # min_bp of each chain node: the left_bp of the node above it
-    rules = [PREDICATE.infix[n.op] for n in chain]
-    bps = [rule.left_bp for rule in rules] + [min_bp]
-    if isinstance(node, Const):
-        text = format_tag(node.value)
-    elif isinstance(node, Ref):
-        text = node.name
-    elif isinstance(node, NotOp):
-        rule = PREDICATE.prefix["not"]
-        text = f"not {predicate_text(node.operand, rule.bp + 1)}"
-        if rule.bp < bps[0]:
-            text = f"({text})"
-    else:
-        raise IllTypedPredicate(f"not a predicate node: {node!r}")
-    for n, rule, bp in zip(chain, rules, bps[1:]):
-        text = f"{text} {n.op} {predicate_text(n.right, rule.right_bp)}"
-        if rule.bp < bp:
-            text = f"({text})"
-    return text
+def predicate_text(node: BoolExpr) -> str:
+    """Render a predicate in the syntax the box-literal parser accepts."""
+    return unparse(node, PREDICATE)
 
 
 # --- boxes ----------------------------------------------------------------------
@@ -327,7 +294,7 @@ def box_contains(box: Box, c: Context) -> bool:
 def _bind_symbols(node: BoolExpr, by_name) -> BoolExpr:
     """The predicate with each enum-symbol name replaced by its member, so
     evaluation no longer searches the enum domains."""
-    node, chain = _left_chain(node)
+    node, chain = left_chain(node, PREDICATE)
     if isinstance(node, Ref) and node.name not in by_name:
         node = Const(_resolve_symbol(node.name, by_name.values()))
     elif isinstance(node, NotOp):

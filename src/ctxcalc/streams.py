@@ -58,10 +58,14 @@ from typing import Mapping, Optional, Tuple, Union
 from .errors import (
     DemandExhausted,
     DuplicateName,
+    IllTypedPredicate,
     KindMismatch,
     UnresolvedReference,
 )
-from .lexer import INT, NAME, NONE, RIGHT, Cursor, Grammar, Rule, tokenize
+from .lexer import (
+    BOOLEANS, INT, NAME, NONE, RIGHT, Cursor, Grammar, Rule, tokenize, unparse,
+)
+from .model import format_tag
 
 TIME = "time"
 
@@ -139,7 +143,9 @@ class Ref:
 
 @dataclass(frozen=True)
 class Pointwise:
-    op: str  # + - * == != < <= > >= and or
+    # + - * == != < <= > >= and or in stream and Box-predicate trees; in a
+    # context tree (``parser``), an operator of ``parser.PRECEDENCE_LEVELS``
+    op: str
     left: "StreamExpr"
     right: "StreamExpr"
 
@@ -618,10 +624,23 @@ def _predicate_atom(cur: Cursor) -> StreamExpr:
     return value if isinstance(value, Ref) else Const(value)
 
 
+def _predicate_leaf(node: StreamExpr, min_bp: int) -> str:
+    if isinstance(node, Const):
+        return format_tag(node.value)
+    if isinstance(node, Ref):
+        return node.name
+    if isinstance(node, NotOp):
+        rule = PREDICATE.prefix["not"]
+        text = f"not {unparse(node.operand, PREDICATE, rule.bp + 1)}"
+        return f"({text})" if rule.bp < min_bp else text
+    raise IllTypedPredicate(f"not a predicate node: {node!r}")
+
+
 PREDICATE = Grammar(
     prefix={"not": Rule(4, NotOp, RIGHT)},
     infix=_POINTWISE,
     atom=_predicate_atom,
+    leaf=_predicate_leaf,
 )
 
 
@@ -649,7 +668,7 @@ def _negate(operand: StreamExpr) -> StreamExpr:
     return Pointwise("-", Const(0), operand)
 
 
-_LITERAL_WORDS = {"nil": None, "true": True, "false": False}
+_LITERAL_WORDS = {"nil": None, **BOOLEANS}
 
 
 def _literal_item(cur: Cursor) -> Value:

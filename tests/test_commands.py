@@ -136,6 +136,10 @@ ERRORS = [
     ("eval a : a", ExprSyntaxError, 8),
     ("let b = a : a", ExprSyntaxError, 11),
     ("stream B = A : 1", ExprSyntaxError, 14),
+    # the boolean words name no dimension and no enum symbol
+    ("dim true : int", ExprSyntaxError, 5),
+    ("dim m : enum{true, Fe}", ExprSyntaxError, 14),
+    ("dim m : enum{A, false}", ExprSyntaxError, 17),
 ]
 
 

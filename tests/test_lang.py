@@ -25,6 +25,7 @@ from ctxcalc.parser import (
     BINDING,
     PRECEDENCE_LEVELS,
     BinOp,
+    BoolLit,
     BoxLit,
     ContextLit,
     DimSetLit,
@@ -37,7 +38,7 @@ from ctxcalc.parser import (
     parse_expr,
     to_text,
 )
-from ctxcalc.sets import Cmp, Lit, Name
+from ctxcalc.sets import Arith, Cmp, Lit, Logic, Name, Not
 
 from conftest import int_registry
 
@@ -194,14 +195,35 @@ def test_precedence_pairs_table_driven():
 
 _OPS = [op for level in PRECEDENCE_LEVELS for op in level if op != "<="]
 
+# A Box literal's predicate prints through the predicate grammar's table,
+# inside a context expression printed through the context grammar's.
+_predicates = st.recursive(
+    st.one_of(
+        st.sampled_from(["d1", "d2", "Ja"]).map(Name),
+        st.integers(-3, 3).map(Lit),
+        st.booleans().map(Lit),
+        st.just(Lit('a "b" \\')),
+    ),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        st.builds(Logic, st.sampled_from(["and", "or"]), kids, kids),
+        st.builds(Arith, st.sampled_from(["+", "-", "*"]), kids, kids),
+        st.builds(Cmp, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), kids, kids),
+    ),
+    max_leaves=6,
+)
 _leaves = st.one_of(
     st.sampled_from("abcs").map(VarRef),
+    st.booleans().map(BoolLit),
     st.just(ContextLit((("d", 1), ("e", 4)))),
     st.just(ContextLit(())),
+    st.just(ContextLit(
+        (("d", -2), ("s", 'a "b" \\'), ("b", False), ("m", SymbolLit("Ja"))))),
     st.just(DimSetLit(("d", "e"))),
     st.just(SetLit((ContextLit((("d", 2),)),))),
     st.just(PairLit("d", 3)),
     st.just(BoxLit(("d1", "d2"), Cmp("<", Name("d1"), Name("d2")))),
+    st.builds(BoxLit, st.just(("d1", "d2")), _predicates),
 )
 _exprs = st.recursive(
     _leaves,

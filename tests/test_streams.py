@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ctxcalc.errors import (
+    ContextCalcError,
     DemandExhausted,
     DuplicateName,
     ExprSyntaxError,
@@ -13,6 +14,7 @@ from ctxcalc.errors import (
     UnresolvedReference,
 )
 from ctxcalc import streams
+from ctxcalc.parser import parse_expr
 from ctxcalc.streams import (
     Asa,
     At,
@@ -448,6 +450,10 @@ def test_an_unknown_node_is_refused():
         eval_stream("A", EvalContext(), example_eqs())
     with pytest.raises(KindMismatch, match="not a stream expression: 1.5"):
         eval_stream(NotOp(1.5), EvalContext(), example_eqs())
+    # a context infix node is a Pointwise, so the chain loop walks it
+    for text in ("a ! {x}", "{(d, 1)} (+) {(d, 2)}", "{x}", "true (+) false"):
+        with pytest.raises(ContextCalcError):
+            eval_stream(parse_expr(text), EvalContext(), example_eqs())
 
 
 def test_budget_must_be_positive():
