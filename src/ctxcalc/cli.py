@@ -1,10 +1,11 @@
 """Interactive REPL and script runner.
 
 One command per line; a blank line, or one whose first non-blank character
-is ``#``, does nothing.  ``quit`` ends the session and ``load <path>`` runs
-the commands of a file (one that is not already being loaded).  Every
-other line is read as one token stream (see ``lexer``), so an error
-position counts from the start of the line:
+is ``#``, does nothing.  The command word ends at the first whitespace,
+a space or a tab alike.  ``quit``, which takes no argument, ends the
+session and ``load <path>`` runs the commands of a file (one that is not
+already being loaded).  Every other line is read as one token stream (see
+``lexer``), so an error position counts from the start of the line:
 
     dim NAME : int|str|bool TAG...        TAGs, if any, are the domain
     dim NAME : enum { NAME, ... }
@@ -96,12 +97,19 @@ def _render_result(session: Session, value) -> str:
     return payload
 
 
-def _render_prefix(session: Session, values) -> str:
+def _render_prefix(session: Session, dim: str, values) -> str:
     # A stream value is an int, a bool or nil; a bool prints as 0 or 1.
     ints = [None if v is None else int(v) for v in values]
-    if session.mode == "json":
-        return json.dumps({"kind": "stream_prefix", "value": ints})
-    return " ".join("nil" if v is None else str(v) for v in ints)
+    try:
+        if session.mode == "json":
+            return json.dumps({"kind": "stream_prefix", "value": ints})
+        return " ".join("nil" if v is None else str(v) for v in ints)
+    except ValueError:  # an int of more digits than str() converts
+        limit = sys.get_int_max_str_digits()
+        t = next(t for t, v in enumerate(ints)
+                 if v is not None and abs(v) >= 10 ** limit)
+        raise ContextCalcError(
+            f"the value at {dim} {t} has more than {limit} digits") from None
 
 
 # --- command implementations -------------------------------------------------
@@ -173,7 +181,7 @@ def _show_command(session: Session, cur: Cursor) -> list:
     values = streams.eval_prefix(
         expr, dim, count, session.equations, session.warehouse, session.budget
     )
-    return [_render_prefix(session, values)]
+    return [_render_prefix(session, dim, values)]
 
 
 def _eval_command(session: Session, cur: Cursor) -> list:
@@ -225,17 +233,23 @@ def run_command(session: Session, line: str) -> list:
 
     Raises ContextCalcError on failure, leaving the session unchanged.
     """
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+    parts = line.split(None, 1)
+    if not parts or parts[0].startswith("#"):
         return []
-    word, _, rest = stripped.partition(" ")
+    word = parts[0]
+    rest = parts[1].rstrip() if len(parts) == 2 else ""
     if word == "quit":
+        if rest:
+            column = len(line) - len(parts[1]) + 1
+            raise ExprSyntaxError(
+                f"quit takes no argument at position {column}", position=column)
         raise _Quit()
     if word == "load":
-        return _load_command(session, rest.strip())
+        return _load_command(session, rest)
     handler = _HANDLERS.get(word)
     if handler is None:
-        raise ExprSyntaxError(f"unknown command {word!r}")
+        column = len(line) - len(line.lstrip()) + 1
+        raise ExprSyntaxError(f"unknown command {word!r}", position=column)
     cur = Cursor(tokenize(line))
     cur.advance()  # the command word
     return handler(session, cur)

@@ -40,6 +40,7 @@ or set operator, one ``streams.OPERATORS`` entry for a pointwise one.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Callable, NamedTuple
 
 from .errors import ExprSyntaxError, UnbalancedParens, UnknownToken
@@ -266,11 +267,20 @@ class Cursor:
         return items
 
     def signed_int(self) -> int:
-        """An integer literal with an optional leading '-'."""
-        if self.tokens[self.i].kind == "-":
+        """An integer literal with an optional leading '-'; one of more
+        digits than ``int`` converts from text is a syntax error."""
+        negative = self.tokens[self.i].kind == "-"
+        if negative:
             self.i += 1
-            return -int(self.expect(INT).text)
-        return int(self.expect(INT).text)
+        tok = self.expect(INT)
+        try:
+            n = int(tok.text)
+        except ValueError:
+            raise ExprSyntaxError(
+                f"integer literal longer than {sys.get_int_max_str_digits()} "
+                f"digits at position {tok.column}", position=tok.column
+            ) from None
+        return -n if negative else n
 
     def tag(self, name: Callable):
         """A tag literal: a signed integer, a string, true or false.  Any

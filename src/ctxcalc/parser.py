@@ -199,18 +199,9 @@ def parse_expr(source) -> Node:
     return node
 
 
-def parse_context_expr(source) -> Node:
-    """Parse a context expression.
-
-    The grammar is shared with context-set expressions; operand kinds are
-    enforced during evaluation.
-    """
-    return parse_expr(source)
-
-
-def parse_context_set_expr(source) -> Node:
-    """Parse a context-set expression (same grammar as parse_context_expr)."""
-    return parse_expr(source)
+# Contexts and context sets share one grammar; operand kinds are enforced
+# during evaluation.
+parse_context_expr = parse_context_set_expr = parse_expr
 
 
 def to_text(node: Node) -> str:

@@ -22,7 +22,6 @@ from .model import (
     Context,
     ContextSet,
     Dimension,
-    EnumValue,
     MicroContext,
     TagKind,
     TagValue,
@@ -160,28 +159,15 @@ _LOGIC = ("and", "or")
 _LINEAR = ("+", "-")
 
 
-def _resolve_symbol(name: str, dims) -> EnumValue:
-    """Resolve a non-dimension identifier as an enum symbol of one box dim."""
-    hits = [d.symbols[name] for d in dims if d.symbols and name in d.symbols]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        raise IllTypedPredicate(f"unbound name {name!r} in box predicate")
-    raise IllTypedPredicate(f"ambiguous enum symbol {name!r} in box predicate")
-
-
 def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
-    """Kind of a predicate node: (TagKind, enumeration-or-None)."""
+    """Kind of a bound predicate node: (TagKind, enumeration-or-None)."""
     node, chain = left_chain(node, PREDICATE)
     if isinstance(node, Const):
         k = kind_of(node.value)
         kind = k, node.value.enumeration if k is TagKind.ENUM else None
     elif isinstance(node, Ref):
-        dim = dims_by_name.get(node.name)
-        if dim is None:
-            member = _resolve_symbol(node.name, dims_by_name.values())
-            kind = TagKind.ENUM, member.enumeration
-        elif dim.tag_type is TagKind.ENUM:
+        dim = dims_by_name[node.name]
+        if dim.tag_type is TagKind.ENUM:
             kind = TagKind.ENUM, dim.domain[0].enumeration
         else:
             kind = dim.tag_type, None
@@ -206,41 +192,52 @@ def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
     return kind
 
 
-def eval_predicate(node: BoolExpr, dims_by_name, assignment) -> TagValue:
-    """Evaluate a predicate under an assignment of dimension names to tags."""
+def eval_predicate(node: BoolExpr, assignment) -> TagValue:
+    """Evaluate a bound predicate (see ``Box``) under an assignment of a
+    tag to each dimension name it reads."""
+    if isinstance(node, Ref):
+        return assignment[node.name]
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, NotOp):
+        return not eval_predicate(node.operand, assignment)
+    if not isinstance(node, Pointwise):
+        raise IllTypedPredicate(f"not a predicate node: {node!r}")
     # left_chain inlined, as this runs once per Box candidate
     chain = []
     while isinstance(node, Pointwise):
         chain.append(node)
         node = node.left
-    value = _operand_value(node, dims_by_name, assignment)
+    value = eval_predicate(node, assignment)
     for n in reversed(chain):
         op = n.op
         if op == "and":
-            value = bool(value) and bool(
-                _operand_value(n.right, dims_by_name, assignment))
+            value = bool(value) and bool(eval_predicate(n.right, assignment))
         elif op == "or":
-            value = bool(value) or bool(
-                _operand_value(n.right, dims_by_name, assignment))
+            value = bool(value) or bool(eval_predicate(n.right, assignment))
         else:
-            value = OPERATORS[op](
-                value, _operand_value(n.right, dims_by_name, assignment))
+            value = OPERATORS[op](value, eval_predicate(n.right, assignment))
     return value
 
 
-def _operand_value(node: BoolExpr, dims_by_name, assignment) -> TagValue:
-    """The value of one operand in ``eval_predicate``'s chain."""
-    if isinstance(node, Ref):
-        if node.name in assignment:
-            return assignment[node.name]
-        return _resolve_symbol(node.name, dims_by_name.values())
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Pointwise):
-        return eval_predicate(node, dims_by_name, assignment)
-    if isinstance(node, NotOp):
-        return not eval_predicate(node.operand, dims_by_name, assignment)
-    raise IllTypedPredicate(f"not a predicate node: {node!r}")
+def _bind_symbols(node: BoolExpr, dims) -> BoolExpr:
+    """The predicate with each name that is not one of ``dims`` replaced by
+    the one enum member of a dimension in ``dims`` that it names."""
+    node, chain = left_chain(node, PREDICATE)
+    if isinstance(node, Ref) and all(d.name != node.name for d in dims):
+        hits = [d.symbols[node.name] for d in dims
+                if d.symbols and node.name in d.symbols]
+        if not hits:
+            raise IllTypedPredicate(f"unbound name {node.name!r} in box predicate")
+        if len(hits) > 1:
+            raise IllTypedPredicate(
+                f"ambiguous enum symbol {node.name!r} in box predicate")
+        node = Const(hits[0])
+    elif isinstance(node, NotOp):
+        node = NotOp(_bind_symbols(node.operand, dims))
+    for n in chain:
+        node = Pointwise(n.op, node, _bind_symbols(n.right, dims))
+    return node
 
 
 def predicate_text(node: BoolExpr) -> str:
@@ -254,12 +251,19 @@ def predicate_text(node: BoolExpr) -> str:
 class Box:
     """An intensional context set: ordered dimensions plus a tag predicate.
 
-    Membership is always decidable; enumeration needs every dimension to
-    carry a declared finite domain.
+    The stored predicate is bound: building a Box replaces each name that
+    is not one of its dimensions by the one enum member of a Box dimension
+    that it names, so every ``Ref`` left names a dimension.  Membership is
+    always decidable; enumeration needs every dimension to carry a declared
+    finite domain.
     """
 
     dims: Tuple[Dimension, ...]
     predicate: BoolExpr
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "predicate", _bind_symbols(self.predicate, self.dims))
 
     def __str__(self):
         names = ", ".join(d.name for d in self.dims)
@@ -274,9 +278,10 @@ def box_make(dims, predicate: BoolExpr) -> Box:
     by_name = {d.name: d for d in dims}
     if len(by_name) != len(dims):
         raise IllTypedPredicate("box dimensions must be distinct")
-    if _predicate_kind(predicate, by_name) != _BOOL:
+    box = Box(dims, predicate)
+    if _predicate_kind(box.predicate, by_name) != _BOOL:
         raise IllTypedPredicate("box predicate must be boolean")
-    return Box(dims, predicate)
+    return box
 
 
 def box_contains(box: Box, c: Context) -> bool:
@@ -286,22 +291,8 @@ def box_contains(box: Box, c: Context) -> bool:
         raise NonSimpleOperand("box membership is defined for simple contexts")
     if c.dims() != frozenset(box.dims):
         return False
-    by_name = {d.name: d for d in box.dims}
     assignment = {m.dimension.name: m.tag for m in c}
-    return bool(eval_predicate(box.predicate, by_name, assignment))
-
-
-def _bind_symbols(node: BoolExpr, by_name) -> BoolExpr:
-    """The predicate with each enum-symbol name replaced by its member, so
-    evaluation no longer searches the enum domains."""
-    node, chain = left_chain(node, PREDICATE)
-    if isinstance(node, Ref) and node.name not in by_name:
-        node = Const(_resolve_symbol(node.name, by_name.values()))
-    elif isinstance(node, NotOp):
-        node = NotOp(_bind_symbols(node.operand, by_name))
-    for n in chain:
-        node = Pointwise(n.op, node, _bind_symbols(n.right, by_name))
-    return node
+    return bool(eval_predicate(box.predicate, assignment))
 
 
 def _conjuncts(node: BoolExpr) -> list:
@@ -370,10 +361,10 @@ def _solved_side(conjunct: BoolExpr, d: Dimension) -> BoolExpr:
     return solution
 
 
-def _admits(tests, by_name, assignment) -> bool:
+def _admits(tests, assignment) -> bool:
     """Whether one candidate tag passes the conjuncts its binding completes."""
     for t in tests:
-        if not eval_predicate(t, by_name, assignment):
+        if not eval_predicate(t, assignment):
             return False
     return True
 
@@ -390,24 +381,23 @@ def box_enumerate(box: Box) -> ContextSet:
     dimensions bound before d, or a linear equality such as ``d + u == 7``
     that ``_solved_side`` rewrites into that form once per call.  E is
     evaluated and the domain's own tag equal to it, if the index has one,
-    is the only candidate; the conjunct itself is still tested.  Enum
-    symbols are resolved once per call.  Each (dimension, tag) micro
-    context is built at most once per call, when the first member that
-    binds it is emitted, and shared by every member that binds it.  The
-    result equals filtering the full product of the domains.
+    is the only candidate; the conjunct itself is still tested.  The
+    stored predicate is already bound (see ``Box``).  Each (dimension, tag)
+    micro context is built at most once per call, when the first member
+    that binds it is emitted, and shared by every member that binds it.
+    The result equals filtering the full product of the domains.
     """
     for d in box.dims:
         if d.domain is None:
             raise UnboundedBox(
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
-    by_name = {d.name: d for d in box.dims}
     level_of = {d.name: i for i, d in enumerate(box.dims)}
     tests = [[] for _ in box.dims]
-    for conjunct in _conjuncts(_bind_symbols(box.predicate, by_name)):
+    for conjunct in _conjuncts(box.predicate):
         names = references(conjunct)
         if not names:
-            if not _admits([conjunct], by_name, {}):
+            if not _admits([conjunct], {}):
                 return ContextSet()
             continue
         tests[max(level_of[n] for n in names)].append(conjunct)
@@ -425,17 +415,14 @@ def box_enumerate(box: Box) -> ContextSet:
         d = box.dims[i]
         if solved[i] is None:
             return d.domain
-        k = d.index.get(eval_predicate(solved[i], by_name, assignment))
+        k = d.index.get(eval_predicate(solved[i], assignment))
         return () if k is None else (d.domain[k],)
 
     # pending[i] yields the untried candidates of dimension i under the
-    # tags bound to the dimensions before it.  chosen[:fresh] are the micro
-    # contexts of the tags bound now, taken from micros only when a member
-    # is emitted, so a prefix that completes no member builds none.
+    # tags bound to the dimensions before it.  micros[i] maps each tag of
+    # dimension i that some emitted member binds to its micro context.
     n = len(box.dims)
     micros = [{} for _ in box.dims]
-    chosen = [None] * n
-    fresh = 0
     members = []
     pending = [iter(candidates(0))]
     while pending:
@@ -443,23 +430,20 @@ def box_enumerate(box: Box) -> ContextSet:
         d = box.dims[i]
         for v in pending[-1]:
             assignment[d.name] = v
-            if _admits(tests[i], by_name, assignment):
+            if _admits(tests[i], assignment):
                 break
         else:
             pending.pop()
             continue
-        if i < fresh:
-            fresh = i
         if i + 1 < n:
             pending.append(iter(candidates(i + 1)))
             continue
-        for j in range(fresh, n):
-            e = box.dims[j]
+        member = []
+        for e, cache in zip(box.dims, micros):
             tag = assignment[e.name]
-            micro = micros[j].get(tag)
+            micro = cache.get(tag)
             if micro is None:
-                micro = micros[j][tag] = MicroContext(e, tag)
-            chosen[j] = micro
-        fresh = n
-        members.append(Context(chosen))
+                micro = cache[tag] = MicroContext(e, tag)
+            member.append(micro)
+        members.append(Context(member))
     return ContextSet(members)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,14 @@ OUTPUTS = [
     ("eval true", ["true"]),
     ("eval (false)", ["false"]),
     ("let t = a <<= a", ["t = true"]),
+    # the command word ends at any whitespace
+    ("dim\tk : int", ["dim k : int"]),
+    ("let\tb = a", ["b = {(d, 1)}"]),
+    ("stream\tB = A + 1", ["stream B"]),
+    ("show\tA 2", ["1 2"]),
+    ("eval\ta", ["{(d, 1)}"]),
+    ("seed\t-4", ["seed -4"]),
+    ("mode\tplain", ["mode plain"]),
 ]
 
 
@@ -140,6 +149,9 @@ ERRORS = [
     ("dim true : int", ExprSyntaxError, 5),
     ("dim m : enum{true, Fe}", ExprSyntaxError, 14),
     ("dim m : enum{A, false}", ExprSyntaxError, 17),
+    # quit takes no argument
+    ("quit now", ExprSyntaxError, 6),
+    (" quit\t# bye", ExprSyntaxError, 7),
 ]
 
 
@@ -156,8 +168,49 @@ def test_command_error_position_counts_from_the_line(line, error, position):
 
 
 def test_unknown_command_names_the_word():
-    with pytest.raises(ExprSyntaxError, match="unknown command 'frobnicate'"):
-        run_command(session(), "frobnicate $")
+    with pytest.raises(ExprSyntaxError) as info:
+        run_command(session(), "  frobnicate $")
+    assert str(info.value) == "unknown command 'frobnicate'"
+    assert info.value.position == 3
+
+
+# The longest integer literal that int() converts from text, plus one digit.
+_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("template, position", [
+    ("eval {{(d, {})}}", 11),
+    ("seed -{}", 7),
+    ("dim k : int 1 {}", 15),
+    ("stream B = 1 fby {}", 18),
+    ("show A {}", 8),
+], ids=["eval", "seed", "dim", "stream", "show"])
+def test_an_integer_literal_past_the_digit_limit_is_a_syntax_error(template, position):
+    with pytest.raises(ExprSyntaxError) as info:
+        run_command(session(), template.format(_LONG))
+    assert info.value.position == position
+    assert str(info.value) == (
+        f"integer literal longer than {len(_LONG) - 1} digits "
+        f"at position {position}")
+
+
+@pytest.mark.parametrize("mode", ["plain", "json"])
+def test_a_stream_value_past_the_digit_limit_is_a_typed_error(mode):
+    s = new_session(mode=mode)
+    run_command(s, "stream P = 2 fby (P * P)")
+    # P at time t is 2 ** 2 ** t; 2 ** 16384 has 4,933 digits
+    assert len(run_command(s, "show P time 14")) == 1
+    with pytest.raises(ContextCalcError) as info:
+        run_command(s, "show P time 15")
+    assert str(info.value) == (
+        f"the value at time 14 has more than {sys.get_int_max_str_digits()} digits")
+
+
+def test_load_and_quit_take_a_tab_after_the_command_word(tmp_path):
+    path = tmp_path / "tabs.ctx"
+    path.write_text("dim\td : int\nquit\t\neval {(d, 1)}\n")
+    s = new_session()
+    assert run_command(s, f"load\t{path}") == ["dim d : int"]
 
 
 # --- the session's equations ------------------------------------------------------
@@ -287,7 +340,9 @@ _SOUP = st.sampled_from(
      "d", "e", "m", "P", "a", "s", "A", "N", "G", "X",
      '"s"', '""', *"0123456789",
      # a few well-formed operands, so more lines get past the parser
-     "{(e, 2)}", "{d}", "N + 1", "(N > 2)"]
+     "{(e, 2)}", "{d}", "N + 1", "(N > 2)",
+     # one digit past the longest literal that int() converts from text
+     "9" * (sys.get_int_max_str_digits() + 1)]
 )
 _FUZZ_LINE = st.builds(
     lambda word, soup: " ".join([word, *soup]),

@@ -309,6 +309,39 @@ def test_box_ambiguous_enum_symbol_rejected():
     assert len(box_enumerate(b)) == 2
 
 
+def month_registry():
+    reg = DimensionRegistry()
+    reg.register("m", TagKind.ENUM, ["Ja", "Fe", "Mr"])
+    return reg
+
+
+def test_a_box_binds_its_enum_symbols_when_it_is_built():
+    reg = month_registry()
+    m = reg.get("m")
+    b = Box((m,), Cmp("==", Name("m"), Name("Fe")))
+    assert b.predicate == Cmp("==", Name("m"), Lit(m.symbols["Fe"]))
+    assert str(b) == "Box[m | m == Fe]"
+    # a Box built by box_make stores the same bound predicate
+    assert box_make([m], Cmp("==", Name("m"), Name("Fe"))) == b
+
+
+def test_box_contains_over_enum_symbols():
+    reg = month_registry()
+    b = box_make([reg.get("m")], Logic(
+        "and", Cmp(">", Name("m"), Name("Ja")), Cmp("!=", Name("m"), Name("Mr"))))
+    assert [box_contains(b, make_context(reg, [("m", s)]))
+            for s in ("Ja", "Fe", "Mr")] == [False, True, False]
+
+
+def test_a_box_with_an_unbound_name_is_refused_when_it_is_built():
+    reg = month_registry()
+    with pytest.raises(IllTypedPredicate, match="unbound name 'Ap'"):
+        Box((reg.get("m"),), Cmp("==", Name("m"), Name("Ap")))
+    # a name error is reported before a kind error
+    with pytest.raises(IllTypedPredicate, match="unbound name 'zz'"):
+        box_make([reg.get("m")], Arith("+", Name("zz"), Lit(1)))
+
+
 def test_box_members_share_domain():
     reg = box_registry()
     b = box_make(
@@ -623,9 +656,9 @@ def count_admits(monkeypatch):
     tries = []
     real = sets._admits
 
-    def counted(tests, by_name, assignment):
+    def counted(tests, assignment):
         tries.append(1)
-        return real(tests, by_name, assignment)
+        return real(tests, assignment)
 
     monkeypatch.setattr(sets, "_admits", counted)
     return tries
