@@ -245,6 +245,10 @@ def run_command(session: Session, line: str) -> list:
                 f"quit takes no argument at position {column}", position=column)
         raise _Quit()
     if word == "load":
+        if not rest:  # the end of the line, as the tokenizer counts it
+            column = len(line) + 1
+            raise ExprSyntaxError(
+                f"load needs a path at position {column}", position=column)
         return _load_command(session, rest)
     handler = _HANDLERS.get(word)
     if handler is None:

@@ -14,8 +14,9 @@ import enum
 import functools
 import operator
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import (
     DuplicateDimension,
@@ -75,20 +76,6 @@ def kind_of(value: TagValue) -> TagKind:
     raise TagTypeMismatch(f"not a tag value: {value!r}")
 
 
-def tag_lt(a: TagValue, b: TagValue) -> bool:
-    """Strict order on same-kind tags.
-
-    Integers and strings use their native order, false precedes true, and
-    enum values follow declaration order within one enumeration.
-    """
-    ka, kb = kind_of(a), kind_of(b)
-    if ka is not kb:
-        raise TagTypeMismatch(
-            f"cannot order {a!r} ({ka.value}) against {b!r} ({kb.value})"
-        )
-    return a < b
-
-
 def format_tag(value: TagValue) -> str:
     """Render a tag in the literal syntax the expression language accepts."""
     if isinstance(value, bool):
@@ -105,14 +92,17 @@ class Dimension:
     """A named axis with a tag kind and an optional finite ordered domain.
 
     A declared domain restricts which tags the dimension admits and is
-    required for box enumeration over the dimension.  Enum dimensions
-    always carry their domain (it is the enumeration itself).
+    required for box enumeration over the dimension.  An enum dimension
+    is declared with its symbols, in order, and stores their ``EnumValue``
+    members as its domain.
 
-    Identity is the name and the tag kind: the registry already decides
-    which dimension a name denotes, so two dimensions that agree on both
-    are equal and hash equal whatever their domains.  The hash is computed
-    once.  Beside the domain tuple, ``index`` maps each tag to its
-    position and, for enums, ``symbols`` maps each symbol to its member.
+    The constructor is the one validator of a dimension: its name, its
+    tag kind and its domain.  Identity is the name and the tag kind: the
+    registry already decides which dimension a name denotes, so two
+    dimensions that agree on both are equal and hash equal whatever their
+    domains.  The hash is computed once.  Beside the domain tuple,
+    ``index`` maps each tag to its position and, for enums, ``symbols``
+    maps each symbol to its member.
     """
 
     name: str
@@ -123,32 +113,50 @@ class Dimension:
     _hash: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.name:
+        name, kind, domain = self.name, self.tag_type, self.domain
+        if not isinstance(name, str) or not name:
             raise ExprSyntaxError("dimension name must be a non-empty identifier")
-        if self.tag_type is TagKind.ENUM:
-            if not self.domain:
+        if not isinstance(kind, TagKind):
+            raise IllFormedDomain(
+                f"tag kind of {name!r} must be a TagKind, got {kind!r}"
+            )
+        if domain is not None:
+            if isinstance(domain, str) or not isinstance(domain, Iterable):
                 raise IllFormedDomain(
-                    f"enum dimension {self.name!r} needs a declared domain"
+                    f"domain of {name!r} must be a sequence of tags, got {domain!r}"
                 )
-        if self.domain is not None:
-            if not self.domain:
-                raise IllFormedDomain(f"domain of {self.name!r} must be non-empty")
-            for v in self.domain:
-                if kind_of(v) is not self.tag_type:
+            domain = tuple(domain)
+        if kind is TagKind.ENUM:
+            if not domain:
+                raise IllFormedDomain(
+                    f"enum dimension {name!r} needs a declared domain"
+                )
+            for sym in domain:
+                if not isinstance(sym, str):
                     raise IllFormedDomain(
-                        f"domain element {v!r} is not a {self.tag_type.value} tag"
+                        f"enum domain symbols must be strings, got {sym!r}"
                     )
-            for lo, hi in zip(self.domain, self.domain[1:]):
-                if not tag_lt(lo, hi):
+            if len(set(domain)) != len(domain):
+                raise IllFormedDomain(f"enum domain of {name!r} repeats a symbol")
+            domain = tuple(EnumValue(name, sym, i) for i, sym in enumerate(domain))
+            object.__setattr__(self, "symbols", {m.symbol: m for m in domain})
+        elif domain is not None:
+            if not domain:
+                raise IllFormedDomain(f"domain of {name!r} must be non-empty")
+            for v in domain:
+                if kind_of(v) is not kind:
                     raise IllFormedDomain(
-                        f"domain of {self.name!r} must be strictly increasing"
+                        f"domain element {v!r} is not a {kind.value} tag"
                     )
-            index = {v: i for i, v in enumerate(self.domain)}
-            object.__setattr__(self, "index", index)
-            if self.tag_type is TagKind.ENUM:
-                symbols = {m.symbol: m for m in self.domain}
-                object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "_hash", hash((self.name, self.tag_type)))
+            for lo, hi in zip(domain, domain[1:]):
+                if not lo < hi:  # same kind, so comparable
+                    raise IllFormedDomain(
+                        f"domain of {name!r} must be strictly increasing"
+                    )
+        if domain is not None:
+            object.__setattr__(self, "domain", domain)
+            object.__setattr__(self, "index", {v: i for i, v in enumerate(domain)})
+        object.__setattr__(self, "_hash", hash((name, kind)))
 
     def __eq__(self, other):
         if not isinstance(other, Dimension):
@@ -159,39 +167,37 @@ class Dimension:
         return self._hash
 
     def __reduce__(self):
-        # Rebuilt from its arguments, so the string hash is that of the
-        # process that loads it.
-        return type(self), (self.name, self.tag_type, self.domain)
+        # Rebuilt from its arguments, an enum's from its symbols, so the
+        # string hash is that of the process that loads it.
+        domain = self.domain if self.symbols is None else tuple(self.symbols)
+        return type(self), (self.name, self.tag_type, domain)
 
     def coerce(self, value) -> TagValue:
         """Validate a raw value as a tag for this dimension.
 
-        Enum dimensions also accept a bare symbol string and resolve it
-        against the enumeration.
+        One path: on an enum dimension a symbol string resolves to its
+        member; any other value must have the dimension's kind and, when a
+        domain is declared, lie in it.  On an enum dimension a member of
+        another enumeration fails the membership check as a kind mismatch.
         """
-        if self.tag_type is TagKind.ENUM:
-            if isinstance(value, EnumValue):
-                if value in self.index:
-                    return value
-                raise TagTypeMismatch(
-                    f"{value!r} does not belong to enum dimension {self.name!r}"
-                )
-            if isinstance(value, str):
-                member = self.symbols.get(value)
-                if member is not None:
-                    return member
+        symbols = self.symbols
+        if symbols is not None and isinstance(value, str):
+            member = symbols.get(value)
+            if member is None:
                 raise TagOutsideDomain(
                     f"{value!r} is not a symbol of enum dimension {self.name!r}"
                 )
-            raise TagTypeMismatch(
-                f"dimension {self.name!r} expects enum tags, got {value!r}"
-            )
+            return member
         if kind_of(value) is not self.tag_type:
             raise TagTypeMismatch(
                 f"dimension {self.name!r} expects {self.tag_type.value} tags, "
                 f"got {value!r}"
             )
         if self.index is not None and value not in self.index:
+            if symbols is not None:
+                raise TagTypeMismatch(
+                    f"{value!r} does not belong to enum dimension {self.name!r}"
+                )
             raise TagOutsideDomain(
                 f"{value!r} is outside the declared domain of {self.name!r}"
             )
@@ -199,10 +205,13 @@ class Dimension:
 
 
 class DimensionRegistry:
-    """Name -> Dimension mapping; the single authority on dimension identity.
+    """A name table: name -> Dimension, the single authority on which
+    dimension a name denotes.
 
-    Registration is single-writer; lookups are read-only and safe to share.
-    The registry is left untouched when a registration fails.
+    ``register`` checks only that the name is new; ``Dimension`` validates
+    the rest.  Registration is single-writer; lookups are read-only and
+    safe to share.  The registry is left untouched when a registration
+    fails.
     """
 
     def __init__(self):
@@ -211,26 +220,9 @@ class DimensionRegistry:
     def register(self, name: str, tag_type: TagKind, domain=None) -> Dimension:
         if name in self._dims:
             raise DuplicateDimension(f"dimension {name!r} is already registered")
-        dim = self._build(name, tag_type, domain)
+        dim = Dimension(name, tag_type, domain)
         self._dims[name] = dim
         return dim
-
-    def _build(self, name, tag_type, domain) -> Dimension:
-        if tag_type is TagKind.ENUM:
-            symbols = list(domain or ())
-            for sym in symbols:
-                if not isinstance(sym, str):
-                    raise IllFormedDomain(
-                        f"enum domain symbols must be strings, got {sym!r}"
-                    )
-            if len(set(symbols)) != len(symbols):
-                raise IllFormedDomain(f"enum domain of {name!r} repeats a symbol")
-            members = tuple(
-                EnumValue(name, sym, i) for i, sym in enumerate(symbols)
-            )
-            return Dimension(name, tag_type, members)
-        dom = tuple(domain) if domain is not None else None
-        return Dimension(name, tag_type, dom)
 
     def get(self, name: str) -> Dimension:
         try:

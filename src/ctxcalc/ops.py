@@ -24,7 +24,6 @@ from .model import (
     Dimension,
     MicroContext,
     TagKind,
-    tag_lt,
 )
 
 
@@ -119,13 +118,14 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
             if m1.dimension != m2.dimension:
                 continue
             values = per_dim.setdefault(m1.dimension, set())
+            # Both tags passed the dimension's kind check, so < orders them.
             a, b = m1.tag, m2.tag
             if directed:
-                if not tag_lt(a, b):
+                if not a < b:
                     continue
                 lo, hi = a, b
             else:
-                lo, hi = (b, a) if tag_lt(b, a) else (a, b)
+                lo, hi = (b, a) if b < a else (a, b)
             values.update(_subrange(m1.dimension, lo, hi))
 
     residue = disjunction(hiding(c1, shared), hiding(c2, shared))

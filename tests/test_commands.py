@@ -127,6 +127,9 @@ ERRORS = [
     ("show A time x", ExprSyntaxError, 13),
     ("show A 2 3", ExprSyntaxError, 10),
     ('show A "x"', ExprSyntaxError, 8),
+    # load
+    ("load", ExprSyntaxError, 5),
+    ("  load", ExprSyntaxError, 7),
     # eval
     ("eval {(d, 1)} $", UnknownToken, 15),
     ("  eval $", UnknownToken, 8),

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from ctxcalc.errors import (
     DuplicateDimension,
+    ExprSyntaxError,
     IllFormedDomain,
     NonSimpleOperand,
     TagOutsideDomain,
@@ -28,7 +29,6 @@ from ctxcalc.model import (
     MicroContext,
     TagKind,
     make_context,
-    tag_lt,
 )
 
 from conftest import int_registry
@@ -75,8 +75,8 @@ def test_register_enum_months_ordered():
     assert len(month.domain) == 12
     ja, de = month.domain[0], month.domain[-1]
     assert ja.symbol == "Ja" and de.symbol == "De"
-    assert tag_lt(ja, de)
-    assert not tag_lt(de, ja)
+    assert ja < de
+    assert not de < ja
 
 
 def test_register_enum_needs_domain():
@@ -174,6 +174,137 @@ def test_coerce_keeps_kind_and_domain_checks():
     with pytest.raises(TagOutsideDomain):
         month.coerce("Xx")
     assert month.coerce("De") is month.domain[-1]
+
+
+def _register(*declarations):
+    """Register each (name, kind[, domain]) in a fresh registry; the last
+    registered dimension."""
+    reg = DimensionRegistry()
+    for args in declarations:
+        dim = reg.register(*args)
+    return dim
+
+
+def _months():
+    return _register(("month", TagKind.ENUM, ["Ja", "Fe"]))
+
+
+# Every error a declaration or a coercion can end in, with its exact text.
+MODEL_ERRORS = [
+    ("duplicate-name",
+     lambda: _register(("d", TagKind.INT), ("d", TagKind.INT)),
+     DuplicateDimension, "dimension 'd' is already registered"),
+    ("enum-without-domain",
+     lambda: _register(("m", TagKind.ENUM)),
+     IllFormedDomain, "enum dimension 'm' needs a declared domain"),
+    ("empty-enum",
+     lambda: _register(("m", TagKind.ENUM, [])),
+     IllFormedDomain, "enum dimension 'm' needs a declared domain"),
+    ("non-string-symbol",
+     lambda: _register(("m", TagKind.ENUM, ["Ja", 1])),
+     IllFormedDomain, "enum domain symbols must be strings, got 1"),
+    ("repeated-symbol",
+     lambda: _register(("m", TagKind.ENUM, ["Ja", "Fe", "Ja"])),
+     IllFormedDomain, "enum domain of 'm' repeats a symbol"),
+    ("empty-domain",
+     lambda: _register(("d", TagKind.INT, [])),
+     IllFormedDomain, "domain of 'd' must be non-empty"),
+    ("wrong-kind-element",
+     lambda: _register(("d", TagKind.INT, [1, "x"])),
+     IllFormedDomain, "domain element 'x' is not a int tag"),
+    ("unordered-domain",
+     lambda: _register(("d", TagKind.INT, [3, 1, 2])),
+     IllFormedDomain, "domain of 'd' must be strictly increasing"),
+    ("repeated-domain-value",
+     lambda: _register(("d", TagKind.INT, [1, 1])),
+     IllFormedDomain, "domain of 'd' must be strictly increasing"),
+    ("unordered-bool-domain",
+     lambda: _register(("b", TagKind.BOOL, [True, False])),
+     IllFormedDomain, "domain of 'b' must be strictly increasing"),
+    ("unordered-str-domain",
+     lambda: _register(("s", TagKind.STR, ["b", "a"])),
+     IllFormedDomain, "domain of 's' must be strictly increasing"),
+    ("int-wrong-kind",
+     lambda: _register(("k", TagKind.INT, [0, 1, 2])).coerce(True),
+     TagTypeMismatch, "dimension 'k' expects int tags, got True"),
+    ("int-given-str",
+     lambda: _register(("k", TagKind.INT)).coerce("1"),
+     TagTypeMismatch, "dimension 'k' expects int tags, got '1'"),
+    ("str-wrong-kind",
+     lambda: _register(("s", TagKind.STR)).coerce(1),
+     TagTypeMismatch, "dimension 's' expects str tags, got 1"),
+    ("bool-wrong-kind",
+     lambda: _register(("b", TagKind.BOOL)).coerce(1),
+     TagTypeMismatch, "dimension 'b' expects bool tags, got 1"),
+    ("enum-wrong-kind",
+     lambda: _months().coerce(1),
+     TagTypeMismatch, "dimension 'month' expects enum tags, got 1"),
+    ("enum-given-bool",
+     lambda: _months().coerce(True),
+     TagTypeMismatch, "dimension 'month' expects enum tags, got True"),
+    ("unknown-symbol",
+     lambda: _months().coerce("Xx"),
+     TagOutsideDomain, "'Xx' is not a symbol of enum dimension 'month'"),
+    ("member-of-another-enum",
+     lambda: _months().coerce(
+         _register(("other", TagKind.ENUM, ["Ja", "Fe"])).domain[0]),
+     TagTypeMismatch, "other.Ja does not belong to enum dimension 'month'"),
+    ("outside-declared-domain",
+     lambda: _register(("k", TagKind.INT, [0, 1, 2])).coerce(3),
+     TagOutsideDomain, "3 is outside the declared domain of 'k'"),
+]
+
+
+@pytest.mark.parametrize(
+    "action, error, message", [case[1:] for case in MODEL_ERRORS],
+    ids=[case[0] for case in MODEL_ERRORS])
+def test_model_errors_keep_their_class_and_text(action, error, message):
+    with pytest.raises(error) as info:
+        action()
+    assert type(info.value) is error and str(info.value) == message
+
+
+# Declarations that used to pass unchecked or end in a raw exception.
+MALFORMED_DECLARATIONS = [
+    ("domain-not-iterable", ("d", TagKind.INT, 5), IllFormedDomain),
+    ("enum-domain-a-string", ("m", TagKind.ENUM, "Fe"), IllFormedDomain),
+    ("str-domain-a-string", ("s", TagKind.STR, "ab"), IllFormedDomain),
+    ("kind-not-a-tag-kind", ("d", "int"), IllFormedDomain),
+    ("name-not-a-string", (5, TagKind.INT), ExprSyntaxError),
+]
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["registry", "direct"])
+@pytest.mark.parametrize(
+    "args, error", [case[1:] for case in MALFORMED_DECLARATIONS],
+    ids=[case[0] for case in MALFORMED_DECLARATIONS])
+def test_malformed_declarations_are_typed_errors(args, error, direct):
+    reg = DimensionRegistry()
+    with pytest.raises(error):
+        Dimension(*args) if direct else reg.register(*args)
+    assert args[0] not in reg
+
+
+def test_a_direct_enum_dimension_takes_symbols():
+    direct = Dimension("m", TagKind.ENUM, ("Ja", "Fe"))
+    registered = DimensionRegistry().register("m", TagKind.ENUM, ["Ja", "Fe"])
+    assert direct == registered and hash(direct) == hash(registered)
+    assert direct.domain == registered.domain == (
+        EnumValue("m", "Ja", 0), EnumValue("m", "Fe", 1))
+    assert direct.index == registered.index
+    assert direct.symbols == registered.symbols
+
+
+@pytest.mark.parametrize(
+    "trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_enum_dimension_survives_copy_and_pickle(trip):
+    month = DimensionRegistry().register("month", TagKind.ENUM, MONTHS)
+    got = trip(month)
+    assert got == month and got.tag_type is TagKind.ENUM
+    assert got.domain == month.domain
+    assert got.index == month.index
+    assert got.symbols == month.symbols
 
 
 # --- inspection ------------------------------------------------------------
