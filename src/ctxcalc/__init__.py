@@ -63,12 +63,7 @@ from .sets import (
     set_union,
 )
 from .lexer import Token, tokenize
-from .parser import (
-    parse_context_expr,
-    parse_context_set_expr,
-    parse_expr,
-    to_text,
-)
+from .parser import parse_expr, to_text
 from .evaluator import Environment, evaluate
 from .streams import (
     EquationSet,

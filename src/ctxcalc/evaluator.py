@@ -23,7 +23,10 @@ from .model import (
     DimensionRegistry,
     MicroContext,
 )
-from .parser import BoxLit, ContextLit, DimSetLit, Node, PairLit, SetLit
+from .parser import (
+    CONTEXT, BoxLit, Const, ContextLit, DimSetLit, Node, PairLit, Ref, SetLit,
+    left_chain,
+)
 from .sets import (
     Box,
     box_enumerate,
@@ -38,7 +41,6 @@ from .sets import (
     set_intersection,
     set_union,
 )
-from .streams import Const, Pointwise, Ref
 from . import ops
 
 Value = Union[Context, ContextSet, Box, frozenset, bool]
@@ -139,20 +141,17 @@ def _leaf(node: Node, env: Environment) -> Value:
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
     if isinstance(node, Const):
         return node.value
-    raise TypeError(f"not an expression node: {node!r}")
+    raise KindMismatch(f"not a context expression node: {node!r}")
 
 
 def evaluate(node: Node, env: Environment) -> Value:
     """Evaluate a parsed expression to a context, set, box, dimension set,
     or boolean.  A chain of left operands is walked with a loop, innermost
     operator first; only right operands are evaluated recursively."""
-    spine = []
-    while isinstance(node, Pointwise):
-        spine.append(node)
-        node = node.left
+    node, chain = left_chain(node, CONTEXT)
     value = _leaf(node, env)
-    for op in reversed(spine):
-        value = _apply(op.op, value, evaluate(op.right, env), env)
+    for n in chain:
+        value = _apply(n.op, value, evaluate(n.right, env), env)
     return value
 
 

@@ -9,32 +9,18 @@ grammars refuse it.
 Each grammar is a table for one Pratt loop (Pratt, "Top down operator
 precedence", 1973): prefix and infix ``Rule``s keyed by operator kind or
 keyword, plus an atom rule for everything else.  The three tables are
-``parser.CONTEXT`` (context and set operators, from ``PRECEDENCE_LEVELS``),
-``streams.PREDICATE`` (Box predicates) and ``streams.STREAM`` (stream
-equations; its infix rules extend the predicate ones at the same binding
-powers).  A rule gives a binding power (larger binds tighter), an
-associativity (``NONE`` does not chain: ``a < b < c`` is an error) and a
-node builder.  A prefix rule applies only where the expected operand may
-bind as loosely as the rule: ``if`` (power 0) may start an expression but
-is no operand, and the Box-predicate ``not`` binds looser than comparison.
-Parentheses are parsed here, the same way for every grammar.
+``parser.CONTEXT`` (context and set operators), ``parser.PREDICATE`` (Box
+predicates) and ``streams.STREAM`` (stream equations; its infix rules
+extend the predicate ones at the same binding powers).  A rule gives a
+binding power (larger binds tighter), an associativity (``NONE`` does not
+chain: ``a < b < c`` is an error) and a node builder.  A prefix rule
+applies only where the expected operand may bind as loosely as the rule:
+``if`` (power 0) may start an expression but is no operand, and the
+Box-predicate ``not`` binds looser than comparison.  Parentheses are
+parsed here, the same way for every grammar.
 
-The context and Box-predicate grammars share their node classes with the
-stream language (``streams.Ref``, ``streams.Const``, ``streams.Pointwise``)
-and print through one printer, ``unparse``, also here.  It walks a chain of
-left operands with ``left_chain``, writes each infix operator from the
-grammar's table, and brackets an operand whose binding power is below the
-rule's ``left_bp`` or ``right_bp``.  Whatever is not an infix operator of
-the grammar goes to the grammar's ``leaf`` printer, which sits beside its
-``atom`` parser: ``streams.PREDICATE`` prints constants, names and ``not``;
-``parser.CONTEXT`` the context literals.  ``parser.to_text`` and
-``sets.predicate_text`` are ``unparse`` with one of those two tables.
-
-To add an operator, touch three places: its symbol in ``SYMBOLS`` (a
-keyword operator needs none), its precedence row in the grammar's table
-(``parser.PRECEDENCE_LEVELS``, ``streams.PREDICATE`` or ``streams.STREAM``),
-and the rows that say what it computes: ``evaluator.ROWS`` for a context
-or set operator, one ``streams.OPERATORS`` entry for a pointwise one.
+This module knows no node class: the syntax tree, the grammar tables
+other than the stream one, and the printer are in ``parser``.
 """
 
 from __future__ import annotations
@@ -178,39 +164,6 @@ class Grammar(NamedTuple):
     prefix: dict  # operator kind or keyword -> Rule
     infix: dict  # operator kind or keyword -> Rule
     atom: Callable  # Cursor -> node, for everything that is not an operator
-    # (node, min_bp) -> text of a node that is not an infix operator,
-    # bracketed if it binds looser than min_bp; None if nothing prints
-    leaf: Callable = None
-
-
-def left_chain(node, grammar: Grammar) -> tuple:
-    """The operand that ends node's chain of left operands, and the infix
-    operator nodes above it, innermost first.  An infix node is one whose
-    ``op`` is in the grammar's infix table.  The walkers of a chain fold it
-    with a loop and recurse only into right operands, so a long chain such
-    as ``x == 1 or x == 2 or ...`` costs them no recursion."""
-    chain = []
-    infix = grammar.infix
-    while getattr(node, "op", None) in infix:
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return node, chain
-
-
-def unparse(node, grammar: Grammar, min_bp: int = 0) -> str:
-    """Render a tree in the syntax of grammar, bracketed if it binds looser
-    than min_bp; the text parses back to an equal tree."""
-    node, chain = left_chain(node, grammar)
-    # min_bp of each chain node: the left_bp of the node above it
-    rules = [grammar.infix[n.op] for n in chain]
-    bps = [rule.left_bp for rule in rules] + [min_bp]
-    text = grammar.leaf(node, bps[0])
-    for n, rule, bp in zip(chain, rules, bps[1:]):
-        text = f"{text} {n.op} {unparse(n.right, grammar, rule.right_bp)}"
-        if rule.bp < bp:
-            text = f"({text})"
-    return text
 
 
 class Cursor:

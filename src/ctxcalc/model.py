@@ -125,6 +125,12 @@ class Dimension:
                 raise IllFormedDomain(
                     f"domain of {name!r} must be a sequence of tags, got {domain!r}"
                 )
+            if isinstance(domain, (set, frozenset)):
+                # a set has no declaration order, only its hash order
+                raise IllFormedDomain(
+                    f"domain of {name!r} must be a sequence in declaration "
+                    f"order, got a {type(domain).__name__}"
+                )
             domain = tuple(domain)
         if kind is TagKind.ENUM:
             if not domain:
@@ -204,12 +210,21 @@ class Dimension:
         return value
 
 
+def _check_name(name) -> str:
+    """name, if it is a string; the table is keyed by strings, and a key
+    of another type could be unhashable."""
+    if not isinstance(name, str):
+        raise ExprSyntaxError("dimension name must be a non-empty identifier")
+    return name
+
+
 class DimensionRegistry:
     """A name table: name -> Dimension, the single authority on which
     dimension a name denotes.
 
-    ``register`` checks only that the name is new; ``Dimension`` validates
-    the rest.  Registration is single-writer; lookups are read-only and
+    ``register`` checks only that the name is a string and new;
+    ``Dimension`` validates the rest.  A name that is not a string is in
+    no registry.  Registration is single-writer; lookups are read-only and
     safe to share.  The registry is left untouched when a registration
     fails.
     """
@@ -218,7 +233,7 @@ class DimensionRegistry:
         self._dims: dict = {}
 
     def register(self, name: str, tag_type: TagKind, domain=None) -> Dimension:
-        if name in self._dims:
+        if _check_name(name) in self._dims:
             raise DuplicateDimension(f"dimension {name!r} is already registered")
         dim = Dimension(name, tag_type, domain)
         self._dims[name] = dim
@@ -226,12 +241,12 @@ class DimensionRegistry:
 
     def get(self, name: str) -> Dimension:
         try:
-            return self._dims[name]
+            return self._dims[_check_name(name)]
         except KeyError:
             raise UnknownDimension(f"unknown dimension {name!r}") from None
 
     def __contains__(self, name) -> bool:
-        return name in self._dims
+        return isinstance(name, str) and name in self._dims
 
 
 class MicroContext:

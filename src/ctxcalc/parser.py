@@ -1,45 +1,173 @@
-"""Parser and pretty printer for context and context-set expressions.
+"""The syntax tree of the expression language, its context and Box-predicate
+grammars, and its printer.
 
-Both expression families share one token syntax and overlap on most
-operator symbols (projection, hiding, substitution, choice, override,
-difference), so a single grammar covers them and the operand kinds are
-checked during evaluation, not during parsing.  ``CONTEXT`` is the table
-this grammar gives the operator-precedence core in ``lexer``; its binding
-powers are the indices of ``PRECEDENCE_LEVELS``.  ``a <= b`` is accepted
-as argument-swapped sugar for ``b => a``.
+Every tree the package builds is made of the node classes below: the
+stream nodes, which the context and Box-predicate trees share, and the
+five literals only a context expression has.  A variable, stream name,
+dimension name or enum symbol is a ``Ref``; a constant (``true`` and
+``false`` in a context tree, an integer, string or tag in a predicate) is
+a ``Const``; an infix operator of any grammar is a ``Pointwise`` keyed by
+its symbol or keyword.  ``streams`` evaluates the stream nodes and keeps
+the stream grammar, ``evaluator`` evaluates context trees and ``sets``
+binds and evaluates Box predicates.
 
-A context tree is built from the stream language's nodes where the two
-languages meet: a variable or enum symbol is a ``streams.Ref``, ``true``
-and ``false`` are ``streams.Const``, and an infix operator is a
-``streams.Pointwise``.  ``VarRef``, ``SymbolLit``, ``BoolLit`` and
-``BinOp`` are other names for those classes.  The literal nodes below
-are the context grammar's own.  ``to_text`` is the shared printer,
-``lexer.unparse``, with this grammar's table; ``_leaf_text`` prints the
-literals, and a Box literal's predicate through ``streams.PREDICATE``.
+Two of the three grammar tables for the operator-precedence core in
+``lexer`` are here.  ``CONTEXT`` covers context and context-set
+expressions in one grammar, since both share one token syntax and most
+operator symbols; operand kinds are checked during evaluation, not during
+parsing.  Its binding powers are the indices of ``PRECEDENCE_LEVELS``, and
+``a <= b`` is accepted as argument-swapped sugar for ``b => a``.
+``PREDICATE`` is the grammar of a Box literal's predicate, and its infix
+rules are the pointwise operators of the stream grammar too: each sits
+beside its ``OPERATORS`` entry, the function that computes it.
+
+``unparse`` is the one printer.  It walks a chain of left operands with
+``left_chain``, writes each infix operator from the grammar's table, and
+brackets an operand whose binding power is below the rule's ``left_bp`` or
+``right_bp``; whatever is not an infix operator of the grammar goes to the
+one leaf printer, which raises ``KindMismatch`` for a value that is no
+node.  ``to_text`` and ``sets.predicate_text`` are ``unparse`` with
+``CONTEXT`` and ``PREDICATE``.
+
+To add an operator, touch three places: its symbol in ``lexer.SYMBOLS``
+(a keyword operator needs none), its precedence row (``PRECEDENCE_LEVELS``
+or ``PREDICATE`` here, or ``streams.STREAM``), and what it computes:
+``evaluator.ROWS`` for a context or set operator, or its ``OPERATORS``
+entry, beside its ``PREDICATE`` row, for a pointwise one.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Tuple, Union
 
-from .lexer import BOOLEANS, END, NAME, Cursor, Grammar, Rule, tokenize, unparse
+from .errors import KindMismatch
+from .lexer import BOOLEANS, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, tokenize
 from .model import format_tag
-from .streams import PREDICATE, Const, Pointwise, Ref, StreamExpr
 
-# --- AST -----------------------------------------------------------------
+# --- the syntax tree ----------------------------------------------------------
 
-VarRef = SymbolLit = Ref  # a variable, or a bare identifier in tag position
-BoolLit = Const  # the literal true or false, as comparisons print their result
-BinOp = Pointwise
+TIME = "time"
 
-TagLiteral = Union[int, str, bool, SymbolLit]
+Value = Union[int, bool, None]
+
+
+@dataclass(frozen=True)
+class Const:
+    value: Value
+
+
+@dataclass(frozen=True)
+class Literal:
+    """A finite prefix varying along one dimension; nil past the end."""
+
+    values: Tuple[Value, ...]
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Ref:
+    name: str
+
+
+@dataclass(frozen=True)
+class Pointwise:
+    # + - * == != < <= > >= and or in stream and Box-predicate trees; in a
+    # context tree, an operator of ``PRECEDENCE_LEVELS``
+    op: str
+    left: "StreamExpr"
+    right: "StreamExpr"
+
+
+@dataclass(frozen=True)
+class NotOp:
+    operand: "StreamExpr"
+
+
+@dataclass(frozen=True)
+class If:
+    cond: "StreamExpr"
+    then: "StreamExpr"
+    orelse: "StreamExpr"
+
+
+@dataclass(frozen=True)
+class First:
+    operand: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Next:
+    operand: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Prev:
+    operand: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Fby:
+    left: "StreamExpr"
+    right: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Wvr:
+    left: "StreamExpr"
+    right: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Asa:
+    left: "StreamExpr"
+    right: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class Upon:
+    left: "StreamExpr"
+    right: "StreamExpr"
+    dim: str = TIME
+
+
+@dataclass(frozen=True)
+class At:
+    """Intensional navigation: the operand at a shifted tag along dim."""
+
+    operand: "StreamExpr"
+    dim: str
+    index: "StreamExpr"
+
+
+@dataclass(frozen=True)
+class Query:
+    """Intensional query: the current tag along dim."""
+
+    dim: str
+
+
+StreamExpr = Union[
+    Const, Literal, Ref, Pointwise, NotOp, If,
+    First, Next, Prev, Fby, Wvr, Asa, Upon, At, Query,
+]
+
+# A tag literal in a context tree is an int, str or bool, or a Ref for a
+# bare name (an enum symbol, resolved against its dimension).
 
 
 @dataclass(frozen=True)
 class ContextLit:
-    pairs: Tuple[Tuple[str, TagLiteral], ...]
+    pairs: Tuple[Tuple[str, object], ...]  # (dimension, tag literal)
 
 
 @dataclass(frozen=True)
@@ -57,7 +185,7 @@ class PairLit:
     """A <dimension, tag> pair, the right operand of set substitution."""
 
     dim: str
-    tag: TagLiteral
+    tag: object  # a tag literal
 
 
 @dataclass(frozen=True)
@@ -67,6 +195,61 @@ class BoxLit:
 
 
 Node = Union[Ref, ContextLit, DimSetLit, SetLit, PairLit, BoxLit, Const, Pointwise]
+
+
+def references(expr: StreamExpr):
+    """The names an expression refers to, as a set-like view that iterates
+    them in source order, each once."""
+    out = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Ref):
+            out[node.name] = None
+        elif dataclasses.is_dataclass(node):
+            # fields are in source order; push them so the first pops first
+            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            stack += [c for c in reversed(children) if dataclasses.is_dataclass(c)]
+    return out.keys()
+
+
+# --- the Box-predicate grammar ------------------------------------------------
+
+# The value of every pointwise operator except the logical ones, which
+# stay control flow; streams and Box predicates evaluate with this table.
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _predicate_atom(cur: Cursor) -> StreamExpr:
+    value = cur.tag(Ref)
+    return value if isinstance(value, Ref) else Const(value)
+
+
+PREDICATE = Grammar(
+    prefix={"not": Rule(4, NotOp, RIGHT)},
+    infix={
+        "or": Rule(2, partial(Pointwise, "or")),
+        "and": Rule(3, partial(Pointwise, "and")),
+        **{op: Rule(5, partial(Pointwise, op), NONE)
+           for op in ("==", "!=", "<", "<=", ">", ">=")},
+        "+": Rule(6, partial(Pointwise, "+")),
+        "-": Rule(6, partial(Pointwise, "-")),
+        "*": Rule(7, partial(Pointwise, "*")),
+    },
+    atom=_predicate_atom,
+)
+
+# --- the context grammar ------------------------------------------------------
 
 # Loosest to tightest; operators within a level associate left to right.
 PRECEDENCE_LEVELS = (
@@ -81,8 +264,6 @@ PRECEDENCE_LEVELS = (
 BINDING = {
     op: level for level, ops in enumerate(PRECEDENCE_LEVELS) for op in ops
 }
-
-# --- literals ------------------------------------------------------------------
 
 
 def _name(cur: Cursor) -> str:
@@ -154,32 +335,6 @@ def _swapped_range(left, right):
     return Pointwise("=>", right, left)
 
 
-def _tag_literal_text(tag: TagLiteral) -> str:
-    return tag.name if isinstance(tag, Ref) else format_tag(tag)
-
-
-def _leaf_text(node: Node, min_bp: int) -> str:
-    if isinstance(node, Ref):
-        return node.name
-    if isinstance(node, ContextLit):
-        pairs = ", ".join(
-            f"({d}, {_tag_literal_text(t)})" for d, t in node.pairs
-        )
-        return "{" + pairs + "}"
-    if isinstance(node, DimSetLit):
-        return "{" + ", ".join(node.names) + "}"
-    if isinstance(node, SetLit):
-        return "{" + ", ".join(to_text(item) for item in node.items) + "}"
-    if isinstance(node, PairLit):
-        return f"<{node.dim}, {_tag_literal_text(node.tag)}>"
-    if isinstance(node, BoxLit):
-        names = ", ".join(node.dims)
-        return f"Box[{names} | {unparse(node.predicate, PREDICATE)}]"
-    if isinstance(node, Const):
-        return format_tag(node.value)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 CONTEXT = Grammar(
     prefix={},
     infix={
@@ -187,7 +342,6 @@ CONTEXT = Grammar(
         for op, level in BINDING.items()
     },
     atom=_atom,
-    leaf=_leaf_text,
 )
 
 
@@ -199,9 +353,67 @@ def parse_expr(source) -> Node:
     return node
 
 
-# Contexts and context sets share one grammar; operand kinds are enforced
-# during evaluation.
-parse_context_expr = parse_context_set_expr = parse_expr
+# --- the printer --------------------------------------------------------------
+
+
+def left_chain(node, grammar: Grammar) -> tuple:
+    """The operand that ends node's chain of left operands, and the infix
+    operator nodes above it, innermost first.  An infix node is one whose
+    ``op`` is in the grammar's infix table.  The walkers of a chain fold it
+    with a loop and recurse only into right operands, so a long chain such
+    as ``x == 1 or x == 2 or ...`` costs them no recursion."""
+    chain = []
+    infix = grammar.infix
+    while getattr(node, "op", None) in infix:
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return node, chain
+
+
+def _tag_text(tag) -> str:
+    return tag.name if isinstance(tag, Ref) else format_tag(tag)
+
+
+def _leaf_text(node, min_bp: int) -> str:
+    """Text of a node that is no infix operator of the grammar printed,
+    bracketed if it binds looser than min_bp; only ``not`` can."""
+    if isinstance(node, Ref):
+        return node.name
+    if isinstance(node, Const):
+        return format_tag(node.value)
+    if isinstance(node, NotOp):
+        rule = PREDICATE.prefix["not"]
+        text = f"not {unparse(node.operand, PREDICATE, rule.bp + 1)}"
+        return f"({text})" if rule.bp < min_bp else text
+    if isinstance(node, ContextLit):
+        pairs = ", ".join(f"({d}, {_tag_text(t)})" for d, t in node.pairs)
+        return "{" + pairs + "}"
+    if isinstance(node, DimSetLit):
+        return "{" + ", ".join(node.names) + "}"
+    if isinstance(node, SetLit):
+        return "{" + ", ".join(to_text(item) for item in node.items) + "}"
+    if isinstance(node, PairLit):
+        return f"<{node.dim}, {_tag_text(node.tag)}>"
+    if isinstance(node, BoxLit):
+        names = ", ".join(node.dims)
+        return f"Box[{names} | {unparse(node.predicate, PREDICATE)}]"
+    raise KindMismatch(f"not an expression node: {node!r}")
+
+
+def unparse(node, grammar: Grammar, min_bp: int = 0) -> str:
+    """Render a tree in the syntax of grammar, bracketed if it binds looser
+    than min_bp; the text parses back to an equal tree."""
+    node, chain = left_chain(node, grammar)
+    # min_bp of each chain node: the left_bp of the node above it
+    rules = [grammar.infix[n.op] for n in chain]
+    bps = [rule.left_bp for rule in rules] + [min_bp]
+    text = _leaf_text(node, bps[0])
+    for n, rule, bp in zip(chain, rules, bps[1:]):
+        text = f"{text} {n.op} {unparse(n.right, grammar, rule.right_bp)}"
+        if rule.bp < bp:
+            text = f"({text})"
+    return text
 
 
 def to_text(node: Node) -> str:

@@ -3,21 +3,24 @@
 The lifted operators apply a context operator member-wise (or pairwise);
 the relational operators treat context sets like relations over their
 shared dimensions.  A Box describes a context set by a dimension list and
-a predicate over the current tags instead of by enumeration.
+a predicate over the current tags instead of by enumeration.  A predicate
+is a tree of ``parser`` nodes (``Const``, ``Ref``, ``Pointwise`` and
+``NotOp``) in the syntax of ``parser.PREDICATE``; this module checks its
+kind, binds its enum symbols, evaluates it with ``parser.OPERATORS`` and
+prints it with ``parser.unparse``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import (
     IllTypedPredicate,
     NonSimpleOperand,
     UnboundedBox,
 )
-from .lexer import left_chain, unparse
 from .model import (
     Context,
     ContextSet,
@@ -27,7 +30,10 @@ from .model import (
     TagValue,
     kind_of,
 )
-from .streams import OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref, references
+from .parser import (
+    OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref, StreamExpr, left_chain,
+    references, unparse,
+)
 from . import ops
 
 
@@ -141,16 +147,6 @@ def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
 
 # --- box predicates -----------------------------------------------------------
-#
-# A predicate is a tag expression of the stream language; the names below
-# are the predicate vocabulary for the stream node classes.
-
-Lit = Const
-Name = Ref  # a dimension variable or an enum symbol
-Arith = Cmp = Logic = Pointwise
-Not = NotOp
-
-BoolExpr = Union[Const, Ref, Pointwise, NotOp]
 
 _INT = (TagKind.INT, None)
 _BOOL = (TagKind.BOOL, None)
@@ -159,7 +155,7 @@ _LOGIC = ("and", "or")
 _LINEAR = ("+", "-")
 
 
-def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
+def _predicate_kind(node: StreamExpr, dims_by_name) -> tuple:
     """Kind of a bound predicate node: (TagKind, enumeration-or-None)."""
     node, chain = left_chain(node, PREDICATE)
     if isinstance(node, Const):
@@ -192,7 +188,7 @@ def _predicate_kind(node: BoolExpr, dims_by_name) -> tuple:
     return kind
 
 
-def eval_predicate(node: BoolExpr, assignment) -> TagValue:
+def eval_predicate(node: StreamExpr, assignment) -> TagValue:
     """Evaluate a bound predicate (see ``Box``) under an assignment of a
     tag to each dimension name it reads."""
     if isinstance(node, Ref):
@@ -220,7 +216,7 @@ def eval_predicate(node: BoolExpr, assignment) -> TagValue:
     return value
 
 
-def _bind_symbols(node: BoolExpr, dims) -> BoolExpr:
+def _bind_symbols(node: StreamExpr, dims) -> StreamExpr:
     """The predicate with each name that is not one of ``dims`` replaced by
     the one enum member of a dimension in ``dims`` that it names."""
     node, chain = left_chain(node, PREDICATE)
@@ -240,7 +236,7 @@ def _bind_symbols(node: BoolExpr, dims) -> BoolExpr:
     return node
 
 
-def predicate_text(node: BoolExpr) -> str:
+def predicate_text(node: StreamExpr) -> str:
     """Render a predicate in the syntax the box-literal parser accepts."""
     return unparse(node, PREDICATE)
 
@@ -259,7 +255,7 @@ class Box:
     """
 
     dims: Tuple[Dimension, ...]
-    predicate: BoolExpr
+    predicate: StreamExpr
 
     def __post_init__(self):
         object.__setattr__(
@@ -270,7 +266,7 @@ class Box:
         return f"Box[{names} | {predicate_text(self.predicate)}]"
 
 
-def box_make(dims, predicate: BoolExpr) -> Box:
+def box_make(dims, predicate: StreamExpr) -> Box:
     """Validate and build a box; the predicate must be boolean-kinded."""
     dims = tuple(dims)
     if not dims:
@@ -295,7 +291,7 @@ def box_contains(box: Box, c: Context) -> bool:
     return bool(eval_predicate(box.predicate, assignment))
 
 
-def _conjuncts(node: BoolExpr) -> list:
+def _conjuncts(node: StreamExpr) -> list:
     """The operands of the top-level ``and`` chain, left to right."""
     out, stack = [], [node]
     while stack:
@@ -307,7 +303,7 @@ def _conjuncts(node: BoolExpr) -> list:
     return out
 
 
-def _solved_side(conjunct: BoolExpr, d: Dimension) -> BoolExpr:
+def _solved_side(conjunct: StreamExpr, d: Dimension) -> StreamExpr:
     """For an ``==`` conjunct that fixes dimension d, the expression E with
     ``conjunct`` equivalent to ``d == E``; else None.
 

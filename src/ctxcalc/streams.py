@@ -1,4 +1,12 @@
-"""Demand-driven evaluator for multidimensional stream equations.
+"""Demand-driven evaluator for multidimensional stream equations, and the
+stream grammar.
+
+The node classes, which context and Box-predicate trees share, ``TIME``
+and the pointwise ``OPERATORS`` live in ``parser``.  This module keeps
+what is the stream language's own: the grammar table ``STREAM``, whose
+infix rules are ``parser.PREDICATE``'s plus the filters, ``fby`` and
+``@``; the words that cannot name a stream, ``KEYWORDS``; the two stream
+parse functions; and eduction.
 
 A stream expression denotes a value at every evaluation context: a finite
 set of (dimension, tag) pairs with natural tags, an absent dimension
@@ -47,29 +55,17 @@ demands, not long expressions, use up the recursion limit.
 
 from __future__ import annotations
 
-import dataclasses
-import operator
 import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import partial
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
-from .errors import (
-    DemandExhausted,
-    DuplicateName,
-    IllTypedPredicate,
-    KindMismatch,
-    UnresolvedReference,
+from .errors import DemandExhausted, DuplicateName, KindMismatch, UnresolvedReference
+from .lexer import BOOLEANS, INT, NAME, RIGHT, Cursor, Grammar, Rule, tokenize
+from .parser import (
+    OPERATORS, PREDICATE, TIME, Asa, At, Const, Fby, First, If, Literal, Next,
+    NotOp, Pointwise, Prev, Query, Ref, StreamExpr, Upon, Value, Wvr, references,
 )
-from .lexer import (
-    BOOLEANS, INT, NAME, NONE, RIGHT, Cursor, Grammar, Rule, tokenize, unparse,
-)
-from .model import format_tag
-
-TIME = "time"
-
-Value = Union[int, bool, None]
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -118,132 +114,6 @@ class EvalContext(tuple):
     def __repr__(self):
         inner = ", ".join(f"{d}: {t}" for d, t in self)
         return f"EvalContext({{{inner}}})"
-
-
-# --- stream expression AST ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Value
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A finite prefix varying along one dimension; nil past the end."""
-
-    values: Tuple[Value, ...]
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
-
-
-@dataclass(frozen=True)
-class Pointwise:
-    # + - * == != < <= > >= and or in stream and Box-predicate trees; in a
-    # context tree (``parser``), an operator of ``parser.PRECEDENCE_LEVELS``
-    op: str
-    left: "StreamExpr"
-    right: "StreamExpr"
-
-
-@dataclass(frozen=True)
-class NotOp:
-    operand: "StreamExpr"
-
-
-@dataclass(frozen=True)
-class If:
-    cond: "StreamExpr"
-    then: "StreamExpr"
-    orelse: "StreamExpr"
-
-
-@dataclass(frozen=True)
-class First:
-    operand: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Next:
-    operand: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Prev:
-    operand: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Fby:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Wvr:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Asa:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class Upon:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
-
-
-@dataclass(frozen=True)
-class At:
-    """Intensional navigation: the operand at a shifted tag along dim."""
-
-    operand: "StreamExpr"
-    dim: str
-    index: "StreamExpr"
-
-
-@dataclass(frozen=True)
-class Query:
-    """Intensional query: the current tag along dim."""
-
-    dim: str
-
-
-StreamExpr = Union[
-    Const, Literal, Ref, Pointwise, NotOp, If,
-    First, Next, Prev, Fby, Wvr, Asa, Upon, At, Query,
-]
-
-
-def references(expr: StreamExpr):
-    """The stream names an expression refers to, as a set-like view that
-    iterates them in source order, each once."""
-    out = {}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Ref):
-            out[node.name] = None
-        elif dataclasses.is_dataclass(node):
-            # fields are in source order; push them so the first pops first
-            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
-            stack += [c for c in reversed(children) if dataclasses.is_dataclass(c)]
-    return out.keys()
 
 
 class EquationSet(dict):
@@ -335,21 +205,6 @@ class _State:
         self.remaining -= 1
         if self.remaining < 0:
             raise DemandExhausted("demand budget exhausted")
-
-
-# The value of every pointwise operator except the logical ones, which
-# stay control flow.  Box predicates evaluate with the same table.
-OPERATORS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 
 # --- one handler per node type ---------------------------------------------
@@ -604,44 +459,9 @@ def eval_prefix(
     return _evaluate(expr, contexts, eqs, warehouse, budget)
 
 
-# --- stream and predicate syntax ---------------------------------------------
+# --- stream syntax ------------------------------------------------------------
 
 _PREFIX_BP = 9  # first next prev not -
-
-_POINTWISE = {
-    "or": Rule(2, partial(Pointwise, "or")),
-    "and": Rule(3, partial(Pointwise, "and")),
-    **{op: Rule(5, partial(Pointwise, op), NONE)
-       for op in ("==", "!=", "<", "<=", ">", ">=")},
-    "+": Rule(6, partial(Pointwise, "+")),
-    "-": Rule(6, partial(Pointwise, "-")),
-    "*": Rule(7, partial(Pointwise, "*")),
-}
-
-
-def _predicate_atom(cur: Cursor) -> StreamExpr:
-    value = cur.tag(Ref)
-    return value if isinstance(value, Ref) else Const(value)
-
-
-def _predicate_leaf(node: StreamExpr, min_bp: int) -> str:
-    if isinstance(node, Const):
-        return format_tag(node.value)
-    if isinstance(node, Ref):
-        return node.name
-    if isinstance(node, NotOp):
-        rule = PREDICATE.prefix["not"]
-        text = f"not {unparse(node.operand, PREDICATE, rule.bp + 1)}"
-        return f"({text})" if rule.bp < min_bp else text
-    raise IllTypedPredicate(f"not a predicate node: {node!r}")
-
-
-PREDICATE = Grammar(
-    prefix={"not": Rule(4, NotOp, RIGHT)},
-    infix=_POINTWISE,
-    atom=_predicate_atom,
-    leaf=_predicate_leaf,
-)
 
 
 def _dim(cur: Cursor) -> str:
@@ -711,7 +531,7 @@ STREAM = Grammar(
         "prev": Rule(_PREFIX_BP, Prev, RIGHT, _opt_dim),
     },
     infix={
-        **_POINTWISE,
+        **PREDICATE.infix,
         "fby": Rule(1, Fby, RIGHT, _opt_dim),
         "wvr": Rule(1, Wvr, RIGHT, _opt_dim),
         "asa": Rule(1, Asa, RIGHT, _opt_dim),

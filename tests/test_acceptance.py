@@ -25,13 +25,24 @@ from ctxcalc.model import (
     TagKind,
     make_context,
 )
-from ctxcalc.parser import BinOp, VarRef, parse_context_expr
+from ctxcalc.parser import (
+    Asa,
+    At,
+    Const,
+    Fby,
+    First,
+    Literal,
+    Next,
+    NotOp,
+    Pointwise,
+    Prev,
+    Query,
+    Ref,
+    Upon,
+    Wvr,
+    parse_expr,
+)
 from ctxcalc.sets import (
-    Cmp,
-    Lit,
-    Logic,
-    Name,
-    Not,
     box_contains,
     box_enumerate,
     box_make,
@@ -40,26 +51,14 @@ from ctxcalc.sets import (
     set_intersection,
     set_union,
 )
-from ctxcalc import streams
 from ctxcalc.streams import (
-    Asa,
-    At,
-    Const,
     EvalContext,
-    Fby,
-    First,
-    Literal,
-    Next,
-    Prev,
-    Query,
-    Ref,
-    Upon,
     Warehouse,
-    Wvr,
     define_streams,
     eval_prefix,
     eval_stream,
 )
+from ctxcalc import streams
 
 from conftest import int_registry, undirected_range_oracle
 
@@ -135,11 +134,11 @@ def test_criterion_05_directed_ranges():
 
 
 def test_criterion_06_expression():
-    ast = parse_context_expr("c3 ^ D (+) c1 | c2")
-    assert ast == BinOp(
+    ast = parse_expr("c3 ^ D (+) c1 | c2")
+    assert ast == Pointwise(
         "(+)",
-        BinOp("^", VarRef("c3"), VarRef("D")),
-        BinOp("|", VarRef("c1"), VarRef("c2")),
+        Pointwise("^", Ref("c3"), Ref("D")),
+        Pointwise("|", Ref("c1"), Ref("c2")),
     )
     reg = DimensionRegistry()
     for n in "xyzw":
@@ -288,21 +287,21 @@ def _random_predicate(rng, dim_names, depth=2):
     if depth == 0 or rng.random() < 0.4:
         kind = rng.randrange(3)
         if kind == 0:
-            return Cmp(
+            return Pointwise(
                 rng.choice(("==", "!=", "<", "<=", ">", ">=")),
-                Name(rng.choice(dim_names)),
-                Name(rng.choice(dim_names)),
+                Ref(rng.choice(dim_names)),
+                Ref(rng.choice(dim_names)),
             )
         if kind == 1:
-            return Cmp(
+            return Pointwise(
                 rng.choice(("==", "!=", "<", "<=", ">", ">=")),
-                Name(rng.choice(dim_names)),
-                Lit(rng.randint(1, 4)),
+                Ref(rng.choice(dim_names)),
+                Const(rng.randint(1, 4)),
             )
-        return Lit(rng.random() < 0.5)
+        return Const(rng.random() < 0.5)
     if rng.random() < 0.3:
-        return Not(_random_predicate(rng, dim_names, depth - 1))
-    return Logic(
+        return NotOp(_random_predicate(rng, dim_names, depth - 1))
+    return Pointwise(
         rng.choice(("and", "or")),
         _random_predicate(rng, dim_names, depth - 1),
         _random_predicate(rng, dim_names, depth - 1),

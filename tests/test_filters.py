@@ -18,18 +18,20 @@ from hypothesis import strategies as st
 
 from ctxcalc.cli import new_session, run_command
 from ctxcalc.errors import DemandExhausted
-from ctxcalc.streams import (
+from ctxcalc.parser import (
     Asa,
     At,
     Const,
-    EvalContext,
     Literal,
     Pointwise,
     Query,
     Ref,
     Upon,
-    Warehouse,
     Wvr,
+)
+from ctxcalc.streams import (
+    EvalContext,
+    Warehouse,
     define_streams,
     eval_prefix,
     eval_stream,

@@ -19,29 +19,11 @@ from ctxcalc.evaluator import evaluate
 from ctxcalc.lexer import END, INT, NAME, tokenize
 from ctxcalc.model import DimensionRegistry, TagKind
 from ctxcalc.parser import (
-    BinOp,
-    BoolLit,
-    BoxLit,
-    DimSetLit,
-    VarRef,
-    parse_expr,
-    to_text,
-)
-from ctxcalc.sets import (
-    Arith,
-    Cmp,
-    Lit,
-    Logic,
-    Name,
-    Not,
-    box_enumerate,
-    box_make,
-    predicate_text,
-)
-from ctxcalc.streams import (
     Asa,
     At,
+    BoxLit,
     Const,
+    DimSetLit,
     Fby,
     If,
     NotOp,
@@ -49,8 +31,11 @@ from ctxcalc.streams import (
     Ref,
     Upon,
     Wvr,
-    parse_stream_expr,
+    parse_expr,
+    to_text,
 )
+from ctxcalc.sets import box_enumerate, box_make, predicate_text
+from ctxcalc.streams import parse_stream_expr
 
 
 def box(text):
@@ -63,10 +48,10 @@ A, B, C, D = Ref("A"), Ref("B"), Ref("C"), Ref("D")
 # (parse function, source, expected tree)
 PINNED = [
     # Box 'not' binds looser than comparison, stream 'not' tighter.
-    (box, "not d1 < d2", Not(Cmp("<", Name("d1"), Name("d2")))),
+    (box, "not d1 < d2", NotOp(Pointwise("<", Ref("d1"), Ref("d2")))),
     (box, "not d1 < d2 and d3",
-     Logic("and", Not(Cmp("<", Name("d1"), Name("d2"))), Name("d3"))),
-    (box, "d1 and not not d2", Logic("and", Name("d1"), Not(Not(Name("d2"))))),
+     Pointwise("and", NotOp(Pointwise("<", Ref("d1"), Ref("d2"))), Ref("d3"))),
+    (box, "d1 and not not d2", Pointwise("and", Ref("d1"), NotOp(NotOp(Ref("d2"))))),
     (parse_stream_expr, "not A < B", Pointwise("<", NotOp(A), B)),
     # the temporal operators are right-associative and take an optional .dim
     (parse_stream_expr, "A fby B wvr C", Fby(A, Wvr(B, C))),
@@ -80,7 +65,7 @@ PINNED = [
     (parse_stream_expr, "- - 3", Const(3)),
     (parse_stream_expr, "-A", Pointwise("-", Const(0), A)),
     (parse_stream_expr, "A - -3", Pointwise("-", A, Const(-3))),
-    (box, "d < -3", Cmp("<", Name("d"), Lit(-3))),
+    (box, "d < -3", Pointwise("<", Ref("d"), Const(-3))),
     # if starts an expression: at the top, in parentheses, in its branches
     (parse_stream_expr, "if A then B else C fby D", If(A, B, Fby(C, D))),
     (parse_stream_expr, "(if A then B else C) + 1",
@@ -88,20 +73,24 @@ PINNED = [
     (parse_stream_expr, "if A then if B then C else D else A",
      If(A, If(B, C, D), A)),
     # <= is swapped range sugar only in the context grammar
-    (parse_expr, "a <= b", BinOp("=>", VarRef("b"), VarRef("a"))),
+    (parse_expr, "a <= b", Pointwise("=>", Ref("b"), Ref("a"))),
     (parse_stream_expr, "A <= B", Pointwise("<=", A, B)),
-    (box, "d1 <= d2", Cmp("<=", Name("d1"), Name("d2"))),
+    (box, "d1 <= d2", Pointwise("<=", Ref("d1"), Ref("d2"))),
     # arithmetic and logic keep their usual levels
     (box, "d1 + d2 * 3 == 7 or d1 > 1 and true",
-     Logic("or",
-           Cmp("==", Arith("+", Name("d1"), Arith("*", Name("d2"), Lit(3))), Lit(7)),
-           Logic("and", Cmp(">", Name("d1"), Lit(1)), Lit(True)))),
+     Pointwise(
+         "or",
+         Pointwise("==",
+                   Pointwise("+", Ref("d1"), Pointwise("*", Ref("d2"), Const(3))),
+                   Const(7)),
+         Pointwise("and", Pointwise(">", Ref("d1"), Const(1)), Const(True)))),
     (box, '(d1 - 1) - 2 == "s"',
-     Cmp("==", Arith("-", Arith("-", Name("d1"), Lit(1)), Lit(2)), Lit("s"))),
+     Pointwise("==", Pointwise("-", Pointwise("-", Ref("d1"), Const(1)), Const(2)),
+               Const("s"))),
     # true and false are literals in the context grammar too, not names
-    (parse_expr, "x == true", BinOp("==", VarRef("x"), BoolLit(True))),
-    (parse_expr, "(false)", BoolLit(False)),
-    (parse_expr, "true_x", VarRef("true_x")),
+    (parse_expr, "x == true", Pointwise("==", Ref("x"), Const(True))),
+    (parse_expr, "(false)", Const(False)),
+    (parse_expr, "true_x", Ref("true_x")),
 ]
 
 
@@ -135,8 +124,8 @@ def test_syntax_errors(parse, text):
 
 
 def test_box_predicate_nodes_are_stream_nodes():
-    assert Cmp("<", Name("d1"), Name("d2")) == Pointwise("<", Ref("d1"), Ref("d2"))
-    assert Not(Lit(True)) == NotOp(Const(True))
+    assert box("d1 < d2") == parse_stream_expr("d1 < d2")
+    assert box("not true") == parse_stream_expr("not true")
 
 
 # --- parentheses ------------------------------------------------------------------
@@ -198,18 +187,19 @@ _names = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{0,3}", fullmatch=True).filter(
     lambda n: n not in _KEYWORDS
 )
 _pred_leaves = st.one_of(
-    _names.map(Name),
-    st.integers(-50, 50).map(Lit),
-    st.text("abc xyz", max_size=4).map(Lit),
-    st.booleans().map(Lit),
+    _names.map(Ref),
+    st.integers(-50, 50).map(Const),
+    st.text("abc xyz", max_size=4).map(Const),
+    st.booleans().map(Const),
 )
 _predicates = st.recursive(
     _pred_leaves,
     lambda kids: st.one_of(
-        kids.map(Not),
-        st.builds(Logic, st.sampled_from(["and", "or"]), kids, kids),
-        st.builds(Arith, st.sampled_from(["+", "-", "*"]), kids, kids),
-        st.builds(Cmp, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), kids, kids),
+        kids.map(NotOp),
+        st.builds(Pointwise, st.sampled_from(["and", "or"]), kids, kids),
+        st.builds(Pointwise, st.sampled_from(["+", "-", "*"]), kids, kids),
+        st.builds(Pointwise, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+                  kids, kids),
     ),
     max_leaves=10,
 )
@@ -222,11 +212,11 @@ def test_predicate_text_round_trip(pred):
 
 
 def test_predicate_text_brackets():
-    assert predicate_text(Not(Not(Name("a")))) == "not (not a)"
-    assert predicate_text(Cmp("<", Not(Name("a")), Name("b"))) == "(not a) < b"
-    assert predicate_text(Arith("-", Name("a"), Arith("-", Name("b"), Lit(-1)))) == (
-        "a - (b - -1)"
-    )
+    assert predicate_text(NotOp(NotOp(Ref("a")))) == "not (not a)"
+    assert predicate_text(Pointwise("<", NotOp(Ref("a")), Ref("b"))) == "(not a) < b"
+    assert predicate_text(
+        Pointwise("-", Ref("a"), Pointwise("-", Ref("b"), Const(-1)))
+    ) == "a - (b - -1)"
 
 
 # --- long left-associated chains ------------------------------------------------
@@ -271,7 +261,7 @@ def left_spine(node):
     """A left chain as its innermost operand and (operator, right operand)
     pairs, compared without recursing along the chain."""
     spine = []
-    while isinstance(node, BinOp):
+    while isinstance(node, Pointwise):
         spine.append((node.op, node.right))
         node = node.left
     return node, spine
@@ -283,7 +273,7 @@ def test_to_text_of_a_long_chain_reparses_to_an_equal_tree():
     tree = parse_expr(text)
     assert to_text(tree) == text
     assert left_spine(parse_expr(to_text(tree))) == left_spine(tree)
-    bracketed = BinOp("!", tree, DimSetLit(("x",)))
+    bracketed = Pointwise("!", tree, DimSetLit(("x",)))
     assert to_text(bracketed) == f"({text}) ! {{x}}"
     assert left_spine(parse_expr(to_text(bracketed))) == left_spine(bracketed)
 
@@ -330,10 +320,10 @@ def test_enum_values_order_within_one_enumeration():
 def test_box_enum_comparisons():
     reg = enum_registry()
     month = reg.get("month")
-    b = box_make([month], Cmp(">=", Name("month"), Name("Fe")))
+    b = box_make([month], Pointwise(">=", Ref("month"), Ref("Fe")))
     assert {str(c) for c in box_enumerate(b)} == {"{(month, Fe)}", "{(month, Mr)}"}
     with pytest.raises(IllTypedPredicate):
-        box_make([month, reg.get("day")], Cmp("<", Name("month"), Name("day")))
+        box_make([month, reg.get("day")], Pointwise("<", Ref("month"), Ref("day")))
 
 
 # --- the show command -----------------------------------------------------------

@@ -25,7 +25,8 @@ from ctxcalc.model import (
     DimensionRegistry,
     TagKind,
 )
-from ctxcalc.parser import BINDING, parse_expr
+from ctxcalc.parser import BINDING, Const, Fby, Pointwise, parse_expr, to_text
+from ctxcalc.sets import predicate_text
 from ctxcalc.streams import parse_stream_expr
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -135,6 +136,27 @@ def test_rows_reach_rebound_operators(monkeypatch):
     session = _matrix_session()
     run_command(session, "eval {{(d,1)}} >< {{(e,1)}}")
     assert calls == ["join"]
+
+
+# A value that is no node of the grammar, handed to the public API.
+NOT_NODES = {"int": 3, "str": "c", "fby": Fby(Const(1), Const(2))}
+
+
+@pytest.mark.parametrize(
+    "node", [*NOT_NODES.values(), Pointwise("+", Const(1), Const(2))],
+    ids=[*NOT_NODES, "stream-plus"])
+def test_a_value_that_is_no_context_node_is_a_kind_mismatch(node):
+    env = _matrix_session().env
+    with pytest.raises(KindMismatch):
+        evaluate(node, env)
+    with pytest.raises(KindMismatch):
+        to_text(node)
+
+
+@pytest.mark.parametrize("node", NOT_NODES.values(), ids=NOT_NODES)
+def test_a_value_that_is_no_predicate_node_is_a_kind_mismatch(node):
+    with pytest.raises(KindMismatch):
+        predicate_text(node)
 
 
 # --- iterative chains ---------------------------------------------------------

@@ -24,21 +24,18 @@ from ctxcalc.model import (
 from ctxcalc.parser import (
     BINDING,
     PRECEDENCE_LEVELS,
-    BinOp,
-    BoolLit,
     BoxLit,
+    Const,
     ContextLit,
     DimSetLit,
+    NotOp,
     PairLit,
+    Pointwise,
+    Ref,
     SetLit,
-    SymbolLit,
-    VarRef,
-    parse_context_expr,
-    parse_context_set_expr,
     parse_expr,
     to_text,
 )
-from ctxcalc.sets import Arith, Cmp, Lit, Logic, Name, Not
 
 from conftest import int_registry
 
@@ -95,36 +92,36 @@ def test_tokenize_maximal_munch():
 
 
 def test_parse_worked_expression_shape():
-    ast = parse_context_expr("c3 ^ D (+) c1 | c2")
-    assert ast == BinOp(
+    ast = parse_expr("c3 ^ D (+) c1 | c2")
+    assert ast == Pointwise(
         "(+)",
-        BinOp("^", VarRef("c3"), VarRef("D")),
-        BinOp("|", VarRef("c1"), VarRef("c2")),
+        Pointwise("^", Ref("c3"), Ref("D")),
+        Pointwise("|", Ref("c1"), Ref("c2")),
     )
 
 
 def test_parse_same_level_left_assoc():
-    assert parse_context_expr("c1 (+) c2 (-) c3") == BinOp(
-        "(-)", BinOp("(+)", VarRef("c1"), VarRef("c2")), VarRef("c3")
+    assert parse_expr("c1 (+) c2 (-) c3") == Pointwise(
+        "(-)", Pointwise("(+)", Ref("c1"), Ref("c2")), Ref("c3")
     )
 
 
 def test_parse_parenthesized_variable():
-    assert parse_context_expr("(c1)") == VarRef("c1")
+    assert parse_expr("(c1)") == Ref("c1")
 
 
 def test_parse_set_expression_shapes():
-    assert parse_context_set_expr("s1 >< s2 [&] s3") == BinOp(
-        "[&]", BinOp("><", VarRef("s1"), VarRef("s2")), VarRef("s3")
+    assert parse_expr("s1 >< s2 [&] s3") == Pointwise(
+        "[&]", Pointwise("><", Ref("s1"), Ref("s2")), Ref("s3")
     )
-    assert parse_context_set_expr("s1 ^ D [+] s2") == BinOp(
-        "[+]", BinOp("^", VarRef("s1"), VarRef("D")), VarRef("s2")
+    assert parse_expr("s1 ^ D [+] s2") == Pointwise(
+        "[+]", Pointwise("^", Ref("s1"), Ref("D")), Ref("s2")
     )
-    assert parse_context_set_expr("s1") == VarRef("s1")
+    assert parse_expr("s1") == Ref("s1")
 
 
 def test_parse_swapped_directed_range_sugar():
-    assert parse_expr("a <= b") == BinOp("=>", VarRef("b"), VarRef("a"))
+    assert parse_expr("a <= b") == Pointwise("=>", Ref("b"), Ref("a"))
 
 
 def test_parse_literals():
@@ -136,13 +133,13 @@ def test_parse_literals():
     )
     assert parse_expr("<d, 5>") == PairLit("d", 5)
     assert parse_expr('{(s, "text"), (b, true), (m, Ja), (d, -2)}') == ContextLit(
-        (("s", "text"), ("b", True), ("m", SymbolLit("Ja")), ("d", -2))
+        (("s", "text"), ("b", True), ("m", Ref("Ja")), ("d", -2))
     )
 
 
 def test_parse_box_literal():
     ast = parse_expr("Box[d1, d2 | d1 < d2]")
-    assert ast == BoxLit(("d1", "d2"), Cmp("<", Name("d1"), Name("d2")))
+    assert ast == BoxLit(("d1", "d2"), Pointwise("<", Ref("d1"), Ref("d2")))
 
 
 def test_parse_errors():
@@ -168,16 +165,16 @@ def test_precedence_pairs_table_driven():
                     if "<=" in (tight, loose):
                         continue  # swapped sugar changes operand order
                     ast = parse_expr(f"a {loose} b {tight} c")
-                    assert ast == BinOp(
+                    assert ast == Pointwise(
                         loose,
-                        VarRef("a"),
-                        BinOp(tight, VarRef("b"), VarRef("c")),
+                        Ref("a"),
+                        Pointwise(tight, Ref("b"), Ref("c")),
                     ), (loose, tight)
                     ast = parse_expr(f"a {tight} b {loose} c")
-                    assert ast == BinOp(
+                    assert ast == Pointwise(
                         loose,
-                        BinOp(tight, VarRef("a"), VarRef("b")),
-                        VarRef("c"),
+                        Pointwise(tight, Ref("a"), Ref("b")),
+                        Ref("c"),
                     ), (tight, loose)
     for level in PRECEDENCE_LEVELS:
         for op1 in level:
@@ -185,8 +182,8 @@ def test_precedence_pairs_table_driven():
                 if "<=" in (op1, op2):
                     continue
                 ast = parse_expr(f"a {op1} b {op2} c")
-                assert ast == BinOp(
-                    op2, BinOp(op1, VarRef("a"), VarRef("b")), VarRef("c")
+                assert ast == Pointwise(
+                    op2, Pointwise(op1, Ref("a"), Ref("b")), Ref("c")
                 ), (op1, op2)
 
 
@@ -199,35 +196,36 @@ _OPS = [op for level in PRECEDENCE_LEVELS for op in level if op != "<="]
 # inside a context expression printed through the context grammar's.
 _predicates = st.recursive(
     st.one_of(
-        st.sampled_from(["d1", "d2", "Ja"]).map(Name),
-        st.integers(-3, 3).map(Lit),
-        st.booleans().map(Lit),
-        st.just(Lit('a "b" \\')),
+        st.sampled_from(["d1", "d2", "Ja"]).map(Ref),
+        st.integers(-3, 3).map(Const),
+        st.booleans().map(Const),
+        st.just(Const('a "b" \\')),
     ),
     lambda kids: st.one_of(
-        kids.map(Not),
-        st.builds(Logic, st.sampled_from(["and", "or"]), kids, kids),
-        st.builds(Arith, st.sampled_from(["+", "-", "*"]), kids, kids),
-        st.builds(Cmp, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), kids, kids),
+        kids.map(NotOp),
+        st.builds(Pointwise, st.sampled_from(["and", "or"]), kids, kids),
+        st.builds(Pointwise, st.sampled_from(["+", "-", "*"]), kids, kids),
+        st.builds(Pointwise, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+                  kids, kids),
     ),
     max_leaves=6,
 )
 _leaves = st.one_of(
-    st.sampled_from("abcs").map(VarRef),
-    st.booleans().map(BoolLit),
+    st.sampled_from("abcs").map(Ref),
+    st.booleans().map(Const),
     st.just(ContextLit((("d", 1), ("e", 4)))),
     st.just(ContextLit(())),
     st.just(ContextLit(
-        (("d", -2), ("s", 'a "b" \\'), ("b", False), ("m", SymbolLit("Ja"))))),
+        (("d", -2), ("s", 'a "b" \\'), ("b", False), ("m", Ref("Ja"))))),
     st.just(DimSetLit(("d", "e"))),
     st.just(SetLit((ContextLit((("d", 2),)),))),
     st.just(PairLit("d", 3)),
-    st.just(BoxLit(("d1", "d2"), Cmp("<", Name("d1"), Name("d2")))),
+    st.just(BoxLit(("d1", "d2"), Pointwise("<", Ref("d1"), Ref("d2")))),
     st.builds(BoxLit, st.just(("d1", "d2")), _predicates),
 )
 _exprs = st.recursive(
     _leaves,
-    lambda children: st.builds(BinOp, st.sampled_from(_OPS), children, children),
+    lambda children: st.builds(Pointwise, st.sampled_from(_OPS), children, children),
     max_leaves=12,
 )
 
@@ -240,7 +238,7 @@ def test_round_trip(expr):
 def test_round_trip_forced_parens():
     text = "(a (+) b) ! D"
     ast = parse_expr(text)
-    assert ast == BinOp("!", BinOp("(+)", VarRef("a"), VarRef("b")), VarRef("D"))
+    assert ast == Pointwise("!", Pointwise("(+)", Ref("a"), Ref("b")), Ref("D"))
     assert parse_expr(to_text(ast)) == ast
 
 

@@ -252,6 +252,21 @@ MODEL_ERRORS = [
     ("outside-declared-domain",
      lambda: _register(("k", TagKind.INT, [0, 1, 2])).coerce(3),
      TagOutsideDomain, "3 is outside the declared domain of 'k'"),
+    ("register-unhashable-name",
+     lambda: _register((["a"], TagKind.INT)),
+     ExprSyntaxError, "dimension name must be a non-empty identifier"),
+    ("get-unhashable-name",
+     lambda: DimensionRegistry().get(["a"]),
+     ExprSyntaxError, "dimension name must be a non-empty identifier"),
+    # a set has no declaration order: its order would be the hash seed's
+    ("set-enum-domain",
+     lambda: _register(("m", TagKind.ENUM, {"Ja", "Fe", "Mr"})),
+     IllFormedDomain,
+     "domain of 'm' must be a sequence in declaration order, got a set"),
+    ("frozenset-str-domain",
+     lambda: _register(("s", TagKind.STR, frozenset({"b", "a", "c"}))),
+     IllFormedDomain,
+     "domain of 's' must be a sequence in declaration order, got a frozenset"),
 ]
 
 
@@ -271,6 +286,8 @@ MALFORMED_DECLARATIONS = [
     ("str-domain-a-string", ("s", TagKind.STR, "ab"), IllFormedDomain),
     ("kind-not-a-tag-kind", ("d", "int"), IllFormedDomain),
     ("name-not-a-string", (5, TagKind.INT), ExprSyntaxError),
+    ("name-unhashable", (["a"], TagKind.INT), ExprSyntaxError),
+    ("int-domain-a-set", ("d", TagKind.INT, {1, 2, 3}), IllFormedDomain),
 ]
 
 

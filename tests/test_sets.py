@@ -21,13 +21,9 @@ from ctxcalc.model import (
     TagKind,
     make_context,
 )
+from ctxcalc.parser import Const, NotOp, Pointwise, Ref
 from ctxcalc.sets import (
-    Arith,
     Box,
-    Cmp,
-    Lit,
-    Logic,
-    Name,
     box_contains,
     box_enumerate,
     box_make,
@@ -231,7 +227,7 @@ def box_registry():
 def test_box_enumerate_less_than():
     reg = box_registry()
     b = box_make(
-        [reg.get("d1"), reg.get("d2")], Cmp("<", Name("d1"), Name("d2"))
+        [reg.get("d1"), reg.get("d2")], Pointwise("<", Ref("d1"), Ref("d2"))
     )
     got = box_enumerate(b)
     want = ContextSet(
@@ -246,7 +242,7 @@ def test_box_enumerate_less_than():
 
 def test_box_contains_exact_domain():
     reg = int_registry("de")
-    b = box_make([reg.get("d")], Lit(True))
+    b = box_make([reg.get("d")], Const(True))
     assert box_contains(b, make_context(reg, [("d", 1)]))
     assert not box_contains(b, make_context(reg, [("d", 1), ("e", 2)]))
     assert not box_contains(b, make_context(reg, [("e", 2)]))
@@ -254,22 +250,22 @@ def test_box_contains_exact_domain():
 
 def test_box_contains_needs_simple():
     reg = int_registry("d")
-    b = box_make([reg.get("d")], Lit(True))
+    b = box_make([reg.get("d")], Const(True))
     with pytest.raises(NonSimpleOperand):
         box_contains(b, make_context(reg, [("d", 1), ("d", 2)]))
 
 
 def test_box_false_is_empty():
     reg = box_registry()
-    b = box_make([reg.get("d1")], Lit(False))
+    b = box_make([reg.get("d1")], Const(False))
     assert box_enumerate(b) == cs()
     # a box built without dimensions enumerates the one empty context
-    assert box_enumerate(Box((), Lit(True))) == cs(NULL_CONTEXT)
+    assert box_enumerate(Box((), Const(True))) == cs(NULL_CONTEXT)
 
 
 def test_box_enumerate_needs_domains():
     reg = int_registry("d")
-    b = box_make([reg.get("d")], Lit(True))
+    b = box_make([reg.get("d")], Const(True))
     with pytest.raises(UnboundedBox):
         box_enumerate(b)
 
@@ -278,19 +274,19 @@ def test_box_predicate_type_errors():
     reg = box_registry()
     d1, d2 = reg.get("d1"), reg.get("d2")
     with pytest.raises(IllTypedPredicate):
-        box_make([d1], Name("zz"))  # unbound name
+        box_make([d1], Ref("zz"))  # unbound name
     with pytest.raises(IllTypedPredicate):
-        box_make([d1], Cmp("<", Name("d1"), Lit("text")))  # mixed kinds
+        box_make([d1], Pointwise("<", Ref("d1"), Const("text")))  # mixed kinds
     with pytest.raises(IllTypedPredicate):
-        box_make([d1], Lit(3))  # not boolean
+        box_make([d1], Const(3))  # not boolean
     with pytest.raises(IllTypedPredicate):
-        box_make([d1, d2], Logic("and", Name("d1"), Lit(True)))
+        box_make([d1, d2], Pointwise("and", Ref("d1"), Const(True)))
 
 
 def test_box_enum_symbol_resolution():
     reg = DimensionRegistry()
     reg.register("month", TagKind.ENUM, ["Ja", "Fe", "Mr"])
-    b = box_make([reg.get("month")], Cmp("<", Name("month"), Name("Mr")))
+    b = box_make([reg.get("month")], Pointwise("<", Ref("month"), Ref("Mr")))
     got = box_enumerate(b)
     want = ContextSet(
         make_context(reg, [("month", s)]) for s in ("Ja", "Fe")
@@ -304,8 +300,8 @@ def test_box_ambiguous_enum_symbol_rejected():
     reg.register("name", TagKind.ENUM, ["Fe", "Jo"])
     dims = [reg.get("month"), reg.get("name")]
     with pytest.raises(IllTypedPredicate, match="ambiguous"):
-        box_make(dims, Cmp("==", Name("month"), Name("Fe")))
-    b = box_make(dims, Cmp("==", Name("name"), Name("Jo")))
+        box_make(dims, Pointwise("==", Ref("month"), Ref("Fe")))
+    b = box_make(dims, Pointwise("==", Ref("name"), Ref("Jo")))
     assert len(box_enumerate(b)) == 2
 
 
@@ -318,17 +314,19 @@ def month_registry():
 def test_a_box_binds_its_enum_symbols_when_it_is_built():
     reg = month_registry()
     m = reg.get("m")
-    b = Box((m,), Cmp("==", Name("m"), Name("Fe")))
-    assert b.predicate == Cmp("==", Name("m"), Lit(m.symbols["Fe"]))
+    b = Box((m,), Pointwise("==", Ref("m"), Ref("Fe")))
+    assert b.predicate == Pointwise("==", Ref("m"), Const(m.symbols["Fe"]))
     assert str(b) == "Box[m | m == Fe]"
     # a Box built by box_make stores the same bound predicate
-    assert box_make([m], Cmp("==", Name("m"), Name("Fe"))) == b
+    assert box_make([m], Pointwise("==", Ref("m"), Ref("Fe"))) == b
 
 
 def test_box_contains_over_enum_symbols():
     reg = month_registry()
-    b = box_make([reg.get("m")], Logic(
-        "and", Cmp(">", Name("m"), Name("Ja")), Cmp("!=", Name("m"), Name("Mr"))))
+    b = box_make([reg.get("m")], Pointwise(
+        "and",
+        Pointwise(">", Ref("m"), Ref("Ja")),
+        Pointwise("!=", Ref("m"), Ref("Mr"))))
     assert [box_contains(b, make_context(reg, [("m", s)]))
             for s in ("Ja", "Fe", "Mr")] == [False, True, False]
 
@@ -336,16 +334,16 @@ def test_box_contains_over_enum_symbols():
 def test_a_box_with_an_unbound_name_is_refused_when_it_is_built():
     reg = month_registry()
     with pytest.raises(IllTypedPredicate, match="unbound name 'Ap'"):
-        Box((reg.get("m"),), Cmp("==", Name("m"), Name("Ap")))
+        Box((reg.get("m"),), Pointwise("==", Ref("m"), Ref("Ap")))
     # a name error is reported before a kind error
     with pytest.raises(IllTypedPredicate, match="unbound name 'zz'"):
-        box_make([reg.get("m")], Arith("+", Name("zz"), Lit(1)))
+        box_make([reg.get("m")], Pointwise("+", Ref("zz"), Const(1)))
 
 
 def test_box_members_share_domain():
     reg = box_registry()
     b = box_make(
-        [reg.get("d1"), reg.get("d2")], Cmp("<=", Name("d1"), Name("d2"))
+        [reg.get("d1"), reg.get("d2")], Pointwise("<=", Ref("d1"), Ref("d2"))
     )
     domains = {frozenset(c.dims()) for c in box_enumerate(b)}
     assert domains == {frozenset([reg.get("d1"), reg.get("d2")])}
@@ -356,7 +354,8 @@ def test_box_enumerate_matches_contains_brute_force():
     d1, d2 = reg.get("d1"), reg.get("d2")
     b = box_make(
         [d1, d2],
-        Logic("or", Cmp("==", Name("d1"), Lit(2)), Cmp(">", Name("d2"), Name("d1"))),
+        Pointwise("or", Pointwise("==", Ref("d1"), Const(2)),
+                  Pointwise(">", Ref("d2"), Ref("d1"))),
     )
     enumerated = box_enumerate(b)
     for i in (1, 2, 3):
@@ -555,12 +554,12 @@ def ev(t, env):
 
 def node(t):
     if t[0] == "const":
-        return Lit(t[1])
+        return Const(t[1])
     if t[0] == "ref":
-        return Name(t[1])
+        return Ref(t[1])
     if t[0] == "not":
-        return sets.Not(node(t[1]))
-    return Logic(t[1], node(t[2]), node(t[3]))
+        return NotOp(node(t[1]))
+    return Pointwise(t[1], node(t[2]), node(t[3]))
 
 
 def op(o, a, b, swap=False):
@@ -669,10 +668,11 @@ def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
     for n in "xyz":
         reg.register(n, TagKind.INT, range(60))
     x, y, z = (reg.get(n) for n in "xyz")
-    pred = Logic(
+    pred = Pointwise(
         "and",
-        Logic("and", Cmp("==", Name("x"), Lit(3)), Cmp("==", Name("y"), Lit(4))),
-        Cmp("==", Name("z"), Lit(5)),
+        Pointwise("and", Pointwise("==", Ref("x"), Const(3)),
+                  Pointwise("==", Ref("y"), Const(4))),
+        Pointwise("==", Ref("z"), Const(5)),
     )
     tries = count_admits(monkeypatch)
     got = box_enumerate(box_make([x, y, z], pred))
@@ -686,7 +686,7 @@ def test_box_solves_a_linear_equality_for_its_last_dimension(monkeypatch):
         reg.register(n, TagKind.INT, range(60))
     x, y = reg.get("x"), reg.get("y")
     tries = count_admits(monkeypatch)
-    pred = Cmp("==", Arith("+", Name("x"), Name("y")), Lit(7))
+    pred = Pointwise("==", Pointwise("+", Ref("x"), Ref("y")), Const(7))
     got = box_enumerate(box_make([x, y], pred))
     assert got == ContextSet(
         make_context(reg, [("x", k), ("y", 7 - k)]) for k in range(8))
@@ -708,7 +708,7 @@ def test_box_builds_each_micro_context_once(monkeypatch):
         return real(dimension, tag)
 
     monkeypatch.setattr(sets, "MicroContext", counted)
-    got = box_enumerate(box_make([x, y], Cmp("<", Name("x"), Lit(3))))
+    got = box_enumerate(box_make([x, y], Pointwise("<", Ref("x"), Const(3))))
     assert len(got) == 180
     # one per distinct (dimension, tag) of the members: 3 of x, 60 of y,
     # where one per member per dimension is 360

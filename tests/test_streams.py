@@ -14,12 +14,10 @@ from ctxcalc.errors import (
     UnresolvedReference,
 )
 from ctxcalc import streams
-from ctxcalc.parser import parse_expr
-from ctxcalc.streams import (
+from ctxcalc.parser import (
     Asa,
     At,
     Const,
-    EvalContext,
     Fby,
     First,
     If,
@@ -32,8 +30,12 @@ from ctxcalc.streams import (
     Ref,
     StreamExpr,
     Upon,
-    Warehouse,
     Wvr,
+    parse_expr,
+)
+from ctxcalc.streams import (
+    EvalContext,
+    Warehouse,
     define_streams,
     eval_prefix,
     eval_stream,
