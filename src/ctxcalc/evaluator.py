@@ -119,7 +119,7 @@ ROWS = {
 
 def _micro(env: Environment, name: str, raw) -> MicroContext:
     tag = raw.name if isinstance(raw, Ref) else raw
-    return MicroContext(env.registry.get(name), tag)  # which coerces the tag
+    return env.registry.micro(name, tag)  # which coerces the tag
 
 
 def _context_from_literal(env: Environment, node: ContextLit) -> Context:

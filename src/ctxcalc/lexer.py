@@ -4,7 +4,10 @@ context-set, Box-predicate and stream grammars.
 A token is a name, an ASCII integer, a double-quoted string (a backslash
 escapes the next character) or one of the fixed ``SYMBOLS``.  One of
 those, ``:``, is read only by the REPL's ``dim`` command; the three
-grammars refuse it.
+grammars refuse it.  ``tokenize`` reads each token with one match of one
+regex, which has a group per token class and one more for any other
+non-blank character; the search skips the blanks between tokens, and the
+match's group number picks the branch that builds the token or raises.
 
 Each grammar is a table for one Pratt loop (Pratt, "Top down operator
 precedence", 1973): prefix and infix ``Rule``s keyed by operator kind or
@@ -74,19 +77,24 @@ UNICODE_ALIASES = {
 
 _SYMBOL_KIND = {**{s: s for s in SYMBOLS}, **UNICODE_ALIASES}
 
-# Digits are ASCII only.  A name is a run of word characters; whether it
-# starts with a letter or '_' is checked after the match, because no regex
-# class means str.isalpha().  Inside a string a backslash escapes the next
-# character: \" is a quote and \\ a backslash.
+# One group per token class; a match's ``lastindex`` is the number of its
+# class's group.  Digits are ASCII only.  A name is a run of word
+# characters; whether it starts with a letter or '_' is checked after the
+# match, because no regex class means str.isalpha().  Inside a string a
+# backslash escapes the next character: \" is a quote and \\ a backslash.
+# ``bad`` matches any other non-blank character, so ``finditer`` skips
+# exactly the blanks between tokens.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<symbol>"
+    r"(?P<symbol>"
     + "|".join(re.escape(s) for s in SYMBOLS if len(s) > 1)
     + "|["
     + "".join(re.escape(s) for s in _SYMBOL_KIND if len(s) == 1)
     + r"])|(?P<int>[0-9]+)|(?P<name>\w+)"
-    + r"|\"(?P<string>[^\"\\]*(?:\\.[^\"\\]*)*)\"|(?P<bad>\S))",
+    + r"|\"(?P<string>[^\"\\]*(?:\\.[^\"\\]*)*)\"|(?P<bad>\S)",
     re.DOTALL,
 )
+_SYMBOL, _INT, _NAME, _STRING = map(
+    _TOKEN.groupindex.get, ("symbol", "int", "name", "string"))
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -100,33 +108,40 @@ class Token(NamedTuple):
         return self.pos + 1
 
 
+_new = tuple.__new__
+
+
 def tokenize(text: str) -> list:
-    """Break source text into tokens, ending with an end-of-input marker."""
+    """Break source text into tokens, ending with an end-of-input marker.
+    A token is built as the tuple it is, without the Python-level
+    ``Token.__new__``."""
     tokens = []
+    append = tokens.append
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        lexeme = m.group(kind)
-        pos = m.start(kind)
-        if kind == "symbol":
-            tokens.append(Token(_SYMBOL_KIND[lexeme], lexeme, pos))
-        elif kind == STRING:
+        group = m.lastindex
+        lexeme = m[group]
+        if group == _SYMBOL:
+            append(_new(Token, (_SYMBOL_KIND[lexeme], lexeme, m.start())))
+        elif group == _INT:
+            append(_new(Token, (INT, lexeme, m.start())))
+        elif group == _NAME and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            append(_new(Token, (NAME, lexeme, m.start())))
+        elif group == _STRING:
             if "\\" in lexeme:
                 lexeme = _ESCAPED.sub(r"\1", lexeme)
-            tokens.append(Token(STRING, lexeme, pos - 1))
+            append(_new(Token, (STRING, lexeme, m.start())))
         elif lexeme == '"':
+            pos = m.start()
             raise ExprSyntaxError(
                 f"unterminated string starting at column {pos + 1}",
                 position=pos + 1,
             )
-        elif kind == "bad" or (
-            kind == NAME and not (lexeme[0].isalpha() or lexeme[0] == "_")
-        ):
+        else:  # a stray character, or a name that starts with a digit
+            pos = m.start()
             raise UnknownToken(
                 f"unknown token {lexeme[0]!r} at position {pos + 1}", position=pos + 1
             )
-        else:
-            tokens.append(Token(kind, lexeme, pos))
-    tokens.append(Token(END, "", len(text)))
+    append(_new(Token, (END, "", len(text))))
     return tokens
 
 

@@ -84,7 +84,9 @@ def format_tag(value: TagValue) -> str:
         return str(value)
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return value.symbol
+    if isinstance(value, EnumValue):
+        return value.symbol
+    raise TagTypeMismatch(f"not a tag value: {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,19 +220,35 @@ def _check_name(name) -> str:
     return name
 
 
+# The most literal pairs one registry keeps (see ``DimensionRegistry``).
+_MICRO_MEMO_LIMIT = 4096
+
+
 class DimensionRegistry:
     """A name table: name -> Dimension, the single authority on which
-    dimension a name denotes.
+    dimension a name denotes; and the one home of each literal pair.
 
     ``register`` checks only that the name is a string and new;
     ``Dimension`` validates the rest.  A name that is not a string is in
-    no registry.  Registration is single-writer; lookups are read-only and
-    safe to share.  The registry is left untouched when a registration
+    no registry.  The registry is left untouched when a registration
     fails.
+
+    ``micro(name, tag)`` builds the micro context of a literal pair once
+    and hands the same object back on every later read of that pair
+    (hash-consing: Filliâtre & Conchon, "Type-safe modular hash-consing",
+    2006).  The memo is exact because a name, once registered, is never
+    rebound.  It is keyed by the tag's class as well as its value, since
+    ``True == 1``, and keeps no pair whose build raised.  Reading a pair
+    thus writes to the memo: a registry is no read-only table.  The memo
+    retains the pairs it holds for as long as the registry lives, up to
+    ``_MICRO_MEMO_LIMIT`` of them; when full it is emptied and refills,
+    so input with ever new pairs costs bounded memory, and a pair read
+    again after a flush is an equal, new object.
     """
 
     def __init__(self):
         self._dims: dict = {}
+        self._micros: dict = {}
 
     def register(self, name: str, tag_type: TagKind, domain=None) -> Dimension:
         if _check_name(name) in self._dims:
@@ -245,6 +263,22 @@ class DimensionRegistry:
         except KeyError:
             raise UnknownDimension(f"unknown dimension {name!r}") from None
 
+    def micro(self, name: str, tag) -> "MicroContext":
+        """The micro context (name, tag) of a literal pair, built the first
+        time the pair is read; the tag is coerced as ``MicroContext``
+        does."""
+        key = (name, tag.__class__, tag)
+        try:
+            micro = self._micros.get(key)
+        except TypeError:  # an unhashable name or tag: the build refuses it
+            return MicroContext(self.get(name), tag)
+        if micro is None:
+            micro = MicroContext(self.get(name), tag)
+            if len(self._micros) >= _MICRO_MEMO_LIMIT:
+                self._micros.clear()
+            self._micros[key] = micro
+        return micro
+
     def __contains__(self, name) -> bool:
         return isinstance(name, str) and name in self._dims
 
@@ -252,7 +286,9 @@ class DimensionRegistry:
 class MicroContext:
     """A single (dimension, tag) pair; the atom contexts are built from.
 
-    The constructor coerces the tag (see ``Dimension.coerce``).  The hash
+    The constructor coerces the tag (see ``Dimension.coerce``).  A pair
+    read from a literal is built by ``DimensionRegistry.micro``, once per
+    registry; the operators build theirs directly.  The hash
     and the printed text ``(d, tag)`` are computed once, at construction,
     and kept in fixed slots; the value is immutable and has no instance
     ``__dict__``.  Two micro contexts are equal when their dimensions and
@@ -406,8 +442,7 @@ class ContextSet(frozenset):
 def make_context(registry: DimensionRegistry, pairs) -> Context:
     """Build a context from (dimension name, raw tag) pairs.
 
-    Duplicate pairs collapse; the result may be non-simple.
+    Duplicate pairs collapse; the result may be non-simple.  Each pair is
+    the registry's one micro context for it (``DimensionRegistry.micro``).
     """
-    return Context(
-        MicroContext(registry.get(name), value) for name, value in pairs
-    )
+    return Context(registry.micro(name, value) for name, value in pairs)

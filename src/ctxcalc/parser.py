@@ -359,12 +359,13 @@ def parse_expr(source) -> Node:
 def left_chain(node, grammar: Grammar) -> tuple:
     """The operand that ends node's chain of left operands, and the infix
     operator nodes above it, innermost first.  An infix node is one whose
-    ``op`` is in the grammar's infix table.  The walkers of a chain fold it
-    with a loop and recurse only into right operands, so a long chain such
-    as ``x == 1 or x == 2 or ...`` costs them no recursion."""
+    ``op`` is a string in the grammar's infix table; any other node,
+    whatever its ``op``, is a leaf.  The walkers of a chain fold it with a
+    loop and recurse only into right operands, so a long chain such as
+    ``x == 1 or x == 2 or ...`` costs them no recursion."""
     chain = []
     infix = grammar.infix
-    while getattr(node, "op", None) in infix:
+    while isinstance(op := getattr(node, "op", None), str) and op in infix:
         chain.append(node)
         node = node.left
     chain.reverse()

@@ -16,7 +16,9 @@ from ctxcalc.errors import (
     UnknownToken,
 )
 from ctxcalc.evaluator import evaluate
-from ctxcalc.lexer import END, INT, NAME, tokenize
+from ctxcalc.lexer import (
+    END, INT, NAME, STRING, SYMBOLS, UNICODE_ALIASES, tokenize,
+)
 from ctxcalc.model import DimensionRegistry, TagKind
 from ctxcalc.parser import (
     Asa,
@@ -177,6 +179,59 @@ def test_unterminated_string_position():
     with pytest.raises(ExprSyntaxError) as err:
         tokenize('{(s, "abc)}')
     assert err.value.position == 6
+
+
+# Every lexeme, and characters that start none: digits beyond ASCII, letters
+# beyond ASCII, quotes, backslashes and three kinds of blank.
+_LEXER_PIECES = [
+    *SYMBOLS, *UNICODE_ALIASES, "0", "7", "42", "²", "٣", "a", "Z", "ü", "é",
+    "_", '"', "\\", "$", " ", "\t", "\n",
+]
+_SYMBOL_STARTS = {s[0] for s in SYMBOLS} | set(UNICODE_ALIASES)
+
+
+def _unescape(body: str) -> str:
+    """A string literal's body with each backslash escape replaced by the
+    character it escapes."""
+    out, chars = [], iter(body)
+    for ch in chars:
+        out.append(next(chars) if ch == "\\" else ch)
+    return "".join(out)
+
+
+@given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=30).map("".join))
+def test_tokens_cover_the_text_in_order(text):
+    """Either the tokens lie in order at their offsets and cover every
+    non-blank character exactly once, or the error names the first
+    character that starts no token."""
+    try:
+        tokens = tokenize(text)
+    except (UnknownToken, ExprSyntaxError) as err:
+        offset = err.position - 1
+        ch = text[offset]
+        if type(err) is UnknownToken:
+            assert not ch.isspace() and ch not in _SYMBOL_STARTS
+            assert not ("0" <= ch <= "9" or ch.isalpha() or ch == "_")
+        else:  # an unterminated string
+            assert ch == '"'
+        tokenize(text[:offset])  # everything before it reads
+        return
+    assert tokens[-1] == (END, "", len(text))
+    covered = [0] * len(text)
+    for tok, after in zip(tokens, tokens[1:]):
+        assert tok.pos < after.pos
+        if tok.kind == STRING:
+            literal = text[tok.pos:after.pos].rstrip()
+            assert literal[0] == literal[-1] == '"' and len(literal) > 1
+            assert _unescape(literal[1:-1]) == tok.text
+            end = tok.pos + len(literal)
+        else:
+            assert text.startswith(tok.text, tok.pos) and tok.text
+            end = tok.pos + len(tok.text)
+        for i in range(tok.pos, end):
+            covered[i] += 1
+    assert all(n <= 1 for n in covered)
+    assert all(n == 1 for ch, n in zip(text, covered) if not ch.isspace())
 
 
 # --- Box predicate round trip -------------------------------------------------

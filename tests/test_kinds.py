@@ -143,8 +143,9 @@ NOT_NODES = {"int": 3, "str": "c", "fby": Fby(Const(1), Const(2))}
 
 
 @pytest.mark.parametrize(
-    "node", [*NOT_NODES.values(), Pointwise("+", Const(1), Const(2))],
-    ids=[*NOT_NODES, "stream-plus"])
+    "node", [*NOT_NODES.values(), Pointwise("+", Const(1), Const(2)),
+             Pointwise(["x"], Const(1), Const(2))],
+    ids=[*NOT_NODES, "stream-plus", "unhashable-op"])
 def test_a_value_that_is_no_context_node_is_a_kind_mismatch(node):
     env = _matrix_session().env
     with pytest.raises(KindMismatch):

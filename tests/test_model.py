@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ctxcalc.cli import new_session, run_command
 from ctxcalc.errors import (
     DuplicateDimension,
     ExprSyntaxError,
@@ -30,6 +31,8 @@ from ctxcalc.model import (
     TagKind,
     make_context,
 )
+from ctxcalc.parser import Const, ContextLit, to_text
+from ctxcalc.sets import predicate_text
 
 from conftest import int_registry
 
@@ -189,7 +192,8 @@ def _months():
     return _register(("month", TagKind.ENUM, ["Ja", "Fe"]))
 
 
-# Every error a declaration or a coercion can end in, with its exact text.
+# Every error a declaration, a coercion or the printing of a tag can end
+# in, with its exact text.
 MODEL_ERRORS = [
     ("duplicate-name",
      lambda: _register(("d", TagKind.INT), ("d", TagKind.INT)),
@@ -267,6 +271,16 @@ MODEL_ERRORS = [
      lambda: _register(("s", TagKind.STR, frozenset({"b", "a", "c"}))),
      IllFormedDomain,
      "domain of 's' must be a sequence in declaration order, got a frozenset"),
+    # a tag is a bool, an int, a str or an enum member, and prints as one
+    ("print-none-constant",
+     lambda: to_text(Const(None)),
+     TagTypeMismatch, "not a tag value: None"),
+    ("print-float-in-predicate",
+     lambda: predicate_text(Const(2.5)),
+     TagTypeMismatch, "not a tag value: 2.5"),
+    ("print-none-pair-tag",
+     lambda: to_text(ContextLit((("d", None),))),
+     TagTypeMismatch, "not a tag value: None"),
 ]
 
 
@@ -611,3 +625,71 @@ def test_a_pickle_loads_under_another_hash_seed():
         "print('ok')\n"
     )
     assert _in_child(2, check, data).decode().split() == ["ok"]
+
+
+# --- the registry's one micro context per literal pair ---------------------
+
+
+def test_a_literal_pair_is_built_once_per_registry():
+    session = new_session()
+    run_command(session, "dim d : int")
+    run_command(session, "let a = {(d, 1), (d, 2)}")
+    run_command(session, "let b = {(d, 1)}")
+    [first] = [m for m in session.env.lookup("a") if m.tag == 1]
+    [again] = session.env.lookup("b")
+    assert first is again
+    reg = session.env.registry
+    assert reg.micro("d", 1) is first
+    assert next(iter(make_context(reg, [("d", 1)]))) is first
+
+
+def test_a_bool_tag_is_not_the_int_pair_it_equals():
+    reg = int_registry("d")
+    one = reg.micro("d", 1)
+    with pytest.raises(TagTypeMismatch):
+        reg.micro("d", True)
+    with pytest.raises(TagTypeMismatch):
+        make_context(reg, [("d", True)])
+    assert reg.micro("d", 1) is one and type(one.tag) is int
+    session = new_session()
+    run_command(session, "dim d : int")
+    assert run_command(session, "eval {(d, 1)}") == ["{(d, 1)}"]
+    with pytest.raises(TagTypeMismatch):
+        run_command(session, "eval {(d, true)}")
+
+
+def test_a_failed_pair_is_not_kept():
+    session = new_session()
+    run_command(session, "dim d : int")
+    for _ in range(2):
+        with pytest.raises(TagTypeMismatch):
+            run_command(session, 'eval {(d, "x")}')
+    assert session.env.registry._micros == {}
+
+
+@pytest.mark.parametrize("pairs, error", [
+    ([("d", [1])], TagTypeMismatch),
+    ([("d", {1: 2})], TagTypeMismatch),
+    ([(["d"], 1)], ExprSyntaxError),
+    ([(5, 1)], ExprSyntaxError),
+    ([("x", 1)], UnknownDimension),
+], ids=["list-tag", "dict-tag", "list-name", "int-name", "unknown-name"])
+def test_a_literal_pair_keeps_its_typed_error(pairs, error):
+    reg = int_registry("d")
+    for _ in range(2):
+        with pytest.raises(error):
+            make_context(reg, pairs)
+    assert reg._micros == {}
+
+
+def test_the_pair_memo_stays_bounded():
+    from ctxcalc import model
+
+    reg = int_registry("d")
+    limit = model._MICRO_MEMO_LIMIT
+    for tag in range(3 * limit):
+        assert reg.micro("d", tag).tag == tag
+        assert len(reg._micros) <= limit
+    kept = reg.micro("d", 3 * limit - 1)
+    assert reg.micro("d", 3 * limit - 1) is kept
+    assert reg.micro("d", 0) == MicroContext(reg.get("d"), 0)
