@@ -115,6 +115,8 @@ def tokenize(text: str) -> list:
     """Break source text into tokens, ending with an end-of-input marker.
     A token is built as the tuple it is, without the Python-level
     ``Token.__new__``."""
+    if not isinstance(text, str):
+        raise ExprSyntaxError(f"expected source text, got {type(text).__name__}")
     tokens = []
     append = tokens.append
     for m in _TOKEN.finditer(text):
@@ -329,3 +331,12 @@ class Cursor:
         is the left operand of an infix rule, empty for a prefix rule."""
         extra = () if rule.suffix is None else (rule.suffix(self),)
         return rule.build(*left, self.expression(grammar, rule.right_bp), *extra)
+
+
+def cursor_of(source) -> Cursor:
+    """A cursor over a list or tuple of ``Token``s ending in an ``END``
+    token, or over source text; each token's type is tested in C."""
+    if (type(source) in (list, tuple) and set(map(type, source)) == {Token}
+            and source[-1].kind == END):
+        return Cursor(source)
+    return Cursor(tokenize(source))

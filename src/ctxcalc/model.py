@@ -445,4 +445,11 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
     Duplicate pairs collapse; the result may be non-simple.  Each pair is
     the registry's one micro context for it (``DimensionRegistry.micro``).
     """
-    return Context(registry.micro(name, value) for name, value in pairs)
+    if not isinstance(pairs, Iterable):
+        raise ExprSyntaxError(f"context pairs must be iterable, got {pairs!r}")
+    micros = []
+    for pair in pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
+        micros.append(registry.micro(*pair))
+    return Context(micros)

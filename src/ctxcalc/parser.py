@@ -45,7 +45,7 @@ from functools import partial
 from typing import Tuple, Union
 
 from .errors import KindMismatch
-from .lexer import BOOLEANS, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, tokenize
+from .lexer import BOOLEANS, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, cursor_of
 from .model import format_tag
 
 # --- the syntax tree ----------------------------------------------------------
@@ -215,9 +215,11 @@ def references(expr: StreamExpr):
 
 # --- the Box-predicate grammar ------------------------------------------------
 
-# The value of every pointwise operator except the logical ones, which
-# stay control flow; streams and Box predicates evaluate with this table.
+# The value of every pointwise operator, for streams and Box predicates;
+# ``and`` and ``or`` take truth values (``operator.and_`` gives 3 & 4 == 0).
 OPERATORS = {
+    "and": lambda a, b: bool(a) and bool(b),
+    "or": lambda a, b: bool(a) or bool(b),
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
@@ -347,7 +349,7 @@ CONTEXT = Grammar(
 
 def parse_expr(source) -> Node:
     """Parse a context or context-set expression from text or tokens."""
-    cur = Cursor(tokenize(source) if isinstance(source, str) else list(source))
+    cur = cursor_of(source)
     node = cur.expression(CONTEXT)
     cur.close()
     return node

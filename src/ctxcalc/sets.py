@@ -5,15 +5,16 @@ the relational operators treat context sets like relations over their
 shared dimensions.  A Box describes a context set by a dimension list and
 a predicate over the current tags instead of by enumeration.  A predicate
 is a tree of ``parser`` nodes (``Const``, ``Ref``, ``Pointwise`` and
-``NotOp``) in the syntax of ``parser.PREDICATE``; this module checks its
-kind, binds its enum symbols, evaluates it with ``parser.OPERATORS`` and
-prints it with ``parser.unparse``.
+``NotOp``) in the syntax of ``parser.PREDICATE``.  ``Box`` (also named
+``box_make``) is its one constructor: it checks the Box, binds its enum
+symbols and stores the plan that ``box_enumerate`` walks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import (
@@ -206,13 +207,7 @@ def eval_predicate(node: StreamExpr, assignment) -> TagValue:
         node = node.left
     value = eval_predicate(node, assignment)
     for n in reversed(chain):
-        op = n.op
-        if op == "and":
-            value = bool(value) and bool(eval_predicate(n.right, assignment))
-        elif op == "or":
-            value = bool(value) or bool(eval_predicate(n.right, assignment))
-        else:
-            value = OPERATORS[op](value, eval_predicate(n.right, assignment))
+        value = OPERATORS[n.op](value, eval_predicate(n.right, assignment))
     return value
 
 
@@ -247,37 +242,61 @@ def predicate_text(node: StreamExpr) -> str:
 class Box:
     """An intensional context set: ordered dimensions plus a tag predicate.
 
-    The stored predicate is bound: building a Box replaces each name that
-    is not one of its dimensions by the one enum member of a Box dimension
-    that it names, so every ``Ref`` left names a dimension.  Membership is
-    always decidable; enumeration needs every dimension to carry a declared
-    finite domain.
+    The constructor is the one validator and analysis of a Box.  It takes
+    any iterable of dimensions and raises ``IllTypedPredicate`` checking
+    the dimensions, then the names (an enum symbol is bound to its member,
+    so every ``Ref`` left names a dimension), then the kinds: the predicate
+    must be boolean, so evaluating it is total.  It stores the plan that
+    ``box_enumerate`` walks, outside equality and ``repr``: whether the
+    ``and`` conjuncts that read no dimension hold; ``_tests[i]``, those
+    whose last dimension read is ``dims[i]``; ``_solved[i]``, the side that
+    one of them solves ``dims[i]`` to (see ``_solved_side``), or None.
     """
 
     dims: Tuple[Dimension, ...]
     predicate: StreamExpr
+    _holds: bool = field(default=True, init=False, compare=False, repr=False)
+    _tests: tuple = field(default=(), init=False, compare=False, repr=False)
+    _solved: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "predicate", _bind_symbols(self.predicate, self.dims))
+        if not isinstance(self.dims, Iterable):
+            raise IllTypedPredicate(f"not a list of box dimensions: {self.dims!r}")
+        dims = tuple(self.dims)
+        if not dims:
+            raise IllTypedPredicate("a box needs at least one dimension")
+        for d in dims:
+            if not isinstance(d, Dimension):
+                raise IllTypedPredicate(f"not a box dimension: {d!r}")
+        by_name = {d.name: d for d in dims}
+        if len(by_name) != len(dims):
+            raise IllTypedPredicate("box dimensions must be distinct")
+        predicate = _bind_symbols(self.predicate, dims)
+        if _predicate_kind(predicate, by_name) != _BOOL:
+            raise IllTypedPredicate("box predicate must be boolean")
+        level_of = {name: i for i, name in enumerate(by_name)}
+        holds, tests, stack = True, [[] for _ in dims], [predicate]
+        while stack:  # the top-level ``and`` conjuncts, left to right
+            conjunct = stack.pop()
+            if isinstance(conjunct, Pointwise) and conjunct.op == "and":
+                stack += (conjunct.right, conjunct.left)
+            elif names := references(conjunct):
+                tests[max(map(level_of.get, names))].append(conjunct)
+            else:
+                holds = holds and bool(eval_predicate(conjunct, {}))
+        # every name in tests[i] other than dims[i] is bound before it
+        solved = tuple(
+            next(filter(None, (_solved_side(t, d) for t in level_tests)), None)
+            for d, level_tests in zip(dims, tests))
+        self.__dict__.update(dims=dims, predicate=predicate, _holds=holds,
+                             _tests=tuple(map(tuple, tests)), _solved=solved)
 
     def __str__(self):
         names = ", ".join(d.name for d in self.dims)
         return f"Box[{names} | {predicate_text(self.predicate)}]"
 
 
-def box_make(dims, predicate: StreamExpr) -> Box:
-    """Validate and build a box; the predicate must be boolean-kinded."""
-    dims = tuple(dims)
-    if not dims:
-        raise IllTypedPredicate("a box needs at least one dimension")
-    by_name = {d.name: d for d in dims}
-    if len(by_name) != len(dims):
-        raise IllTypedPredicate("box dimensions must be distinct")
-    box = Box(dims, predicate)
-    if _predicate_kind(box.predicate, by_name) != _BOOL:
-        raise IllTypedPredicate("box predicate must be boolean")
-    return box
+box_make = Box
 
 
 def box_contains(box: Box, c: Context) -> bool:
@@ -291,33 +310,20 @@ def box_contains(box: Box, c: Context) -> bool:
     return bool(eval_predicate(box.predicate, assignment))
 
 
-def _conjuncts(node: StreamExpr) -> list:
-    """The operands of the top-level ``and`` chain, left to right."""
-    out, stack = [], [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Pointwise) and n.op == "and":
-            stack += (n.right, n.left)
-        else:
-            out.append(n)
-    return out
-
-
 def _solved_side(conjunct: StreamExpr, d: Dimension) -> StreamExpr:
     """For an ``==`` conjunct that fixes dimension d, the expression E with
     ``conjunct`` equivalent to ``d == E``; else None.
 
     The conjunct fixes d when d occurs in it exactly once: as one side of
-    the ``==``, or, for an int dimension, reached from one side through
-    binary ``+`` and ``-`` only.  The terms around d are moved across:
-    ``A + B == R`` becomes ``A == R - B`` or ``B == R - A``, and
-    ``A - B == R`` becomes ``A == R + B`` or ``B == A - R``.  Predicate
-    arithmetic is over integers, so the rewrite is exact.  One pass over
-    the conjunct finds d and the path to it.
+    the ``==``, or reached from one side through binary ``+`` and ``-``
+    only, which the kind check admits only over an int dimension.  The
+    terms around d are moved across: ``A + B == R`` becomes ``A == R - B``
+    or ``B == R - A``, and ``A - B == R`` becomes ``A == R + B`` or
+    ``B == A - R``.  Predicate arithmetic is over integers, so the rewrite
+    is exact.  One pass over the conjunct finds d and the path to it.
     """
     if not (isinstance(conjunct, Pointwise) and conjunct.op == "=="):
         return None
-    linear = d.tag_type is TagKind.INT
     # A trail is the path from the root down to a node, as a linked list
     # (node above, whether the path goes left, trail of that node); it is
     # None below any node other than the root, + and -.
@@ -332,7 +338,7 @@ def _solved_side(conjunct: StreamExpr, d: Dimension) -> StreamExpr:
                     return None
                 path = trail
         elif isinstance(node, Pointwise):
-            if linear and trail is not None and node.op in _LINEAR:
+            if trail is not None and node.op in _LINEAR:
                 stack += ((node.right, (node, False, trail)),
                           (node.left, (node, True, trail)))
             else:
@@ -366,49 +372,27 @@ def _admits(tests, assignment) -> bool:
 
 
 def box_enumerate(box: Box) -> ContextSet:
-    """Materialize the box over the declared domains of its dimensions.
-
-    The dimensions are bound in box order.  The predicate is split into
-    its top-level ``and`` conjuncts, and each conjunct is tested as soon as
-    the last dimension it reads is bound, so a failing prefix prunes every
-    extension of it; a conjunct that reads no dimension is tested once,
-    before any is bound.  When a conjunct fixes its last dimension d, d is
-    not swept: the conjunct is ``d == E`` (either way round) with E over
-    dimensions bound before d, or a linear equality such as ``d + u == 7``
-    that ``_solved_side`` rewrites into that form once per call.  E is
-    evaluated and the domain's own tag equal to it, if the index has one,
-    is the only candidate; the conjunct itself is still tested.  The
-    stored predicate is already bound (see ``Box``).  Each (dimension, tag)
-    micro context is built at most once per call, when the first member
-    that binds it is emitted, and shared by every member that binds it.
-    The result equals filtering the full product of the domains.
+    """Materialize the box over the declared domains of its dimensions by
+    walking the plan the Box stored when it was built (see ``Box``): the
+    dimensions are bound depth first, in Box order, and ``_tests[i]`` is
+    tested as soon as ``dims[i]`` is bound, so a failing prefix prunes
+    every extension of it.  A solved dimension is not swept: the domain's
+    own tag equal to its solved side, if any, is the only candidate.  Each
+    (dimension, tag) micro context is built at most once per call.  The
+    result equals filtering the full product of the domains.
     """
-    for d in box.dims:
+    dims, tests, solved = box.dims, box._tests, box._solved
+    for d in dims:
         if d.domain is None:
             raise UnboundedBox(
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
-    level_of = {d.name: i for i, d in enumerate(box.dims)}
-    tests = [[] for _ in box.dims]
-    for conjunct in _conjuncts(box.predicate):
-        names = references(conjunct)
-        if not names:
-            if not _admits([conjunct], {}):
-                return ContextSet()
-            continue
-        tests[max(level_of[n] for n in names)].append(conjunct)
-    if not box.dims:
-        return ContextSet([Context()])
-    # every name in tests[i] other than box.dims[i] is bound before it
-    solved = []
-    for d, level_tests in zip(box.dims, tests):
-        sides = (_solved_side(t, d) for t in level_tests)
-        solved.append(next((e for e in sides if e is not None), None))
-
+    if not box._holds:
+        return ContextSet()
     assignment: dict = {}
 
     def candidates(i):
-        d = box.dims[i]
+        d = dims[i]
         if solved[i] is None:
             return d.domain
         k = d.index.get(eval_predicate(solved[i], assignment))
@@ -417,13 +401,12 @@ def box_enumerate(box: Box) -> ContextSet:
     # pending[i] yields the untried candidates of dimension i under the
     # tags bound to the dimensions before it.  micros[i] maps each tag of
     # dimension i that some emitted member binds to its micro context.
-    n = len(box.dims)
-    micros = [{} for _ in box.dims]
+    micros = [{} for _ in dims]
     members = []
     pending = [iter(candidates(0))]
     while pending:
         i = len(pending) - 1
-        d = box.dims[i]
+        d = dims[i]
         for v in pending[-1]:
             assignment[d.name] = v
             if _admits(tests[i], assignment):
@@ -431,11 +414,11 @@ def box_enumerate(box: Box) -> ContextSet:
         else:
             pending.pop()
             continue
-        if i + 1 < n:
+        if i + 1 < len(dims):
             pending.append(iter(candidates(i + 1)))
             continue
         member = []
-        for e, cache in zip(box.dims, micros):
+        for e, cache in zip(dims, micros):
             tag = assignment[e.name]
             micro = cache.get(tag)
             if micro is None:

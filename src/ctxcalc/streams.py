@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from .errors import DemandExhausted, DuplicateName, KindMismatch, UnresolvedReference
-from .lexer import BOOLEANS, INT, NAME, RIGHT, Cursor, Grammar, Rule, tokenize
+from .lexer import BOOLEANS, INT, NAME, RIGHT, Cursor, Grammar, Rule, cursor_of
 from .parser import (
     OPERATORS, PREDICATE, TIME, Asa, At, Const, Fby, First, If, Literal, Next,
     NotOp, Pointwise, Prev, Query, Ref, StreamExpr, Upon, Value, Wvr, references,
@@ -380,10 +380,6 @@ def _pointwise(op: str, a: Value, b: Value) -> Value:
     fn = OPERATORS.get(op)
     if fn is not None:
         return fn(a, b)
-    if op == "and":
-        return bool(a) and bool(b)
-    if op == "or":
-        return bool(a) or bool(b)
     raise KindMismatch(f"unknown pointwise operator {op!r}")
 
 
@@ -549,7 +545,7 @@ KEYWORDS = {"then", "else", *_LITERAL_WORDS} | {
 
 def parse_stream_expr(source) -> StreamExpr:
     """Parse a complete stream expression from text or tokens."""
-    cur = Cursor(tokenize(source) if isinstance(source, str) else list(source))
+    cur = cursor_of(source)
     expr = cur.expression(STREAM)
     cur.close()
     return expr
@@ -558,6 +554,6 @@ def parse_stream_expr(source) -> StreamExpr:
 def parse_stream_expr_prefix(tokens) -> Tuple[StreamExpr, list]:
     """Parse a leading stream expression; return it and the leftover
     tokens (used by commands that take trailing arguments)."""
-    cur = Cursor(list(tokens))
+    cur = cursor_of(tokens)
     expr = cur.expression(STREAM)
     return expr, cur.rest()

@@ -116,6 +116,16 @@ def test_box_binding_and_eval():
     assert "{(d1, 1), (d2, 2)}" in out[0]
 
 
+def test_a_box_bound_by_let_enumerates_alike_on_every_use():
+    # the Box is built and planned once, by let; each use walks the plan
+    session = new_session()
+    run_lines(session, ["dim x : int 1 2 3 4", "dim y : int 1 2 3 4",
+                        "let B = Box[x, y | x + y == 5 and x < 4]"])
+    first = run_command(session, "eval B ! {x}")
+    assert first == ["{{(x, 1)}, {(x, 2)}, {(x, 3)}}"]
+    assert run_command(session, "eval B ! {x}") == first
+
+
 def test_json_mode_records_and_round_trip():
     session = new_session()
     run_lines(session, ["dim d : int", "dim e : int", "mode json"])

@@ -163,6 +163,34 @@ def test_non_ascii_digits_are_unknown_tokens(text, position):
     assert err.value.position == position
 
 
+# Input to a parse entry that is neither text nor a token list ending in
+# an end token; each used to end in a raw TypeError or AttributeError.
+NOT_SOURCE = [123, None, b"x", [1, 2], [], ("a",), tokenize("a")[:-1],
+              [*tokenize("a"), 5]]
+
+
+@pytest.mark.parametrize("source", NOT_SOURCE)
+@pytest.mark.parametrize("parse", [
+    parse_expr, parse_stream_expr, streams.parse_stream_expr_prefix])
+def test_a_parse_entry_refuses_what_is_not_source_with_a_typed_error(parse, source):
+    with pytest.raises(ExprSyntaxError, match="expected source text, got "):
+        parse(source)
+
+
+@pytest.mark.parametrize("source", [None, b"x", 5, ["a"]])
+def test_tokenize_refuses_what_is_not_text(source):
+    with pytest.raises(ExprSyntaxError, match="expected source text, got "):
+        tokenize(source)
+
+
+def test_a_parse_entry_reads_a_token_list_or_tuple():
+    tokens = tokenize("a | b")
+    assert parse_expr(tokens) == parse_expr(tuple(tokens)) == parse_expr("a | b")
+    expr, rest = streams.parse_stream_expr_prefix(tokenize("A + 1 time 3"))
+    assert expr == parse_stream_expr("A + 1")
+    assert [t.text for t in rest] == ["time", "3", ""]
+
+
 def test_names_may_contain_non_ascii_word_characters():
     tokens = tokenize("x² _1 ü 12ab")
     assert [(t.kind, t.text) for t in tokens[:-1]] == [

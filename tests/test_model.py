@@ -192,8 +192,8 @@ def _months():
     return _register(("month", TagKind.ENUM, ["Ja", "Fe"]))
 
 
-# Every error a declaration, a coercion or the printing of a tag can end
-# in, with its exact text.
+# Every error a declaration, a coercion, the building of a context from
+# pairs or the printing of a tag can end in, with its exact text.
 MODEL_ERRORS = [
     ("duplicate-name",
      lambda: _register(("d", TagKind.INT), ("d", TagKind.INT)),
@@ -271,6 +271,19 @@ MODEL_ERRORS = [
      lambda: _register(("s", TagKind.STR, frozenset({"b", "a", "c"}))),
      IllFormedDomain,
      "domain of 's' must be a sequence in declaration order, got a frozenset"),
+    # make_context takes an iterable of 2-item (name, tag) pairs
+    ("pairs-not-iterable",
+     lambda: make_context(int_registry("d"), 5),
+     ExprSyntaxError, "context pairs must be iterable, got 5"),
+    ("pairs-a-string",
+     lambda: make_context(int_registry("d"), "ab"),
+     ExprSyntaxError, "not a (dimension, tag) pair: 'a'"),
+    ("pair-too-short",
+     lambda: make_context(int_registry("d"), [("d",)]),
+     ExprSyntaxError, "not a (dimension, tag) pair: ('d',)"),
+    ("pair-too-long",
+     lambda: make_context(int_registry("d"), [("d", 1, 2)]),
+     ExprSyntaxError, "not a (dimension, tag) pair: ('d', 1, 2)"),
     # a tag is a bool, an int, a str or an enum member, and prints as one
     ("print-none-constant",
      lambda: to_text(Const(None)),

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import operator
 import random
@@ -259,8 +260,9 @@ def test_box_false_is_empty():
     reg = box_registry()
     b = box_make([reg.get("d1")], Const(False))
     assert box_enumerate(b) == cs()
-    # a box built without dimensions enumerates the one empty context
-    assert box_enumerate(Box((), Const(True))) == cs(NULL_CONTEXT)
+    # a box needs a dimension, however it is built
+    with pytest.raises(IllTypedPredicate):
+        Box((), Const(True))
 
 
 def test_box_enumerate_needs_domains():
@@ -281,6 +283,13 @@ def test_box_predicate_type_errors():
         box_make([d1], Const(3))  # not boolean
     with pytest.raises(IllTypedPredicate):
         box_make([d1, d2], Pointwise("and", Ref("d1"), Const(True)))
+    # the dimension list is checked first, however the Box is built
+    with pytest.raises(IllTypedPredicate, match="not a box dimension: 'd2'"):
+        Box([d1, "d2"], Ref("zz"))
+    with pytest.raises(IllTypedPredicate, match="box dimensions must be distinct"):
+        Box([d1, d1], Ref("zz"))
+    with pytest.raises(IllTypedPredicate, match="not a list of box dimensions: 5"):
+        Box(5, Const(True))
 
 
 def test_box_enum_symbol_resolution():
@@ -317,8 +326,10 @@ def test_a_box_binds_its_enum_symbols_when_it_is_built():
     b = Box((m,), Pointwise("==", Ref("m"), Ref("Fe")))
     assert b.predicate == Pointwise("==", Ref("m"), Const(m.symbols["Fe"]))
     assert str(b) == "Box[m | m == Fe]"
-    # a Box built by box_make stores the same bound predicate
-    assert box_make([m], Pointwise("==", Ref("m"), Ref("Fe"))) == b
+    # box_make is Box, and takes any iterable of dimensions
+    assert box_make is Box
+    assert Box([m], Pointwise("==", Ref("m"), Ref("Fe"))) == b
+    assert box_make(iter([m]), Pointwise("==", Ref("m"), Ref("Fe"))).dims == (m,)
 
 
 def test_box_contains_over_enum_symbols():
@@ -338,6 +349,15 @@ def test_a_box_with_an_unbound_name_is_refused_when_it_is_built():
     # a name error is reported before a kind error
     with pytest.raises(IllTypedPredicate, match="unbound name 'zz'"):
         box_make([reg.get("m")], Pointwise("+", Ref("zz"), Const(1)))
+
+
+def test_a_deep_copy_of_a_box_is_equal_and_enumerates_alike():
+    reg = month_registry()
+    b = box_make([reg.get("m")], Pointwise("!=", Ref("m"), Ref("Fe")))
+    twin = copy.deepcopy(b)
+    assert twin == b and hash(twin) == hash(b)
+    assert box_enumerate(twin) == box_enumerate(b)
+    assert len(box_enumerate(twin)) == 2
 
 
 def test_box_members_share_domain():
@@ -552,6 +572,29 @@ def ev(t, env):
     return BOX_OPS[t[1]](ev(t[2], env), ev(t[3], env))
 
 
+KINDS = {"x": "int", "y": "int", "m": "enum", "b": "bool", "s": "str"}
+
+
+def kind(t):
+    """Independent kind of a predicate written as nested tuples, or None
+    when it is ill-kinded: arithmetic over ints, ``and``, ``or`` and
+    ``not`` over bools, a comparison over two operands of one kind."""
+    if t[0] == "const":
+        return {bool: "bool", int: "int", str: "str"}[type(t[1])]
+    if t[0] == "ref":
+        return KINDS.get(t[1], "enum")  # a name that is no dimension is a symbol
+    if t[0] == "not":
+        return "bool" if kind(t[1]) == "bool" else None
+    a, b = kind(t[2]), kind(t[3])
+    if a is None or a != b:
+        return None
+    if t[1] in ("and", "or"):
+        return "bool" if a == "bool" else None
+    if t[1] in ("+", "-", "*"):
+        return "int" if a == "int" else None
+    return "bool"
+
+
 def node(t):
     if t[0] == "const":
         return Const(t[1])
@@ -640,8 +683,11 @@ def assert_enumerates_as_filtered(conjuncts, order):
     for c in conjuncts[1:]:
         pred = ("op", "and", pred, c)
     dims = [BREG.get(n) for n in order]
-    # built directly: box_make would reject the bool/int comparisons
-    got = box_enumerate(Box(tuple(dims), node(pred)))
+    if kind(pred) != "bool":
+        with pytest.raises(IllTypedPredicate):
+            Box(dims, node(pred))
+        return
+    got = box_enumerate(Box(dims, node(pred)))
     want = {
         frozenset(zip(order, combo))
         for combo in itertools.product(*(d.domain for d in dims))

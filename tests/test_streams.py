@@ -14,6 +14,7 @@ from ctxcalc.errors import (
     UnresolvedReference,
 )
 from ctxcalc import streams
+from ctxcalc.lexer import tokenize
 from ctxcalc.parser import (
     Asa,
     At,
@@ -42,7 +43,6 @@ from ctxcalc.streams import (
     parse_stream_expr,
     parse_stream_expr_prefix,
     references,
-    tokenize,
 )
 
 A_VALUES = (1, 2, 3, 4, 5)
