@@ -4,8 +4,8 @@ One command per line; a blank line, or one whose first non-blank character
 is ``#``, does nothing.  The command word ends at the first whitespace,
 a space or a tab alike.  ``quit``, which takes no argument, ends the
 session and ``load <path>`` runs the commands of a file (one that is not
-already being loaded).  Every other line is read as one token stream (see
-``lexer``), so an error position counts from the start of the line:
+already being loaded).  One cursor reads each other line (see ``lexer``),
+so an error position counts from the start of the line:
 
     dim NAME : int|str|bool TAG...        TAGs, if any, are the domain
     dim NAME : enum { NAME, ... }
@@ -154,7 +154,7 @@ def _dim_command(session: Session, cur: Cursor) -> list:
 def _let_command(session: Session, cur: Cursor) -> list:
     name = _name(cur, "a variable")
     cur.expect("=")
-    value = evaluate(parse_expr(cur.rest()), session.env)
+    value = evaluate(parse_expr(cur), session.env)
     session.env.bind(name, value)
     if session.mode == "json":
         return []
@@ -167,17 +167,16 @@ def _stream_command(session: Session, cur: Cursor) -> list:
         cur.fail(f"{word!r} cannot name a stream")
     name = cur.expect(NAME).text
     cur.expect("=")
-    session.equations.add(name, streams.parse_stream_expr(cur.rest()))
+    session.equations.add(name, streams.parse_stream_expr(cur))
     return [] if session.mode == "json" else [f"stream {name}"]
 
 
 def _show_command(session: Session, cur: Cursor) -> list:
-    expr, leftover = streams.parse_stream_expr_prefix(cur.rest())
-    args = Cursor(leftover)
-    dim = args.advance().text if args.peek().kind == NAME else streams.TIME
-    count = args.signed_int() if args.peek().kind == INT else 10
-    if args.peek().kind != END:
-        args.fail("show syntax: show <expr> [dim] [count]")
+    expr, cur = streams.parse_stream_expr_prefix(cur)
+    dim = cur.advance().text if cur.peek().kind == NAME else streams.TIME
+    count = cur.signed_int() if cur.peek().kind == INT else 10
+    if cur.peek().kind != END:
+        cur.fail("show syntax: show <expr> [dim] [count]")
     values = streams.eval_prefix(
         expr, dim, count, session.equations, session.warehouse, session.budget
     )
@@ -185,7 +184,7 @@ def _show_command(session: Session, cur: Cursor) -> list:
 
 
 def _eval_command(session: Session, cur: Cursor) -> list:
-    value = evaluate(parse_expr(cur.rest()), session.env)
+    value = evaluate(parse_expr(cur), session.env)
     return [_render_result(session, value)]
 
 

@@ -22,6 +22,11 @@ applies only where the expected operand may bind as loosely as the rule:
 Box-predicate ``not`` binds looser than comparison.  Parentheses are
 parsed here, the same way for every grammar.
 
+A parse entry takes text or a cursor (``cursor_of``); ``tokenize`` refuses
+anything else, a token list too.  A ``Cursor`` is the package's own reader,
+not exported: the REPL builds one over the tokens of each command line,
+and the parse entries trust it, as ``Cursor.expression`` does.
+
 This module knows no node class: the syntax tree, the grammar tables
 other than the stream one, and the printer are in ``parser``.
 """
@@ -270,10 +275,6 @@ class Cursor:
         self.i += 1
         return value
 
-    def rest(self) -> list:
-        """The tokens not yet read, ending with the end-of-input marker."""
-        return self.tokens[self.i:]
-
     def close(self, kind: str = END) -> Token:
         """Consume the token that ends an expression."""
         tok = self.peek()
@@ -334,9 +335,6 @@ class Cursor:
 
 
 def cursor_of(source) -> Cursor:
-    """A cursor over a list or tuple of ``Token``s ending in an ``END``
-    token, or over source text; each token's type is tested in C."""
-    if (type(source) in (list, tuple) and set(map(type, source)) == {Token}
-            and source[-1].kind == END):
-        return Cursor(source)
-    return Cursor(tokenize(source))
+    """The cursor a parse entry reads from text or a cursor: a ``Cursor``
+    itself, where it stands, or a new one over the tokens of the text."""
+    return source if type(source) is Cursor else Cursor(tokenize(source))

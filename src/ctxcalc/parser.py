@@ -348,7 +348,7 @@ CONTEXT = Grammar(
 
 
 def parse_expr(source) -> Node:
-    """Parse a context or context-set expression from text or tokens."""
+    """Parse a context or context-set expression from text or a cursor."""
     cur = cursor_of(source)
     node = cur.expression(CONTEXT)
     cur.close()

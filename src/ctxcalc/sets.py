@@ -19,6 +19,7 @@ from typing import Tuple
 
 from .errors import (
     IllTypedPredicate,
+    KindMismatch,
     NonSimpleOperand,
     UnboundedBox,
 )
@@ -189,25 +190,23 @@ def _predicate_kind(node: StreamExpr, dims_by_name) -> tuple:
     return kind
 
 
-def eval_predicate(node: StreamExpr, assignment) -> TagValue:
-    """Evaluate a bound predicate (see ``Box``) under an assignment of a
-    tag to each dimension name it reads."""
+def _eval_predicate(node: StreamExpr, assignment) -> TagValue:
+    """Evaluate a bound, kind-checked predicate (see ``Box``) under an
+    assignment of a tag to each dimension name it reads."""
     if isinstance(node, Ref):
         return assignment[node.name]
     if isinstance(node, Const):
         return node.value
     if isinstance(node, NotOp):
-        return not eval_predicate(node.operand, assignment)
-    if not isinstance(node, Pointwise):
-        raise IllTypedPredicate(f"not a predicate node: {node!r}")
-    # left_chain inlined, as this runs once per Box candidate
+        return not _eval_predicate(node.operand, assignment)
+    # a Pointwise: left_chain inlined, as this runs once per Box candidate
     chain = []
     while isinstance(node, Pointwise):
         chain.append(node)
         node = node.left
-    value = eval_predicate(node, assignment)
+    value = _eval_predicate(node, assignment)
     for n in reversed(chain):
-        value = OPERATORS[n.op](value, eval_predicate(n.right, assignment))
+        value = OPERATORS[n.op](value, _eval_predicate(n.right, assignment))
     return value
 
 
@@ -216,8 +215,8 @@ def _bind_symbols(node: StreamExpr, dims) -> StreamExpr:
     the one enum member of a dimension in ``dims`` that it names."""
     node, chain = left_chain(node, PREDICATE)
     if isinstance(node, Ref) and all(d.name != node.name for d in dims):
-        hits = [d.symbols[node.name] for d in dims
-                if d.symbols and node.name in d.symbols]
+        hits = [d.symbols[node.name] for d in dims if d.symbols
+                and isinstance(node.name, str) and node.name in d.symbols]
         if not hits:
             raise IllTypedPredicate(f"unbound name {node.name!r} in box predicate")
         if len(hits) > 1:
@@ -283,7 +282,7 @@ class Box:
             elif names := references(conjunct):
                 tests[max(map(level_of.get, names))].append(conjunct)
             else:
-                holds = holds and bool(eval_predicate(conjunct, {}))
+                holds = holds and bool(_eval_predicate(conjunct, {}))
         # every name in tests[i] other than dims[i] is bound before it
         solved = tuple(
             next(filter(None, (_solved_side(t, d) for t in level_tests)), None)
@@ -302,12 +301,16 @@ box_make = Box
 def box_contains(box: Box, c: Context) -> bool:
     """Whether a simple context over exactly the box dimensions satisfies
     the predicate."""
+    if not isinstance(box, Box):
+        raise KindMismatch(f"not a box: {box!r}")
+    if not isinstance(c, Context):
+        raise KindMismatch(f"not a context: {c!r}")
     if not c.is_simple():
         raise NonSimpleOperand("box membership is defined for simple contexts")
     if c.dims() != frozenset(box.dims):
         return False
     assignment = {m.dimension.name: m.tag for m in c}
-    return bool(eval_predicate(box.predicate, assignment))
+    return bool(_eval_predicate(box.predicate, assignment))
 
 
 def _solved_side(conjunct: StreamExpr, d: Dimension) -> StreamExpr:
@@ -366,7 +369,7 @@ def _solved_side(conjunct: StreamExpr, d: Dimension) -> StreamExpr:
 def _admits(tests, assignment) -> bool:
     """Whether one candidate tag passes the conjuncts its binding completes."""
     for t in tests:
-        if not eval_predicate(t, assignment):
+        if not _eval_predicate(t, assignment):
             return False
     return True
 
@@ -395,7 +398,7 @@ def box_enumerate(box: Box) -> ContextSet:
         d = dims[i]
         if solved[i] is None:
             return d.domain
-        k = d.index.get(eval_predicate(solved[i], assignment))
+        k = d.index.get(_eval_predicate(solved[i], assignment))
         return () if k is None else (d.domain[k],)
 
     # pending[i] yields the untried candidates of dimension i under the

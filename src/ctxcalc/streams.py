@@ -57,10 +57,13 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from .errors import DemandExhausted, DuplicateName, KindMismatch, UnresolvedReference
+from .errors import (
+    DemandExhausted, DuplicateName, ExprSyntaxError, KindMismatch, UnresolvedReference,
+)
 from .lexer import BOOLEANS, INT, NAME, RIGHT, Cursor, Grammar, Rule, cursor_of
 from .parser import (
     OPERATORS, PREDICATE, TIME, Asa, At, Const, Fby, First, If, Literal, Next,
@@ -88,8 +91,13 @@ class EvalContext(tuple):
     __slots__ = ()
 
     def __new__(cls, tags: Mapping[str, int] = ()):
-        items = dict(tags)
+        try:
+            items = dict(tags)
+        except (TypeError, ValueError):
+            raise KindMismatch(f"not a mapping of dimensions to tags: {tags!r}") from None
         for d, t in items.items():
+            if not isinstance(d, str):
+                raise KindMismatch(f"dimension name must be a string, got {d!r}")
             _check_tag(d, t)
         return tuple.__new__(cls, sorted((d, t) for d, t in items.items() if t != 0))
 
@@ -141,8 +149,14 @@ def define_streams(equations) -> EquationSet:
     """
     if isinstance(equations, Mapping):
         equations = equations.items()
+    elif not isinstance(equations, Iterable):
+        raise ExprSyntaxError(f"stream equations must be iterable, got {equations!r}")
     eqs = EquationSet()
-    for name, expr in equations:
+    for pair in equations:
+        if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+                or not isinstance(pair[0], str)):
+            raise ExprSyntaxError(f"not a (name, expression) pair: {pair!r}")
+        name, expr = pair
         if name in eqs:
             raise DuplicateName(f"stream {name!r} is defined twice")
         eqs[name] = expr
@@ -408,7 +422,13 @@ def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
 
 def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
     """The values of ``expr`` at each context, with one demand budget and
-    one warehouse for them all: ``warehouse``, or a new one if it is None."""
+    one warehouse for them all: ``warehouse``, or a new one if it is None.
+    Equations that are not an ``EquationSet`` go through ``define_streams``
+    first."""
+    if not isinstance(budget, int):
+        raise KindMismatch(f"demand budget must be an integer, got {budget!r}")
+    if not isinstance(eqs, EquationSet):
+        eqs = define_streams(eqs)
     if budget <= 0:
         raise DemandExhausted("demand budget must be positive")
     st = _State(eqs, Warehouse() if warehouse is None else warehouse, budget)
@@ -432,6 +452,8 @@ def eval_stream(
 ) -> Value:
     """Evaluate one stream expression at one context, memoizing in
     ``warehouse`` if given and otherwise in a warehouse of its own."""
+    if not isinstance(ctx, EvalContext):
+        raise KindMismatch(f"not an evaluation context: {ctx!r}")
     return _evaluate(expr, [ctx], eqs, warehouse, budget)[0]
 
 
@@ -448,6 +470,10 @@ def eval_prefix(
     warehouse, ``warehouse`` or a new one, memoizes it."""
     if isinstance(expr, str):
         expr = Ref(expr)
+    if not isinstance(dim, str):
+        raise KindMismatch(f"dimension name must be a string, got {dim!r}")
+    if not isinstance(count, int):
+        raise KindMismatch(f"count must be an integer, got {count!r}")
     if eqs is None:
         eqs = EquationSet()
     origin = EvalContext()
@@ -544,16 +570,16 @@ KEYWORDS = {"then", "else", *_LITERAL_WORDS} | {
 
 
 def parse_stream_expr(source) -> StreamExpr:
-    """Parse a complete stream expression from text or tokens."""
+    """Parse a complete stream expression from text or a cursor."""
     cur = cursor_of(source)
     expr = cur.expression(STREAM)
     cur.close()
     return expr
 
 
-def parse_stream_expr_prefix(tokens) -> Tuple[StreamExpr, list]:
-    """Parse a leading stream expression; return it and the leftover
-    tokens (used by commands that take trailing arguments)."""
-    cur = cursor_of(tokens)
-    expr = cur.expression(STREAM)
-    return expr, cur.rest()
+def parse_stream_expr_prefix(source) -> Tuple[StreamExpr, Cursor]:
+    """Parse a leading stream expression from text or a cursor; return it
+    and the cursor, on the first token after it (used by commands that
+    take trailing arguments)."""
+    cur = cursor_of(source)
+    return cur.expression(STREAM), cur

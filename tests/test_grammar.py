@@ -17,7 +17,7 @@ from ctxcalc.errors import (
 )
 from ctxcalc.evaluator import evaluate
 from ctxcalc.lexer import (
-    END, INT, NAME, STRING, SYMBOLS, UNICODE_ALIASES, tokenize,
+    END, INT, NAME, STRING, SYMBOLS, UNICODE_ALIASES, Cursor, tokenize,
 )
 from ctxcalc.model import DimensionRegistry, TagKind
 from ctxcalc.parser import (
@@ -163,10 +163,10 @@ def test_non_ascii_digits_are_unknown_tokens(text, position):
     assert err.value.position == position
 
 
-# Input to a parse entry that is neither text nor a token list ending in
-# an end token; each used to end in a raw TypeError or AttributeError.
+# Input to a parse entry that is neither text nor a cursor; each used to
+# end in a raw TypeError or AttributeError, or was read as tokens.
 NOT_SOURCE = [123, None, b"x", [1, 2], [], ("a",), tokenize("a")[:-1],
-              [*tokenize("a"), 5]]
+              [*tokenize("a"), 5], tokenize("a"), tuple(tokenize("a"))]
 
 
 @pytest.mark.parametrize("source", NOT_SOURCE)
@@ -183,12 +183,23 @@ def test_tokenize_refuses_what_is_not_text(source):
         tokenize(source)
 
 
-def test_a_parse_entry_reads_a_token_list_or_tuple():
-    tokens = tokenize("a | b")
-    assert parse_expr(tokens) == parse_expr(tuple(tokens)) == parse_expr("a | b")
-    expr, rest = streams.parse_stream_expr_prefix(tokenize("A + 1 time 3"))
+def _cursor_past(line: str, kind: str) -> Cursor:
+    """A cursor over the tokens of line, moved past its first ``kind``."""
+    tokens = tokenize(line)
+    cur = Cursor(tokens)
+    cur.i = [t.kind for t in tokens].index(kind) + 1
+    return cur
+
+
+def test_a_parse_entry_reads_a_cursor_from_where_it_stands():
+    assert parse_expr(_cursor_past("let x = a | b", "=")) == parse_expr("a | b")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(_cursor_past("let x = a |", "="))
+    assert err.value.position == 12  # counted from the start of the line
+    assert str(err.value) == "unexpected end of input at position 12"
+    expr, cur = streams.parse_stream_expr_prefix(_cursor_past("show A + 1 time 3", NAME))
     assert expr == parse_stream_expr("A + 1")
-    assert [t.text for t in rest] == ["time", "3", ""]
+    assert [cur.advance().text for _ in range(3)] == ["time", "3", ""]
 
 
 def test_names_may_contain_non_ascii_word_characters():

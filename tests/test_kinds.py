@@ -4,6 +4,7 @@ worked-example transcripts."""
 
 import io
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,13 +284,21 @@ def test_stream_lines_check_only_the_new_equation(monkeypatch):
 # --- worked-example transcripts -----------------------------------------------
 
 
+WORKED_EXAMPLES = ROOT / "scripts" / "worked_examples.ctx"
+
+
+# The script run by the file runner, then piped into the REPL, which reads
+# it a line at a time from stdin (rows without --script).
 @pytest.mark.parametrize("flags, golden", [
+    (["--script", str(WORKED_EXAMPLES)], "worked_examples_seed7.txt"),
+    (["--script", str(WORKED_EXAMPLES), "--json"], "worked_examples_seed7.json.txt"),
     ([], "worked_examples_seed7.txt"),
     (["--json"], "worked_examples_seed7.json.txt"),
 ])
-def test_worked_examples_match_golden(capsys, flags, golden):
-    script = str(ROOT / "scripts" / "worked_examples.ctx")
-    assert cli.main(["--script", script, "--seed", "7", *flags]) == 0
+def test_worked_examples_match_golden(capsys, monkeypatch, flags, golden):
+    stdin = io.StringIO(WORKED_EXAMPLES.read_text(encoding="utf-8"))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert cli.main(["--seed", "7", *flags]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / golden).read_bytes()

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from ctxcalc import ops, sets
 from ctxcalc.errors import (
     IllTypedPredicate,
+    KindMismatch,
     NonSimpleOperand,
     TagTypeMismatch,
     UnboundedBox,
@@ -28,7 +29,6 @@ from ctxcalc.sets import (
     box_contains,
     box_enumerate,
     box_make,
-    eval_predicate,
     join,
     lift_choice,
     lift_difference,
@@ -349,6 +349,43 @@ def test_a_box_with_an_unbound_name_is_refused_when_it_is_built():
     # a name error is reported before a kind error
     with pytest.raises(IllTypedPredicate, match="unbound name 'zz'"):
         box_make([reg.get("m")], Pointwise("+", Ref("zz"), Const(1)))
+
+
+def _month_box():
+    m = month_registry().get("m")
+    return Box([m], Pointwise("==", Ref("m"), Ref("Fe")))
+
+
+# Misuses of the Box API that used to end in a raw TypeError or
+# AttributeError, with the typed error and exact text each ends in now.
+BOX_API_ERRORS = [
+    ("unhashable-name",
+     lambda: Box([month_registry().get("m")], Ref(["x"])),
+     IllTypedPredicate, "unbound name ['x'] in box predicate"),
+    ("contains-in-a-non-box",
+     lambda: box_contains(5, ctx(("d", 1))),
+     KindMismatch, "not a box: 5"),
+    ("contains-a-non-context",
+     lambda: box_contains(_month_box(), 5),
+     KindMismatch, "not a context: 5"),
+    ("contains-a-context-set",
+     lambda: box_contains(_month_box(), cs()),
+     KindMismatch, "not a context: ContextSet({})"),
+]
+
+
+@pytest.mark.parametrize(
+    "action, error, message", [case[1:] for case in BOX_API_ERRORS],
+    ids=[case[0] for case in BOX_API_ERRORS])
+def test_box_api_errors_keep_their_class_and_text(action, error, message):
+    with pytest.raises(error) as info:
+        action()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_predicate_evaluator_is_private():
+    # it trusts a bound, kind-checked predicate, which only a Box holds
+    assert not hasattr(sets, "eval_predicate")
 
 
 def test_a_deep_copy_of_a_box_is_equal_and_enumerates_alike():

@@ -14,7 +14,6 @@ from ctxcalc.errors import (
     UnresolvedReference,
 )
 from ctxcalc import streams
-from ctxcalc.lexer import tokenize
 from ctxcalc.parser import (
     Asa,
     At,
@@ -463,6 +462,63 @@ def test_budget_must_be_positive():
         eval_stream(Const(1), EvalContext(), example_eqs(), budget=0)
 
 
+# Misuses of the eduction API's entries, which used to end in a raw
+# TypeError, ValueError, AttributeError or KeyError, with the typed error
+# and exact text each ends in now.
+EDUCTION_API_ERRORS = [
+    ("context-of-an-int",
+     lambda: EvalContext(5),
+     KindMismatch, "not a mapping of dimensions to tags: 5"),
+    ("context-of-a-short-pair",
+     lambda: EvalContext([("t",)]),
+     KindMismatch, "not a mapping of dimensions to tags: [('t',)]"),
+    ("context-with-a-non-string-dimension",
+     lambda: EvalContext({1: 2, "a": 3}),
+     KindMismatch, "dimension name must be a string, got 1"),
+    ("equations-of-an-int",
+     lambda: define_streams(5),
+     ExprSyntaxError, "stream equations must be iterable, got 5"),
+    ("equations-with-a-short-pair",
+     lambda: define_streams([("A",)]),
+     ExprSyntaxError, "not a (name, expression) pair: ('A',)"),
+    ("equations-with-an-unhashable-name",
+     lambda: define_streams([(["A"], Const(1))]),
+     ExprSyntaxError, "not a (name, expression) pair: (['A'], Const(value=1))"),
+    ("eval-at-a-dict",
+     lambda: eval_stream(Const(1), {"t": 1}, example_eqs()),
+     KindMismatch, "not an evaluation context: {'t': 1}"),
+    ("prefix-along-a-non-string-dimension",
+     lambda: eval_prefix(Const(1), dim=5),
+     KindMismatch, "dimension name must be a string, got 5"),
+    ("prefix-of-a-string-count",
+     lambda: eval_prefix(Const(1), count="a"),
+     KindMismatch, "count must be an integer, got 'a'"),
+    ("prefix-with-a-string-budget",
+     lambda: eval_prefix(Const(1), budget="a"),
+     KindMismatch, "demand budget must be an integer, got 'a'"),
+    ("prefix-of-an-undefined-name-in-a-dict",
+     lambda: eval_prefix("B", eqs={"A": Const(1)}),
+     UnresolvedReference, "no equation for stream 'B'"),
+    ("prefix-over-dict-equations-that-do-not-resolve",
+     lambda: eval_prefix("A", eqs={"A": Ref("B")}),
+     UnresolvedReference, "stream 'A' references undefined stream 'B'"),
+]
+
+
+@pytest.mark.parametrize(
+    "action, error, message", [case[1:] for case in EDUCTION_API_ERRORS],
+    ids=[case[0] for case in EDUCTION_API_ERRORS])
+def test_eduction_api_errors_keep_their_class_and_text(action, error, message):
+    with pytest.raises(error) as info:
+        action()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_mapping_of_equations_is_read_as_define_streams_reads_it():
+    assert eval_prefix("A", count=3, eqs={"A": Literal((4, 5))}) == [4, 5, None]
+    assert eval_stream(Ref("A"), EvalContext({"time": 1}), [("A", Literal((4, 5)))]) == 5
+
+
 # --- stream expression syntax -----------------------------------------------
 
 
@@ -499,9 +555,11 @@ def test_parse_stream_precedence():
 
 
 def test_parse_stream_prefix_leaves_arguments():
-    expr, rest = parse_stream_expr_prefix(tokenize("(A wvr B) time 2"))
+    expr, cur = parse_stream_expr_prefix("(A wvr B) time 2")
     assert expr == Wvr(Ref("A"), Ref("B"))
-    assert [t.text for t in rest if t.text] == ["time", "2"]
+    assert cur.peek().text == "time"
+    cur.advance()
+    assert cur.peek().text == "2"
 
 
 def test_parse_stream_errors():
