@@ -4,8 +4,12 @@ A context is a finite set of (dimension, tag) pairs, and a context set is
 a finite set of simple contexts; ``Context`` and ``ContextSet`` are
 frozensets of their members.  Duplicate pairs collapse under set
 semantics.  A dimension may appear with several different tags, in which
-case the context is *non-simple*; operators that need simplicity check it
-at call time, not at construction.
+case the context is *non-simple*; context operators that need a simple
+operand check it when they are called.  A context set checks that its
+members are simple in its public constructor, where a member can come in
+from outside; the set operators build their results with
+``ContextSet._of_simple``, which skips the check, because simple operands
+give simple results.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import (
     DuplicateDimension,
     ExprSyntaxError,
     IllFormedDomain,
+    KindMismatch,
     NonSimpleOperand,
     TagOutsideDomain,
     TagTypeMismatch,
@@ -417,16 +422,39 @@ class ContextSet(frozenset):
 
     Like ``Context``, it is immutable and hashable with frozenset equality,
     so it equals any frozenset of the same contexts.  Members with
-    different dimension domains may coexist; rejecting a non-simple member
-    is the one construction-time check.
+    different dimension domains may coexist.
+
+    The public constructor is the boundary where members come in from
+    outside (a set literal, an API caller, a copy or a pickle), and the one
+    place they are checked: an argument that is not a collection of
+    ``Context`` values raises ``KindMismatch``, and a non-simple member
+    ``NonSimpleOperand``.  The set operators build their results with
+    ``_of_simple`` instead, which skips the check: every lifted and
+    relational operator gives simple results from simple operands, a
+    proof obligation the tests pin with a property over each of them.
     """
 
     __slots__ = ()
 
+    def __new__(cls, members: Iterable[Context] = (), /):
+        try:
+            return frozenset.__new__(cls, members)
+        except TypeError:  # not iterable, or an unhashable member
+            raise KindMismatch(
+                f"not a collection of contexts: {members!r}") from None
+
     def __init__(self, members: Iterable[Context] = (), /):
         for c in self:
+            if not isinstance(c, Context):
+                raise KindMismatch(f"context set member {c!r} is not a context")
             if not c.is_simple():
                 raise NonSimpleOperand(f"context set member {c} is not simple")
+
+    @classmethod
+    def _of_simple(cls, members: Iterable[Context]) -> "ContextSet":
+        """The set of ``members``, which the caller knows are simple
+        contexts; ``frozenset.__new__`` does not run ``__init__``."""
+        return frozenset.__new__(cls, members)
 
     def dims_union(self) -> frozenset:
         """The union of the members' dimension sets."""

@@ -141,7 +141,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     micro_lists = [
         [MicroContext(d, v) for v in sorted(per_dim[d])] for d in ranged
     ]
-    return ContextSet(
+    return ContextSet._of_simple(
         Context(residue.union(combo))
         for combo in itertools.product(*micro_lists)
     )

@@ -41,24 +41,39 @@ from . import ops
 
 # --- lifted operators -------------------------------------------------------
 
+def _check_sets(*operands):
+    """Raise ``KindMismatch`` unless every operand is a ``ContextSet``.
+
+    The operators build their results unchecked (``ContextSet._of_simple``)
+    because simple operands give simple results; an operand of another
+    type could hold a non-simple context and break that.
+    """
+    for s in operands:
+        if not isinstance(s, ContextSet):
+            raise KindMismatch(f"not a context set: {type(s).__name__}")
+
+
 def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
     return s1.dims_union() & s2.dims_union()
 
 
 def lift_projection(s: ContextSet, dims: frozenset) -> ContextSet:
     """Project every member onto ``dims``."""
-    return ContextSet(ops.projection(c, dims) for c in s)
+    _check_sets(s)
+    return ContextSet._of_simple(ops.projection(c, dims) for c in s)
 
 
 def lift_hiding(s: ContextSet, dims: frozenset) -> ContextSet:
     """Hide ``dims`` in every member."""
-    return ContextSet(ops.hiding(c, dims) for c in s)
+    _check_sets(s)
+    return ContextSet._of_simple(ops.hiding(c, dims) for c in s)
 
 
 def lift_substitution(s: ContextSet, dimension: Dimension, tag) -> ContextSet:
     """Substitute the micro context (dimension, tag) into every member."""
+    _check_sets(s)
     micro = Context([MicroContext(dimension, tag)])
-    return ContextSet(ops.substitution(c, micro) for c in s)
+    return ContextSet._of_simple(ops.substitution(c, micro) for c in s)
 
 
 def lift_choice(s1: ContextSet, s2: ContextSet, rng: random.Random) -> ContextSet:
@@ -74,10 +89,11 @@ def lift_override(s1: ContextSet, s2: ContextSet) -> ContextSet:
     s2 are grouped by their dimension sets; for each group D, each distinct
     remainder ``c1 ^ D`` of s1 is overridden with each member of the group.
     """
+    _check_sets(s1, s2)
     groups: dict = {}
     for b in s2:
         groups.setdefault(b.dims(), []).append(b)
-    return ContextSet(
+    return ContextSet._of_simple(
         ops.override(r, b)
         for taken, group in groups.items()
         for r in {ops.hiding(a, taken) for a in s1}
@@ -92,9 +108,10 @@ def lift_difference(s1: ContextSet, s2: ContextSet) -> ContextSet:
     ``c1 (-) c2 == c1 (-) (c2 ! S)`` with S the shared dimensions; each
     member of s1 loses each distinct projection of s2 onto S.
     """
+    _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
     cuts = {ops.projection(b, shared) for b in s2}
-    return ContextSet(ops.difference(a, b) for a in s1 for b in cuts)
+    return ContextSet._of_simple(ops.difference(a, b) for a in s1 for b in cuts)
 
 
 # --- relational operators -----------------------------------------------------
@@ -106,11 +123,12 @@ def join(s1: ContextSet, s2: ContextSet) -> ContextSet:
     the shared dimensions, and each member of s1 probes its own bucket, so
     the cost is |s1| + |s2| plus the pairs that agree.
     """
+    _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
     buckets: dict = {}
     for b in s2:
         buckets.setdefault(ops.projection(b, shared), []).append(b)
-    return ContextSet(
+    return ContextSet._of_simple(
         ops.disjunction(a, b)
         for a in s1
         for b in buckets.get(ops.projection(a, shared), ())
@@ -124,10 +142,12 @@ def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
     ``c1 & c2 == (c1 ! S) & (c2 ! S)`` with S the shared dimensions; each
     distinct projection of s1 onto S is conjoined with each of s2's.
     """
+    _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
     cuts1 = {ops.projection(a, shared) for a in s1}
     cuts2 = {ops.projection(b, shared) for b in s2}
-    return ContextSet(ops.conjunction(a, b) for a in cuts1 for b in cuts2)
+    return ContextSet._of_simple(
+        ops.conjunction(a, b) for a in cuts1 for b in cuts2)
 
 
 def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
@@ -137,10 +157,11 @@ def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
     member is then united with every remainder of the other side, so the
     work is that of the output rather than of 2·|s1|·|s2| candidates.
     """
+    _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
     rest1 = {ops.hiding(a, shared) for a in s1}
     rest2 = {ops.hiding(b, shared) for b in s2}
-    return ContextSet(
+    return ContextSet._of_simple(
         ops.disjunction(c, r)
         for side, rest in ((s1, rest2), (s2, rest1))
         for c in side
@@ -391,7 +412,7 @@ def box_enumerate(box: Box) -> ContextSet:
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
     if not box._holds:
-        return ContextSet()
+        return ContextSet._of_simple(())
     assignment: dict = {}
 
     def candidates(i):
@@ -428,4 +449,4 @@ def box_enumerate(box: Box) -> ContextSet:
                 micro = cache[tag] = MicroContext(e, tag)
             member.append(micro)
         members.append(Context(member))
-    return ContextSet(members)
+    return ContextSet._of_simple(members)

@@ -14,6 +14,7 @@ from ctxcalc.errors import (
     DuplicateDimension,
     ExprSyntaxError,
     IllFormedDomain,
+    KindMismatch,
     NonSimpleOperand,
     TagOutsideDomain,
     TagTypeMismatch,
@@ -570,6 +571,15 @@ def test_contexts_and_sets_reject_assignment():
         with pytest.raises(AttributeError):
             setattr(s, name, frozenset())
     assert c.dims() == frozenset([REG.get("d")]) and s == ContextSet([c])
+
+
+@pytest.mark.parametrize(
+    "members", [5, [5], [frozenset()], [["d"]]],
+    ids=["not-iterable", "an-int", "a-frozenset", "unhashable"])
+def test_context_set_refuses_members_that_are_not_contexts(members):
+    # the public constructor is where members come in from outside
+    with pytest.raises(KindMismatch):
+        ContextSet(members)
 
 
 def test_constructors_take_their_members_positionally():

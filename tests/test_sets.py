@@ -174,14 +174,57 @@ def test_relational_commutativity(s1, s2):
     assert set_union(s1, s2) == set_union(s2, s1)
 
 
-@given(set_st)
-def test_lift_results_stay_simple(s):
-    for c in lift_override(s, s):
-        assert c.is_simple()
-    for c in lift_difference(s, s):
-        assert c.is_simple()
-    for c in join(s, s):
-        assert c.is_simple()
+def assert_simple_set(value):
+    """The set operators build their results without the constructor's
+    simplicity check, so each result must be exactly a ``ContextSet`` (the
+    evaluator dispatches on ``type(value)``) of simple contexts, checked
+    afresh here: no dimension bound twice."""
+    assert type(value) is ContextSet
+    for c in value:
+        assert type(c) is Context
+        assert len({m.dimension for m in c}) == len(c)
+
+
+@given(set_st, set_st, st.sets(st.sampled_from("defgh")),
+       st.sampled_from("defgh"), st.integers(0, 3), simple_st, simple_st)
+def test_lift_results_stay_simple(s1, s2, names, name, tag, c1, c2):
+    # simple operands give simple results, for every operator that builds
+    # its result unchecked; box_enumerate is checked in
+    # assert_enumerates_as_filtered
+    some = dims(*names)
+    for value in (
+        lift_projection(s1, some),
+        lift_hiding(s1, some),
+        lift_substitution(s1, REG.get(name), tag),
+        lift_override(s1, s2),
+        lift_difference(s1, s2),
+        join(s1, s2),
+        set_intersection(s1, s2),
+        set_union(s1, s2),
+        ops.undirected_range(c1, c2),
+        ops.directed_range(c1, c2),
+    ):
+        assert_simple_set(value)
+
+
+NON_SIMPLE = ctx(("d", 1), ("d", 2))
+
+
+@pytest.mark.parametrize("action", [
+    lambda: lift_projection([NON_SIMPLE], dims("d")),
+    lambda: lift_hiding(frozenset([NON_SIMPLE]), dims("e")),
+    lambda: lift_substitution([NON_SIMPLE], REG.get("e"), 1),
+    lambda: lift_override([NON_SIMPLE], cs()),
+    lambda: lift_difference(cs(), [NON_SIMPLE]),
+    lambda: join([NON_SIMPLE], cs()),
+    lambda: set_intersection(cs(), frozenset()),
+    lambda: set_union(ctx(("d", 1)), cs()),
+], ids=["!", "^", "/", "(+)", "(-)", "><", "[&]", "[+]"])
+def test_set_operators_take_only_context_sets(action):
+    # an operand of another type could hold a non-simple context, which
+    # the unchecked result would then keep
+    with pytest.raises(KindMismatch, match="^not a context set: "):
+        action()
 
 
 def _agreeing_sets(base_pairs, extras1, extras2):
@@ -725,6 +768,7 @@ def assert_enumerates_as_filtered(conjuncts, order):
             Box(dims, node(pred))
         return
     got = box_enumerate(Box(dims, node(pred)))
+    assert_simple_set(got)
     want = {
         frozenset(zip(order, combo))
         for combo in itertools.product(*(d.domain for d in dims))
