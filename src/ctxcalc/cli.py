@@ -118,10 +118,10 @@ def _render_prefix(session: Session, dim: str, values) -> str:
 _TAG_KINDS = {kind.value: kind for kind in TagKind}
 
 
-def _name(cur: Cursor, what: str) -> str:
-    """A name that is not a boolean word; ``what`` says what it names."""
+def _name(cur: Cursor, what: str, reserved=BOOLEANS) -> str:
+    """A name that is not a ``reserved`` word; ``what`` says what it names."""
     word = cur.peek().text
-    if word in BOOLEANS:
+    if word in reserved:
         cur.fail(f"{word!r} cannot name {what}")
     return cur.expect(NAME).text
 
@@ -162,10 +162,7 @@ def _let_command(session: Session, cur: Cursor) -> list:
 
 
 def _stream_command(session: Session, cur: Cursor) -> list:
-    word = cur.peek().text
-    if word in streams.KEYWORDS:
-        cur.fail(f"{word!r} cannot name a stream")
-    name = cur.expect(NAME).text
+    name = _name(cur, "a stream", streams.KEYWORDS)
     cur.expect("=")
     session.equations.add(name, streams.parse_stream_expr(cur))
     return [] if session.mode == "json" else [f"stream {name}"]
@@ -239,15 +236,12 @@ def run_command(session: Session, line: str) -> list:
     rest = parts[1].rstrip() if len(parts) == 2 else ""
     if word == "quit":
         if rest:
-            column = len(line) - len(parts[1]) + 1
-            raise ExprSyntaxError(
-                f"quit takes no argument at position {column}", position=column)
+            raise ExprSyntaxError.at(
+                "quit takes no argument", len(line) - len(parts[1]) + 1)
         raise _Quit()
     if word == "load":
         if not rest:  # the end of the line, as the tokenizer counts it
-            column = len(line) + 1
-            raise ExprSyntaxError(
-                f"load needs a path at position {column}", position=column)
+            raise ExprSyntaxError.at("load needs a path", len(line) + 1)
         return _load_command(session, rest)
     handler = _HANDLERS.get(word)
     if handler is None:

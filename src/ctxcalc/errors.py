@@ -1,8 +1,22 @@
-"""Exception hierarchy shared by every layer of the package."""
+"""Exception hierarchy shared by every layer of the package.
+
+Every error has a ``position``: the 1-based column of the source text (a
+command line, in the REPL) where it was found, or ``None`` when it has no
+place in a text.  ``ContextCalcError.at`` alone writes "at position N".
+"""
 
 
 class ContextCalcError(Exception):
     """Base class for every error this package raises on purpose."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
+
+    @classmethod
+    def at(cls, message: str, column: int):
+        """The error ``message at position column``, placed at that column."""
+        return cls(f"{message} at position {column}", position=column)
 
 
 class InternalError(ContextCalcError):
@@ -65,17 +79,9 @@ class IllTypedPredicate(ContextCalcError):
 class UnknownToken(ContextCalcError):
     """The tokenizer hit a character sequence it does not recognize."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.position = position  # 1-based column in the source text
-
 
 class ExprSyntaxError(ContextCalcError):
     """A token stream does not form a well-formed expression."""
-
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(message)
-        self.position = position
 
 
 class UnbalancedParens(ExprSyntaxError):

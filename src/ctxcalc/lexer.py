@@ -27,6 +27,10 @@ anything else, a token list too.  A ``Cursor`` is the package's own reader,
 not exported: the REPL builds one over the tokens of each command line,
 and the parse entries trust it, as ``Cursor.expression`` does.
 
+A syntax error is placed at a 1-based column and written by the one
+formatter, ``ContextCalcError.at`` (see ``errors``); ``Cursor.fail`` raises
+it at the token the cursor is on.
+
 This module knows no node class: the syntax tree, the grammar tables
 other than the stream one, and the printer are in ``parser``.
 """
@@ -138,16 +142,11 @@ def tokenize(text: str) -> list:
                 lexeme = _ESCAPED.sub(r"\1", lexeme)
             append(_new(Token, (STRING, lexeme, m.start())))
         elif lexeme == '"':
-            pos = m.start()
+            column = m.start() + 1
             raise ExprSyntaxError(
-                f"unterminated string starting at column {pos + 1}",
-                position=pos + 1,
-            )
+                f"unterminated string starting at column {column}", position=column)
         else:  # a stray character, or a name that starts with a digit
-            pos = m.start()
-            raise UnknownToken(
-                f"unknown token {lexeme[0]!r} at position {pos + 1}", position=pos + 1
-            )
+            raise UnknownToken.at(f"unknown token {lexeme[0]!r}", m.start() + 1)
     append(_new(Token, (END, "", len(text))))
     return tokens
 
@@ -210,11 +209,7 @@ class Cursor:
     def expect(self, kind: str) -> Token:
         tok = self.tokens[self.i]
         if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r} but found {tok.text or 'end of input'!r} "
-                f"at position {tok.column}",
-                position=tok.column,
-            )
+            self.fail(f"expected {kind!r} but found {tok.text or 'end of input'!r}")
         if kind != END:
             self.i += 1
         return tok
@@ -222,16 +217,12 @@ class Cursor:
     def expect_word(self, word: str):
         tok = self.peek()
         if tok.kind != NAME or tok.text != word:
-            raise ExprSyntaxError(
-                f"expected {word!r} at position {tok.column}", position=tok.column
-            )
+            self.fail(f"expected {word!r}")
         self.advance()
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ExprSyntaxError(
-            f"{message} at position {tok.column}", position=tok.column
-        )
+        """Raise ``ExprSyntaxError`` at the token the cursor is on."""
+        raise ExprSyntaxError.at(message, self.peek().column)
 
     def comma_list(self, item: Callable) -> list:
         """One or more ``item(cursor)`` separated by commas."""
@@ -251,10 +242,9 @@ class Cursor:
         try:
             n = int(tok.text)
         except ValueError:
-            raise ExprSyntaxError(
-                f"integer literal longer than {sys.get_int_max_str_digits()} "
-                f"digits at position {tok.column}", position=tok.column
-            ) from None
+            raise ExprSyntaxError.at(
+                f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                tok.column) from None
         return -n if negative else n
 
     def tag(self, name: Callable):
@@ -281,9 +271,7 @@ class Cursor:
         if tok.kind == kind:
             return self.advance()
         if tok.kind == ")":
-            raise UnbalancedParens(
-                f"unmatched ')' at position {tok.column}", position=tok.column
-            )
+            raise UnbalancedParens.at("unmatched ')'", tok.column)
         if kind == END:
             self.fail(f"unexpected {tok.text!r}")
         return self.expect(kind)
@@ -304,9 +292,7 @@ class Cursor:
             self.i += 1
             left = self.expression(grammar)
             if self.tokens[self.i].kind != ")":
-                raise UnbalancedParens(
-                    f"unclosed '(' at position {tok.column}", position=tok.column
-                )
+                raise UnbalancedParens.at("unclosed '('", tok.column)
             self.i += 1
         else:
             rule = grammar.prefix.get(tok.text if tok.kind == NAME else tok.kind)

@@ -178,9 +178,20 @@ _LOGIC = ("and", "or")
 _LINEAR = ("+", "-")
 
 
-def _predicate_kind(node: StreamExpr, dims_by_name) -> tuple:
-    """Kind of a bound predicate node: (TagKind, enumeration-or-None)."""
+def _bind_predicate(node: StreamExpr, dims_by_name) -> tuple:
+    """The predicate with each name that is not a dimension replaced by the
+    one enum member of a dimension that it names, and the kind of the
+    result: (TagKind, enumeration-or-None).  One walk binds and checks."""
     node, chain = left_chain(node, PREDICATE)
+    if isinstance(node, Ref) and all(name != node.name for name in dims_by_name):
+        hits = [d.symbols[node.name] for d in dims_by_name.values() if d.symbols
+                and isinstance(node.name, str) and node.name in d.symbols]
+        if not hits:
+            raise IllTypedPredicate(f"unbound name {node.name!r} in box predicate")
+        if len(hits) > 1:
+            raise IllTypedPredicate(
+                f"ambiguous enum symbol {node.name!r} in box predicate")
+        node = Const(hits[0])
     if isinstance(node, Const):
         k = kind_of(node.value)
         kind = k, node.value.enumeration if k is TagKind.ENUM else None
@@ -191,14 +202,15 @@ def _predicate_kind(node: StreamExpr, dims_by_name) -> tuple:
         else:
             kind = dim.tag_type, None
     elif isinstance(node, NotOp):
-        if _predicate_kind(node.operand, dims_by_name) != _BOOL:
+        operand, operand_kind = _bind_predicate(node.operand, dims_by_name)
+        if operand_kind != _BOOL:
             raise IllTypedPredicate("'not' needs a boolean operand")
-        kind = _BOOL
+        node, kind = NotOp(operand), _BOOL
     else:
         raise IllTypedPredicate(f"not a predicate node: {node!r}")
     for n in chain:
-        lk, rk = kind, _predicate_kind(n.right, dims_by_name)
-        kind = _BOOL
+        right, rk = _bind_predicate(n.right, dims_by_name)
+        lk, kind = kind, _BOOL
         if n.op in _LOGIC:
             if lk != _BOOL or rk != _BOOL:
                 raise IllTypedPredicate(f"{n.op!r} needs boolean operands")
@@ -208,7 +220,8 @@ def _predicate_kind(node: StreamExpr, dims_by_name) -> tuple:
             kind = _INT
         elif lk != rk:
             raise IllTypedPredicate(f"comparison {n.op!r} over mismatched kinds")
-    return kind
+        node = Pointwise(n.op, node, right)
+    return node, kind
 
 
 def _eval_predicate(node: StreamExpr, assignment) -> TagValue:
@@ -231,26 +244,6 @@ def _eval_predicate(node: StreamExpr, assignment) -> TagValue:
     return value
 
 
-def _bind_symbols(node: StreamExpr, dims) -> StreamExpr:
-    """The predicate with each name that is not one of ``dims`` replaced by
-    the one enum member of a dimension in ``dims`` that it names."""
-    node, chain = left_chain(node, PREDICATE)
-    if isinstance(node, Ref) and all(d.name != node.name for d in dims):
-        hits = [d.symbols[node.name] for d in dims if d.symbols
-                and isinstance(node.name, str) and node.name in d.symbols]
-        if not hits:
-            raise IllTypedPredicate(f"unbound name {node.name!r} in box predicate")
-        if len(hits) > 1:
-            raise IllTypedPredicate(
-                f"ambiguous enum symbol {node.name!r} in box predicate")
-        node = Const(hits[0])
-    elif isinstance(node, NotOp):
-        node = NotOp(_bind_symbols(node.operand, dims))
-    for n in chain:
-        node = Pointwise(n.op, node, _bind_symbols(n.right, dims))
-    return node
-
-
 def predicate_text(node: StreamExpr) -> str:
     """Render a predicate in the syntax the box-literal parser accepts."""
     return unparse(node, PREDICATE)
@@ -264,13 +257,14 @@ class Box:
 
     The constructor is the one validator and analysis of a Box.  It takes
     any iterable of dimensions and raises ``IllTypedPredicate`` checking
-    the dimensions, then the names (an enum symbol is bound to its member,
-    so every ``Ref`` left names a dimension), then the kinds: the predicate
-    must be boolean, so evaluating it is total.  It stores the plan that
-    ``box_enumerate`` walks, outside equality and ``repr``: whether the
-    ``and`` conjuncts that read no dimension hold; ``_tests[i]``, those
-    whose last dimension read is ``dims[i]``; ``_solved[i]``, the side that
-    one of them solves ``dims[i]`` to (see ``_solved_side``), or None.
+    the dimensions, then, in one walk of the predicate, the names (an enum
+    symbol is bound to its member, so every ``Ref`` left names a dimension)
+    and the kinds: the predicate must be boolean, so evaluating it is total.
+    It stores the plan that ``box_enumerate`` walks, outside equality and
+    ``repr``: whether the ``and`` conjuncts that read no dimension hold;
+    ``_tests[i]``, those whose last dimension read is ``dims[i]``;
+    ``_solved[i]``, the side that one of them solves ``dims[i]`` to (see
+    ``_solved_side``), or None.
     """
 
     dims: Tuple[Dimension, ...]
@@ -291,8 +285,8 @@ class Box:
         by_name = {d.name: d for d in dims}
         if len(by_name) != len(dims):
             raise IllTypedPredicate("box dimensions must be distinct")
-        predicate = _bind_symbols(self.predicate, dims)
-        if _predicate_kind(predicate, by_name) != _BOOL:
+        predicate, kind = _bind_predicate(self.predicate, by_name)
+        if kind != _BOOL:
             raise IllTypedPredicate("box predicate must be boolean")
         level_of = {name: i for i, name in enumerate(by_name)}
         holds, tests, stack = True, [[] for _ in dims], [predicate]

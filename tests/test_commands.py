@@ -23,6 +23,7 @@ from ctxcalc.errors import (
     DuplicateName,
     ExprSyntaxError,
     InternalError,
+    UnbalancedParens,
     UnknownToken,
     UnresolvedReference,
 )
@@ -121,18 +122,22 @@ ERRORS = [
     ("stream then = 1", ExprSyntaxError, 8),
     ("stream true = 1", ExprSyntaxError, 8),
     ("stream nil = A", ExprSyntaxError, 8),
+    ("stream B = if A 1", ExprSyntaxError, 17),
     # show
     ("show", ExprSyntaxError, 5),
     ("show A 2 time", ExprSyntaxError, 10),
     ("show A time x", ExprSyntaxError, 13),
     ("show A 2 3", ExprSyntaxError, 10),
     ('show A "x"', ExprSyntaxError, 8),
+    ("show if A then 1", ExprSyntaxError, 17),
     # load
     ("load", ExprSyntaxError, 5),
     ("  load", ExprSyntaxError, 7),
     # eval
     ("eval {(d, 1)} $", UnknownToken, 15),
     ("  eval $", UnknownToken, 8),
+    ("eval (a", UnbalancedParens, 6),
+    ("eval a)", UnbalancedParens, 7),
     # seed
     ("seed", ExprSyntaxError, 5),
     ("seed +3", ExprSyntaxError, 6),

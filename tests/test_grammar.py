@@ -146,6 +146,7 @@ def test_unbalanced_parens_have_a_position(parse, text, position):
     with pytest.raises(UnbalancedParens) as err:
         parse(text)
     assert err.value.position == position
+    assert str(err.value).endswith(f"at position {position}")
 
 
 # --- lexer --------------------------------------------------------------------------
