@@ -21,7 +21,6 @@ from .model import (
     Context,
     ContextSet,
     DimensionRegistry,
-    MicroContext,
 )
 from .parser import (
     CONTEXT, BoxLit, Const, ContextLit, DimSetLit, Node, PairLit, Ref, SetLit,
@@ -117,9 +116,9 @@ ROWS = {
 }
 
 
-def _micro(env: Environment, name: str, raw) -> MicroContext:
+def _micro(env: Environment, name: str, raw):
     tag = raw.name if isinstance(raw, Ref) else raw
-    return env.registry.micro(name, tag)  # which coerces the tag
+    return env.registry.get(name).micro(tag)  # which coerces the tag
 
 
 def _context_from_literal(env: Environment, node: ContextLit) -> Context:

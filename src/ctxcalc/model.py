@@ -10,6 +10,12 @@ members are simple in its public constructor, where a member can come in
 from outside; the set operators build their results with
 ``ContextSet._of_simple``, which skips the check, because simple operands
 give simple results.
+
+A micro context is a (dimension, tag) pair whose tag the dimension admits
+(``Dimension.coerce``).  Each dimension builds its own pairs: within the
+package every pair is built by ``Dimension.micro``, which keeps one pair
+object per tag, so a pair read from a literal, enumerated from a Box or
+swept by a range is the same object wherever it recurs.
 """
 
 from __future__ import annotations
@@ -94,6 +100,10 @@ def format_tag(value: TagValue) -> str:
     raise TagTypeMismatch(f"not a tag value: {value!r}")
 
 
+# The most pairs one dimension keeps (see ``Dimension.micro``).
+_MICRO_MEMO_LIMIT = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class Dimension:
     """A named axis with a tag kind and an optional finite ordered domain.
@@ -110,6 +120,12 @@ class Dimension:
     domains.  The hash is computed once.  Beside the domain tuple,
     ``index`` maps each tag to its position and, for enums, ``symbols``
     maps each symbol to its member.
+
+    A dimension is the one builder of its pairs: ``micro(tag)`` builds
+    the micro context (self, tag) the first time it is asked for and
+    hands the same object back after (hash-consing: Filliâtre & Conchon,
+    "Type-safe modular hash-consing", 2006).  Asking for a pair thus
+    writes to the dimension's memo, which is outside its identity.
     """
 
     name: str
@@ -118,6 +134,7 @@ class Dimension:
     index: Optional[dict] = field(default=None, init=False, repr=False)
     symbols: Optional[dict] = field(default=None, init=False, repr=False)
     _hash: int = field(default=0, init=False, repr=False)
+    _micros: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         name, kind, domain = self.name, self.tag_type, self.domain
@@ -170,6 +187,7 @@ class Dimension:
             object.__setattr__(self, "domain", domain)
             object.__setattr__(self, "index", {v: i for i, v in enumerate(domain)})
         object.__setattr__(self, "_hash", hash((name, kind)))
+        object.__setattr__(self, "_micros", {})
 
     def __eq__(self, other):
         if not isinstance(other, Dimension):
@@ -216,6 +234,29 @@ class Dimension:
             )
         return value
 
+    def micro(self, tag) -> "MicroContext":
+        """The micro context (self, tag), built the first time it is asked
+        for, which coerces the tag once, and the same object after.
+
+        The memo is keyed by the tag as given, its class as well as its
+        value, since ``True == 1``; so an enum pair asked for by symbol
+        and by member is built once for each.  An unhashable tag goes
+        straight to the build, which refuses it, and no pair whose build
+        raised is kept.  It holds up to ``_MICRO_MEMO_LIMIT`` pairs; when
+        full it is emptied and refills, so ever new tags cost bounded
+        memory, and a pair asked for again after a flush is an equal, new
+        object.
+        """
+        memo, key = self._micros, (tag.__class__, tag)
+        try:
+            return memo[key]
+        except (KeyError, TypeError):  # a new tag, or an unhashable one
+            micro = MicroContext(self, tag)
+        if len(memo) >= _MICRO_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = micro
+        return micro
+
 
 def _check_name(name) -> str:
     """name, if it is a string; the table is keyed by strings, and a key
@@ -225,35 +266,18 @@ def _check_name(name) -> str:
     return name
 
 
-# The most literal pairs one registry keeps (see ``DimensionRegistry``).
-_MICRO_MEMO_LIMIT = 4096
-
-
 class DimensionRegistry:
     """A name table: name -> Dimension, the single authority on which
-    dimension a name denotes; and the one home of each literal pair.
+    dimension a name denotes.
 
     ``register`` checks only that the name is a string and new;
     ``Dimension`` validates the rest.  A name that is not a string is in
     no registry.  The registry is left untouched when a registration
-    fails.
-
-    ``micro(name, tag)`` builds the micro context of a literal pair once
-    and hands the same object back on every later read of that pair
-    (hash-consing: Filliâtre & Conchon, "Type-safe modular hash-consing",
-    2006).  The memo is exact because a name, once registered, is never
-    rebound.  It is keyed by the tag's class as well as its value, since
-    ``True == 1``, and keeps no pair whose build raised.  Reading a pair
-    thus writes to the memo: a registry is no read-only table.  The memo
-    retains the pairs it holds for as long as the registry lives, up to
-    ``_MICRO_MEMO_LIMIT`` of them; when full it is emptied and refills,
-    so input with ever new pairs costs bounded memory, and a pair read
-    again after a flush is an equal, new object.
+    fails.  A pair is built by its dimension: ``get(name).micro(tag)``.
     """
 
     def __init__(self):
         self._dims: dict = {}
-        self._micros: dict = {}
 
     def register(self, name: str, tag_type: TagKind, domain=None) -> Dimension:
         if _check_name(name) in self._dims:
@@ -268,22 +292,6 @@ class DimensionRegistry:
         except KeyError:
             raise UnknownDimension(f"unknown dimension {name!r}") from None
 
-    def micro(self, name: str, tag) -> "MicroContext":
-        """The micro context (name, tag) of a literal pair, built the first
-        time the pair is read; the tag is coerced as ``MicroContext``
-        does."""
-        key = (name, tag.__class__, tag)
-        try:
-            micro = self._micros.get(key)
-        except TypeError:  # an unhashable name or tag: the build refuses it
-            return MicroContext(self.get(name), tag)
-        if micro is None:
-            micro = MicroContext(self.get(name), tag)
-            if len(self._micros) >= _MICRO_MEMO_LIMIT:
-                self._micros.clear()
-            self._micros[key] = micro
-        return micro
-
     def __contains__(self, name) -> bool:
         return isinstance(name, str) and name in self._dims
 
@@ -291,9 +299,10 @@ class DimensionRegistry:
 class MicroContext:
     """A single (dimension, tag) pair; the atom contexts are built from.
 
-    The constructor coerces the tag (see ``Dimension.coerce``).  A pair
-    read from a literal is built by ``DimensionRegistry.micro``, once per
-    registry; the operators build theirs directly.  The hash
+    The constructor coerces the tag (see ``Dimension.coerce``).  Within
+    the package every pair is built by its dimension's ``micro``, which
+    keeps one object per pair; the constructor stays public for callers
+    that want a pair of their own.  The hash
     and the printed text ``(d, tag)`` are computed once, at construction,
     and kept in fixed slots; the value is immutable and has no instance
     ``__dict__``.  Two micro contexts are equal when their dimensions and
@@ -471,7 +480,7 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
     """Build a context from (dimension name, raw tag) pairs.
 
     Duplicate pairs collapse; the result may be non-simple.  Each pair is
-    the registry's one micro context for it (``DimensionRegistry.micro``).
+    its dimension's one micro context for it (``Dimension.micro``).
     """
     if not isinstance(pairs, Iterable):
         raise ExprSyntaxError(f"context pairs must be iterable, got {pairs!r}")
@@ -479,5 +488,5 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
     for pair in pairs:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
-        micros.append(registry.micro(*pair))
+        micros.append(registry.get(pair[0]).micro(pair[1]))
     return Context(micros)

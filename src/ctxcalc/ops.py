@@ -22,7 +22,6 @@ from .model import (
     Context,
     ContextSet,
     Dimension,
-    MicroContext,
     TagKind,
 )
 
@@ -134,13 +133,12 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
             "unshared remainders of the range operands are not simple"
         )
 
-    # Each (dimension, tag) micro context is built once, not once per member.
+    # Each (dimension, tag) pair is the dimension's one micro context for
+    # it (``Dimension.micro``), shared by every member and every call.
     ranged = sorted(
         (d for d in per_dim if per_dim[d]), key=lambda d: d.name
     )
-    micro_lists = [
-        [MicroContext(d, v) for v in sorted(per_dim[d])] for d in ranged
-    ]
+    micro_lists = [list(map(d.micro, sorted(per_dim[d]))) for d in ranged]
     return ContextSet._of_simple(
         Context(residue.union(combo))
         for combo in itertools.product(*micro_lists)

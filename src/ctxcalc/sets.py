@@ -27,7 +27,6 @@ from .model import (
     Context,
     ContextSet,
     Dimension,
-    MicroContext,
     TagKind,
     TagValue,
     kind_of,
@@ -53,6 +52,13 @@ def _check_sets(*operands):
             raise KindMismatch(f"not a context set: {type(s).__name__}")
 
 
+def _check_dims(dims):
+    """Raise ``KindMismatch`` unless ``dims`` is a set of dimensions."""
+    if not (isinstance(dims, (set, frozenset))
+            and all(isinstance(d, Dimension) for d in dims)):
+        raise KindMismatch(f"not a set of dimensions: {dims!r}")
+
+
 def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
     return s1.dims_union() & s2.dims_union()
 
@@ -60,19 +66,23 @@ def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
 def lift_projection(s: ContextSet, dims: frozenset) -> ContextSet:
     """Project every member onto ``dims``."""
     _check_sets(s)
+    _check_dims(dims)
     return ContextSet._of_simple(ops.projection(c, dims) for c in s)
 
 
 def lift_hiding(s: ContextSet, dims: frozenset) -> ContextSet:
     """Hide ``dims`` in every member."""
     _check_sets(s)
+    _check_dims(dims)
     return ContextSet._of_simple(ops.hiding(c, dims) for c in s)
 
 
 def lift_substitution(s: ContextSet, dimension: Dimension, tag) -> ContextSet:
     """Substitute the micro context (dimension, tag) into every member."""
     _check_sets(s)
-    micro = Context([MicroContext(dimension, tag)])
+    if not isinstance(dimension, Dimension):
+        raise KindMismatch(f"not a dimension: {dimension!r}")
+    micro = Context([dimension.micro(tag)])
     return ContextSet._of_simple(ops.substitution(c, micro) for c in s)
 
 
@@ -396,9 +406,13 @@ def box_enumerate(box: Box) -> ContextSet:
     tested as soon as ``dims[i]`` is bound, so a failing prefix prunes
     every extension of it.  A solved dimension is not swept: the domain's
     own tag equal to its solved side, if any, is the only candidate.  Each
-    (dimension, tag) micro context is built at most once per call.  The
-    result equals filtering the full product of the domains.
+    member is made of its dimensions' own micro contexts
+    (``Dimension.micro``), so a pair is built once, not once per member
+    or per call.  The result equals filtering the full product of the
+    domains.
     """
+    if not isinstance(box, Box):
+        raise KindMismatch(f"not a box: {box!r}")
     dims, tests, solved = box.dims, box._tests, box._solved
     for d in dims:
         if d.domain is None:
@@ -417,9 +431,7 @@ def box_enumerate(box: Box) -> ContextSet:
         return () if k is None else (d.domain[k],)
 
     # pending[i] yields the untried candidates of dimension i under the
-    # tags bound to the dimensions before it.  micros[i] maps each tag of
-    # dimension i that some emitted member binds to its micro context.
-    micros = [{} for _ in dims]
+    # tags bound to the dimensions before it.
     members = []
     pending = [iter(candidates(0))]
     while pending:
@@ -435,12 +447,5 @@ def box_enumerate(box: Box) -> ContextSet:
         if i + 1 < len(dims):
             pending.append(iter(candidates(i + 1)))
             continue
-        member = []
-        for e, cache in zip(dims, micros):
-            tag = assignment[e.name]
-            micro = cache.get(tag)
-            if micro is None:
-                micro = cache[tag] = MicroContext(e, tag)
-            member.append(micro)
-        members.append(Context(member))
+        members.append(Context([e.micro(assignment[e.name]) for e in dims]))
     return ContextSet._of_simple(members)

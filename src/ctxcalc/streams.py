@@ -29,12 +29,12 @@ true, the next position to read, and whether a nil guard stopped the scan
 there.  A filter reads the cursor and scans further only when it needs a
 position not yet read, so a prefix of n values reads each guard position
 once.  The cursor stores positions, not values: X is still evaluated
-through the warehouse.  Cursors live as long as the warehouse.
+through the warehouse.  Cursors live as long as the warehouse's values.
 
 Every call evaluates through a warehouse: the caller's, which keeps its
-values and cursors for later calls, or a new one that lives for the call
-alone.  Either way a named value, once computed, is not computed again
-within the call.
+values and cursors for later calls over the same equation set (see
+``Warehouse``), or a new one that lives for the call alone.  Either way
+a named value, once computed, is not computed again within the call.
 
 Each node type has one handler, found in the table ``_HANDLERS`` by the
 node's exact type; a type with no entry gets a handler that raises
@@ -183,11 +183,19 @@ class Warehouse:
     Entries are write-once: equations are referentially transparent, so a
     key always recomputes to the same value and duplicate concurrent
     computation is benign.
+
+    A warehouse serves one equation set, ``equations``, the one its
+    entries came from; the set may grow through ``EquationSet.add``,
+    which never changes an equation already there.  An evaluation given
+    another set empties the values and cursors first; ``hits`` and
+    ``misses`` keep counting.  A plain mapping of equations becomes a new
+    set on each call, so it empties the warehouse each time.
     """
 
     def __init__(self):
         self._cache = {}
         self.cursors = {}
+        self.equations = None  # the set the entries came from
         self.hits = 0
         self.misses = 0
 
@@ -208,10 +216,9 @@ class _Scan:
 
 @dataclass(slots=True)
 class _State:
-    """One evaluation call: its equations, its warehouse and the demand it
-    may still spend."""
+    """One evaluation call: its warehouse, which holds its equations, and
+    the demand it may still spend."""
 
-    eqs: EquationSet
     warehouse: Warehouse
     remaining: int
 
@@ -250,7 +257,7 @@ def _ref(expr, ctx, st):
     if value is not _MISSING:
         wh.hits += 1
         return value
-    body = st.eqs[expr.name]
+    body = wh.equations[expr.name]
     value = wh._cache[key] = _HANDLERS[type(body)](body, ctx, st)
     wh.misses += 1
     return value
@@ -431,7 +438,10 @@ def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
         eqs = define_streams(eqs)
     if budget <= 0:
         raise DemandExhausted("demand budget must be positive")
-    st = _State(eqs, Warehouse() if warehouse is None else warehouse, budget)
+    wh = Warehouse() if warehouse is None else warehouse
+    if wh.equations is not eqs:  # the entries of another set do not hold
+        wh._cache, wh.cursors, wh.equations = {}, {}, eqs
+    st = _State(wh, budget)
     handler = _HANDLERS[type(expr)]
     try:
         return [handler(expr, ctx, st) for ctx in contexts]

@@ -196,11 +196,11 @@ def test_each_guard_position_is_read_once(op, reads, want):
     got = eval_prefix(expr, "time", n, define_streams({}), budget=10 * n)
     assert got == [want(t) for t in range(n)]
     assert guard.reads == reads(n)
-    # with a warehouse, across calls
+    # with a warehouse, across calls over one equation set
     guard.reads = 0
-    warehouse = Warehouse()
+    warehouse, eqs = Warehouse(), define_streams({})
     for t in range(n):
-        assert eval_stream(expr, EvalContext({"time": t}), define_streams({}),
+        assert eval_stream(expr, EvalContext({"time": t}), eqs,
                            warehouse) == want(t)
     assert guard.reads == reads(n)
 

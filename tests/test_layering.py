@@ -1,9 +1,12 @@
 """The package's module layering: which modules each module may import.
 
-The syntax tree, its grammars and its printer (``lexer``, ``parser``)
-depend on no evaluator, and the context-set layer does not depend on the
-stream engine, so each can change, or be reached from a new grammar,
-without an import cycle.
+The value model (``model``) imports only the errors, and the context
+operators (``ops``) only the errors and the value model.  The syntax
+tree, its grammars and its printer (``lexer``, ``parser``) depend on no
+evaluator, and the context-set layer does not depend on the stream
+engine, so each can change, or be reached from a new grammar, without an
+import cycle.  A micro context is built by its dimension alone
+(``Dimension.micro``), so no module but ``model`` calls ``MicroContext``.
 """
 
 import ast
@@ -15,6 +18,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ctxcalc"
 
 # module -> package modules it must not import
 FORBIDDEN = {
+    "model": {"lexer", "parser", "ops", "sets", "streams", "evaluator", "cli"},
+    "ops": {"lexer", "parser", "sets", "streams", "evaluator", "cli"},
     "lexer": {"streams", "sets", "ops", "evaluator", "cli"},
     "parser": {"streams", "sets", "ops", "evaluator", "cli"},
     "sets": {"streams"},
@@ -60,3 +65,34 @@ def test_relative_imports_are_read(tmp_path):
         "    from .evaluator import evaluate\n",
         encoding="utf-8")
     assert relative_imports(module) == {"lexer", "ops", "sets", "evaluator"}
+
+
+def pair_builds(path: Path) -> list:
+    """The lines where a module calls ``MicroContext``, by name or as an
+    attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "MicroContext" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "model"))
+def test_only_the_model_builds_a_pair(module):
+    assert pair_builds(PACKAGE / f"{module}.py") == []
+
+
+def test_pair_builds_are_read(tmp_path):
+    # the check above sees both call forms, and only calls
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .model import MicroContext\n"
+        "a = MicroContext(d, 1)\n"
+        "b = model.MicroContext(d, 2)\n"
+        "c = MicroContext\n"
+        "e = d.micro(3)\n",
+        encoding="utf-8")
+    assert pair_builds(module) == [2, 3]
+    assert pair_builds(PACKAGE / "model.py")

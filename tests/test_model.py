@@ -650,10 +650,10 @@ def test_a_pickle_loads_under_another_hash_seed():
     assert _in_child(2, check, data).decode().split() == ["ok"]
 
 
-# --- the registry's one micro context per literal pair ---------------------
+# --- each dimension's one micro context per pair ---------------------------
 
 
-def test_a_literal_pair_is_built_once_per_registry():
+def test_a_literal_pair_is_built_once_per_dimension():
     session = new_session()
     run_command(session, "dim d : int")
     run_command(session, "let a = {(d, 1), (d, 2)}")
@@ -662,18 +662,38 @@ def test_a_literal_pair_is_built_once_per_registry():
     [again] = session.env.lookup("b")
     assert first is again
     reg = session.env.registry
-    assert reg.micro("d", 1) is first
+    assert reg.get("d").micro(1) is first
     assert next(iter(make_context(reg, [("d", 1)]))) is first
+
+
+def test_every_operator_shares_the_dimensions_pairs():
+    session = new_session()
+    run_command(session, "dim d : int 1 2 3")
+    values = {
+        "literal": "{(d, 1)}",
+        "range": "{(d,1)} <=> {(d,3)}",
+        "box": "Box[d | d < 3] ! {d}",
+        "substitution": "{{(d,2)}} / <d, 1>",
+    }
+    ones = {}
+    for name, text in values.items():
+        run_command(session, f"let {name} = {text}")
+        value = session.env.lookup(name)
+        members = value if isinstance(value, Context) else frozenset().union(*value)
+        [ones[name]] = [m for m in members if m.tag == 1]
+    assert len({id(m) for m in ones.values()}) == 1, ones
+    assert ones["literal"] is session.env.registry.get("d").micro(1)
 
 
 def test_a_bool_tag_is_not_the_int_pair_it_equals():
     reg = int_registry("d")
-    one = reg.micro("d", 1)
+    d = reg.get("d")
+    one = d.micro(1)
     with pytest.raises(TagTypeMismatch):
-        reg.micro("d", True)
+        d.micro(True)
     with pytest.raises(TagTypeMismatch):
         make_context(reg, [("d", True)])
-    assert reg.micro("d", 1) is one and type(one.tag) is int
+    assert d.micro(1) is one and type(one.tag) is int
     session = new_session()
     run_command(session, "dim d : int")
     assert run_command(session, "eval {(d, 1)}") == ["{(d, 1)}"]
@@ -687,7 +707,7 @@ def test_a_failed_pair_is_not_kept():
     for _ in range(2):
         with pytest.raises(TagTypeMismatch):
             run_command(session, 'eval {(d, "x")}')
-    assert session.env.registry._micros == {}
+    assert session.env.registry.get("d")._micros == {}
 
 
 @pytest.mark.parametrize("pairs, error", [
@@ -702,17 +722,30 @@ def test_a_literal_pair_keeps_its_typed_error(pairs, error):
     for _ in range(2):
         with pytest.raises(error):
             make_context(reg, pairs)
-    assert reg._micros == {}
+    assert reg.get("d")._micros == {}
 
 
 def test_the_pair_memo_stays_bounded():
     from ctxcalc import model
 
-    reg = int_registry("d")
+    reg = int_registry("de")
+    d, e = reg.get("d"), reg.get("e")
     limit = model._MICRO_MEMO_LIMIT
+    e_one = e.micro(1)
     for tag in range(3 * limit):
-        assert reg.micro("d", tag).tag == tag
-        assert len(reg._micros) <= limit
-    kept = reg.micro("d", 3 * limit - 1)
-    assert reg.micro("d", 3 * limit - 1) is kept
-    assert reg.micro("d", 0) == MicroContext(reg.get("d"), 0)
+        assert d.micro(tag).tag == tag
+        assert len(d._micros) <= limit
+    kept = d.micro(3 * limit - 1)
+    assert d.micro(3 * limit - 1) is kept
+    assert d.micro(0) == MicroContext(d, 0)
+    # the limit is counted per dimension: e's pair outlives d's flushes
+    assert e.micro(1) is e_one
+
+
+def test_a_copied_dimension_starts_with_no_pairs():
+    reg = int_registry("d")
+    d = reg.get("d")
+    d.micro(1)
+    for got in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert got == d and got._micros == {}
+        assert got.micro(1) == d.micro(1)

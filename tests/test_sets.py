@@ -2,12 +2,13 @@ import copy
 import itertools
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ctxcalc import ops, sets
+from ctxcalc import model, ops, sets
 from ctxcalc.errors import (
     IllTypedPredicate,
     KindMismatch,
@@ -224,6 +225,24 @@ def test_set_operators_take_only_context_sets(action):
     # an operand of another type could hold a non-simple context, which
     # the unchecked result would then keep
     with pytest.raises(KindMismatch, match="^not a context set: "):
+        action()
+
+
+@pytest.mark.parametrize("action, message", [
+    (lambda: box_enumerate(5), "not a box: 5"),
+    (lambda: box_enumerate(cs(ctx(("d", 1)))), "not a box: "),
+    (lambda: lift_projection(cs(ctx(("d", 1))), 5), "not a set of dimensions: 5"),
+    (lambda: lift_projection(cs(ctx(("d", 1))), frozenset(["d"])),
+     "not a set of dimensions: "),
+    (lambda: lift_hiding(cs(ctx(("d", 1))), 5), "not a set of dimensions: 5"),
+    (lambda: lift_hiding(cs(), cs(ctx(("d", 1)))), "not a set of dimensions: "),
+    (lambda: lift_substitution(cs(ctx(("d", 1))), "d", 1), "not a dimension: 'd'"),
+    (lambda: lift_substitution(cs(), None, 1), "not a dimension: None"),
+], ids=["box-int", "box-set", "!-int", "!-names", "^-int", "^-contexts",
+        "/-name", "/-none"])
+def test_set_layer_entries_take_only_their_kinds(action, message):
+    # checked once per call, as the context-set operands are
+    with pytest.raises(KindMismatch, match="^" + re.escape(message)):
         action()
 
 
@@ -822,21 +841,50 @@ def test_box_solves_a_linear_equality_for_its_last_dimension(monkeypatch):
     assert len(tries) <= 2 * 60
 
 
-def test_box_builds_each_micro_context_once(monkeypatch):
-    reg = DimensionRegistry()
-    for n in "xy":
-        reg.register(n, TagKind.INT, range(60))
-    x, y = reg.get("x"), reg.get("y")
+def count_micros(monkeypatch):
+    """The (dimension name, tag) of every micro context built from here on."""
     built = []
-    real = sets.MicroContext
+    real = model.MicroContext
 
     def counted(dimension, tag):
         built.append((dimension.name, tag))
         return real(dimension, tag)
 
-    monkeypatch.setattr(sets, "MicroContext", counted)
-    got = box_enumerate(box_make([x, y], Pointwise("<", Ref("x"), Const(3))))
+    monkeypatch.setattr(model, "MicroContext", counted)
+    return built
+
+
+def test_box_builds_each_micro_context_once(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "xy":
+        reg.register(n, TagKind.INT, range(60))
+    x, y = reg.get("x"), reg.get("y")
+    built = count_micros(monkeypatch)
+    box = box_make([x, y], Pointwise("<", Ref("x"), Const(3)))
+    got = box_enumerate(box)
     assert len(got) == 180
     # one per distinct (dimension, tag) of the members: 3 of x, 60 of y,
     # where one per member per dimension is 360
-    assert len(built) <= 3 + 60
+    assert len(built) == 3 + 60
+    # the dimensions keep their pairs: enumerating again builds none
+    built.clear()
+    assert box_enumerate(box) == got and built == []
+
+
+def test_a_range_evaluated_twice_builds_no_new_pair(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "xy":
+        reg.register(n, TagKind.INT, range(60))
+    c1 = make_context(reg, [("x", 0), ("y", 5)])
+    c2 = make_context(reg, [("x", 9), ("y", 0)])
+    built = count_micros(monkeypatch)
+    got = ops.undirected_range(c1, c2)
+    assert len(got) == 60
+    # one per swept (dimension, tag): 10 of x and 6 of y, less the four
+    # endpoints the literals already built
+    assert len(built) == 10 + 6 - 4
+    built.clear()
+    assert ops.undirected_range(c1, c2) == got
+    assert ops.directed_range(c2, c1) == ContextSet(
+        make_context(reg, [("y", k)]) for k in range(6))
+    assert built == []

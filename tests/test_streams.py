@@ -371,6 +371,28 @@ def test_warehouse_entries_stable():
     assert first == second
 
 
+def test_a_warehouse_serves_one_equation_set():
+    wh = Warehouse()
+    assert eval_prefix("A", "time", 3, define_streams({"A": Const(1)}), wh) == [1, 1, 1]
+    assert eval_prefix("A", "time", 3, define_streams({"A": Const(2)}), wh) == [2, 2, 2]
+    assert (wh.hits, wh.misses, len(wh)) == (0, 6, 3)
+    # a plain mapping becomes a new set on each call
+    assert eval_prefix("A", "time", 3, {"A": Const(3)}, wh) == [3, 3, 3]
+    assert (wh.hits, wh.misses) == (0, 9)
+    # cursors go with the values: the guard B is the same node, over
+    # another equation for B
+    expr = Asa(Ref("A"), Ref("B"))
+    first = define_streams({"A": Query("time"), "B": Literal((0, 1))})
+    second = define_streams({"A": Query("time"), "B": Literal((0, 0, 0, 1))})
+    assert eval_prefix(expr, "time", 2, first, wh) == [1, 1]
+    assert eval_prefix(expr, "time", 2, second, wh) == [3, 3]
+    # a set that grows through add keeps its entries: A at 3 is read
+    hits = wh.hits
+    second.add("C", Pointwise("+", Ref("A"), Const(1)))
+    assert eval_prefix("C", "time", 4, second, wh) == [1, 2, 3, 4]
+    assert wh.hits > hits and wh.equations is second
+
+
 def test_a_call_without_a_warehouse_memoizes_within_itself():
     # Unmemoized, F at time t demands F at t - 2 both directly and through
     # F at t - 1, so the demand grows like fib(t) and at time 30 outruns
