@@ -88,6 +88,7 @@ def lift_substitution(s: ContextSet, dimension: Dimension, tag) -> ContextSet:
 
 def lift_choice(s1: ContextSet, s2: ContextSet, rng: random.Random) -> ContextSet:
     """Return one of the two sets, picked uniformly by the rng."""
+    _check_sets(s1, s2)
     return (s1, s2)[rng.randrange(2)]
 
 
@@ -271,15 +272,14 @@ class Box:
     symbol is bound to its member, so every ``Ref`` left names a dimension)
     and the kinds: the predicate must be boolean, so evaluating it is total.
     It stores the plan that ``box_enumerate`` walks, outside equality and
-    ``repr``: whether the ``and`` conjuncts that read no dimension hold;
-    ``_tests[i]``, those whose last dimension read is ``dims[i]``;
-    ``_solved[i]``, the side that one of them solves ``dims[i]`` to (see
-    ``_solved_side``), or None.
+    ``repr``: ``_tests[i]``, the ``and`` conjuncts whose last dimension
+    read is ``dims[i]`` (a conjunct that reads none is tested with
+    ``dims[0]``); ``_solved[i]``, the pair ``(f, s)`` with which one of
+    them solves ``dims[i]`` (see ``_solved_side``), or None.
     """
 
     dims: Tuple[Dimension, ...]
     predicate: StreamExpr
-    _holds: bool = field(default=True, init=False, compare=False, repr=False)
     _tests: tuple = field(default=(), init=False, compare=False, repr=False)
     _solved: tuple = field(default=(), init=False, compare=False, repr=False)
 
@@ -299,20 +299,19 @@ class Box:
         if kind != _BOOL:
             raise IllTypedPredicate("box predicate must be boolean")
         level_of = {name: i for i, name in enumerate(by_name)}
-        holds, tests, stack = True, [[] for _ in dims], [predicate]
+        tests, stack = [[] for _ in dims], [predicate]
         while stack:  # the top-level ``and`` conjuncts, left to right
             conjunct = stack.pop()
             if isinstance(conjunct, Pointwise) and conjunct.op == "and":
                 stack += (conjunct.right, conjunct.left)
-            elif names := references(conjunct):
-                tests[max(map(level_of.get, names))].append(conjunct)
             else:
-                holds = holds and bool(_eval_predicate(conjunct, {}))
+                level = max(map(level_of.get, references(conjunct)), default=0)
+                tests[level].append(conjunct)
         # every name in tests[i] other than dims[i] is bound before it
         solved = tuple(
             next(filter(None, (_solved_side(t, d) for t in level_tests)), None)
             for d, level_tests in zip(dims, tests))
-        self.__dict__.update(dims=dims, predicate=predicate, _holds=holds,
+        self.__dict__.update(dims=dims, predicate=predicate,
                              _tests=tuple(map(tuple, tests)), _solved=solved)
 
     def __str__(self):
@@ -338,57 +337,47 @@ def box_contains(box: Box, c: Context) -> bool:
     return bool(_eval_predicate(box.predicate, assignment))
 
 
-def _solved_side(conjunct: StreamExpr, d: Dimension) -> StreamExpr:
-    """For an ``==`` conjunct that fixes dimension d, the expression E with
-    ``conjunct`` equivalent to ``d == E``; else None.
+def _solved_side(conjunct: StreamExpr, d: Dimension) -> tuple:
+    """For an ``==`` conjunct ``L == R`` that fixes dimension d, the pair
+    ``(f, s)`` that ``box_enumerate`` solves d with; else None.
 
     The conjunct fixes d when d occurs in it exactly once: as one side of
-    the ``==``, or reached from one side through binary ``+`` and ``-``
-    only, which the kind check admits only over an int dimension.  The
-    terms around d are moved across: ``A + B == R`` becomes ``A == R - B``
-    or ``B == R - A``, and ``A - B == R`` becomes ``A == R + B`` or
-    ``B == A - R``.  Predicate arithmetic is over integers, so the rewrite
-    is exact.  One pass over the conjunct finds d and the path to it.
+    the ``==``, or reached from the root through binary ``+`` and ``-``
+    only, which the kind check admits only over an int dimension.  When d
+    is a side, f is the other side and s is 0: d equals f.  Otherwise f is
+    ``L - R``, which is ``s·d + c`` for a sign s of +1 or -1 and a c that
+    does not read d, so d is ``-s · f`` evaluated with d bound to 0.
+    Predicate arithmetic is over integers, so the solution is exact.  One
+    pass over the conjunct finds d and its sign.
     """
     if not (isinstance(conjunct, Pointwise) and conjunct.op == "=="):
         return None
-    # A trail is the path from the root down to a node, as a linked list
-    # (node above, whether the path goes left, trail of that node); it is
-    # None below any node other than the root, + and -.
-    path = None
-    stack = [(conjunct.right, (conjunct, False, None)),
-             (conjunct.left, (conjunct, True, None))]
+    # each node with its sign in L - R, or 0 below any node other than the
+    # root, + and -
+    sign = None
+    stack = [(conjunct.right, -1), (conjunct.left, 1)]
     while stack:
-        node, trail = stack.pop()
+        node, s = stack.pop()
         if isinstance(node, Ref):
             if node.name == d.name:
-                if trail is None or path is not None:
+                if s == 0 or sign is not None:
                     return None
-                path = trail
+                sign = s
         elif isinstance(node, Pointwise):
-            if trail is not None and node.op in _LINEAR:
-                stack += ((node.right, (node, False, trail)),
-                          (node.left, (node, True, trail)))
+            if s and node.op in _LINEAR:
+                stack += ((node.right, -s if node.op == "-" else s), (node.left, s))
             else:
-                stack += ((node.right, None), (node.left, None))
+                stack += ((node.right, 0), (node.left, 0))
         elif isinstance(node, NotOp):
-            stack.append((node.operand, None))
-    if path is None:
+            stack.append((node.operand, 0))
+    if sign is None:
         return None
-    steps = []
-    while path is not None:
-        node, left, path = path
-        steps.append((node, left))
-    root, left = steps.pop()
-    solution = root.right if left else root.left
-    for node, left in reversed(steps):
-        if node.op == "+":  # A + B == R
-            solution = Pointwise("-", solution, node.right if left else node.left)
-        elif left:  # A - B == R  gives  A == R + B
-            solution = Pointwise("+", solution, node.right)
-        else:  # A - B == R  gives  B == A - R
-            solution = Pointwise("-", node.left, solution)
-    return solution
+    left, right = conjunct.left, conjunct.right
+    if isinstance(left, Ref) and left.name == d.name:
+        return right, 0
+    if isinstance(right, Ref) and right.name == d.name:
+        return left, 0
+    return Pointwise("-", left, right), sign
 
 
 def _admits(tests, assignment) -> bool:
@@ -405,11 +394,12 @@ def box_enumerate(box: Box) -> ContextSet:
     dimensions are bound depth first, in Box order, and ``_tests[i]`` is
     tested as soon as ``dims[i]`` is bound, so a failing prefix prunes
     every extension of it.  A solved dimension is not swept: the domain's
-    own tag equal to its solved side, if any, is the only candidate.  Each
-    member is made of its dimensions' own micro contexts
-    (``Dimension.micro``), so a pair is built once, not once per member
-    or per call.  The result equals filtering the full product of the
-    domains.
+    own tag equal to its solved value, if any, is the only candidate.  With
+    ``_solved[i] == (f, s)``, that value is f evaluated with ``dims[i]``
+    bound to 0, negated when s is 1.  Each member is made of its
+    dimensions' own micro contexts (``Dimension.micro``), so a pair is
+    built once, not once per member or per call.  The result equals
+    filtering the full product of the domains.
     """
     if not isinstance(box, Box):
         raise KindMismatch(f"not a box: {box!r}")
@@ -419,15 +409,16 @@ def box_enumerate(box: Box) -> ContextSet:
             raise UnboundedBox(
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
-    if not box._holds:
-        return ContextSet._of_simple(())
     assignment: dict = {}
 
     def candidates(i):
         d = dims[i]
         if solved[i] is None:
             return d.domain
-        k = d.index.get(_eval_predicate(solved[i], assignment))
+        f, s = solved[i]
+        assignment[d.name] = 0
+        value = _eval_predicate(f, assignment)
+        k = d.index.get(-s * value if s else value)
         return () if k is None else (d.domain[k],)
 
     # pending[i] yields the untried candidates of dimension i under the

@@ -429,9 +429,9 @@ def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
 
 def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
     """The values of ``expr`` at each context, with one demand budget and
-    one warehouse for them all: ``warehouse``, or a new one if it is None.
-    Equations that are not an ``EquationSet`` go through ``define_streams``
-    first."""
+    one warehouse for them all: ``warehouse``, or a new one if it is None
+    (anything else is a ``KindMismatch``).  Equations that are not an
+    ``EquationSet`` go through ``define_streams`` first."""
     if not isinstance(budget, int):
         raise KindMismatch(f"demand budget must be an integer, got {budget!r}")
     if not isinstance(eqs, EquationSet):
@@ -439,6 +439,8 @@ def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
     if budget <= 0:
         raise DemandExhausted("demand budget must be positive")
     wh = Warehouse() if warehouse is None else warehouse
+    if not isinstance(wh, Warehouse):
+        raise KindMismatch(f"not a warehouse: {warehouse!r}")
     if wh.equations is not eqs:  # the entries of another set do not hold
         wh._cache, wh.cursors, wh.equations = {}, {}, eqs
     st = _State(wh, budget)

@@ -2,6 +2,8 @@
 
 import itertools
 
+from hypothesis import settings
+
 from ctxcalc.model import (
     Context,
     ContextSet,
@@ -11,6 +13,11 @@ from ctxcalc.model import (
     make_context,
 )
 from ctxcalc import ops
+
+# A deeper property run, ``pytest --hypothesis-profile=deep``: derandomized
+# and with no example database, so a failure reproduces on any machine.
+settings.register_profile(
+    "deep", max_examples=1000, deadline=None, derandomize=True, database=None)
 
 
 def int_registry(names="defgh"):

@@ -24,7 +24,7 @@ from ctxcalc.model import (
     TagKind,
     make_context,
 )
-from ctxcalc.parser import Const, NotOp, Pointwise, Ref
+from ctxcalc.parser import Const, NotOp, Pointwise, Ref, parse_expr
 from ctxcalc.sets import (
     Box,
     box_contains,
@@ -220,7 +220,8 @@ NON_SIMPLE = ctx(("d", 1), ("d", 2))
     lambda: join([NON_SIMPLE], cs()),
     lambda: set_intersection(cs(), frozenset()),
     lambda: set_union(ctx(("d", 1)), cs()),
-], ids=["!", "^", "/", "(+)", "(-)", "><", "[&]", "[+]"])
+    lambda: lift_choice([NON_SIMPLE], cs(), random.Random(1)),
+], ids=["!", "^", "/", "(+)", "(-)", "><", "[&]", "[+]", "|"])
 def test_set_operators_take_only_context_sets(action):
     # an operand of another type could hold a non-simple context, which
     # the unchecked result would then keep
@@ -826,19 +827,38 @@ def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
     assert len(tries) <= 3 * 60  # the full product is 216,000
 
 
-def test_box_solves_a_linear_equality_for_its_last_dimension(monkeypatch):
+# Each shape fixes y once x is bound.  ``tries_made`` is the count of
+# candidate tags tried over range(60) when the solver rewrote the
+# predicate, a bound for any solving rule; sweeping y as well tries
+# 60 + 60 * 60.
+SOLVING_SHAPES = [
+    ("x + y == 7", lambda x: 7 - x, 68),
+    ("7 == x + y", lambda x: 7 - x, 68),
+    ("7 - x == y", lambda x: 7 - x, 68),
+    ("y - x == 2", lambda x: x + 2, 118),
+    ("x - y == 2", lambda x: x - 2, 118),
+    ("x - (3 - y) == 2", lambda x: 5 - x, 66),
+    ("0 - y == 0 - x", lambda x: x, 120),
+]
+
+
+@pytest.mark.parametrize("shape, solution, tries_made", SOLVING_SHAPES,
+                         ids=[row[0] for row in SOLVING_SHAPES])
+def test_box_solves_a_linear_equality_for_its_last_dimension(
+        monkeypatch, shape, solution, tries_made):
     reg = DimensionRegistry()
     for n in "xy":
         reg.register(n, TagKind.INT, range(60))
     x, y = reg.get("x"), reg.get("y")
     tries = count_admits(monkeypatch)
-    pred = Pointwise("==", Pointwise("+", Ref("x"), Ref("y")), Const(7))
+    pred = parse_expr(f"Box[x, y | {shape}]").predicate
     got = box_enumerate(box_make([x, y], pred))
     assert got == ContextSet(
-        make_context(reg, [("x", k), ("y", 7 - k)]) for k in range(8))
-    # x is swept and y is solved: one try per value of x, where sweeping
-    # y as well tries 60 + 60 * 60
-    assert len(tries) <= 2 * 60
+        make_context(reg, [("x", k), ("y", solution(k))])
+        for k in range(60) if solution(k) in range(60))
+    # x is swept and y is solved: one try per value of x, and one per
+    # value of y that it solves to inside the domain
+    assert len(tries) <= tries_made <= 2 * 60
 
 
 def count_micros(monkeypatch):

@@ -518,6 +518,12 @@ EDUCTION_API_ERRORS = [
     ("prefix-with-a-string-budget",
      lambda: eval_prefix(Const(1), budget="a"),
      KindMismatch, "demand budget must be an integer, got 'a'"),
+    ("prefix-into-an-int-warehouse",
+     lambda: eval_prefix("A", "time", 3, define_streams({"A": Const(1)}), 5),
+     KindMismatch, "not a warehouse: 5"),
+    ("eval-into-a-string-warehouse",
+     lambda: eval_stream(Ref("A"), EvalContext(), example_eqs(), "wh"),
+     KindMismatch, "not a warehouse: 'wh'"),
     ("prefix-of-an-undefined-name-in-a-dict",
      lambda: eval_prefix("B", eqs={"A": Const(1)}),
      UnresolvedReference, "no equation for stream 'B'"),
