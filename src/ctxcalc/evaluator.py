@@ -122,7 +122,7 @@ def _micro(env: Environment, name: str, raw):
 
 
 def _context_from_literal(env: Environment, node: ContextLit) -> Context:
-    return Context(_micro(env, name, raw) for name, raw in node.pairs)
+    return Context._of_micros(_micro(env, name, raw) for name, raw in node.pairs)
 
 
 def _leaf(node: Node, env: Environment) -> Value:
@@ -135,7 +135,7 @@ def _leaf(node: Node, env: Environment) -> Value:
     if isinstance(node, SetLit):
         return ContextSet(_context_from_literal(env, item) for item in node.items)
     if isinstance(node, PairLit):
-        return Context([_micro(env, node.dim, node.tag)])
+        return Context._of_micros([_micro(env, node.dim, node.tag)])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
     if isinstance(node, Const):

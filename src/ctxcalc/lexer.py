@@ -2,12 +2,27 @@
 context-set, Box-predicate and stream grammars.
 
 A token is a name, an ASCII integer, a double-quoted string (a backslash
-escapes the next character) or one of the fixed ``SYMBOLS``.  One of
-those, ``:``, is read only by the REPL's ``dim`` command; the three
-grammars refuse it.  ``tokenize`` reads each token with one match of one
-regex, which has a group per token class and one more for any other
-non-blank character; the search skips the blanks between tokens, and the
-match's group number picks the branch that builds the token or raises.
+escapes the next character), one of the fixed ``SYMBOLS``, or a whole
+plain context literal.  One symbol, ``:``, is read only by the REPL's
+``dim`` command; the three grammars refuse it.  ``tokenize`` reads each
+token with one match of one regex, which has a group per token class and
+one more for any other non-blank character; the search skips the blanks
+between tokens, and the match's group number picks the branch that builds
+the token or raises.
+
+A plain context literal is ``{`` with one or more ``(name, int)`` pairs
+and ``}``, blanks allowed anywhere: the name starts with an ASCII letter or
+``_``, and the int is ASCII digits with an optional ``-`` directly before
+them.  It is one ``CTX`` token, which ``parser`` reads in one branch.  Any
+other brace text takes the token path, a token per lexeme: a string,
+boolean or enum-symbol tag, ``- 5``, a non-ASCII digit, an empty ``{}``, a
+context set's outer braces, a dimension set, or a malformed literal.  Where
+a grammar takes no context literal, the cursor puts the token path's
+tokens of a ``CTX`` token in its place (``Cursor.split``) before it
+expects another kind (``Cursor.expect``) or names it in an error
+(``Cursor.unexpected``), so the line reads on, or fails, as it would a
+token at a time; so does the parser for a literal whose integer is past
+the digit limit, which the token path reports at the digits' column.
 
 Each grammar is a table for one Pratt loop (Pratt, "Top down operator
 precedence", 1973): prefix and infix ``Rule``s keyed by operator kind or
@@ -46,6 +61,7 @@ from .errors import ExprSyntaxError, UnbalancedParens, UnknownToken
 NAME = "name"
 INT = "int"
 STRING = "string"
+CTX = "ctx"
 END = "end"
 
 # The words that are boolean literals in every grammar, and so name
@@ -87,14 +103,17 @@ UNICODE_ALIASES = {
 _SYMBOL_KIND = {**{s: s for s in SYMBOLS}, **UNICODE_ALIASES}
 
 # One group per token class; a match's ``lastindex`` is the number of its
-# class's group.  Digits are ASCII only.  A name is a run of word
-# characters; whether it starts with a letter or '_' is checked after the
-# match, because no regex class means str.isalpha().  Inside a string a
+# class's group.  ``ctx``, a whole plain context literal, comes first, so it
+# wins over the ``{`` symbol.  Digits are ASCII only.  A name is a run of
+# word characters; whether it starts with a letter or '_' is checked after
+# the match, because no regex class means str.isalpha().  Inside a string a
 # backslash escapes the next character: \" is a quote and \\ a backslash.
 # ``bad`` matches any other non-blank character, so ``finditer`` skips
 # exactly the blanks between tokens.
+_PAIR = r"\(\s*[A-Za-z_]\w*\s*,\s*-?[0-9]+\s*\)"
+_CTX_LITERAL = rf"\{{\s*{_PAIR}(?:\s*,\s*{_PAIR})*\s*\}}"
 _TOKEN = re.compile(
-    r"(?P<symbol>"
+    rf"(?P<ctx>{_CTX_LITERAL})|(?P<symbol>"
     + "|".join(re.escape(s) for s in SYMBOLS if len(s) > 1)
     + "|["
     + "".join(re.escape(s) for s in _SYMBOL_KIND if len(s) == 1)
@@ -102,14 +121,14 @@ _TOKEN = re.compile(
     + r"|\"(?P<string>[^\"\\]*(?:\\.[^\"\\]*)*)\"|(?P<bad>\S)",
     re.DOTALL,
 )
-_SYMBOL, _INT, _NAME, _STRING = map(
-    _TOKEN.groupindex.get, ("symbol", "int", "name", "string"))
+_CTX, _SYMBOL, _INT, _NAME, _STRING = map(
+    _TOKEN.groupindex.get, ("ctx", "symbol", "int", "name", "string"))
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
 class Token(NamedTuple):
-    kind: str  # NAME | INT | STRING | END | one of SYMBOLS
-    text: str
+    kind: str  # NAME | INT | STRING | CTX | END | one of SYMBOLS
+    text: str  # for CTX, the literal's source text from its '{' to its '}'
     pos: int  # 0-based offset into the source
 
     @property
@@ -131,7 +150,9 @@ def tokenize(text: str) -> list:
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         lexeme = m[group]
-        if group == _SYMBOL:
+        if group == _CTX:
+            append(_new(Token, (CTX, lexeme, m.start())))
+        elif group == _SYMBOL:
             append(_new(Token, (_SYMBOL_KIND[lexeme], lexeme, m.start())))
         elif group == _INT:
             append(_new(Token, (INT, lexeme, m.start())))
@@ -209,6 +230,9 @@ class Cursor:
     def expect(self, kind: str) -> Token:
         tok = self.tokens[self.i]
         if tok.kind != kind:
+            if tok.kind == CTX:
+                self.split()
+                return self.expect(kind)
             self.fail(f"expected {kind!r} but found {tok.text or 'end of input'!r}")
         if kind != END:
             self.i += 1
@@ -223,6 +247,23 @@ class Cursor:
     def fail(self, message: str):
         """Raise ``ExprSyntaxError`` at the token the cursor is on."""
         raise ExprSyntaxError.at(message, self.peek().column)
+
+    def unexpected(self):
+        """Raise ``ExprSyntaxError`` that names the token the cursor is on,
+        a plain context literal by its '{' as the token path names it."""
+        if self.tokens[self.i].kind == CTX:
+            self.split()
+        self.fail(f"unexpected {self.peek().text or 'end of input'!r}")
+
+    def split(self):
+        """Put the tokens the token path reads from the plain context
+        literal the cursor is on in its place: its '{', then the tokens of
+        the rest of its text, which holds no '{' to start another."""
+        tok = self.tokens[self.i]
+        start = tok.pos + 1
+        self.tokens[self.i:self.i + 1] = [Token("{", "{", tok.pos), *(
+            Token(kind, text, pos + start)
+            for kind, text, pos in tokenize(tok.text[1:])[:-1])]
 
     def comma_list(self, item: Callable) -> list:
         """One or more ``item(cursor)`` separated by commas."""
@@ -273,7 +314,7 @@ class Cursor:
         if tok.kind == ")":
             raise UnbalancedParens.at("unmatched ')'", tok.column)
         if kind == END:
-            self.fail(f"unexpected {tok.text!r}")
+            self.unexpected()
         return self.expect(kind)
 
     def expression(self, grammar: Grammar, min_bp: int = 0):

@@ -5,11 +5,12 @@ a finite set of simple contexts; ``Context`` and ``ContextSet`` are
 frozensets of their members.  Duplicate pairs collapse under set
 semantics.  A dimension may appear with several different tags, in which
 case the context is *non-simple*; context operators that need a simple
-operand check it when they are called.  A context set checks that its
-members are simple in its public constructor, where a member can come in
-from outside; the set operators build their results with
-``ContextSet._of_simple``, which skips the check, because simple operands
-give simple results.
+operand check it when they are called.  A context checks that its entries
+are micro contexts, and a context set that its members are simple
+contexts, in its public constructor, where they can come in from outside.
+The package builds its own values with ``Context._of_micros`` and
+``ContextSet._of_simple``, which skip the check: its builders put in only
+micro contexts, and simple operands give simple results.
 
 A micro context is a (dimension, tag) pair whose tag the dimension admits
 (``Dimension.coerce``).  Each dimension builds its own pairs: within the
@@ -369,14 +370,36 @@ class Context(frozenset):
     language still keeps the kinds apart, because the evaluator dispatches
     on the exact type of a value.  The empty context (degree 0) plays the
     role of the null value.
+
+    The public constructor checks its entries: an argument that is not a
+    collection of ``MicroContext`` values raises ``KindMismatch``.  The
+    package's own builders use ``_of_micros``, which skips the check.
     """
 
     __slots__ = ("_dims",)
 
-    # frozenset.__new__ has already taken the entries; "/" makes a keyword
-    # call fail here rather than build an empty context.
+    # "/" makes a keyword call fail here rather than build an empty context.
+    def __new__(cls, entries: Iterable[MicroContext] = (), /):
+        try:
+            return frozenset.__new__(cls, entries)
+        except TypeError:  # not iterable, or an unhashable entry
+            raise KindMismatch(
+                f"not a collection of micro contexts: {entries!r}") from None
+
     def __init__(self, entries: Iterable[MicroContext] = (), /):
-        object.__setattr__(self, "_dims", None)
+        for m in self:
+            if not isinstance(m, MicroContext):
+                raise KindMismatch(f"context entry {m!r} is not a micro context")
+        _set_dims(self, None)
+
+    @classmethod
+    def _of_micros(cls, entries: Iterable[MicroContext]) -> "Context":
+        """The context of ``entries``, which the caller knows are micro
+        contexts; ``frozenset.__new__`` runs neither ``__new__`` above nor
+        ``__init__``."""
+        context = frozenset.__new__(cls, entries)
+        _set_dims(context, None)
+        return context
 
     def __setattr__(self, name, value):
         raise AttributeError("Context is immutable")
@@ -422,6 +445,9 @@ class Context(frozenset):
     def __repr__(self):
         return f"Context({self})"
 
+
+# The C-level setter of the ``_dims`` slot.
+_set_dims = Context._dims.__set__
 
 NULL_CONTEXT = Context()
 
@@ -489,4 +515,4 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
         micros.append(registry.get(pair[0]).micro(pair[1]))
-    return Context(micros)
+    return Context._of_micros(micros)

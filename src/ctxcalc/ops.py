@@ -35,22 +35,22 @@ def override(c1: Context, c2: Context) -> Context:
         raise NonSimpleOperand("override needs a simple right operand")
     taken = c2.dims()
     kept = (m for m in c1 if m.dimension not in taken)
-    return Context(itertools.chain(kept, c2))
+    return Context._of_micros(itertools.chain(kept, c2))
 
 
 def difference(c1: Context, c2: Context) -> Context:
     """Set difference of the micro-context sets."""
-    return Context(c1 - c2)
+    return Context._of_micros(c1 - c2)
 
 
 def conjunction(c1: Context, c2: Context) -> Context:
     """Set intersection of the micro-context sets."""
-    return Context(c1 & c2)
+    return Context._of_micros(c1 & c2)
 
 
 def disjunction(c1: Context, c2: Context) -> Context:
     """Set union of the micro-context sets; the result may be non-simple."""
-    return Context(c1 | c2)
+    return Context._of_micros(c1 | c2)
 
 
 def choice(candidates: Sequence[Context], rng: random.Random):
@@ -62,12 +62,12 @@ def choice(candidates: Sequence[Context], rng: random.Random):
 
 def projection(c: Context, dims: frozenset) -> Context:
     """Keep only the micro contexts whose dimension lies in ``dims``."""
-    return Context(m for m in c if m.dimension in dims)
+    return Context._of_micros(m for m in c if m.dimension in dims)
 
 
 def hiding(c: Context, dims: frozenset) -> Context:
     """Drop every micro context whose dimension lies in ``dims``."""
-    return Context(m for m in c if m.dimension not in dims)
+    return Context._of_micros(m for m in c if m.dimension not in dims)
 
 
 def substitution(c: Context, s: Context) -> Context:
@@ -140,7 +140,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     )
     micro_lists = [list(map(d.micro, sorted(per_dim[d]))) for d in ranged]
     return ContextSet._of_simple(
-        Context(residue.union(combo))
+        Context._of_micros(residue.union(combo))
         for combo in itertools.product(*micro_lists)
     )
 

@@ -40,12 +40,15 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Tuple, Union
 
 from .errors import KindMismatch
-from .lexer import BOOLEANS, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, cursor_of
+from .lexer import (
+    BOOLEANS, CTX, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, cursor_of,
+)
 from .model import format_tag
 
 # --- the syntax tree ----------------------------------------------------------
@@ -281,7 +284,27 @@ def _context_pair(cur: Cursor, open_kind="(", close_kind=")"):
     return dim, tag
 
 
+# A pair of a plain context literal's text, which the lexer checked whole:
+# the dimension name and the tag.
+_PAIR = re.compile(r"(\w+)\s*,\s*(-?[0-9]+)")
+
+
 def _brace_literal(cur: Cursor) -> Node:
+    """A context, context-set or dimension-set literal.  A plain context
+    literal is one ``CTX`` token, whose pairs are read from its text; any
+    other context literal is read a token at a time, and so is a set
+    literal, whose items may be ``CTX`` tokens."""
+    tok = cur.tokens[cur.i]
+    if tok.kind == CTX:
+        try:
+            pairs = [(name, int(tag)) for name, tag in _PAIR.findall(tok.text)]
+        except ValueError:
+            # an integer past the digit limit: the token path reports it at
+            # its digits' column
+            cur.split()
+            return _brace_literal(cur)
+        cur.i += 1
+        return ContextLit(tuple(pairs))
     cur.expect("{")
     tok = cur.peek()
     if tok.kind == "}":
@@ -291,7 +314,7 @@ def _brace_literal(cur: Cursor) -> Node:
         pairs = cur.comma_list(_context_pair)
         cur.expect("}")
         return ContextLit(tuple(pairs))
-    if tok.kind == "{":
+    if tok.kind == "{" or tok.kind == CTX:
         items = cur.comma_list(_brace_literal)
         cur.expect("}")
         for item in items:
@@ -324,13 +347,13 @@ def _atom(cur: Cursor) -> Node:
         if tok.text in BOOLEANS:
             return Const(BOOLEANS[tok.text])
         return Ref(tok.text)
-    if tok.kind == "{":
+    if tok.kind == CTX or tok.kind == "{":
         return _brace_literal(cur)
     if tok.kind == "<":
         return PairLit(*_context_pair(cur, "<", ">"))
     if tok.kind == END:
         cur.fail("unexpected end of input")
-    cur.fail(f"unexpected {tok.text!r}")
+    cur.unexpected()
 
 
 def _swapped_range(left, right):

@@ -82,7 +82,7 @@ def lift_substitution(s: ContextSet, dimension: Dimension, tag) -> ContextSet:
     _check_sets(s)
     if not isinstance(dimension, Dimension):
         raise KindMismatch(f"not a dimension: {dimension!r}")
-    micro = Context([dimension.micro(tag)])
+    micro = Context._of_micros([dimension.micro(tag)])
     return ContextSet._of_simple(ops.substitution(c, micro) for c in s)
 
 
@@ -438,5 +438,5 @@ def box_enumerate(box: Box) -> ContextSet:
         if i + 1 < len(dims):
             pending.append(iter(candidates(i + 1)))
             continue
-        members.append(Context([e.micro(assignment[e.name]) for e in dims]))
+        members.append(Context._of_micros([e.micro(assignment[e.name]) for e in dims]))
     return ContextSet._of_simple(members)

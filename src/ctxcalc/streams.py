@@ -552,7 +552,7 @@ def _stream_atom(cur: Cursor) -> StreamExpr:
         values = [] if cur.peek().kind == "]" else cur.comma_list(_literal_item)
         cur.expect("]")
         return Literal(tuple(values))
-    cur.fail(f"unexpected {tok.text or 'end of input'!r}")
+    cur.unexpected()
 
 
 STREAM = Grammar(

@@ -175,6 +175,35 @@ def test_command_error_position_counts_from_the_line(line, error, position):
     assert (dict(s.env.bindings), dict(s.equations), s.mode) == before
 
 
+# A plain context literal is one token; where a grammar takes no context
+# literal, the error names its '{' at the literal's column, or the token
+# after the '{' where the grammar takes a '{' (an enum domain).
+REFUSED_LITERALS = [
+    ("eval {(d,1)} {(d,2)}", "unexpected '{' at position 14"),
+    ("show {(d,1)}", "unexpected '{' at position 6"),
+    ("stream A = {(d,1)}", "unexpected '{' at position 12"),
+    ("stream B = 1 fby {(d,2)}", "unexpected '{' at position 18"),
+    ("eval <{(d,1)}, 1>", "expected 'name' but found '{' at position 7"),
+    ("eval {(d,1), {(d,2)}}", "expected '(' but found '{' at position 14"),
+    ("eval {d, {(d,1)}}", "expected 'name' but found '{' at position 10"),
+    ("dim {(d,1)} : int", "expected 'name' but found '{' at position 5"),
+    ("seed {(d,1)}", "expected 'int' but found '{' at position 6"),
+    ("let {(d,1)} = 3", "expected 'name' but found '{' at position 5"),
+    ("eval {{(d,1)} {(d,2)}}", "expected '}' but found '{' at position 15"),
+    ("eval Box[d | d == 1 {(d,1)}]", "expected ']' but found '{' at position 21"),
+    ("dim m : enum { (a, 1)}", "expected 'name' but found '(' at position 16"),
+]
+
+
+@pytest.mark.parametrize("line, message", REFUSED_LITERALS)
+def test_a_context_literal_where_none_is_taken_is_named_by_its_brace(line, message):
+    with pytest.raises(ExprSyntaxError) as info:
+        run_command(session(), line)
+    assert type(info.value) is ExprSyntaxError
+    assert str(info.value) == message
+    assert info.value.position == int(message.rsplit(" ", 1)[1])
+
+
 def test_unknown_command_names_the_word():
     with pytest.raises(ExprSyntaxError) as info:
         run_command(session(), "  frobnicate $")
@@ -182,24 +211,37 @@ def test_unknown_command_names_the_word():
     assert info.value.position == 3
 
 
-# The longest integer literal that int() converts from text, plus one digit.
-_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+# The lowest digit limit sys.set_int_max_str_digits takes, besides 0.
+_LOWEST_LIMIT = 640
 
 
-@pytest.mark.parametrize("template, position", [
-    ("eval {{(d, {})}}", 11),
-    ("seed -{}", 7),
-    ("dim k : int 1 {}", 15),
-    ("stream B = 1 fby {}", 18),
-    ("show A {}", 8),
-], ids=["eval", "seed", "dim", "stream", "show"])
-def test_an_integer_literal_past_the_digit_limit_is_a_syntax_error(template, position):
-    with pytest.raises(ExprSyntaxError) as info:
-        run_command(session(), template.format(_LONG))
+@pytest.mark.parametrize("template, position, limit", [
+    ("eval {{(d, {})}}", 11, None),
+    ("seed -{}", 7, None),
+    ("dim k : int 1 {}", 15, None),
+    ("stream B = 1 fby {}", 18, None),
+    ("show A {}", 8, None),
+    # inside a plain context literal the column is that of the digits
+    ("eval {{(d, -{})}}", 12, None),
+    ("eval {{(d, 1), (e, {})}}", 19, None),
+    ("eval {{(d, {})}}", 11, _LOWEST_LIMIT),
+], ids=["eval", "seed", "dim", "stream", "show", "negative", "second pair",
+        "lowered limit"])
+def test_an_integer_literal_past_the_digit_limit_is_a_syntax_error(
+        template, position, limit):
+    """The limit is read when the line is read: one digit past it, whatever
+    it is set to, is a syntax error at the digits' column."""
+    saved = sys.get_int_max_str_digits()
+    limit = limit or saved
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(ExprSyntaxError) as info:
+            run_command(session(), template.format("9" * (limit + 1)))
+    finally:
+        sys.set_int_max_str_digits(saved)
     assert info.value.position == position
     assert str(info.value) == (
-        f"integer literal longer than {len(_LONG) - 1} digits "
-        f"at position {position}")
+        f"integer literal longer than {limit} digits at position {position}")
 
 
 @pytest.mark.parametrize("mode", ["plain", "json"])

@@ -2,13 +2,17 @@
 parses for each language rule, parenthesis errors, and printer round
 trips."""
 
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ctxcalc import streams
+from ctxcalc import lexer, streams
 from ctxcalc.cli import new_session, run_command
 from ctxcalc.errors import (
+    ContextCalcError,
     ExprSyntaxError,
     IllTypedPredicate,
     TagTypeMismatch,
@@ -17,7 +21,7 @@ from ctxcalc.errors import (
 )
 from ctxcalc.evaluator import evaluate
 from ctxcalc.lexer import (
-    END, INT, NAME, STRING, SYMBOLS, UNICODE_ALIASES, Cursor, tokenize,
+    CTX, END, INT, NAME, STRING, SYMBOLS, UNICODE_ALIASES, Cursor, tokenize,
 )
 from ctxcalc.model import DimensionRegistry, TagKind
 from ctxcalc.parser import (
@@ -272,6 +276,89 @@ def test_tokens_cover_the_text_in_order(text):
             covered[i] += 1
     assert all(n <= 1 for n in covered)
     assert all(n == 1 for ch, n in zip(text, covered) if not ch.isspace())
+
+
+# --- a plain context literal is one token -------------------------------------
+
+# The tokenizer's regex with a ``ctx`` group that never matches: the other
+# groups keep their numbers, and every literal takes the token path.
+_TOKEN_PATH = re.compile(
+    lexer._TOKEN.pattern.replace(lexer._CTX_LITERAL, "(?!)", 1), lexer._TOKEN.flags)
+
+
+def test_the_token_path_regex_has_no_context_literal_token():
+    assert _TOKEN_PATH.pattern != lexer._TOKEN.pattern
+    assert [t.kind for t in tokenize(" {(d, -1),(e,2)} ")] == [CTX, END]
+    with mock.patch.object(lexer, "_TOKEN", _TOKEN_PATH):
+        assert "".join(t.text for t in tokenize(" {(d, -1),(e,2)} ")) == "{(d,-1),(e,2)}"
+
+
+_BLANKS = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+# the parts of a plain literal: ASCII names, among them words, and integers,
+# among them negative ones and ones past the digit limit
+_PLAIN_NAMES = st.sampled_from(["d", "e", "true", "Box", "_x1", "q"])
+_INT_TAGS = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(["0", "-0", "007", "9" * 4300, "9" * 4301, "-" + "9" * 4301]),
+)
+# and what no plain literal holds: names that start with a digit or hold a
+# non-ASCII letter or digit, and other tags or near misses of an integer
+_ODD_NAMES = st.sampled_from(["ü", "x²", "d٣", "٣", "5x", "1"])
+_ODD_TAGS = st.sampled_from(["- 5", "--5", "5x", "²", "٣", "1٣", '"s"', "true", "sym", "-"])
+# where a line may hold the literal: places that take a context literal,
+# and places that refuse one
+_HEADS = ["eval ", "eval {", "eval {(d, 1)} (+) ", "eval <", "show ", "let x = ",
+          "seed ", "dim m : enum ", "stream S = ", "eval Box[d | "]
+_TAILS = ["", "}", " (+) {(e, 2)}", ", {(e, 2)}}", " x", ")", "]"]
+
+
+@st.composite
+def _literal_texts(draw):
+    """Text of a plain context literal of one to three pairs, with blanks
+    anywhere, or of a literal one change away from it: a name or a tag that
+    no plain literal holds, one piece dropped, or a comma added."""
+    count = draw(st.integers(1, 3))
+    pieces = ["{"]
+    for i in range(count):
+        pieces += [","] * (i > 0) + ["(", draw(_PLAIN_NAMES), ",", draw(_INT_TAGS), ")"]
+    pieces.append("}")
+    change = draw(st.sampled_from([None, "name", "tag", "drop", "comma"]))
+    pair = 1 + 6 * draw(st.integers(0, count - 1))  # where a pair's '(' is
+    if change == "name":
+        pieces[pair + 1] = draw(_ODD_NAMES)
+    elif change == "tag":
+        pieces[pair + 3] = draw(_ODD_TAGS)
+    elif change == "drop":
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    elif change == "comma":
+        pieces.insert(draw(st.integers(1, len(pieces) - 1)), ",")
+    return "".join(draw(_BLANKS) + piece for piece in pieces) + draw(_BLANKS)
+
+
+def _outcome(read, *args):
+    try:
+        return "ok", repr(read(*args))
+    except ContextCalcError as err:
+        return type(err), str(err), err.position
+
+
+def _read(text: str, line: str) -> tuple:
+    """The parse of text and what the REPL does with line, each a value or
+    an error."""
+    s = new_session(seed=0)
+    for declaration in ("dim d : int", "dim e : int"):
+        run_command(s, declaration)
+    return _outcome(parse_expr, text), _outcome(run_command, s, line)
+
+
+@given(_literal_texts(), st.sampled_from(_HEADS), st.sampled_from(_TAILS))
+def test_a_context_literal_reads_as_the_token_path_reads_it(text, head, tail):
+    """The one-token path and the token-per-lexeme path give the same tree,
+    or the same error class, message and position, alone or in a line."""
+    line = head + text + tail
+    one_token = _read(text, line)
+    with mock.patch.object(lexer, "_TOKEN", _TOKEN_PATH):
+        assert _read(text, line) == one_token
 
 
 # --- Box predicate round trip -------------------------------------------------

@@ -582,6 +582,17 @@ def test_context_set_refuses_members_that_are_not_contexts(members):
         ContextSet(members)
 
 
+@pytest.mark.parametrize(
+    "entries", [5, [5], [frozenset()], [["d"]]],
+    ids=["not-iterable", "an-int", "a-frozenset", "unhashable"])
+def test_context_refuses_entries_that_are_not_micro_contexts(entries):
+    # the public constructor is where entries come in from outside
+    with pytest.raises(KindMismatch):
+        Context(entries)
+    with pytest.raises(KindMismatch):
+        ContextSet([Context(entries)])
+
+
 def test_constructors_take_their_members_positionally():
     m = MicroContext(REG.get("d"), 1)
     with pytest.raises(TypeError):
