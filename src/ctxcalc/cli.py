@@ -330,7 +330,6 @@ def repl(session: Session, stdin=None, out=None, err=None) -> int:
             print(f"error: {exc}", file=err)
         except Exception as exc:
             print(f"error: {_internal(exc)}", file=err)
-    return 0
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ from .model import (
     DimensionRegistry,
 )
 from .parser import (
-    CONTEXT, BoxLit, Const, ContextLit, DimSetLit, Node, PairLit, Ref, SetLit,
+    CONTEXT, BoxLit, Const, ContextLit, DimSetLit, Node, Ref, SetLit,
     left_chain,
 )
 from .sets import (
@@ -76,15 +76,6 @@ def _kind(value) -> str:
     return _KINDS.get(type(value), type(value).__name__)
 
 
-def _substitute_pair(s: ContextSet, pair: Context, rng) -> ContextSet:
-    if not pair.is_micro():
-        raise KindMismatch(
-            "set substitution needs a <dimension, tag> pair on the right"
-        )
-    micro = next(iter(pair))
-    return lift_substitution(s, micro.dimension, micro.tag)
-
-
 # Each row is called as row(left, right, rng).  The rows name ops.<name>
 # and this module's set operators inside their bodies, so both are looked
 # up when a row runs: rebinding them (the benchmark's tracer wraps them)
@@ -95,7 +86,7 @@ ROWS = {
     ("^", _CTX, _DIMS): lambda a, b, rng: ops.hiding(a, b),
     ("^", _SET, _DIMS): lambda a, b, rng: lift_hiding(a, b),
     ("/", _CTX, _CTX): lambda a, b, rng: ops.substitution(a, b),
-    ("/", _SET, _CTX): _substitute_pair,
+    ("/", _SET, _CTX): lambda a, b, rng: lift_substitution(a, b),
     ("|", _CTX, _CTX): lambda a, b, rng: ops.choice([a, b], rng),
     ("|", _SET, _SET): lambda a, b, rng: lift_choice(a, b, rng),
     ("&", _CTX, _CTX): lambda a, b, rng: ops.conjunction(a, b),
@@ -134,8 +125,6 @@ def _leaf(node: Node, env: Environment) -> Value:
         return frozenset(env.registry.get(n) for n in node.names)
     if isinstance(node, SetLit):
         return ContextSet(_context_from_literal(env, item) for item in node.items)
-    if isinstance(node, PairLit):
-        return Context._of_micros([_micro(env, node.dim, node.tag)])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
     if isinstance(node, Const):

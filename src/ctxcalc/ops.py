@@ -135,10 +135,9 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
 
     # Each (dimension, tag) pair is the dimension's one micro context for
     # it (``Dimension.micro``), shared by every member and every call.
-    ranged = sorted(
-        (d for d in per_dim if per_dim[d]), key=lambda d: d.name
-    )
-    micro_lists = [list(map(d.micro, sorted(per_dim[d]))) for d in ranged]
+    micro_lists = [
+        list(map(d.micro, tags)) for d, tags in per_dim.items() if tags
+    ]
     return ContextSet._of_simple(
         Context._of_micros(residue.union(combo))
         for combo in itertools.product(*micro_lists)

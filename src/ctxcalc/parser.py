@@ -3,7 +3,8 @@ grammars, and its printer.
 
 Every tree the package builds is made of the node classes below: the
 stream nodes, which the context and Box-predicate trees share, and the
-five literals only a context expression has.  A variable, stream name,
+four literals only a context expression has; a ``<d, t>`` pair is the
+one-pair ``ContextLit`` it denotes.  A variable, stream name,
 dimension name or enum symbol is a ``Ref``; a constant (``true`` and
 ``false`` in a context tree, an integer, string or tag in a predicate) is
 a ``Const``; an infix operator of any grammar is a ``Pointwise`` keyed by
@@ -184,20 +185,12 @@ class SetLit:
 
 
 @dataclass(frozen=True)
-class PairLit:
-    """A <dimension, tag> pair, the right operand of set substitution."""
-
-    dim: str
-    tag: object  # a tag literal
-
-
-@dataclass(frozen=True)
 class BoxLit:
     dims: Tuple[str, ...]
     predicate: StreamExpr
 
 
-Node = Union[Ref, ContextLit, DimSetLit, SetLit, PairLit, BoxLit, Const, Pointwise]
+Node = Union[Ref, ContextLit, DimSetLit, SetLit, BoxLit, Const, Pointwise]
 
 
 def references(expr: StreamExpr):
@@ -350,7 +343,7 @@ def _atom(cur: Cursor) -> Node:
     if tok.kind == CTX or tok.kind == "{":
         return _brace_literal(cur)
     if tok.kind == "<":
-        return PairLit(*_context_pair(cur, "<", ">"))
+        return ContextLit((_context_pair(cur, "<", ">"),))
     if tok.kind == END:
         cur.fail("unexpected end of input")
     cur.unexpected()
@@ -419,8 +412,6 @@ def _leaf_text(node, min_bp: int) -> str:
         return "{" + ", ".join(node.names) + "}"
     if isinstance(node, SetLit):
         return "{" + ", ".join(to_text(item) for item in node.items) + "}"
-    if isinstance(node, PairLit):
-        return f"<{node.dim}, {_tag_text(node.tag)}>"
     if isinstance(node, BoxLit):
         names = ", ".join(node.dims)
         return f"Box[{names} | {unparse(node.predicate, PREDICATE)}]"

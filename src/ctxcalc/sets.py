@@ -77,13 +77,15 @@ def lift_hiding(s: ContextSet, dims: frozenset) -> ContextSet:
     return ContextSet._of_simple(ops.hiding(c, dims) for c in s)
 
 
-def lift_substitution(s: ContextSet, dimension: Dimension, tag) -> ContextSet:
-    """Substitute the micro context (dimension, tag) into every member."""
+def lift_substitution(s: ContextSet, pair: Context) -> ContextSet:
+    """Substitute ``pair``, a context of one micro context (a ``<d, t>``
+    pair), into every member."""
     _check_sets(s)
-    if not isinstance(dimension, Dimension):
-        raise KindMismatch(f"not a dimension: {dimension!r}")
-    micro = Context._of_micros([dimension.micro(tag)])
-    return ContextSet._of_simple(ops.substitution(c, micro) for c in s)
+    if not (isinstance(pair, Context) and pair.is_micro()):
+        raise KindMismatch(
+            "set substitution needs a <dimension, tag> pair on the right"
+        )
+    return ContextSet._of_simple(ops.substitution(c, pair) for c in s)
 
 
 def lift_choice(s1: ContextSet, s2: ContextSet, rng: random.Random) -> ContextSet:

@@ -12,6 +12,7 @@ from ctxcalc.errors import (
     UnboundVariable,
     UnknownToken,
 )
+from ctxcalc.cli import new_session, run_command
 from ctxcalc.evaluator import Environment, evaluate
 from ctxcalc.lexer import END, NAME, tokenize
 from ctxcalc.model import (
@@ -29,7 +30,6 @@ from ctxcalc.parser import (
     ContextLit,
     DimSetLit,
     NotOp,
-    PairLit,
     Pointwise,
     Ref,
     SetLit,
@@ -131,10 +131,37 @@ def test_parse_literals():
     assert parse_expr("{{(d, 1)}, {(d, 2)}}") == SetLit(
         (ContextLit((("d", 1),)), ContextLit((("d", 2),)))
     )
-    assert parse_expr("<d, 5>") == PairLit("d", 5)
+    assert parse_expr("<d, 5>") == ContextLit((("d", 5),))
     assert parse_expr('{(s, "text"), (b, true), (m, Ja), (d, -2)}') == ContextLit(
         (("s", "text"), ("b", True), ("m", Ref("Ja")), ("d", -2))
     )
+
+
+PAIR_SETUP = (
+    "dim d : int",
+    "dim s : str",
+    "dim b : bool",
+    "dim m : enum {Ja, Nein}",
+    'let c = {(d, 1), (s, "x"), (b, false), (m, Nein)}',
+    "let S = {{(d, 1), (s, \"x\"), (b, false), (m, Nein)}, {(d, 2)}}",
+)
+
+
+@pytest.mark.parametrize("pair", [
+    "<d, 7>", "<d, -3>", '<s, "y">', "<b, true>", "<m, Ja>", "⟨d, 7⟩",
+    '⟨s, "y"⟩',
+])
+def test_pair_reads_as_its_one_pair_context_literal(pair):
+    # a <d, t> pair is the context of degree 1 it denotes
+    literal = "{(" + pair[1:-1] + ")}"
+    assert parse_expr(pair) == parse_expr(literal)
+    session = new_session()
+    for line in PAIR_SETUP:
+        run_command(session, line)
+    for left, op in (("S", "/"), ("c", "(+)"), ("c", "==")):
+        assert run_command(session, f"eval {left} {op} {pair}") == run_command(
+            session, f"eval {left} {op} {literal}"
+        )
 
 
 def test_parse_box_literal():
@@ -219,7 +246,7 @@ _leaves = st.one_of(
         (("d", -2), ("s", 'a "b" \\'), ("b", False), ("m", Ref("Ja"))))),
     st.just(DimSetLit(("d", "e"))),
     st.just(SetLit((ContextLit((("d", 2),)),))),
-    st.just(PairLit("d", 3)),
+    st.just(ContextLit((("d", 3),))),
     st.just(BoxLit(("d1", "d2"), Pointwise("<", Ref("d1"), Ref("d2")))),
     st.builds(BoxLit, st.just(("d1", "d2")), _predicates),
 )

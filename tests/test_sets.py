@@ -94,14 +94,15 @@ def test_lift_hiding():
 
 
 def test_lift_substitution():
-    d = REG.get("d")
-    assert lift_substitution(cs(ctx(("d", 1), ("e", 2))), d, 9) == cs(
+    pair = ctx(("d", 9))
+    assert lift_substitution(cs(ctx(("d", 1), ("e", 2))), pair) == cs(
         ctx(("d", 9), ("e", 2))
     )
-    assert lift_substitution(cs(ctx(("e", 2))), d, 9) == cs(ctx(("e", 2)))
-    assert lift_substitution(cs(), d, 9) == cs()
+    assert lift_substitution(cs(ctx(("e", 2))), pair) == cs(ctx(("e", 2)))
+    assert lift_substitution(cs(), pair) == cs()
+    # the pair's tag is checked when the pair is built
     with pytest.raises(TagTypeMismatch):
-        lift_substitution(cs(ctx(("e", 2))), d, "nine")
+        lift_substitution(cs(ctx(("e", 2))), ctx(("d", "nine")))
 
 
 def test_lift_choice():
@@ -196,7 +197,7 @@ def test_lift_results_stay_simple(s1, s2, names, name, tag, c1, c2):
     for value in (
         lift_projection(s1, some),
         lift_hiding(s1, some),
-        lift_substitution(s1, REG.get(name), tag),
+        lift_substitution(s1, ctx((name, tag))),
         lift_override(s1, s2),
         lift_difference(s1, s2),
         join(s1, s2),
@@ -214,7 +215,7 @@ NON_SIMPLE = ctx(("d", 1), ("d", 2))
 @pytest.mark.parametrize("action", [
     lambda: lift_projection([NON_SIMPLE], dims("d")),
     lambda: lift_hiding(frozenset([NON_SIMPLE]), dims("e")),
-    lambda: lift_substitution([NON_SIMPLE], REG.get("e"), 1),
+    lambda: lift_substitution([NON_SIMPLE], ctx(("e", 1))),
     lambda: lift_override([NON_SIMPLE], cs()),
     lambda: lift_difference(cs(), [NON_SIMPLE]),
     lambda: join([NON_SIMPLE], cs()),
@@ -229,6 +230,9 @@ def test_set_operators_take_only_context_sets(action):
         action()
 
 
+PAIR_NEEDED = "set substitution needs a <dimension, tag> pair on the right"
+
+
 @pytest.mark.parametrize("action, message", [
     (lambda: box_enumerate(5), "not a box: 5"),
     (lambda: box_enumerate(cs(ctx(("d", 1)))), "not a box: "),
@@ -237,10 +241,13 @@ def test_set_operators_take_only_context_sets(action):
      "not a set of dimensions: "),
     (lambda: lift_hiding(cs(ctx(("d", 1))), 5), "not a set of dimensions: 5"),
     (lambda: lift_hiding(cs(), cs(ctx(("d", 1)))), "not a set of dimensions: "),
-    (lambda: lift_substitution(cs(ctx(("d", 1))), "d", 1), "not a dimension: 'd'"),
-    (lambda: lift_substitution(cs(), None, 1), "not a dimension: None"),
+    (lambda: lift_substitution(cs(ctx(("d", 1))), "d"), PAIR_NEEDED),
+    (lambda: lift_substitution(cs(), None), PAIR_NEEDED),
+    (lambda: lift_substitution(cs(), ctx(("d", 1), ("e", 2))), PAIR_NEEDED),
+    (lambda: lift_substitution(cs(), NON_SIMPLE), PAIR_NEEDED),
+    (lambda: lift_substitution(cs(), cs(ctx(("d", 1)))), PAIR_NEEDED),
 ], ids=["box-int", "box-set", "!-int", "!-names", "^-int", "^-contexts",
-        "/-name", "/-none"])
+        "/-name", "/-none", "/-two-pairs", "/-non-simple", "/-set"])
 def test_set_layer_entries_take_only_their_kinds(action, message):
     # checked once per call, as the context-set operands are
     with pytest.raises(KindMismatch, match="^" + re.escape(message)):
