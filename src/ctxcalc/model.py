@@ -17,6 +17,18 @@ A micro context is a (dimension, tag) pair whose tag the dimension admits
 package every pair is built by ``Dimension.micro``, which keeps one pair
 object per tag, so a pair read from a literal, enumerated from a Box or
 swept by a range is the same object wherever it recurs.
+
+A dimension's name is a name of the expression language: word characters
+(``\\w``), the first a letter or ``_``.  Every word character sorts above
+``,``.  A value prints with its pairs and members in a fixed order: a
+context's pairs by dimension name, then by tag (ints and strs by value,
+bools false first, enum members by declaration order), and a context
+set's members by their printed text.  A set member is simple, so its
+pairs bind distinct dimensions, and those of one registry have distinct
+names.  Where no name is a prefix of another, text order is name order;
+where one is, the shorter name's text has ``,`` where the longer one's
+has a word character.  So a member prints with its pair texts sorted as
+plain strings, which is the (name, tag) order.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -101,6 +114,16 @@ def format_tag(value: TagValue) -> str:
     raise TagTypeMismatch(f"not a tag value: {value!r}")
 
 
+# A name token of the expression language (``lexer``, which this module
+# does not import): word characters, the first a letter or "_".
+_WORD = re.compile(r"\w+")
+
+
+def _is_name(name) -> bool:
+    return (isinstance(name, str) and _WORD.fullmatch(name) is not None
+            and (name[0].isalpha() or name[0] == "_"))
+
+
 # The most pairs one dimension keeps (see ``Dimension.micro``).
 _MICRO_MEMO_LIMIT = 4096
 
@@ -114,8 +137,9 @@ class Dimension:
     is declared with its symbols, in order, and stores their ``EnumValue``
     members as its domain.
 
-    The constructor is the one validator of a dimension: its name, its
-    tag kind and its domain.  Identity is the name and the tag kind: the
+    The constructor is the one validator of a dimension: its name (a
+    name of the expression language, see the module docstring), its tag
+    kind and its domain.  Identity is the name and the tag kind: the
     registry already decides which dimension a name denotes, so two
     dimensions that agree on both are equal and hash equal whatever their
     domains.  The hash is computed once.  Beside the domain tuple,
@@ -139,7 +163,7 @@ class Dimension:
 
     def __post_init__(self):
         name, kind, domain = self.name, self.tag_type, self.domain
-        if not isinstance(name, str) or not name:
+        if not _is_name(name):
             raise ExprSyntaxError("dimension name must be a non-empty identifier")
         if not isinstance(kind, TagKind):
             raise IllFormedDomain(
@@ -457,7 +481,11 @@ class ContextSet(frozenset):
 
     Like ``Context``, it is immutable and hashable with frozenset equality,
     so it equals any frozenset of the same contexts.  Members with
-    different dimension domains may coexist.
+    different dimension domains may coexist.  It prints as its members'
+    texts in sorted order, each member built inline from its pairs' cached
+    texts sorted as plain strings: a member is simple, so this is the
+    (name, tag) order ``Context.__str__`` prints in (see the module
+    docstring).
 
     The public constructor is the boundary where members come in from
     outside (a set literal, an API caller, a copy or a pickle), and the one
@@ -496,7 +524,8 @@ class ContextSet(frozenset):
         return frozenset().union(*(c.dims() for c in self))
 
     def __str__(self):
-        return "{" + ", ".join(sorted(map(str, self))) + "}"
+        return "{" + ", ".join(sorted(
+            ["{" + ", ".join(sorted(map(_TEXT, c))) + "}" for c in self])) + "}"
 
     def __repr__(self):
         return f"ContextSet({self})"

@@ -390,8 +390,14 @@ def _admits(tests, assignment) -> bool:
     return True
 
 
+# The tags of a bool dimension declared without a domain, and their index:
+# a bool dimension has exactly these two.
+_BOOL_TAGS = ((False, True), {False: 0, True: 1})
+
+
 def box_enumerate(box: Box) -> ContextSet:
-    """Materialize the box over the declared domains of its dimensions by
+    """Materialize the box over the declared domains of its dimensions (a
+    bool dimension declared without one ranges over false and true) by
     walking the plan the Box stored when it was built (see ``Box``): the
     dimensions are bound depth first, in Box order, and ``_tests[i]`` is
     tested as soon as ``dims[i]`` is bound, so a failing prefix prunes
@@ -406,22 +412,27 @@ def box_enumerate(box: Box) -> ContextSet:
     if not isinstance(box, Box):
         raise KindMismatch(f"not a box: {box!r}")
     dims, tests, solved = box.dims, box._tests, box._solved
+    domains = []
     for d in dims:
-        if d.domain is None:
+        if d.domain is not None:
+            domains.append((d.domain, d.index))
+        elif d.tag_type is TagKind.BOOL:
+            domains.append(_BOOL_TAGS)
+        else:
             raise UnboundedBox(
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
     assignment: dict = {}
 
     def candidates(i):
-        d = dims[i]
+        domain, index = domains[i]
         if solved[i] is None:
-            return d.domain
+            return domain
         f, s = solved[i]
-        assignment[d.name] = 0
+        assignment[dims[i].name] = 0
         value = _eval_predicate(f, assignment)
-        k = d.index.get(-s * value if s else value)
-        return () if k is None else (d.domain[k],)
+        k = index.get(-s * value if s else value)
+        return () if k is None else (domain[k],)
 
     # pending[i] yields the untried candidates of dimension i under the
     # tags bound to the dimensions before it.

@@ -89,6 +89,15 @@ def test_command_output(line, expected):
     assert run_command(session(), line) == expected
 
 
+def test_a_box_over_a_bool_dimension_without_a_domain_enumerates():
+    s = new_session(seed=3)
+    assert run_command(s, "dim d : int 1 2") == ["dim d : int 1 2"]
+    assert run_command(s, "dim b : bool") == ["dim b : bool"]
+    assert run_command(s, "eval Box[d, b | b] [+] {{(d, 1)}}") == [
+        "{{(b, true), (d, 1)}, {(b, true), (d, 2)}}"]
+    assert run_command(s, "eval Box[b | b == true] ! {b}") == ["{{(b, true)}}"]
+
+
 # --- malformed lines: the error class and its column in the line ---------------
 
 ERRORS = [

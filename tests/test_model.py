@@ -316,6 +316,13 @@ MALFORMED_DECLARATIONS = [
     ("name-not-a-string", (5, TagKind.INT), ExprSyntaxError),
     ("name-unhashable", (["a"], TagKind.INT), ExprSyntaxError),
     ("int-domain-a-set", ("d", TagKind.INT, {1, 2, 3}), IllFormedDomain),
+    # a name is a name of the expression language: word characters, the
+    # first a letter or "_"; these used to print pairs that do not parse
+    ("name-empty", ("", TagKind.INT), ExprSyntaxError),
+    ("name-with-a-blank", ("a b", TagKind.INT), ExprSyntaxError),
+    ("name-with-a-paren", ("(x", TagKind.INT), ExprSyntaxError),
+    ("name-starts-with-a-digit", ("1x", TagKind.INT), ExprSyntaxError),
+    ("name-with-a-bang", ("a!", TagKind.INT), ExprSyntaxError),
 ]
 
 
@@ -328,6 +335,14 @@ def test_malformed_declarations_are_typed_errors(args, error, direct):
     with pytest.raises(error):
         Dimension(*args) if direct else reg.register(*args)
     assert args[0] not in reg
+
+
+@pytest.mark.parametrize("name", ["x²", "ü", "_1", "g10"])
+def test_every_name_of_the_language_names_a_dimension(name):
+    session = new_session(seed=1)
+    assert run_command(session, f"dim {name} : int") == [f"dim {name} : int"]
+    assert run_command(session, f"eval {{{{({name}, 2)}}}}") == [f"{{{{({name}, 2)}}}}"]
+    assert Dimension(name, TagKind.INT).name == name
 
 
 def test_a_direct_enum_dimension_takes_symbols():
@@ -559,6 +574,67 @@ def test_context_set_agrees_with_frozenset_oracle(l1, l2):
         assert hash(s1) == hash(s2)
     assert {d.name for d in s1.dims_union()} == {n for o in o1 for n, _ in o}
     assert str(s1) == "{" + ", ".join(sorted(map(_oracle_text, o1))) + "}"
+
+
+# Names that share prefixes or hold non-ASCII word characters, each with
+# tags whose text order is not their order: 9 before 10, "B" before "a",
+# an enum in declaration order.
+ORDER_TAGS = {
+    "g1": (TagKind.INT, [-1, 2, 9, 10]),
+    "g10": (TagKind.STR, ["", "B", "a", 'b"']),
+    "g1_": (TagKind.BOOL, [False, True]),
+    "x": (TagKind.INT, [0, 10, 9]),
+    "x²": (TagKind.ENUM, ["zeta", "alpha", "mu"]),
+    "ü": (TagKind.INT, [3, 30, 4]),
+}
+ORDER_REG = DimensionRegistry()
+for _name, (_kind, _tags) in ORDER_TAGS.items():
+    ORDER_REG.register(_name, _kind, _tags if _kind is TagKind.ENUM else None)
+
+order_pair_st = st.sampled_from(sorted(ORDER_TAGS)).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from(ORDER_TAGS[n][1])))
+
+
+def _order_key(pair):
+    """(name, tag), an enum tag by its declaration order."""
+    name, tag = pair
+    kind, tags = ORDER_TAGS[name]
+    return name, tags.index(tag) if kind is TagKind.ENUM else tag
+
+
+def _tag_text(name, tag):
+    kind = ORDER_TAGS[name][0]
+    if kind is TagKind.BOOL:
+        return "true" if tag else "false"
+    if kind is TagKind.STR:
+        return '"' + tag.replace('"', '\\"') + '"'
+    return str(tag)  # an int, or an enum symbol
+
+
+def _order_text(pairs):
+    return "{" + ", ".join(
+        f"({n}, {_tag_text(n, t)})" for n, t in sorted(set(pairs), key=_order_key)
+    ) + "}"
+
+
+@given(st.lists(order_pair_st, max_size=8))
+def test_a_context_prints_its_pairs_by_name_then_tag(pairs):
+    # non-simple contexts among them: a name's pairs print by tag
+    assert str(make_context(ORDER_REG, pairs)) == _order_text(pairs)
+
+
+@given(st.lists(st.lists(order_pair_st, max_size=6, unique_by=lambda p: p[0]),
+                max_size=5))
+def test_a_context_set_prints_its_members_pairs_by_name(members):
+    s = ContextSet(make_context(ORDER_REG, m) for m in members)
+    assert str(s) == "{" + ", ".join(sorted({_order_text(m) for m in members})) + "}"
+
+
+def test_a_member_with_two_registries_same_name_prints():
+    # equal names, unequal kinds: two dimensions, so the member is simple
+    member = Context([Dimension("d", TagKind.INT).micro(1),
+                      Dimension("d", TagKind.STR).micro("x")])
+    assert str(ContextSet([member])) == '{{(d, "x"), (d, 1)}}'
 
 
 def test_contexts_and_sets_reject_assignment():

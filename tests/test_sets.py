@@ -645,17 +645,20 @@ def test_lift_override_overrides_distinct_remainders(monkeypatch):
 # --- box enumeration against the filter over the full product ------------------
 
 
-def box_oracle_registry():
+def box_oracle_registry(bool_domain):
     reg = DimensionRegistry()
     reg.register("x", TagKind.INT, range(5))
     reg.register("y", TagKind.INT, [1, 3, 5, 7])
     reg.register("m", TagKind.ENUM, ["Ja", "Fe", "Mr"])
-    reg.register("b", TagKind.BOOL, [False, True])
+    reg.register("b", TagKind.BOOL, bool_domain)
     reg.register("s", TagKind.STR, ["", "a", "b"])
     return reg
 
 
-BREG = box_oracle_registry()
+BREG = box_oracle_registry([False, True])
+# the same, but b declared without a domain: it ranges over false and true
+BREG_OPEN = box_oracle_registry(None)
+registries = st.sampled_from([BREG, BREG_OPEN])
 SYMBOLS = {v.symbol: v for v in BREG.get("m").domain}
 BOX_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -770,26 +773,28 @@ conjunct = st.recursive(
 @given(
     st.lists(conjunct, min_size=1, max_size=4),
     st.permutations(["x", "y", "m", "b", "s"]),
+    registries,
 )
-def test_box_enumerate_matches_product_filter(conjuncts, order):
-    assert_enumerates_as_filtered(conjuncts, order)
+def test_box_enumerate_matches_product_filter(conjuncts, order, reg):
+    assert_enumerates_as_filtered(conjuncts, order, reg)
 
 
 @given(
     st.lists(linear_eq, min_size=1, max_size=2),
     st.permutations(["x", "y", "b"]),
+    registries,
 )
-def test_box_solves_linear_equalities_as_the_product_filter(conjuncts, order):
+def test_box_solves_linear_equalities_as_the_product_filter(conjuncts, order, reg):
     # either dimension may be the last bound, so each rewrite rule is met
     # with the solved dimension on either side of + and -
-    assert_enumerates_as_filtered(conjuncts, order)
+    assert_enumerates_as_filtered(conjuncts, order, reg)
 
 
-def assert_enumerates_as_filtered(conjuncts, order):
+def assert_enumerates_as_filtered(conjuncts, order, reg):
     pred = conjuncts[0]
     for c in conjuncts[1:]:
         pred = ("op", "and", pred, c)
-    dims = [BREG.get(n) for n in order]
+    dims = [reg.get(n) for n in order]
     if kind(pred) != "bool":
         with pytest.raises(IllTypedPredicate):
             Box(dims, node(pred))
@@ -798,7 +803,7 @@ def assert_enumerates_as_filtered(conjuncts, order):
     assert_simple_set(got)
     want = {
         frozenset(zip(order, combo))
-        for combo in itertools.product(*(d.domain for d in dims))
+        for combo in itertools.product(*(d.domain or (False, True) for d in dims))
         if ev(pred, dict(zip(order, combo)))
     }
     assert plain(got) == want
