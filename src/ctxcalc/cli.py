@@ -206,7 +206,7 @@ def _load_command(session: Session, path: str) -> list:
     out = []
     try:
         _run_file(session, path, out.append)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContextCalcError(f"cannot read {path!r}: {exc}") from None
     except ContextCalcError as exc:
         raise ContextCalcError(f"{path} {exc}") from exc
@@ -262,10 +262,11 @@ def _run_file(session: Session, path: str, emit):
     """Run the commands of a file in order, passing each output line to
     emit, up to the end of the file or a quit line.
 
-    Raises OSError when the file cannot be read, a ContextCalcError when
-    the file is already being run (a load cycle), and a ContextCalcError
-    that starts with ``line N:`` when the command on line N fails, an
-    InternalError if it fails with a raw exception.
+    Raises OSError when the file cannot be read, UnicodeDecodeError when
+    it is not UTF-8, a ContextCalcError when the file is already being run
+    (a load cycle), and a ContextCalcError that starts with ``line N:``
+    when the command on line N fails, an InternalError if it fails with a
+    raw exception.
     """
     real = os.path.realpath(path)
     if real in session.loading:
@@ -300,7 +301,7 @@ def run_script(path: str, session: Session = None, out=None, err=None) -> int:
         session = new_session()
     try:
         _run_file(session, path, lambda text: print(text, file=out))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path!r}: {exc}", file=err)
         return 2
     except ContextCalcError as exc:

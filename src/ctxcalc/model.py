@@ -22,13 +22,15 @@ A dimension's name is a name of the expression language: word characters
 (``\\w``), the first a letter or ``_``.  Every word character sorts above
 ``,``.  A value prints with its pairs and members in a fixed order: a
 context's pairs by dimension name, then by tag (ints and strs by value,
-bools false first, enum members by declaration order), and a context
-set's members by their printed text.  A set member is simple, so its
-pairs bind distinct dimensions, and those of one registry have distinct
-names.  Where no name is a prefix of another, text order is name order;
-where one is, the shorter name's text has ``,`` where the longer one's
-has a word character.  So a member prints with its pair texts sorted as
-plain strings, which is the (name, tag) order.
+bools false first, enum members by declaration order; tags of different
+classes, which only two registries' same-named dimensions give, by the
+name of their class first), and a context set's members by their printed
+text.  A set member is simple, so its pairs bind distinct dimensions, and
+those of one registry have distinct names.  Where no name is a prefix of
+another, text order is name order; where one is, the shorter name's text
+has ``,`` where the longer one's has a word character.  So a member
+prints with its pair texts sorted as plain strings, which is the (name,
+tag) order.
 """
 
 from __future__ import annotations
@@ -372,7 +374,9 @@ class MicroContext:
 # make no Python call per micro context.
 _DIMENSION = operator.attrgetter("dimension")
 _TEXT = operator.attrgetter("_text")
-_ORDER = operator.attrgetter("dimension.name", "tag")
+# Tags of one dimension share a class; pairs of two registries' same-named
+# dimensions may not, so the class name comes before the tag.
+_ORDER = operator.attrgetter("dimension.name", "tag.__class__.__name__", "tag")
 
 
 class ContextOrder(enum.Enum):

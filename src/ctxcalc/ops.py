@@ -108,24 +108,26 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     for dim in shared:
         _check_steppable(dim)
 
-    # Per shared dimension, the union of the cross-pair subranges.  A
-    # directed pair whose tags are not strictly increasing is ignored but
-    # still marks its dimension as processed (empty value set).
-    per_dim: dict = {}
-    for m1 in c1:
-        for m2 in c2:
-            if m1.dimension != m2.dimension:
-                continue
-            values = per_dim.setdefault(m1.dimension, set())
-            # Both tags passed the dimension's kind check, so < orders them.
-            a, b = m1.tag, m2.tag
-            if directed:
-                if not a < b:
-                    continue
-                lo, hi = a, b
-            else:
-                lo, hi = (b, a) if b < a else (a, b)
-            values.update(_subrange(m1.dimension, lo, hi))
+    # Along a shared dimension every per-pair subrange lies inside the
+    # envelope of both operands' tags, and the pair of the two extremes,
+    # or two pairs through a tag of the other operand, covers it.  A
+    # directed pair counts when its left tag is below its right one; the
+    # left operand's least tag makes the widest such pair, which holds
+    # every other.  So each dimension sweeps one interval, over the left
+    # operand's dimension object and its domain.  Both tags passed the
+    # dimension's kind check, so < orders them.  Each (dimension, tag)
+    # pair is the dimension's one micro context for it
+    # (``Dimension.micro``), shared by every member and every call.
+    micro_lists = []
+    for dim in c1.dims():
+        if dim not in shared:
+            continue
+        left = [m.tag for m in c1 if m.dimension == dim]
+        right = [m.tag for m in c2 if m.dimension == dim]
+        lo = min(left) if directed else min(left + right)
+        hi = right[0] if directed else max(left + right)
+        if not directed or lo < hi:
+            micro_lists.append(list(map(dim.micro, _subrange(dim, lo, hi))))
 
     residue = disjunction(hiding(c1, shared), hiding(c2, shared))
     if not residue.is_simple():
@@ -133,11 +135,6 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
             "unshared remainders of the range operands are not simple"
         )
 
-    # Each (dimension, tag) pair is the dimension's one micro context for
-    # it (``Dimension.micro``), shared by every member and every call.
-    micro_lists = [
-        list(map(d.micro, tags)) for d, tags in per_dim.items() if tags
-    ]
     return ContextSet._of_simple(
         Context._of_micros(residue.union(combo))
         for combo in itertools.product(*micro_lists)
@@ -147,16 +144,18 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
 def undirected_range(c1: Context, c2: Context) -> ContextSet:
     """All simple contexts between c1 and c2.
 
-    Shared dimensions sweep the inclusive min..max envelope of every cross
-    pair; unshared micro contexts ride along unchanged.
+    Each shared dimension sweeps the inclusive envelope of both operands'
+    tags on it, from the least to the greatest; unshared micro contexts
+    ride along unchanged.
     """
     return _range(c1, c2, directed=False)
 
 
 def directed_range(c1: Context, c2: Context) -> ContextSet:
-    """Like undirected_range but a pair only counts when its left tag is
-    strictly below its right tag; other pairs are ignored and their
-    dimension is dropped from the result entirely.
+    """Like undirected_range, but each shared dimension sweeps from the
+    left operand's least tag on it up to the right operand's tag on it;
+    the dimension is dropped from the result when that tag is not above
+    the least one.  The right operand must be simple.
     """
     if not c2.is_simple():
         raise NonSimpleOperand("directed range needs a simple right operand")

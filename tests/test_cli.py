@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ctxcalc.cli import main, new_session, run_command, run_script
+from ctxcalc.cli import main, new_session, repl, run_command, run_script
 from ctxcalc.errors import (
     ContextCalcError,
     DuplicateName,
@@ -181,6 +181,27 @@ def test_run_script_missing_file():
     errors = io.StringIO()
     assert run_script("/nonexistent/path.ctx", err=errors) == 2
     assert "cannot read" in errors.getvalue()
+
+
+def test_a_file_that_is_not_utf8_cannot_be_read(tmp_path):
+    script = tmp_path / "latin1.ctx"
+    script.write_bytes(b"# caf\xe9\ndim d : int\n")
+    out, errors = io.StringIO(), io.StringIO()
+    assert run_script(str(script), out=out, err=errors) == 2
+    assert out.getvalue() == ""
+    assert errors.getvalue().startswith(f"error: cannot read {str(script)!r}: ")
+    assert "can't decode byte 0xe9" in errors.getvalue()
+    session = new_session()
+    with pytest.raises(ContextCalcError) as info:
+        run_command(session, f"load {script}")
+    assert type(info.value) is ContextCalcError
+    assert str(info.value).startswith(f"cannot read {str(script)!r}: ")
+    # nothing of the file ran, and the session is not left loading it
+    assert run_command(session, "dim d : int") == ["dim d : int"]
+    assert not session.loading
+    out, errors = io.StringIO(), io.StringIO()
+    assert repl(new_session(), io.StringIO(f"load {script}\n"), out, errors) == 0
+    assert errors.getvalue().startswith(f"error: cannot read {str(script)!r}: ")
 
 
 def test_load_command(tmp_path):

@@ -637,6 +637,19 @@ def test_a_member_with_two_registries_same_name_prints():
     assert str(ContextSet([member])) == '{{(d, "x"), (d, 1)}}'
 
 
+def test_two_registries_same_name_pairs_print_by_tag_class_first():
+    # equal names, tags of different classes: by class name, then by tag
+    pairs = [Dimension("d", TagKind.INT).micro(1),
+             Dimension("d", TagKind.STR).micro("x")]
+    assert str(Context(pairs)) == '{(d, 1), (d, "x")}'
+    pairs = [Dimension("d", TagKind.INT).micro(0),
+             Dimension("d", TagKind.BOOL).micro(True)]
+    assert str(Context(pairs)) == "{(d, true), (d, 0)}"
+    pairs.append(Dimension("d", TagKind.STR).micro("x"))
+    pairs.append(Dimension("d", TagKind.INT).micro(-2))
+    assert str(Context(pairs)) == '{(d, true), (d, -2), (d, 0), (d, "x")}'
+
+
 def test_contexts_and_sets_reject_assignment():
     c = ctx(("d", 1))
     for name in ("entries", "_dims", "fresh"):

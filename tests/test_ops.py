@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from ctxcalc import ops
@@ -316,6 +316,70 @@ def test_range_over_declared_domain_matches_tag_lt_filter(data):
     for directed, fn in ((False, ops.undirected_range), (True, ops.directed_range)):
         got = {frozenset((m.dimension.name, m.tag) for m in c) for c in fn(c1, c2)}
         assert got == tag_lt_range_oracle(c1, c2, directed)
+
+
+# Ranges whose operands bind a dimension more than once: an undeclared int
+# dimension, a declared int domain with gaps and negative tags, an enum, and
+# one more undeclared int that mostly rides along as residue.
+SPAN_REG = DimensionRegistry()
+SPAN_REG.register("u", TagKind.INT)
+SPAN_REG.register("k", TagKind.INT, [-9, -4, -1, 0, 3, 7, 8, 15])
+SPAN_REG.register("m", TagKind.ENUM, ["Ja", "Fe", "Mr", "Ap", "Ma"])
+SPAN_REG.register("r", TagKind.INT)
+SPAN_TAGS = {
+    "u": st.integers(-3, 4),
+    "k": st.sampled_from(SPAN_REG.get("k").domain),
+    "m": st.sampled_from(SPAN_REG.get("m").domain),
+    "r": st.integers(0, 2),
+}
+MR = SPAN_REG.get("m").symbols["Mr"]
+span_pair_st = st.sampled_from("ukmr").flatmap(
+    lambda n: st.tuples(st.just(n), SPAN_TAGS[n]))
+span_st = st.lists(span_pair_st, max_size=6)
+span_simple_st = st.lists(span_pair_st, max_size=4, unique_by=lambda p: p[0])
+
+
+def per_pair_range_oracle(p1, p2, directed):
+    """A range over (name, tag) pairs as a set of frozensets, or None for a
+    non-simple residue: along each shared name, the union of the subranges
+    of every cross pair, a directed pair counting only when its left tag is
+    below its right one; a name that no pair counts for is dropped."""
+    p1, p2 = set(p1), set(p2)
+    shared = {n for n, _ in p1} & {n for n, _ in p2}
+    residue = {(n, t) for n, t in p1 | p2 if n not in shared}
+    if len({n for n, _ in residue}) < len(residue):
+        return None
+    values = {}
+    for n1, a in p1:
+        for n2, b in p2:
+            if n1 != n2 or directed and not a < b:
+                continue
+            lo, hi = (b, a) if b < a else (a, b)
+            domain = SPAN_REG.get(n1).domain or range(lo, hi + 1)
+            values.setdefault(n1, set()).update(
+                v for v in domain if not v < lo and not hi < v)
+    axes = [[(n, v) for v in tags] for n, tags in values.items()]
+    return {frozenset(residue.union(combo)) for combo in itertools.product(*axes)}
+
+
+def span_range(fn, p1, p2):
+    c1, c2 = make_context(SPAN_REG, p1), make_context(SPAN_REG, p2)
+    try:
+        got = fn(c1, c2)
+    except NonSimpleResidue:
+        return None
+    return {frozenset((m.dimension.name, m.tag) for m in c) for c in got}
+
+
+@given(span_st, span_st, span_simple_st)
+# every left tag at or above the right one: the dimension is dropped
+@example([("u", 3), ("u", 1), ("k", 7)], [], [("u", 1), ("k", 0)])
+@example([("k", 8), ("k", 3), ("m", MR)], [], [("k", 3), ("m", MR)])
+def test_non_simple_ranges_match_the_per_pair_union(p1, p2, simple):
+    assert span_range(ops.undirected_range, p1, p2) == per_pair_range_oracle(
+        p1, p2, directed=False)
+    assert span_range(ops.directed_range, p1, simple) == per_pair_range_oracle(
+        p1, simple, directed=True)
 
 
 # --- Lucx laws against an oracle over plain pair sets ---------------------------
