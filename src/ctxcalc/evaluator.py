@@ -21,6 +21,7 @@ from .model import (
     Context,
     ContextSet,
     DimensionRegistry,
+    make_context,
 )
 from .parser import (
     CONTEXT, BoxLit, Const, ContextLit, DimSetLit, Node, Ref, SetLit,
@@ -107,24 +108,15 @@ ROWS = {
 }
 
 
-def _micro(env: Environment, name: str, raw):
-    tag = raw.name if isinstance(raw, Ref) else raw
-    return env.registry.get(name).micro(tag)  # which coerces the tag
-
-
-def _context_from_literal(env: Environment, node: ContextLit) -> Context:
-    return Context._of_micros(_micro(env, name, raw) for name, raw in node.pairs)
-
-
 def _leaf(node: Node, env: Environment) -> Value:
     if isinstance(node, Ref):
         return env.lookup(node.name)
     if isinstance(node, ContextLit):
-        return _context_from_literal(env, node)
+        return make_context(env.registry, node.pairs)
     if isinstance(node, DimSetLit):
         return frozenset(env.registry.get(n) for n in node.names)
     if isinstance(node, SetLit):
-        return ContextSet(_context_from_literal(env, item) for item in node.items)
+        return ContextSet(make_context(env.registry, i.pairs) for i in node.items)
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
     if isinstance(node, Const):
@@ -136,6 +128,8 @@ def evaluate(node: Node, env: Environment) -> Value:
     """Evaluate a parsed expression to a context, set, box, dimension set,
     or boolean.  A chain of left operands is walked with a loop, innermost
     operator first; only right operands are evaluated recursively."""
+    if not isinstance(env, Environment):
+        raise KindMismatch(f"not an environment: {type(env).__name__}")
     node, chain = left_chain(node, CONTEXT)
     value = _leaf(node, env)
     for n in chain:

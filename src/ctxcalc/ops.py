@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import (
     EmptyChoice,
+    KindMismatch,
     NonSimpleOperand,
     NonSimpleResidue,
     UnorderedRangeDimension,
@@ -53,8 +55,20 @@ def disjunction(c1: Context, c2: Context) -> Context:
     return Context._of_micros(c1 | c2)
 
 
+def check_rng(rng):
+    """Raise ``KindMismatch`` unless ``rng`` is a ``random.Random``."""
+    if not isinstance(rng, random.Random):
+        raise KindMismatch(f"not a random.Random: {type(rng).__name__}")
+
+
 def choice(candidates: Sequence[Context], rng: random.Random):
     """Pick one candidate uniformly; deterministic for a seeded rng."""
+    if not isinstance(candidates, (list, tuple)):
+        raise KindMismatch(
+            f"choice candidates are not a list or tuple: "
+            f"{type(candidates).__name__}"
+        )
+    check_rng(rng)
     if not candidates:
         raise EmptyChoice("choice over no candidates")
     return candidates[rng.randrange(len(candidates))]
@@ -103,10 +117,16 @@ def _subrange(dim: Dimension, lo, hi):
     return range(lo, hi + 1)
 
 
+_BY_NAME = attrgetter("name", "tag_type.value")
+
+
 def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
+    for c in (c1, c2):
+        if not isinstance(c, Context):
+            raise KindMismatch(f"not a context: {type(c).__name__}")
+    if directed and not c2.is_simple():
+        raise NonSimpleOperand("directed range needs a simple right operand")
     shared = c1.dims() & c2.dims()
-    for dim in shared:
-        _check_steppable(dim)
 
     # Along a shared dimension every per-pair subrange lies inside the
     # envelope of both operands' tags, and the pair of the two extremes,
@@ -118,16 +138,19 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     # dimension's kind check, so < orders them.  Each (dimension, tag)
     # pair is the dimension's one micro context for it
     # (``Dimension.micro``), shared by every member and every call.
-    micro_lists = []
-    for dim in c1.dims():
-        if dim not in shared:
-            continue
+    # Dimensions are checked and swept in name order, then kind order, so
+    # which unsteppable dimension a range reports does not hang on the
+    # hash seed; a sweep is lazy, so none is built before every dimension
+    # and the residue pass their checks.
+    sweeps = []
+    for dim in sorted((d for d in c1.dims() if d in shared), key=_BY_NAME):
+        _check_steppable(dim)
         left = [m.tag for m in c1 if m.dimension == dim]
         right = [m.tag for m in c2 if m.dimension == dim]
         lo = min(left) if directed else min(left + right)
         hi = right[0] if directed else max(left + right)
         if not directed or lo < hi:
-            micro_lists.append(list(map(dim.micro, _subrange(dim, lo, hi))))
+            sweeps.append(map(dim.micro, _subrange(dim, lo, hi)))
 
     residue = disjunction(hiding(c1, shared), hiding(c2, shared))
     if not residue.is_simple():
@@ -137,7 +160,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
 
     return ContextSet._of_simple(
         Context._of_micros(residue.union(combo))
-        for combo in itertools.product(*micro_lists)
+        for combo in itertools.product(*sweeps)
     )
 
 
@@ -157,6 +180,4 @@ def directed_range(c1: Context, c2: Context) -> ContextSet:
     the dimension is dropped from the result when that tag is not above
     the least one.  The right operand must be simple.
     """
-    if not c2.is_simple():
-        raise NonSimpleOperand("directed range needs a simple right operand")
     return _range(c1, c2, directed=True)

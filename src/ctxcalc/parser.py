@@ -4,13 +4,14 @@ grammars, and its printer.
 Every tree the package builds is made of the node classes below: the
 stream nodes, which the context and Box-predicate trees share, and the
 four literals only a context expression has; a ``<d, t>`` pair is the
-one-pair ``ContextLit`` it denotes.  A variable, stream name,
-dimension name or enum symbol is a ``Ref``; a constant (``true`` and
-``false`` in a context tree, an integer, string or tag in a predicate) is
-a ``Const``; an infix operator of any grammar is a ``Pointwise`` keyed by
-its symbol or keyword.  ``streams`` evaluates the stream nodes and keeps
-the stream grammar, ``evaluator`` evaluates context trees and ``sets``
-binds and evaluates Box predicates.
+one-pair ``ContextLit`` it denotes, and a bare-name tag in a context
+literal is its text, as a string is.  A variable, stream name or
+dimension name, or a name in a Box predicate, is a ``Ref``; a constant
+(``true`` and ``false`` in a context tree, an integer, string or tag in a
+predicate) is a ``Const``; an infix operator of any grammar is a
+``Pointwise`` keyed by its symbol or keyword.  ``streams`` evaluates the
+stream nodes and keeps the stream grammar, ``evaluator`` evaluates
+context trees and ``sets`` binds and evaluates Box predicates.
 
 Two of the three grammar tables for the operator-precedence core in
 ``lexer`` are here.  ``CONTEXT`` covers context and context-set
@@ -165,8 +166,8 @@ StreamExpr = Union[
     First, Next, Prev, Fby, Wvr, Asa, Upon, At, Query,
 ]
 
-# A tag literal in a context tree is an int, str or bool, or a Ref for a
-# bare name (an enum symbol, resolved against its dimension).
+# A tag literal in a context tree is an int, str or bool; a bare name is
+# its text, which its dimension reads (an enum symbol becomes its member).
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def _context_pair(cur: Cursor, open_kind="(", close_kind=")"):
     cur.expect(open_kind)
     dim = _name(cur)
     cur.expect(",")
-    tag = cur.tag(Ref)
+    tag = cur.tag(str)
     cur.expect(close_kind)
     return dim, tag
 
@@ -390,10 +391,6 @@ def left_chain(node, grammar: Grammar) -> tuple:
     return node, chain
 
 
-def _tag_text(tag) -> str:
-    return tag.name if isinstance(tag, Ref) else format_tag(tag)
-
-
 def _leaf_text(node, min_bp: int) -> str:
     """Text of a node that is no infix operator of the grammar printed,
     bracketed if it binds looser than min_bp; only ``not`` can."""
@@ -406,7 +403,7 @@ def _leaf_text(node, min_bp: int) -> str:
         text = f"not {unparse(node.operand, PREDICATE, rule.bp + 1)}"
         return f"({text})" if rule.bp < min_bp else text
     if isinstance(node, ContextLit):
-        pairs = ", ".join(f"({d}, {_tag_text(t)})" for d, t in node.pairs)
+        pairs = ", ".join(f"({d}, {format_tag(t)})" for d, t in node.pairs)
         return "{" + pairs + "}"
     if isinstance(node, DimSetLit):
         return "{" + ", ".join(node.names) + "}"

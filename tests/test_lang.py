@@ -5,9 +5,12 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ctxcalc.errors import (
+    ContextCalcError,
     ExprSyntaxError,
     KindMismatch,
     NonSimpleOperand,
+    TagOutsideDomain,
+    TagTypeMismatch,
     UnbalancedParens,
     UnboundVariable,
     UnknownToken,
@@ -133,7 +136,7 @@ def test_parse_literals():
     )
     assert parse_expr("<d, 5>") == ContextLit((("d", 5),))
     assert parse_expr('{(s, "text"), (b, true), (m, Ja), (d, -2)}') == ContextLit(
-        (("s", "text"), ("b", True), ("m", Ref("Ja")), ("d", -2))
+        (("s", "text"), ("b", True), ("m", "Ja"), ("d", -2))
     )
 
 
@@ -162,6 +165,45 @@ def test_pair_reads_as_its_one_pair_context_literal(pair):
         assert run_command(session, f"eval {left} {op} {pair}") == run_command(
             session, f"eval {left} {op} {literal}"
         )
+
+
+TAG_SETUP = (
+    "dim m : enum {jan, feb, mar}",
+    "dim s : str",
+    "dim d : int",
+    "dim b : bool",
+)
+
+
+def _outcome(session, line):
+    try:
+        return run_command(session, line)
+    except ContextCalcError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bare, quoted, error", [
+    ("{(m, feb)}", '{(m, "feb")}', None),
+    ("<m, feb>", '<m, "feb">', None),
+    ("{{(m, feb)}}", '{{(m, "feb")}}', None),
+    ("{(m, apr)}", '{(m, "apr")}', TagOutsideDomain),
+    ("{(s, north)}", '{(s, "north")}', None),
+    ("{(d, red)}", '{(d, "red")}', TagTypeMismatch),
+    ("{(b, x)}", '{(b, "x")}', TagTypeMismatch),
+])
+def test_a_bare_name_tag_is_its_text(bare, quoted, error):
+    # a bare-name tag in a context literal is the string it spells, which
+    # its dimension reads: an enum symbol becomes its member
+    assert parse_expr(bare) == parse_expr(quoted)
+    session = new_session()
+    for line in TAG_SETUP:
+        run_command(session, line)
+    got = _outcome(session, f"eval {bare}")
+    assert got == _outcome(session, f"eval {quoted}")
+    if error is None:
+        assert isinstance(got, list)
+    else:
+        assert got[0] is error
 
 
 def test_parse_box_literal():
@@ -243,7 +285,7 @@ _leaves = st.one_of(
     st.just(ContextLit((("d", 1), ("e", 4)))),
     st.just(ContextLit(())),
     st.just(ContextLit(
-        (("d", -2), ("s", 'a "b" \\'), ("b", False), ("m", Ref("Ja"))))),
+        (("d", -2), ("s", 'a "b" \\'), ("b", False), ("m", "Ja")))),
     st.just(DimSetLit(("d", "e"))),
     st.just(SetLit((ContextLit((("d", 2),)),))),
     st.just(ContextLit((("d", 3),))),

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -8,6 +11,7 @@ import hypothesis.strategies as st
 from ctxcalc import ops
 from ctxcalc.errors import (
     EmptyChoice,
+    KindMismatch,
     NonSimpleOperand,
     NonSimpleResidue,
     UnorderedRangeDimension,
@@ -22,6 +26,7 @@ from ctxcalc.model import (
     make_context,
 )
 from ctxcalc.parser import parse_expr
+from ctxcalc.sets import lift_choice
 
 from conftest import int_registry, undirected_range_oracle
 
@@ -208,6 +213,24 @@ def test_range_over_string_dimension_rejected():
         ops.undirected_range(a, b)
 
 
+RANGE_OVER_TWO_UNORDERED = (
+    "dim s : str\n"
+    "dim t : bool\n"
+    'eval {(s, "a"), (t, true)} <=> {(s, "c"), (t, false)}\n'
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_range_reports_its_unsteppable_dimensions_in_name_order(seed):
+    # two unsteppable shared dimensions: the one named first is reported,
+    # whatever order the hash seed gives the operands' dimension sets
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxcalc"], input=RANGE_OVER_TWO_UNORDERED,
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stderr == "error: range over str dimension 's'\n"
+
+
 def test_range_non_simple_residue():
     c1 = ctx(("g", 1), ("g", 2), ("d", 1))
     c2 = ctx(("d", 3))
@@ -232,6 +255,26 @@ def test_range_members_share_domain_and_are_simple():
     domains = {frozenset(c.dims()) for c in got}
     assert len(domains) == 1
     assert all(c.is_simple() for c in got)
+
+
+_SET = ContextSet([make_context(REG, [("d", 1)])])
+
+# Operators that run once per operator, never per set member, refuse an
+# argument of the wrong kind as a typed error.
+WRONG_KINDS = {
+    "evaluate-env-none": lambda: evaluate(parse_expr("{(d, 1)}"), None),
+    "choice-int-candidates": lambda: ops.choice(5, random.Random(0)),
+    "choice-rng-none": lambda: ops.choice([ctx(("d", 1))], None),
+    "lift-choice-rng-none": lambda: lift_choice(_SET, _SET, None),
+    "undirected-range-int": lambda: ops.undirected_range(ctx(("d", 1)), 3),
+    "directed-range-int": lambda: ops.directed_range(ctx(("d", 1)), 3),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KINDS.values(), ids=WRONG_KINDS.keys())
+def test_operators_refuse_arguments_of_the_wrong_kind(call):
+    with pytest.raises(KindMismatch):
+        call()
 
 
 # --- properties ----------------------------------------------------------------
