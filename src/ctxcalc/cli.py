@@ -23,12 +23,10 @@ dim are silent.  Exit codes: 0 success, 1 command error, 2 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 from .errors import ContextCalcError, ExprSyntaxError, InternalError
 from .evaluator import Environment, evaluate
@@ -51,14 +49,21 @@ class _Quit(Exception):
     pass
 
 
-@dataclass
 class Session:
-    env: Environment
-    equations: streams.EquationSet = field(default_factory=streams.EquationSet)
-    warehouse: streams.Warehouse = field(default_factory=streams.Warehouse)
-    mode: str = "plain"
-    budget: int = streams.DEFAULT_BUDGET
-    loading: set = field(default_factory=set)  # real paths of open loads
+    """The state one REPL or script run mutates, equal only to itself."""
+
+    __slots__ = ("env", "equations", "warehouse", "mode", "budget", "loading")
+
+    def __init__(self, env: Environment, equations: streams.EquationSet = None,
+                 warehouse: streams.Warehouse = None, mode: str = "plain",
+                 budget: int = streams.DEFAULT_BUDGET, loading: set = None):
+        self.env = env
+        self.equations = streams.EquationSet() if equations is None else equations
+        self.warehouse = streams.Warehouse() if warehouse is None else warehouse
+        self.mode = mode
+        self.budget = budget
+        # the real paths of the files being loaded
+        self.loading = set() if loading is None else loading
 
 
 def new_session(seed: int = 0, mode: str = "plain",
@@ -334,6 +339,8 @@ def repl(session: Session, stdin=None, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that importing the package does not load it
+
     parser = argparse.ArgumentParser(
         prog="ctxcalc",
         description="Context calculus and intensional stream calculator.",

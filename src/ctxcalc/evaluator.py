@@ -13,7 +13,6 @@ uniform two-way pick per ``|`` node.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Union
 
 from .errors import KindMismatch, UnboundVariable
@@ -46,17 +45,21 @@ from . import ops
 Value = Union[Context, ContextSet, Box, frozenset, bool]
 
 
-@dataclass
 class Environment:
     """Named bindings plus the registry and rng evaluation runs against.
 
     Bindings may hold contexts, context sets, boxes, or dimension sets.
-    Rebinding a name replaces its previous value.
+    Rebinding a name replaces its previous value.  An environment is a
+    mutable record, equal only to itself.
     """
 
-    registry: DimensionRegistry
-    rng: random.Random
-    bindings: Dict[str, Value] = field(default_factory=dict)
+    __slots__ = ("registry", "rng", "bindings")
+
+    def __init__(self, registry: DimensionRegistry, rng: random.Random,
+                 bindings: Dict[str, Value] = None):
+        self.registry = registry
+        self.rng = rng
+        self.bindings = {} if bindings is None else bindings
 
     def bind(self, name: str, value: Value):
         self.bindings[name] = value

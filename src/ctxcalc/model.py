@@ -41,7 +41,6 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from .errors import (
@@ -65,18 +64,84 @@ class TagKind(enum.Enum):
     ENUM = "enum"
 
 
+class _Text(str):
+    """Text that ``Record.__repr__`` writes as it is, not as a value."""
+
+
+_CLOSE = _Text(")")
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record: the base of the syntax-tree nodes, ``EnumValue``,
+    ``Dimension`` and ``sets.Box``.
+
+    A subclass lists its fields in ``_fields``, in order, and in
+    ``__slots__`` (with any slot outside its value), and its ``__init__``
+    sets them with ``object.__setattr__``; assigning or deleting an
+    attribute raises ``AttributeError``.  From ``_fields`` the base gives
+    equality (same class and equal fields), a hash of the fields,
+    ``Name(field=value, ...)`` as ``repr`` and a ``__reduce__`` that calls
+    the class with the fields, for copy and pickle.  ``repr`` walks nested
+    records with a loop over a stack, so a deep tree costs no recursion.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls._fields)
+        cls._labels = tuple(
+            _Text(f"{', ' if i else cls.__qualname__ + '('}{name}=")
+            for i, name in enumerate(cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is _Text:
+                out.append(x)
+            elif type(x).__repr__ is Record.__repr__:
+                stack.append(_CLOSE)
+                for label, name in zip(reversed(x._labels), reversed(x._fields)):
+                    stack += (getattr(x, name), label)
+            else:
+                out.append(repr(x))
+        return "".join(out)
+
+
 @functools.total_ordering
-@dataclass(frozen=True)
-class EnumValue:
+class EnumValue(Record):
     """One element of a named, finite, ordered enumeration.
 
     Ordering follows declaration order (the ordinal); two enum values are
     comparable only within the same enumeration.
     """
 
-    enumeration: str
-    symbol: str
-    ordinal: int
+    __slots__ = _fields = ("enumeration", "symbol", "ordinal")
+
+    def __init__(self, enumeration: str, symbol: str, ordinal: int):
+        _set(self, "enumeration", enumeration)
+        _set(self, "symbol", symbol)
+        _set(self, "ordinal", ordinal)
 
     def __repr__(self):
         return f"{self.enumeration}.{self.symbol}"
@@ -130,8 +195,7 @@ def _is_name(name) -> bool:
 _MICRO_MEMO_LIMIT = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class Dimension:
+class Dimension(Record):
     """A named axis with a tag kind and an optional finite ordered domain.
 
     A declared domain restricts which tags the dimension admits and is
@@ -155,16 +219,12 @@ class Dimension:
     writes to the dimension's memo, which is outside its identity.
     """
 
-    name: str
-    tag_type: TagKind
-    domain: Optional[Tuple[TagValue, ...]] = None
-    index: Optional[dict] = field(default=None, init=False, repr=False)
-    symbols: Optional[dict] = field(default=None, init=False, repr=False)
-    _hash: int = field(default=0, init=False, repr=False)
-    _micros: Optional[dict] = field(default=None, init=False, repr=False)
+    __slots__ = ("name", "tag_type", "domain", "index", "symbols", "_hash", "_micros")
+    _fields = ("name", "tag_type", "domain")
 
-    def __post_init__(self):
-        name, kind, domain = self.name, self.tag_type, self.domain
+    def __init__(self, name: str, tag_type: TagKind,
+                 domain: Optional[Tuple[TagValue, ...]] = None):
+        kind = tag_type
         if not _is_name(name):
             raise ExprSyntaxError("dimension name must be a non-empty identifier")
         if not isinstance(kind, TagKind):
@@ -196,7 +256,6 @@ class Dimension:
             if len(set(domain)) != len(domain):
                 raise IllFormedDomain(f"enum domain of {name!r} repeats a symbol")
             domain = tuple(EnumValue(name, sym, i) for i, sym in enumerate(domain))
-            object.__setattr__(self, "symbols", {m.symbol: m for m in domain})
         elif domain is not None:
             if not domain:
                 raise IllFormedDomain(f"domain of {name!r} must be non-empty")
@@ -210,11 +269,14 @@ class Dimension:
                     raise IllFormedDomain(
                         f"domain of {name!r} must be strictly increasing"
                     )
-        if domain is not None:
-            object.__setattr__(self, "domain", domain)
-            object.__setattr__(self, "index", {v: i for i, v in enumerate(domain)})
-        object.__setattr__(self, "_hash", hash((name, kind)))
-        object.__setattr__(self, "_micros", {})
+        _set(self, "name", name)
+        _set(self, "tag_type", kind)
+        _set(self, "domain", domain)
+        _set(self, "index", domain and {v: i for i, v in enumerate(domain)})
+        _set(self, "symbols",
+             {m.symbol: m for m in domain} if kind is TagKind.ENUM else None)
+        _set(self, "_hash", hash((name, kind)))
+        _set(self, "_micros", {})
 
     def __eq__(self, other):
         if not isinstance(other, Dimension):

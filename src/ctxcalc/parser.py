@@ -13,6 +13,12 @@ predicate) is a ``Const``; an infix operator of any grammar is a
 stream nodes and keeps the stream grammar, ``evaluator`` evaluates
 context trees and ``sets`` binds and evaluates Box predicates.
 
+The nodes are plain slotted classes on ``model.Record``, immutable and
+equal when of one class with equal fields.  A node's ``_fields`` names
+its fields, its children among them, in source order: it is the
+interface a walker reads (``references`` does), and ``repr`` prints the
+fields in that order.
+
 Two of the three grammar tables for the operator-precedence core in
 ``lexer`` are here.  ``CONTEXT`` covers context and context-set
 expressions in one grammar, since both share one token syntax and most
@@ -40,10 +46,8 @@ entry, beside its ``PREDICATE`` row, for a pointwise one.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Tuple, Union
 
@@ -51,7 +55,7 @@ from .errors import KindMismatch
 from .lexer import (
     BOOLEANS, CTX, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, cursor_of,
 )
-from .model import format_tag
+from .model import Record, format_tag
 
 # --- the syntax tree ----------------------------------------------------------
 
@@ -60,105 +64,124 @@ TIME = "time"
 Value = Union[int, bool, None]
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Value
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Literal:
+class Const(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Value):
+        _set(self, "value", value)
+
+
+class Literal(Record):
     """A finite prefix varying along one dimension; nil past the end."""
 
-    values: Tuple[Value, ...]
-    dim: str = TIME
+    __slots__ = _fields = ("values", "dim")
+
+    def __init__(self, values: Tuple[Value, ...], dim: str = TIME):
+        _set(self, "values", values)
+        _set(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Pointwise:
+class Pointwise(Record):
     # + - * == != < <= > >= and or in stream and Box-predicate trees; in a
     # context tree, an operator of ``PRECEDENCE_LEVELS``
-    op: str
-    left: "StreamExpr"
-    right: "StreamExpr"
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: StreamExpr, right: StreamExpr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class NotOp:
-    operand: "StreamExpr"
+class NotOp(Record):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: StreamExpr):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class If:
-    cond: "StreamExpr"
-    then: "StreamExpr"
-    orelse: "StreamExpr"
+class If(Record):
+    __slots__ = _fields = ("cond", "then", "orelse")
+
+    def __init__(self, cond: StreamExpr, then: StreamExpr, orelse: StreamExpr):
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "orelse", orelse)
 
 
-@dataclass(frozen=True)
-class First:
-    operand: "StreamExpr"
-    dim: str = TIME
+def _operand_along(self, operand: StreamExpr, dim: str = TIME):
+    _set(self, "operand", operand)
+    _set(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class Next:
-    operand: "StreamExpr"
-    dim: str = TIME
+class First(Record):
+    __slots__ = _fields = ("operand", "dim")
+    __init__ = _operand_along
 
 
-@dataclass(frozen=True)
-class Prev:
-    operand: "StreamExpr"
-    dim: str = TIME
+class Next(Record):
+    __slots__ = _fields = ("operand", "dim")
+    __init__ = _operand_along
 
 
-@dataclass(frozen=True)
-class Fby:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
+class Prev(Record):
+    __slots__ = _fields = ("operand", "dim")
+    __init__ = _operand_along
 
 
-@dataclass(frozen=True)
-class Wvr:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
+def _operands_along(self, left: StreamExpr, right: StreamExpr, dim: str = TIME):
+    _set(self, "left", left)
+    _set(self, "right", right)
+    _set(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class Asa:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
+class Fby(Record):
+    __slots__ = _fields = ("left", "right", "dim")
+    __init__ = _operands_along
 
 
-@dataclass(frozen=True)
-class Upon:
-    left: "StreamExpr"
-    right: "StreamExpr"
-    dim: str = TIME
+class Wvr(Record):
+    __slots__ = _fields = ("left", "right", "dim")
+    __init__ = _operands_along
 
 
-@dataclass(frozen=True)
-class At:
+class Asa(Record):
+    __slots__ = _fields = ("left", "right", "dim")
+    __init__ = _operands_along
+
+
+class Upon(Record):
+    __slots__ = _fields = ("left", "right", "dim")
+    __init__ = _operands_along
+
+
+class At(Record):
     """Intensional navigation: the operand at a shifted tag along dim."""
 
-    operand: "StreamExpr"
-    dim: str
-    index: "StreamExpr"
+    __slots__ = _fields = ("operand", "dim", "index")
+
+    def __init__(self, operand: StreamExpr, dim: str, index: StreamExpr):
+        _set(self, "operand", operand)
+        _set(self, "dim", dim)
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """Intensional query: the current tag along dim."""
 
-    dim: str
+    __slots__ = _fields = ("dim",)
+
+    def __init__(self, dim: str):
+        _set(self, "dim", dim)
 
 
 StreamExpr = Union[
@@ -170,25 +193,33 @@ StreamExpr = Union[
 # its text, which its dimension reads (an enum symbol becomes its member).
 
 
-@dataclass(frozen=True)
-class ContextLit:
-    pairs: Tuple[Tuple[str, object], ...]  # (dimension, tag literal)
+class ContextLit(Record):
+    __slots__ = _fields = ("pairs",)
+
+    def __init__(self, pairs: Tuple[Tuple[str, object], ...]):
+        _set(self, "pairs", pairs)  # (dimension, tag literal)
 
 
-@dataclass(frozen=True)
-class DimSetLit:
-    names: Tuple[str, ...]
+class DimSetLit(Record):
+    __slots__ = _fields = ("names",)
+
+    def __init__(self, names: Tuple[str, ...]):
+        _set(self, "names", names)
 
 
-@dataclass(frozen=True)
-class SetLit:
-    items: Tuple[ContextLit, ...]
+class SetLit(Record):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: Tuple[ContextLit, ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
-class BoxLit:
-    dims: Tuple[str, ...]
-    predicate: StreamExpr
+class BoxLit(Record):
+    __slots__ = _fields = ("dims", "predicate")
+
+    def __init__(self, dims: Tuple[str, ...], predicate: StreamExpr):
+        _set(self, "dims", dims)
+        _set(self, "predicate", predicate)
 
 
 Node = Union[Ref, ContextLit, DimSetLit, SetLit, BoxLit, Const, Pointwise]
@@ -203,10 +234,10 @@ def references(expr: StreamExpr):
         node = stack.pop()
         if isinstance(node, Ref):
             out[node.name] = None
-        elif dataclasses.is_dataclass(node):
+        elif isinstance(node, Record):
             # fields are in source order; push them so the first pops first
-            children = [getattr(node, f.name) for f in dataclasses.fields(node)]
-            stack += [c for c in reversed(children) if dataclasses.is_dataclass(c)]
+            children = [getattr(node, name) for name in node._fields]
+            stack += [c for c in reversed(children) if isinstance(c, Record)]
     return out.keys()
 
 

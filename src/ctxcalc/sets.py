@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import (
@@ -27,6 +26,7 @@ from .model import (
     Context,
     ContextSet,
     Dimension,
+    Record,
     TagKind,
     TagValue,
     kind_of,
@@ -265,8 +265,7 @@ def predicate_text(node: StreamExpr) -> str:
 
 # --- boxes ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """An intensional context set: ordered dimensions plus a tag predicate.
 
     The constructor is the one validator and analysis of a Box.  It takes
@@ -281,15 +280,13 @@ class Box:
     them solves ``dims[i]`` (see ``_solved_side``), or None.
     """
 
-    dims: Tuple[Dimension, ...]
-    predicate: StreamExpr
-    _tests: tuple = field(default=(), init=False, compare=False, repr=False)
-    _solved: tuple = field(default=(), init=False, compare=False, repr=False)
+    __slots__ = ("dims", "predicate", "_tests", "_solved")
+    _fields = ("dims", "predicate")
 
-    def __post_init__(self):
-        if not isinstance(self.dims, Iterable):
-            raise IllTypedPredicate(f"not a list of box dimensions: {self.dims!r}")
-        dims = tuple(self.dims)
+    def __init__(self, dims: Tuple[Dimension, ...], predicate: StreamExpr):
+        if not isinstance(dims, Iterable):
+            raise IllTypedPredicate(f"not a list of box dimensions: {dims!r}")
+        dims = tuple(dims)
         if not dims:
             raise IllTypedPredicate("a box needs at least one dimension")
         for d in dims:
@@ -298,7 +295,7 @@ class Box:
         by_name = {d.name: d for d in dims}
         if len(by_name) != len(dims):
             raise IllTypedPredicate("box dimensions must be distinct")
-        predicate, kind = _bind_predicate(self.predicate, by_name)
+        predicate, kind = _bind_predicate(predicate, by_name)
         if kind != _BOOL:
             raise IllTypedPredicate("box predicate must be boolean")
         level_of = {name: i for i, name in enumerate(by_name)}
@@ -314,8 +311,11 @@ class Box:
         solved = tuple(
             next(filter(None, (_solved_side(t, d) for t in level_tests)), None)
             for d, level_tests in zip(dims, tests))
-        self.__dict__.update(dims=dims, predicate=predicate,
-                             _tests=tuple(map(tuple, tests)), _solved=solved)
+        put = object.__setattr__
+        put(self, "dims", dims)
+        put(self, "predicate", predicate)
+        put(self, "_tests", tuple(map(tuple, tests)))
+        put(self, "_solved", solved)
 
     def __str__(self):
         names = ", ".join(d.name for d in self.dims)

@@ -58,7 +58,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, insort
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from .errors import (
@@ -214,13 +213,15 @@ class _Scan:
         self.stopped = False  # a nil guard at ``next`` ended the scan
 
 
-@dataclass(slots=True)
 class _State:
     """One evaluation call: its warehouse, which holds its equations, and
     the demand it may still spend."""
 
-    warehouse: Warehouse
-    remaining: int
+    __slots__ = ("warehouse", "remaining")
+
+    def __init__(self, warehouse: Warehouse, remaining: int):
+        self.warehouse = warehouse
+        self.remaining = remaining
 
     def spend(self):
         self.remaining -= 1
@@ -399,9 +400,12 @@ def _pointwise(op: str, a: Value, b: Value) -> Value:
     if a is None or b is None:
         return None
     fn = OPERATORS.get(op)
-    if fn is not None:
+    if fn is None:
+        raise KindMismatch(f"unknown pointwise operator {op!r}")
+    try:
         return fn(a, b)
-    raise KindMismatch(f"unknown pointwise operator {op!r}")
+    except (TypeError, OverflowError):  # operands the API, not the grammar, built
+        raise KindMismatch(f"{op!r} cannot combine {a!r} and {b!r}") from None
 
 
 def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:

@@ -7,9 +7,14 @@ evaluator, and the context-set layer does not depend on the stream
 engine, so each can change, or be reached from a new grammar, without an
 import cycle.  A micro context is built by its dimension alone
 (``Dimension.micro``), so no module but ``model`` calls ``MicroContext``.
+Importing the package, the command line's module included, loads none of
+the standard modules that a short run of the command line need not pay
+for.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +101,23 @@ def test_pair_builds_are_read(tmp_path):
         encoding="utf-8")
     assert pair_builds(module) == [2, 3]
     assert pair_builds(PACKAGE / "model.py")
+
+
+# Standard modules that cost a short run several milliseconds to import;
+# the command line imports argparse when it parses its arguments.
+COSTLY = ("argparse", "dataclasses", "inspect")
+
+
+def test_importing_the_package_loads_no_costly_module():
+    # -S: no site hook preloads a module before the package's imports run
+    code = ("import sys, ctxcalc, ctxcalc.cli; "
+            f"print(sorted(set({COSTLY!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_the_command_line_still_parses_its_arguments():
+    proc = subprocess.run([sys.executable, "-m", "ctxcalc", "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "--script PATH" in proc.stdout

@@ -530,6 +530,15 @@ EDUCTION_API_ERRORS = [
     ("prefix-over-dict-equations-that-do-not-resolve",
      lambda: eval_prefix("A", eqs={"A": Ref("B")}),
      UnresolvedReference, "stream 'A' references undefined stream 'B'"),
+    # the grammar builds no such node; the API can
+    ("pointwise-over-operands-it-cannot-combine",
+     lambda: eval_stream(Pointwise("+", Const("a"), Const(2)), EvalContext(),
+                         define_streams([])),
+     KindMismatch, "'+' cannot combine 'a' and 2"),
+    ("pointwise-past-the-size-of-a-string",
+     lambda: eval_stream(Pointwise("*", Const("a"), Const(2 ** 70)), EvalContext(),
+                         define_streams([])),
+     KindMismatch, "'*' cannot combine 'a' and 1180591620717411303424"),
 ]
 
 
