@@ -8,6 +8,19 @@ dimension set; a pair with no row raises ``KindMismatch``.  The
 environment's rng drives every choice operator, so results are
 reproducible under a fixed seed; chained choices pick pairwise, one
 uniform two-way pick per ``|`` node.
+
+A run of ``(+)`` over contexts, ``c0 (+) c1 (+) ... (+) cn``, costs one
+``ops.override`` call, not n.  Override is associative when its right
+operands are simple: ``(c0 (+) c1) (+) c2`` and ``c0 (+) (c1 (+) c2)``
+both drop c0's pairs on the dimensions of c1 and c2, keep c1's pairs off
+c2's dimensions, and keep all of c2.  So the run's right operands are
+united by dimension, the last binding winning, into one simple context
+that overrides c0 once; the running context is not copied per operator.
+The operands are still evaluated left to right.  A run ends at any other
+operator, at an operand that is not a simple context, or at the end of
+the chain; the operator rows combine what ended it as before, so a
+non-simple operand raises from ``ops.override`` itself, before the next
+operand is evaluated.
 """
 
 from __future__ import annotations
@@ -84,6 +97,9 @@ def _kind(value) -> str:
 # and this module's set operators inside their bodies, so both are looked
 # up when a row runs: rebinding them (the benchmark's tracer wraps them)
 # reaches the evaluator, which functions stored in the table would not.
+# A run of (+) over contexts reaches ops.override once, through
+# ``_override``, and the ("(+)", context, context) row only for an operand
+# that ends a run (a non-simple one), so a tracer sees one call per run.
 ROWS = {
     ("!", _CTX, _DIMS): lambda a, b, rng: ops.projection(a, b),
     ("!", _SET, _DIMS): lambda a, b, rng: lift_projection(a, b),
@@ -135,9 +151,25 @@ def evaluate(node: Node, env: Environment) -> Value:
         raise KindMismatch(f"not an environment: {type(env).__name__}")
     node, chain = left_chain(node, CONTEXT)
     value = _leaf(node, env)
+    run = []  # the simple right operands of a run of (+) over contexts
     for n in chain:
-        value = _apply(n.op, value, evaluate(n.right, env), env)
-    return value
+        right = evaluate(n.right, env)
+        if (n.op == "(+)" and type(value) is Context
+                and type(right) is Context and right.is_simple()):
+            run.append(right)
+            continue
+        if run:
+            value, run = _override(value, run), []
+        value = _apply(n.op, value, right, env)
+    return _override(value, run) if run else value
+
+
+def _override(value: Context, run: list) -> Context:
+    """``value (+) run[0] (+) ... (+) run[-1]`` as one ``ops.override``."""
+    if len(run) == 1:
+        return ops.override(value, run[0])
+    pairs = {m.dimension: m for c in run for m in c}  # the last binding wins
+    return ops.override(value, Context._of_micros(pairs.values()))
 
 
 def _apply(op: str, left: Value, right: Value, env: Environment) -> Value:

@@ -521,6 +521,8 @@ class Context(frozenset):
         return len(self) == 1
 
     def compare(self, other: "Context") -> ContextOrder:
+        if not isinstance(other, Context):
+            raise KindMismatch(f"not a context: {type(other).__name__}")
         if self == other:
             return ContextOrder.EQUAL
         if self < other:

@@ -27,6 +27,19 @@ def int_registry(names="defgh"):
     return reg
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls made to ops.<name> while the test runs."""
+    calls = []
+    real = getattr(ops, name)
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ops, name, counted)
+    return calls
+
+
 def context_over(reg, pairs):
     return make_context(reg, pairs)
 

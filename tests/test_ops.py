@@ -9,7 +9,9 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from ctxcalc import ops
+from ctxcalc.cli import new_session, run_command
 from ctxcalc.errors import (
+    ContextCalcError,
     EmptyChoice,
     KindMismatch,
     NonSimpleOperand,
@@ -28,7 +30,7 @@ from ctxcalc.model import (
 from ctxcalc.parser import parse_expr
 from ctxcalc.sets import lift_choice
 
-from conftest import int_registry, undirected_range_oracle
+from conftest import count_calls, int_registry, undirected_range_oracle
 
 REG = int_registry("defgh")
 XREG = int_registry("wxyz")
@@ -77,6 +79,139 @@ def test_override_null_identity():
 def test_override_needs_simple_right():
     with pytest.raises(NonSimpleOperand):
         ops.override(ctx(("d", 1)), ctx(("d", 1), ("d", 2)))
+
+
+# --- chains of context operators --------------------------------------------------
+# The evaluator overrides once per run of (+); a chain must still print what
+# the left fold of the ops.* functions gives, or raise the same error.
+
+CHAIN_OPS = {
+    "(+)": ops.override,
+    "(-)": ops.difference,
+    "%": ops.disjunction,
+    "&": ops.conjunction,
+}
+CHAIN_SESSION = new_session()
+for _name in "def":
+    run_command(CHAIN_SESSION, f"dim {_name} : int")
+
+chain_pairs_st = st.lists(
+    st.tuples(st.sampled_from("def"), st.integers(0, 3)), max_size=4)
+chain_member_st = st.dictionaries(
+    st.sampled_from("def"), st.integers(0, 3), max_size=3
+).map(lambda d: sorted(d.items()))
+chain_set_st = st.lists(chain_member_st, min_size=1, max_size=2).map(
+    lambda members: ("context set", members))
+
+
+def _pairs_text(pairs):
+    return "{" + ", ".join(f"({n}, {t})" for n, t in pairs) + "}"
+
+
+def chain_operand_text(operand):
+    kind, body = operand
+    if kind == "context":
+        return _pairs_text(body)
+    return "{" + ", ".join(map(_pairs_text, body)) + "}"
+
+
+def chain_text(first, rest):
+    """The chain's text, bracketed where & or % would bind a right operand
+    tighter than the (+) or (-) before it, so it parses as a left chain."""
+    text, loose = chain_operand_text(first), False
+    for op, operand in rest:
+        if op in ("&", "%") and loose:
+            text, loose = f"({text})", False
+        loose = loose or op in ("(+)", "(-)")
+        text = f"{text} {op} {chain_operand_text(operand)}"
+    return text
+
+
+def chain_left_fold(first, rest):
+    """The left fold of the ops.* functions over the chain's values."""
+    registry = CHAIN_SESSION.env.registry
+
+    def value(operand):
+        kind, body = operand
+        if kind == "context":
+            return make_context(registry, body)
+        return ContextSet(make_context(registry, m) for m in body)
+
+    def kind(v):
+        return "context set" if isinstance(v, ContextSet) else "context"
+
+    acc = value(first)
+    for op, operand in rest:
+        right = value(operand)
+        if isinstance(acc, ContextSet) or isinstance(right, ContextSet):
+            raise KindMismatch(
+                f"operator {op!r} cannot combine a {kind(acc)} with a {kind(right)}")
+        acc = CHAIN_OPS[op](acc, right)
+    return acc
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except ContextCalcError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def chains(draw):
+    length = draw(st.integers(1, 8))
+    operands = [("context", draw(chain_pairs_st)) for _ in range(length)]
+    if draw(st.booleans()):
+        # at most one set, so two sets never meet
+        operands[draw(st.integers(0, length - 1))] = draw(chain_set_st)
+    ops_drawn = draw(st.lists(st.sampled_from(sorted(CHAIN_OPS)),
+                              min_size=length - 1, max_size=length - 1))
+    return operands[0], list(zip(ops_drawn, operands[1:]))
+
+
+@given(chains())
+# a run whose last binding of e wins
+@example((("context", [("d", 1), ("d", 2), ("e", 1)]),
+          [("(+)", ("context", [("e", 2)])), ("(+)", ("context", [("f", 3), ("e", 5)]))]))
+# a non-simple operand inside a run raises before the set after it is reached
+@example((("context", [("d", 1)]),
+          [("(+)", ("context", [("e", 1)])), ("(+)", ("context", [("e", 1), ("e", 2)])),
+           ("(+)", ("context set", [[("d", 1)]]))]))
+# a set then a context: no row, though (+) over two contexts folds
+@example((("context set", [[("d", 1)]]),
+          [("(+)", ("context", [("e", 1)])), ("(+)", ("context", [("f", 2)]))]))
+def test_a_chain_prints_the_left_fold_of_its_operators(chain):
+    first, rest = chain
+    got = outcome(lambda: run_command(CHAIN_SESSION, "eval " + chain_text(first, rest)))
+    want = outcome(lambda: [str(chain_left_fold(first, rest))])
+    assert got == want
+
+
+def override_chain(n, dims, middle=None):
+    """A session with ``dims`` dimensions, the eval line of an n-term (+)
+    chain over them, with ``middle`` for the operator halfway along, and
+    the printed left fold of the chain."""
+    session = new_session()
+    for i in range(dims):
+        run_command(session, f"dim g{i} : int")
+    terms = [[(f"g{(i + j) % dims}", i) for j in range(i % 3 + 1)] for i in range(n)]
+    ops_used = ["(+)"] * (n - 1)
+    if middle is not None:
+        ops_used[n // 2] = middle
+    text = _pairs_text(terms[0])
+    want = make_context(session.env.registry, terms[0])
+    for op, term in zip(ops_used, terms[1:]):
+        text += f" {op} {_pairs_text(term)}"
+        want = CHAIN_OPS[op](want, make_context(session.env.registry, term))
+    return session, "eval " + text, [str(want)]
+
+
+@pytest.mark.parametrize("middle, overrides", [(None, 1), ("(-)", 2)])
+def test_a_run_of_override_calls_ops_override_once(monkeypatch, middle, overrides):
+    session, line, want = override_chain(500, 20, middle)
+    calls = count_calls(monkeypatch, "override")
+    assert run_command(session, line) == want
+    assert len(calls) == overrides  # not one per operator
 
 
 # --- set-theoretic operators -----------------------------------------------
@@ -268,6 +403,7 @@ WRONG_KINDS = {
     "lift-choice-rng-none": lambda: lift_choice(_SET, _SET, None),
     "undirected-range-int": lambda: ops.undirected_range(ctx(("d", 1)), 3),
     "directed-range-int": lambda: ops.directed_range(ctx(("d", 1)), 3),
+    "compare-int": lambda: ctx(("d", 1)).compare(3),
 }
 
 

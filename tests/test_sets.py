@@ -41,7 +41,7 @@ from ctxcalc.sets import (
     set_union,
 )
 
-from conftest import int_registry
+from conftest import count_calls, int_registry
 
 REG = int_registry("defgh")
 
@@ -579,19 +579,6 @@ def test_set_union_matches_pairwise_definition(s1, s2):
 def one_to_one_grids(n, right="f"):
     left = ContextSet(ctx(("d", i), ("e", i)) for i in range(n))
     return left, ContextSet(ctx(("d", i), (right, i)) for i in range(n))
-
-
-def count_calls(monkeypatch, name):
-    """Count the calls the set operators make to ops.<name>."""
-    calls = []
-    real = getattr(ops, name)
-
-    def counted(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(ops, name, counted)
-    return calls
 
 
 def test_join_builds_only_agreeing_pairs(monkeypatch):
