@@ -54,6 +54,9 @@ from .sets import (
     set_union,
 )
 from . import ops
+# Not through ``ops.``: the benchmark's tracer replaces this module's
+# ``ops`` with a namespace of the wrapped context operators alone.
+from .ops import check_rng
 
 Value = Union[Context, ContextSet, Box, frozenset, bool]
 
@@ -63,13 +66,19 @@ class Environment:
 
     Bindings may hold contexts, context sets, boxes, or dimension sets.
     Rebinding a name replaces its previous value.  An environment is a
-    mutable record, equal only to itself.
+    mutable record, equal only to itself.  The constructor, which runs
+    once per session, checks the registry and the rng and raises
+    ``KindMismatch`` for a wrong one.
     """
 
     __slots__ = ("registry", "rng", "bindings")
 
     def __init__(self, registry: DimensionRegistry, rng: random.Random,
                  bindings: Dict[str, Value] = None):
+        if not isinstance(registry, DimensionRegistry):
+            raise KindMismatch(
+                f"not a dimension registry: {type(registry).__name__}")
+        check_rng(rng)
         self.registry = registry
         self.rng = rng
         self.bindings = {} if bindings is None else bindings

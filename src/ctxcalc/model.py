@@ -1,16 +1,24 @@
 """Dimensions, tags, and contexts: the value model everything else builds on.
 
-A context is a finite set of (dimension, tag) pairs, and a context set is
-a finite set of simple contexts; ``Context`` and ``ContextSet`` are
-frozensets of their members.  Duplicate pairs collapse under set
-semantics.  A dimension may appear with several different tags, in which
-case the context is *non-simple*; context operators that need a simple
-operand check it when they are called.  A context checks that its entries
-are micro contexts, and a context set that its members are simple
-contexts, in its public constructor, where they can come in from outside.
-The package builds its own values with ``Context._of_micros`` and
-``ContextSet._of_simple``, which skip the check: its builders put in only
-micro contexts, and simple operands give simple results.
+A context is a finite set of (dimension, tag) pairs, stored as a frozenset
+of its pairs.  Duplicate pairs collapse under set semantics.  A dimension
+may appear with several different tags, in which case the context is
+*non-simple*; context operators that need a simple operand check it when
+they are called.  A context checks that its entries are micro contexts in
+its public constructor, where they can come in from outside; the package
+builds its own with ``Context._of_micros``, which skips the check.
+
+A context set is a finite set of simple contexts, stored as a relation in
+Codd's sense, one per dimension set: a mapping from each member's
+*schema*, the tuple of its dimensions ordered by name and then by tag kind
+(``schema_of``), to the frozenset of its *rows*, each the tuple of a
+member's micro contexts in schema order (``row_of``).  Every member is
+simple, so every member has a row, and a row holds each pair object
+itself, with its hash and its cached text.  A ``Context`` is built only
+when a caller iterates the set.  The set operators (``sets``,
+``ops._range``) work on the rows and build their results with
+``ContextSet._of_groups``, which skips the member checks of the public
+constructor: simple operands give simple results.
 
 A micro context is a (dimension, tag) pair whose tag the dimension admits
 (``Dimension.coerce``).  Each dimension builds its own pairs: within the
@@ -29,14 +37,16 @@ text.  A set member is simple, so its pairs bind distinct dimensions, and
 those of one registry have distinct names.  Where no name is a prefix of
 another, text order is name order; where one is, the shorter name's text
 has ``,`` where the longer one's has a word character.  So a member
-prints with its pair texts sorted as plain strings, which is the (name,
-tag) order.
+prints with its pair texts in row order, which is the (name, tag) order.
+A schema with two dimensions of one name, which only two registries give,
+prints each row's pair texts sorted as plain strings instead.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 import re
 from collections import Counter
@@ -219,7 +229,8 @@ class Dimension(Record):
     writes to the dimension's memo, which is outside its identity.
     """
 
-    __slots__ = ("name", "tag_type", "domain", "index", "symbols", "_hash", "_micros")
+    __slots__ = ("name", "tag_type", "domain", "index", "symbols", "_hash",
+                 "_order", "_micros")
     _fields = ("name", "tag_type", "domain")
 
     def __init__(self, name: str, tag_type: TagKind,
@@ -276,6 +287,7 @@ class Dimension(Record):
         _set(self, "symbols",
              {m.symbol: m for m in domain} if kind is TagKind.ENUM else None)
         _set(self, "_hash", hash((name, kind)))
+        _set(self, "_order", (name, kind.value))  # its place in a schema
         _set(self, "_micros", {})
 
     def __eq__(self, other):
@@ -436,9 +448,25 @@ class MicroContext:
 # make no Python call per micro context.
 _DIMENSION = operator.attrgetter("dimension")
 _TEXT = operator.attrgetter("_text")
+_NAME = operator.attrgetter("name")
 # Tags of one dimension share a class; pairs of two registries' same-named
 # dimensions may not, so the class name comes before the tag.
 _ORDER = operator.attrgetter("dimension.name", "tag.__class__.__name__", "tag")
+# A schema orders dimensions by name, then by tag kind, and a row its pairs
+# by their dimensions in that order.  Two dimensions of one name and one
+# kind are equal, so in a simple member no two pairs tie.
+_BY_NAME = operator.attrgetter("_order")
+_PAIR_ORDER = operator.attrgetter("dimension._order")
+
+
+def schema_of(dims) -> tuple:
+    """The dimensions ``dims`` as a schema: by name, then by tag kind."""
+    return tuple(sorted(dims, key=_BY_NAME))
+
+
+def row_of(context) -> tuple:
+    """The micro contexts of a simple context as a row: in schema order."""
+    return tuple(sorted(context, key=_PAIR_ORDER))
 
 
 class ContextOrder(enum.Enum):
@@ -455,9 +483,8 @@ class Context(frozenset):
 
     The frozenset type supplies immutability, hashing and set equality of
     the entries; the one extra slot caches ``dims()``.  Equality is that of
-    frozensets, so a context equals any frozenset holding the same pairs:
-    ``Context() == ContextSet() == frozenset()`` is true in Python.  The
-    language still keeps the kinds apart, because the evaluator dispatches
+    frozensets, so a context equals any frozenset holding the same pairs.
+    The language keeps the kinds apart, because the evaluator dispatches
     on the exact type of a value.  The empty context (degree 0) plays the
     role of the null value.
 
@@ -544,59 +571,127 @@ _set_dims = Context._dims.__set__
 NULL_CONTEXT = Context()
 
 
-class ContextSet(frozenset):
-    """A finite set of simple contexts, stored as a frozenset of them.
+class ContextSet:
+    """A finite set of simple contexts, stored as a relation per schema.
 
-    Like ``Context``, it is immutable and hashable with frozenset equality,
-    so it equals any frozenset of the same contexts.  Members with
-    different dimension domains may coexist.  It prints as its members'
-    texts in sorted order, each member built inline from its pairs' cached
-    texts sorted as plain strings: a member is simple, so this is the
-    (name, tag) order ``Context.__str__`` prints in (see the module
-    docstring).
+    ``_groups`` maps each schema that a member has (see ``schema_of``) to
+    the frozenset of the rows over it (see ``row_of``); no group is empty.
+    So a set whose members differ in dimensions holds several groups.  The
+    set is immutable and hashable: ``len``, ``in``, ``==`` and ``hash`` read
+    the groups, iterating builds each member as a ``Context``, and copies
+    and pickles go through the public constructor.  It equals only another
+    ``ContextSet`` with the same members.  It prints as its members' texts
+    in sorted order, each member's text joined from its pairs' cached texts
+    in row order, which is the (name, tag) order ``Context.__str__`` prints
+    in (see the module docstring); a schema with two dimensions of one name
+    sorts each row's pair texts first.
 
     The public constructor is the boundary where members come in from
     outside (a set literal, an API caller, a copy or a pickle), and the one
     place they are checked: an argument that is not a collection of
     ``Context`` values raises ``KindMismatch``, and a non-simple member
     ``NonSimpleOperand``.  The set operators build their results with
-    ``_of_simple`` instead, which skips the check: every lifted and
+    ``_of_groups`` instead, which skips the check: every lifted and
     relational operator gives simple results from simple operands, a
     proof obligation the tests pin with a property over each of them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_groups", "_hash")
 
-    def __new__(cls, members: Iterable[Context] = (), /):
+    # "/" makes a keyword call fail here rather than build an empty set.
+    def __init__(self, members: Iterable[Context] = (), /):
         try:
-            return frozenset.__new__(cls, members)
-        except TypeError:  # not iterable, or an unhashable member
+            members = iter(members)
+        except TypeError:
             raise KindMismatch(
                 f"not a collection of contexts: {members!r}") from None
-
-    def __init__(self, members: Iterable[Context] = (), /):
-        for c in self:
+        groups: dict = {}
+        for c in members:
             if not isinstance(c, Context):
                 raise KindMismatch(f"context set member {c!r} is not a context")
-            if not c.is_simple():
-                raise NonSimpleOperand(f"context set member {c} is not simple")
+            row = row_of(c)
+            groups.setdefault(tuple(map(_DIMENSION, row)), []).append(row)
+        for schema, rows in groups.items():
+            # a member binds a dimension twice exactly when its schema
+            # holds it twice
+            if len(set(schema)) < len(schema):
+                member = Context._of_micros(rows[0])
+                raise NonSimpleOperand(f"context set member {member} is not simple")
+            groups[schema] = frozenset(rows)
+        _set_groups(self, groups)
 
     @classmethod
-    def _of_simple(cls, members: Iterable[Context]) -> "ContextSet":
-        """The set of ``members``, which the caller knows are simple
-        contexts; ``frozenset.__new__`` does not run ``__init__``."""
-        return frozenset.__new__(cls, members)
+    def _of_groups(cls, groups) -> "ContextSet":
+        """The set of the rows in ``groups``, a mapping from schema to an
+        iterable of rows over it, which the caller knows hold the pairs of
+        simple contexts in schema order; ``__init__`` does not run.  An
+        empty group is dropped, and a frozenset of rows is kept as it is."""
+        kept = {}
+        for schema, rows in groups.items():
+            rows = frozenset(rows)
+            if rows:
+                kept[schema] = rows
+        s = object.__new__(cls)
+        _set_groups(s, kept)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ContextSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ContextSet is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the members, through the check.
+        return type(self), (tuple(self),)
+
+    def __len__(self):
+        return sum(map(len, self._groups.values()))
+
+    def __iter__(self):
+        return map(Context._of_micros, itertools.chain.from_iterable(
+            self._groups.values()))
+
+    def __contains__(self, c):
+        if not (isinstance(c, Context) and c.is_simple()):
+            return False
+        row = row_of(c)
+        rows = self._groups.get(tuple(map(_DIMENSION, row)))
+        return rows is not None and row in rows
+
+    def __eq__(self, other):
+        if not isinstance(other, ContextSet):
+            return NotImplemented
+        return self._groups == other._groups
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # computed once, on the first call
+            h = hash(frozenset(self._groups.values()))
+            _set_hash(self, h)
+            return h
 
     def dims_union(self) -> frozenset:
-        """The union of the members' dimension sets."""
-        return frozenset().union(*(c.dims() for c in self))
+        """The union of the members' dimension sets: of the schemas."""
+        return frozenset().union(*self._groups)
 
     def __str__(self):
-        return "{" + ", ".join(sorted(
-            ["{" + ", ".join(sorted(map(_TEXT, c))) + "}" for c in self])) + "}"
+        texts = []
+        for schema, rows in self._groups.items():
+            if len(set(map(_NAME, schema))) == len(schema):
+                texts += ["{" + ", ".join(map(_TEXT, r)) + "}" for r in rows]
+            else:  # two dimensions of one name
+                texts += ["{" + ", ".join(sorted(map(_TEXT, r))) + "}" for r in rows]
+        return "{" + ", ".join(sorted(texts)) + "}"
 
     def __repr__(self):
         return f"ContextSet({self})"
+
+
+# The C-level setters of the ``ContextSet`` slots.
+_set_groups = ContextSet._groups.__set__
+_set_hash = ContextSet._hash.__set__
 
 
 def make_context(registry: DimensionRegistry, pairs) -> Context:
@@ -605,10 +700,16 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
     Duplicate pairs collapse; the result may be non-simple.  Each pair is
     its dimension's one micro context for it (``Dimension.micro``).
     """
-    if not isinstance(pairs, Iterable):
-        raise ExprSyntaxError(f"context pairs must be iterable, got {pairs!r}")
+    if not isinstance(registry, DimensionRegistry):
+        raise KindMismatch(
+            f"not a dimension registry: {type(registry).__name__}")
+    try:  # not an ABC check, which costs more than the rest of a pair
+        pairs_iter = iter(pairs)
+    except TypeError:
+        raise ExprSyntaxError(
+            f"context pairs must be iterable, got {pairs!r}") from None
     micros = []
-    for pair in pairs:
+    for pair in pairs_iter:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
         micros.append(registry.get(pair[0]).micro(pair[1]))

@@ -2,7 +2,10 @@
 
 All functions are pure over immutable inputs; ``choice`` is the one
 operator that consumes caller-supplied RNG state, which makes its
-"non-deterministic" pick reproducible under a fixed seed.
+"non-deterministic" pick reproducible under a fixed seed.  Each operator
+checks the kinds of its arguments once per call and raises
+``KindMismatch`` for a wrong one; the set layer shares ``check_dims``.
+The ranges build their context sets as rows (see ``model``).
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
 from typing import Sequence
 
 from .errors import (
@@ -25,7 +27,28 @@ from .model import (
     ContextSet,
     Dimension,
     TagKind,
+    schema_of,
 )
+
+
+def _check_contexts(*operands):
+    """Raise ``KindMismatch`` unless every operand is a ``Context``."""
+    for c in operands:
+        if not isinstance(c, Context):
+            raise KindMismatch(f"not a context: {type(c).__name__}")
+
+
+def check_dims(dims):
+    """Raise ``KindMismatch`` unless ``dims`` is a set of dimensions."""
+    if not (isinstance(dims, (set, frozenset))
+            and all(map(isinstance, dims, itertools.repeat(Dimension)))):
+        raise KindMismatch(f"not a set of dimensions: {dims!r}")
+
+
+def check_rng(rng):
+    """Raise ``KindMismatch`` unless ``rng`` is a ``random.Random``."""
+    if not isinstance(rng, random.Random):
+        raise KindMismatch(f"not a random.Random: {type(rng).__name__}")
 
 
 def override(c1: Context, c2: Context) -> Context:
@@ -33,6 +56,7 @@ def override(c1: Context, c2: Context) -> Context:
 
     The right operand must be simple, the left may be any context.
     """
+    _check_contexts(c1, c2)
     if not c2.is_simple():
         raise NonSimpleOperand("override needs a simple right operand")
     taken = c2.dims()
@@ -42,23 +66,20 @@ def override(c1: Context, c2: Context) -> Context:
 
 def difference(c1: Context, c2: Context) -> Context:
     """Set difference of the micro-context sets."""
+    _check_contexts(c1, c2)
     return Context._of_micros(c1 - c2)
 
 
 def conjunction(c1: Context, c2: Context) -> Context:
     """Set intersection of the micro-context sets."""
+    _check_contexts(c1, c2)
     return Context._of_micros(c1 & c2)
 
 
 def disjunction(c1: Context, c2: Context) -> Context:
     """Set union of the micro-context sets; the result may be non-simple."""
+    _check_contexts(c1, c2)
     return Context._of_micros(c1 | c2)
-
-
-def check_rng(rng):
-    """Raise ``KindMismatch`` unless ``rng`` is a ``random.Random``."""
-    if not isinstance(rng, random.Random):
-        raise KindMismatch(f"not a random.Random: {type(rng).__name__}")
 
 
 def choice(candidates: Sequence[Context], rng: random.Random):
@@ -76,11 +97,25 @@ def choice(candidates: Sequence[Context], rng: random.Random):
 
 def projection(c: Context, dims: frozenset) -> Context:
     """Keep only the micro contexts whose dimension lies in ``dims``."""
-    return Context._of_micros(m for m in c if m.dimension in dims)
+    _check_contexts(c)
+    check_dims(dims)
+    return _projection(c, dims)
 
 
 def hiding(c: Context, dims: frozenset) -> Context:
     """Drop every micro context whose dimension lies in ``dims``."""
+    _check_contexts(c)
+    check_dims(dims)
+    return _hiding(c, dims)
+
+
+# The unchecked kernels of projection and hiding, for the callers here
+# whose arguments are already checked.
+def _projection(c: Context, dims) -> Context:
+    return Context._of_micros(m for m in c if m.dimension in dims)
+
+
+def _hiding(c: Context, dims) -> Context:
     return Context._of_micros(m for m in c if m.dimension not in dims)
 
 
@@ -90,9 +125,10 @@ def substitution(c: Context, s: Context) -> Context:
     Computed as hiding(c, dims(s)) united with projection(s, dims(c));
     the replacement context must be simple.
     """
+    _check_contexts(c, s)
     if not s.is_simple():
         raise NonSimpleOperand("substitution needs a simple right operand")
-    return disjunction(hiding(c, s.dims()), projection(s, c.dims()))
+    return Context._of_micros(_hiding(c, s.dims()) | _projection(s, c.dims()))
 
 
 def _check_steppable(dim: Dimension):
@@ -117,13 +153,8 @@ def _subrange(dim: Dimension, lo, hi):
     return range(lo, hi + 1)
 
 
-_BY_NAME = attrgetter("name", "tag_type.value")
-
-
 def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
-    for c in (c1, c2):
-        if not isinstance(c, Context):
-            raise KindMismatch(f"not a context: {type(c).__name__}")
+    _check_contexts(c1, c2)
     if directed and not c2.is_simple():
         raise NonSimpleOperand("directed range needs a simple right operand")
     shared = c1.dims() & c2.dims()
@@ -142,26 +173,28 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     # which unsteppable dimension a range reports does not hang on the
     # hash seed; a sweep is lazy, so none is built before every dimension
     # and the residue pass their checks.
-    sweeps = []
-    for dim in sorted((d for d in c1.dims() if d in shared), key=_BY_NAME):
+    columns = {}
+    for dim in schema_of(d for d in c1.dims() if d in shared):
         _check_steppable(dim)
         left = [m.tag for m in c1 if m.dimension == dim]
         right = [m.tag for m in c2 if m.dimension == dim]
         lo = min(left) if directed else min(left + right)
         hi = right[0] if directed else max(left + right)
         if not directed or lo < hi:
-            sweeps.append(map(dim.micro, _subrange(dim, lo, hi)))
+            columns[dim] = map(dim.micro, _subrange(dim, lo, hi))
 
-    residue = disjunction(hiding(c1, shared), hiding(c2, shared))
+    residue = Context._of_micros(_hiding(c1, shared) | _hiding(c2, shared))
     if not residue.is_simple():
         raise NonSimpleResidue(
             "unshared remainders of the range operands are not simple"
         )
 
-    return ContextSet._of_simple(
-        Context._of_micros(residue.union(combo))
-        for combo in itertools.product(*sweeps)
-    )
+    # The members are the product of one column per dimension, in schema
+    # order: a residue pair rides along as a column of one.
+    columns.update((m.dimension, (m,)) for m in residue)
+    schema = schema_of(columns)
+    rows = itertools.product(*map(columns.__getitem__, schema))
+    return ContextSet._of_groups({schema: rows})
 
 
 def undirected_range(c1: Context, c2: Context) -> ContextSet:

@@ -1,19 +1,32 @@
 """Operators over sets of simple contexts, plus intensional Box sets.
 
-The lifted operators apply a context operator member-wise (or pairwise);
-the relational operators treat context sets like relations over their
-shared dimensions.  A Box describes a context set by a dimension list and
-a predicate over the current tags instead of by enumeration.  A predicate
-is a tree of ``parser`` nodes (``Const``, ``Ref``, ``Pointwise`` and
-``NotOp``) in the syntax of ``parser.PREDICATE``.  ``Box`` (also named
-``box_make``) is its one constructor: it checks the Box, binds its enum
-symbols and stores the plan that ``box_enumerate`` walks.
+A context set is a relation per schema, a frozenset of rows of micro
+contexts (see ``model``), and every operator here works on the rows.  The
+lifted operators apply a context operator member-wise (or pairwise); the
+relational operators treat context sets like relations over their shared
+dimensions: ``><`` is the natural join, a hash join on the shared
+columns, and ``!`` a projection.  For each schema, or pair of schemas, an
+operator works out the column positions once; after that a row costs a
+C-level column pick or tuple concatenation.  ``(-)`` and ``[&]``, whose
+result schema depends on the tags, group their output by the columns
+kept.  No operator calls a context operator, or builds a ``Context``, per
+member.
+
+A Box describes a context set by a dimension list and a predicate over
+the current tags instead of by enumeration.  A predicate is a tree of
+``parser`` nodes (``Const``, ``Ref``, ``Pointwise`` and ``NotOp``) in the
+syntax of ``parser.PREDICATE``.  ``Box`` (also named ``box_make``) is its
+one constructor: it checks the Box, binds its enum symbols and stores the
+plan that ``box_enumerate`` walks, which yields its members as rows.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from collections.abc import Iterable
+from operator import itemgetter
 from typing import Tuple
 
 from .errors import (
@@ -30,6 +43,7 @@ from .model import (
     TagKind,
     TagValue,
     kind_of,
+    schema_of,
 )
 from .parser import (
     OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref, StreamExpr, left_chain,
@@ -38,12 +52,12 @@ from .parser import (
 from . import ops
 
 
-# --- lifted operators -------------------------------------------------------
+# --- rows ----------------------------------------------------------------------
 
 def _check_sets(*operands):
     """Raise ``KindMismatch`` unless every operand is a ``ContextSet``.
 
-    The operators build their results unchecked (``ContextSet._of_simple``)
+    The operators build their results unchecked (``ContextSet._of_groups``)
     because simple operands give simple results; an operand of another
     type could hold a non-simple context and break that.
     """
@@ -52,40 +66,128 @@ def _check_sets(*operands):
             raise KindMismatch(f"not a context set: {type(s).__name__}")
 
 
-def _check_dims(dims):
-    """Raise ``KindMismatch`` unless ``dims`` is a set of dimensions."""
-    if not (isinstance(dims, (set, frozenset))
-            and all(isinstance(d, Dimension) for d in dims)):
-        raise KindMismatch(f"not a set of dimensions: {dims!r}")
+def _getter(cols):
+    """A C-level function from a row to the tuple of its columns ``cols``."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    if cols:  # a slice, so that one column is a tuple too
+        return itemgetter(slice(cols[0], cols[0] + 1))
+    return itemgetter(slice(0, 0))
+
+
+def _cols(schema, dims) -> list:
+    """The positions in ``schema`` of the dimensions in ``dims``."""
+    return [i for i, d in enumerate(schema) if d in dims]
+
+
+def _at(schema, cols) -> tuple:
+    """The schema of the columns ``cols`` of ``schema``."""
+    return tuple(map(schema.__getitem__, cols))
+
+
+def _concat(left, right, pairs):
+    """The schema of ``left + right``, two schemas over disjoint dimensions,
+    and ``pairs`` of a left row and a right row as rows over it."""
+    cat = left + right
+    schema = schema_of(cat)
+    rows = itertools.starmap(operator.add, pairs)
+    if schema != cat:
+        rows = map(_getter(list(map(cat.index, schema))), rows)
+    return schema, rows
+
+
+def _add(groups, schema, rows):
+    """Add ``rows`` to the rows of ``schema`` in ``groups``, which
+    ``ContextSet._of_groups`` takes; a schema's first rows are kept as
+    they are, so that a frozenset passes through uncopied."""
+    have = groups.get(schema)
+    if have is None:
+        groups[schema] = rows
+    else:
+        if type(have) is not set:
+            have = groups[schema] = set(have)
+        have.update(rows)
+
+
+def _restrict(s: ContextSet, dims, keep: bool) -> dict:
+    """The groups of s's members restricted to ``dims`` (keep) or to the
+    others: schema to the frozenset of the distinct rows over it."""
+    out = {}
+    for schema, rows in s._groups.items():
+        cols = [i for i, d in enumerate(schema) if (d in dims) is keep]
+        if len(cols) < len(schema):
+            schema, rows = _at(schema, cols), frozenset(map(_getter(cols), rows))
+        have = out.get(schema)
+        out[schema] = rows if have is None else have | rows
+    return out
 
 
 def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
     return s1.dims_union() & s2.dims_union()
 
 
+def _agreements(rows, key, ys, width: int) -> dict:
+    """For each distinct tuple of the columns on which the ``key`` of some
+    row of ``rows`` and some y of ``ys``, all tuples of ``width`` columns,
+    agree: those columns, and the rows whose key agrees with some y on
+    exactly them.
+
+    Over one column a key agrees with y exactly when it is y, so a row
+    takes one lookup.  Over more, the rows are grouped by key, and each
+    distinct key meets each y.
+    """
+    if width == 1:
+        hits = list(map(ys.__contains__, map(key, rows)))
+        found = {(0,): list(itertools.compress(rows, hits)),
+                 (): rows if len(ys) > 1 else
+                 list(itertools.compress(rows, map(operator.not_, hits)))}
+        return {cols: rows for cols, rows in found.items() if rows}
+    by_key: dict = {}
+    for k, row in zip(map(key, rows), rows):
+        by_key.setdefault(k, []).append(row)
+    found = {}
+    for x, group in by_key.items():
+        for same in {tuple(map(operator.eq, x, y)) for y in ys}:
+            found.setdefault(same, []).extend(group)
+    return {tuple(itertools.compress(itertools.count(), same)): rows
+            for same, rows in found.items()}
+
+
+# --- lifted operators -------------------------------------------------------
+
 def lift_projection(s: ContextSet, dims: frozenset) -> ContextSet:
     """Project every member onto ``dims``."""
     _check_sets(s)
-    _check_dims(dims)
-    return ContextSet._of_simple(ops.projection(c, dims) for c in s)
+    ops.check_dims(dims)
+    return ContextSet._of_groups(_restrict(s, dims, True))
 
 
 def lift_hiding(s: ContextSet, dims: frozenset) -> ContextSet:
     """Hide ``dims`` in every member."""
     _check_sets(s)
-    _check_dims(dims)
-    return ContextSet._of_simple(ops.hiding(c, dims) for c in s)
+    ops.check_dims(dims)
+    return ContextSet._of_groups(_restrict(s, dims, False))
 
 
 def lift_substitution(s: ContextSet, pair: Context) -> ContextSet:
     """Substitute ``pair``, a context of one micro context (a ``<d, t>``
-    pair), into every member."""
+    pair), into every member: a member that binds its dimension takes the
+    pair in that column, and any other member stays as it is."""
     _check_sets(s)
     if not (isinstance(pair, Context) and pair.is_micro()):
         raise KindMismatch(
             "set substitution needs a <dimension, tag> pair on the right"
         )
-    return ContextSet._of_simple(ops.substitution(c, pair) for c in s)
+    (m,) = pair
+    out = {}
+    for schema, rows in s._groups.items():
+        if m.dimension in schema:
+            i, n = schema.index(m.dimension), len(schema)
+            # the pair appended, then moved into its column
+            rows = map(_getter([*range(i), n, *range(i + 1, n)]),
+                       map(operator.add, rows, itertools.repeat((m,))))
+        _add(out, schema, rows)
+    return ContextSet._of_groups(out)
 
 
 def lift_choice(s1: ContextSet, s2: ContextSet, rng: random.Random) -> ContextSet:
@@ -99,20 +201,20 @@ def lift_override(s1: ContextSet, s2: ContextSet) -> ContextSet:
     """Pairwise override over the cartesian product of the two sets.
 
     Override drops the left operand's bindings on the right operand's
-    dimensions, so ``c1 (+) c2 == (c1 ^ dims(c2)) (+) c2``.  The members of
-    s2 are grouped by their dimension sets; for each group D, each distinct
-    remainder ``c1 ^ D`` of s1 is overridden with each member of the group.
+    dimensions, so ``c1 (+) c2 == (c1 ^ dims(c2)) (+) c2``.  For each schema
+    B of s2, each distinct remainder of s1 with B's dimensions hidden is
+    followed by each row over B.
     """
     _check_sets(s1, s2)
-    groups: dict = {}
-    for b in s2:
-        groups.setdefault(b.dims(), []).append(b)
-    return ContextSet._of_simple(
-        ops.override(r, b)
-        for taken, group in groups.items()
-        for r in {ops.hiding(a, taken) for a in s1}
-        for b in group
-    )
+    out = {}
+    for b_schema, b_rows in s2._groups.items():
+        for r_schema, r_rows in _restrict(s1, b_schema, False).items():
+            if r_schema:
+                _add(out, *_concat(r_schema, b_schema,
+                                   itertools.product(r_rows, b_rows)))
+            else:
+                _add(out, b_schema, b_rows)
+    return ContextSet._of_groups(out)
 
 
 def lift_difference(s1: ContextSet, s2: ContextSet) -> ContextSet:
@@ -120,12 +222,26 @@ def lift_difference(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
     Only a binding on a dimension shared by the two sets can be removed, so
     ``c1 (-) c2 == c1 (-) (c2 ! S)`` with S the shared dimensions; each
-    member of s1 loses each distinct projection of s2 onto S.
+    member of s1 loses each distinct projection of s2 onto S.  Which
+    columns a member loses depends on its tags there (see
+    ``_agreements``), so the output is grouped by the columns kept.
     """
     _check_sets(s1, s2)
-    shared = _shared_dims(s1, s2)
-    cuts = {ops.projection(b, shared) for b in s2}
-    return ContextSet._of_simple(ops.difference(a, b) for a in s1 for b in cuts)
+    cuts = _restrict(s2, _shared_dims(s1, s2), True)
+    out = {}
+    for a_schema, a_rows in s1._groups.items():
+        for k_schema, k_rows in cuts.items():
+            a_cols = _cols(a_schema, k_schema)
+            tags = set(map(_getter(_cols(k_schema, a_schema)), k_rows))
+            for same, rows in _agreements(a_rows, _getter(a_cols), tags,
+                                          len(a_cols)).items():
+                if same:
+                    lost = set(map(a_cols.__getitem__, same))
+                    kept = [i for i in range(len(a_schema)) if i not in lost]
+                    _add(out, _at(a_schema, kept), map(_getter(kept), rows))
+                else:
+                    _add(out, a_schema, rows)
+    return ContextSet._of_groups(out)
 
 
 # --- relational operators -----------------------------------------------------
@@ -133,20 +249,34 @@ def lift_difference(s1: ContextSet, s2: ContextSet) -> ContextSet:
 def join(s1: ContextSet, s2: ContextSet) -> ContextSet:
     """Natural join: unite pairs that agree on the shared dimensions.
 
-    A hash join: the members of s2 are bucketed by their projection onto
-    the shared dimensions, and each member of s1 probes its own bucket, so
-    the cost is |s1| + |s2| plus the pairs that agree.
+    Two members can agree only when they bind the same shared dimensions,
+    so only schemas with the same shared columns meet.  For each such pair
+    of schemas a hash join: the rows of s2 are bucketed by their tags on
+    the shared columns, and each row of s1 probes its own bucket, so the
+    cost is |s1| + |s2| plus the pairs that agree.
     """
     _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
-    buckets: dict = {}
-    for b in s2:
-        buckets.setdefault(ops.projection(b, shared), []).append(b)
-    return ContextSet._of_simple(
-        ops.disjunction(a, b)
-        for a in s1
-        for b in buckets.get(ops.projection(a, shared), ())
-    )
+    out = {}
+    for b_schema, b_rows in s2._groups.items():
+        b_keys = _cols(b_schema, shared)
+        b_rest = [i for i in range(len(b_schema)) if i not in b_keys]
+        buckets: dict = {}
+        for key, rest in zip(map(_getter(b_keys), b_rows),
+                             map(_getter(b_rest), b_rows)):
+            buckets.setdefault(key, []).append(rest)
+        for a_schema, a_rows in s1._groups.items():
+            a_keys = _cols(a_schema, shared)
+            if _at(a_schema, a_keys) != _at(b_schema, b_keys):
+                continue
+            pairs = []
+            for key, a in zip(map(_getter(a_keys), a_rows), a_rows):
+                rests = buckets.get(key)
+                if rests is not None:
+                    pairs.append(zip(itertools.repeat(a), rests))
+            _add(out, *_concat(a_schema, _at(b_schema, b_rest),
+                               itertools.chain.from_iterable(pairs)))
+    return ContextSet._of_groups(out)
 
 
 def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
@@ -154,33 +284,43 @@ def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
     A common binding lies on a dimension shared by the two sets, so
     ``c1 & c2 == (c1 ! S) & (c2 ! S)`` with S the shared dimensions; each
-    distinct projection of s1 onto S is conjoined with each of s2's.
+    distinct projection of s1 onto S meets each of s2's, over the columns
+    their schemas share, and keeps the columns on which they agree.
     """
     _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
-    cuts1 = {ops.projection(a, shared) for a in s1}
-    cuts2 = {ops.projection(b, shared) for b in s2}
-    return ContextSet._of_simple(
-        ops.conjunction(a, b) for a in cuts1 for b in cuts2)
+    cuts2, out = _restrict(s2, shared, True), {}
+    for p_schema, p_rows in _restrict(s1, shared, True).items():
+        for q_schema, q_rows in cuts2.items():
+            p_cols = _cols(p_schema, q_schema)
+            ys = set(map(_getter(_cols(q_schema, p_schema)), q_rows))
+            for same, rows in _agreements(p_rows, _getter(p_cols), ys,
+                                          len(p_cols)).items():
+                kept = list(map(p_cols.__getitem__, same))
+                _add(out, _at(p_schema, kept), map(_getter(kept), rows))
+    return ContextSet._of_groups(out)
 
 
 def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
     """Pairwise union where each member keeps the other's unshared part.
 
     The distinct unshared remainders of each side are built once; each
-    member is then united with every remainder of the other side, so the
+    row is then followed by every remainder of the other side, so the
     work is that of the output rather than of 2·|s1|·|s2| candidates.
     """
     _check_sets(s1, s2)
     shared = _shared_dims(s1, s2)
-    rest1 = {ops.hiding(a, shared) for a in s1}
-    rest2 = {ops.hiding(b, shared) for b in s2}
-    return ContextSet._of_simple(
-        ops.disjunction(c, r)
-        for side, rest in ((s1, rest2), (s2, rest1))
-        for c in side
-        for r in rest
-    )
+    out = {}
+    for side, other in ((s1, s2), (s2, s1)):
+        rests = _restrict(other, shared, False)
+        for a_schema, a_rows in side._groups.items():
+            for r_schema, r_rows in rests.items():
+                if r_schema:
+                    _add(out, *_concat(a_schema, r_schema,
+                                       itertools.product(a_rows, r_rows)))
+                else:
+                    _add(out, a_schema, a_rows)
+    return ContextSet._of_groups(out)
 
 
 # --- box predicates -----------------------------------------------------------
@@ -405,10 +545,10 @@ def box_enumerate(box: Box) -> ContextSet:
     every extension of it.  A solved dimension is not swept: the domain's
     own tag equal to its solved value, if any, is the only candidate.  With
     ``_solved[i] == (f, s)``, that value is f evaluated with ``dims[i]``
-    bound to 0, negated when s is 1.  Each member is made of its
-    dimensions' own micro contexts (``Dimension.micro``), so a pair is
-    built once, not once per member or per call.  The result equals
-    filtering the full product of the domains.
+    bound to 0, negated when s is 1.  Each member is a row of its
+    dimensions' own micro contexts (``Dimension.micro``), taken once per
+    candidate bound, so a pair is built once, not once per member or per
+    call.  The result equals filtering the full product of the domains.
     """
     if not isinstance(box, Box):
         raise KindMismatch(f"not a box: {box!r}")
@@ -424,6 +564,12 @@ def box_enumerate(box: Box) -> ContextSet:
                 f"dimension {d.name!r} has no finite domain to enumerate"
             )
     assignment: dict = {}
+    schema = schema_of(dims)
+    # bound[i] is the pair of dims[i] under the candidate bound to it; a
+    # member's row is bound in schema order
+    bound = [None] * len(dims)
+    row_of_bound = (_getter(tuple(map(dims.index, schema))) if len(dims) > 1
+                    else tuple)
 
     def candidates(i):
         domain, index = domains[i]
@@ -437,7 +583,7 @@ def box_enumerate(box: Box) -> ContextSet:
 
     # pending[i] yields the untried candidates of dimension i under the
     # tags bound to the dimensions before it.
-    members = []
+    rows = []
     pending = [iter(candidates(0))]
     while pending:
         i = len(pending) - 1
@@ -449,8 +595,9 @@ def box_enumerate(box: Box) -> ContextSet:
         else:
             pending.pop()
             continue
+        bound[i] = d.micro(v)
         if i + 1 < len(dims):
             pending.append(iter(candidates(i + 1)))
             continue
-        members.append(Context._of_micros([e.micro(assignment[e.name]) for e in dims]))
-    return ContextSet._of_simple(members)
+        rows.append(row_of_bound(bound))
+    return ContextSet._of_groups({schema: rows})

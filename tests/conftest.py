@@ -40,6 +40,33 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_pair_work(monkeypatch):
+    """A list that grows by one on each call of ``MicroContext.__hash__`` or
+    ``MicroContext.__eq__`` from here on.
+
+    A set operator's rows are tuples of micro contexts, so this counts the
+    operator's work over rows: a row hashed into a set or dict (a key
+    built, a bucket probed, a member kept) costs one call per pair in it,
+    and a comparison of two rows one call per pair that is not the same
+    object.  The count is deterministic, and a nested loop over the rows
+    of two sets pays it once per pair of rows.
+    """
+    work = []
+    real_hash, real_eq = MicroContext.__hash__, MicroContext.__eq__
+
+    def counted_hash(self):
+        work.append(1)
+        return real_hash(self)
+
+    def counted_eq(self, other):
+        work.append(1)
+        return real_eq(self, other)
+
+    monkeypatch.setattr(MicroContext, "__hash__", counted_hash)
+    monkeypatch.setattr(MicroContext, "__eq__", counted_eq)
+    return work
+
+
 def context_over(reg, pairs):
     return make_context(reg, pairs)
 

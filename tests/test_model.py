@@ -574,6 +574,15 @@ def test_context_set_agrees_with_frozenset_oracle(l1, l2):
         assert hash(s1) == hash(s2)
     assert {d.name for d in s1.dims_union()} == {n for o in o1 for n, _ in o}
     assert str(s1) == "{" + ", ".join(sorted(map(_oracle_text, o1))) + "}"
+    # the rows stored per schema give back the members
+    assert len(s1) == len(o1) and len(s2) == len(o2)
+    for p in l1 + l2:
+        c, o = ctx(*p), frozenset(p)
+        assert (c in s1) == (o in o1) and (c in s2) == (o in o2)
+    members = list(s1)
+    assert len(members) == len(o1)
+    assert {frozenset((m.dimension.name, m.tag) for m in c) for c in members} == o1
+    assert ContextSet(list(s1)) == s1
 
 
 # Names that share prefixes or hold non-ASCII word characters, each with

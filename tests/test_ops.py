@@ -394,10 +394,14 @@ def test_range_members_share_domain_and_are_simple():
 
 _SET = ContextSet([make_context(REG, [("d", 1)])])
 
-# Operators that run once per operator, never per set member, refuse an
-# argument of the wrong kind as a typed error.
+# Operators that run once per operator, never per set member, and the
+# session's inputs, refuse an argument of the wrong kind as a typed error.
 WRONG_KINDS = {
     "evaluate-env-none": lambda: evaluate(parse_expr("{(d, 1)}"), None),
+    "environment-registry-none": lambda: Environment(None, random.Random(0)),
+    "environment-rng-none": lambda: Environment(DimensionRegistry(), None),
+    "environment-rng-int": lambda: Environment(DimensionRegistry(), 7),
+    "make-context-registry-none": lambda: make_context(None, [("d", 1)]),
     "choice-int-candidates": lambda: ops.choice(5, random.Random(0)),
     "choice-rng-none": lambda: ops.choice([ctx(("d", 1))], None),
     "lift-choice-rng-none": lambda: lift_choice(_SET, _SET, None),
@@ -411,6 +415,38 @@ WRONG_KINDS = {
 def test_operators_refuse_arguments_of_the_wrong_kind(call):
     with pytest.raises(KindMismatch):
         call()
+
+
+_C, _D = ctx(("d", 1)), dims("d")
+
+# Each public context operator checks both its arguments' kinds once per
+# call, a row per operator and side, with the message the set layer gives.
+NOT_CONTEXTS = {
+    "projection-left": (lambda: ops.projection(3, _D), "not a context: int"),
+    "projection-right": (lambda: ops.projection(_C, "d"),
+                         "not a set of dimensions: 'd'"),
+    "hiding-left": (lambda: ops.hiding("c", _D), "not a context: str"),
+    "hiding-right": (lambda: ops.hiding(_C, 5), "not a set of dimensions: 5"),
+    "difference-left": (lambda: ops.difference(3, _C), "not a context: int"),
+    "difference-right": (lambda: ops.difference(_C, 3), "not a context: int"),
+    "conjunction-left": (lambda: ops.conjunction(3, _C), "not a context: int"),
+    "conjunction-right": (lambda: ops.conjunction(_C, 3), "not a context: int"),
+    "disjunction-left": (lambda: ops.disjunction(3, _C), "not a context: int"),
+    "disjunction-right": (lambda: ops.disjunction(_C, 3), "not a context: int"),
+    "override-left": (lambda: ops.override(5, _C), "not a context: int"),
+    "override-right": (lambda: ops.override(_C, "y"), "not a context: str"),
+    "substitution-left": (lambda: ops.substitution(None, _C),
+                          "not a context: NoneType"),
+    "substitution-right": (lambda: ops.substitution(_C, 3), "not a context: int"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_CONTEXTS.values(),
+                         ids=NOT_CONTEXTS.keys())
+def test_context_operators_refuse_arguments_of_the_wrong_kind(call, message):
+    with pytest.raises(KindMismatch) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 # --- properties ----------------------------------------------------------------

@@ -41,7 +41,7 @@ from ctxcalc.sets import (
     set_union,
 )
 
-from conftest import count_calls, int_registry
+from conftest import count_pair_work, int_registry
 
 REG = int_registry("defgh")
 
@@ -583,16 +583,20 @@ def one_to_one_grids(n, right="f"):
 
 def test_join_builds_only_agreeing_pairs(monkeypatch):
     s1, s2 = one_to_one_grids(600)
-    calls = count_calls(monkeypatch, "disjunction")
+    work = count_pair_work(monkeypatch)
     out = join(s1, s2)
-    assert len(out) == 600 and len(calls) == 600  # not 600 * 600 pairs
+    # each of the 600 rows kept hashes its 3 pairs, and each row of either
+    # side its 1-pair key: not 600 * 600 pairs
+    assert len(out) == 600 and len(work) <= (3 + 2) * 600
 
 
 def test_set_union_builds_each_member_once(monkeypatch):
     s1, s2 = one_to_one_grids(600, right="e")
-    calls = count_calls(monkeypatch, "disjunction")
+    work = count_pair_work(monkeypatch)
     out = set_union(s1, s2)
-    assert out == s1 and len(calls) == 1200  # not 2 * 600 * 600 candidates
+    # at most each of 1,200 members hashes its 2 pairs once: not
+    # 2 * 600 * 600 candidates
+    assert out == s1 and len(work) <= 2 * 1200
 
 
 # Two 32 x 32 grids, over (a, b) and over (b, c), that share dimension b.
@@ -608,25 +612,33 @@ def grid(x, y):
 
 
 def test_set_intersection_conjoins_distinct_projections(monkeypatch):
-    calls = count_calls(monkeypatch, "conjunction")
-    out = set_intersection(grid("a", "b"), grid("b", "c"))
+    s1, s2 = grid("a", "b"), grid("b", "c")
+    work = count_pair_work(monkeypatch)
+    out = set_intersection(s1, s2)
     agreeing = [make_context(ABC, [("b", j)]) for j in range(SIDE)]
     assert out == ContextSet([*agreeing, NULL_CONTEXT])
-    assert len(calls) <= SIDE * SIDE
+    # each side's SIDE * SIDE rows hash their 1-pair projection, and the
+    # SIDE * SIDE pairs of distinct projections are compared; the rest is
+    # work per distinct projection
+    assert len(work) <= 4 * SIDE * SIDE
 
 
 def test_lift_difference_subtracts_distinct_projections(monkeypatch):
-    calls = count_calls(monkeypatch, "difference")
-    out = lift_difference(grid("a", "b"), grid("b", "c"))
+    s1, s2 = grid("a", "b"), grid("b", "c")
+    work = count_pair_work(monkeypatch)
+    out = lift_difference(s1, s2)
     assert len(out) == SIDE * SIDE + SIDE  # each member, and it without b
-    assert len(calls) <= SIDE * SIDE * SIDE
+    assert len(work) <= SIDE * SIDE * SIDE
 
 
 def test_lift_override_overrides_distinct_remainders(monkeypatch):
-    calls = count_calls(monkeypatch, "override")
-    out = lift_override(grid("a", "b"), grid("b", "c"))
+    s1, s2 = grid("a", "b"), grid("b", "c")
+    work = count_pair_work(monkeypatch)
+    out = lift_override(s1, s2)
     assert len(out) == SIDE**3
-    assert len(calls) <= SIDE * SIDE * SIDE
+    # each of the SIDE**3 rows kept hashes its 3 pairs, and each row of s1
+    # its 1-pair remainder
+    assert len(work) <= 3 * SIDE**3 + SIDE * SIDE
 
 
 # --- box enumeration against the filter over the full product ------------------
