@@ -54,16 +54,14 @@ class Session:
 
     __slots__ = ("env", "equations", "warehouse", "mode", "budget", "loading")
 
-    def __init__(self, env: Environment, equations: streams.EquationSet = None,
-                 warehouse: streams.Warehouse = None, mode: str = "plain",
-                 budget: int = streams.DEFAULT_BUDGET, loading: set = None):
+    def __init__(self, env: Environment, mode: str = "plain",
+                 budget: int = streams.DEFAULT_BUDGET):
         self.env = env
-        self.equations = streams.EquationSet() if equations is None else equations
-        self.warehouse = streams.Warehouse() if warehouse is None else warehouse
+        self.equations = streams.EquationSet()
+        self.warehouse = streams.Warehouse()
         self.mode = mode
         self.budget = budget
-        # the real paths of the files being loaded
-        self.loading = set() if loading is None else loading
+        self.loading = set()  # the real paths of the files being loaded
 
 
 def new_session(seed: int = 0, mode: str = "plain",

@@ -73,15 +73,14 @@ class Environment:
 
     __slots__ = ("registry", "rng", "bindings")
 
-    def __init__(self, registry: DimensionRegistry, rng: random.Random,
-                 bindings: Dict[str, Value] = None):
+    def __init__(self, registry: DimensionRegistry, rng: random.Random):
         if not isinstance(registry, DimensionRegistry):
             raise KindMismatch(
                 f"not a dimension registry: {type(registry).__name__}")
         check_rng(rng)
         self.registry = registry
         self.rng = rng
-        self.bindings = {} if bindings is None else bindings
+        self.bindings: Dict[str, Value] = {}
 
     def bind(self, name: str, value: Value):
         self.bindings[name] = value

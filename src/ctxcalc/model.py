@@ -27,19 +27,12 @@ object per tag, so a pair read from a literal, enumerated from a Box or
 swept by a range is the same object wherever it recurs.
 
 A dimension's name is a name of the expression language: word characters
-(``\\w``), the first a letter or ``_``.  Every word character sorts above
-``,``.  A value prints with its pairs and members in a fixed order: a
-context's pairs by dimension name, then by tag (ints and strs by value,
-bools false first, enum members by declaration order; tags of different
-classes, which only two registries' same-named dimensions give, by the
-name of their class first), and a context set's members by their printed
-text.  A set member is simple, so its pairs bind distinct dimensions, and
-those of one registry have distinct names.  Where no name is a prefix of
-another, text order is name order; where one is, the shorter name's text
-has ``,`` where the longer one's has a word character.  So a member
-prints with its pair texts in row order, which is the (name, tag) order.
-A schema with two dimensions of one name, which only two registries give,
-prints each row's pair texts sorted as plain strings instead.
+(``\\w``), the first a letter or ``_``.  A value prints with its pairs and
+members in a fixed order.  A context's pairs, and a row's, sort by
+dimension name, then by tag kind (bool, enum, int, str), then by tag
+(ints and strs by value, bools false first, enum members by declaration
+order); the tag kind separates only two registries' same-named
+dimensions.  A context set's members sort by their printed text.
 """
 
 from __future__ import annotations
@@ -84,7 +77,7 @@ _set = object.__setattr__
 
 class Record:
     """An immutable record: the base of the syntax-tree nodes, ``EnumValue``,
-    ``Dimension`` and ``sets.Box``.
+    ``Dimension``, ``MicroContext``, ``ContextSet`` and ``sets.Box``.
 
     A subclass lists its fields in ``_fields``, in order, and in
     ``__slots__`` (with any slot outside its value), and its ``__init__``
@@ -397,48 +390,33 @@ class DimensionRegistry:
         return isinstance(name, str) and name in self._dims
 
 
-class MicroContext:
+class MicroContext(Record):
     """A single (dimension, tag) pair; the atom contexts are built from.
 
-    The constructor coerces the tag (see ``Dimension.coerce``).  Within
-    the package every pair is built by its dimension's ``micro``, which
-    keeps one object per pair; the constructor stays public for callers
-    that want a pair of their own.  The hash
-    and the printed text ``(d, tag)`` are computed once, at construction,
-    and kept in fixed slots; the value is immutable and has no instance
-    ``__dict__``.  Two micro contexts are equal when their dimensions and
-    tags are equal.
+    The constructor checks that ``dimension`` is a ``Dimension`` and
+    coerces the tag (see ``Dimension.coerce``).  Within the package every
+    pair is built by its dimension's ``micro``, which keeps one object per
+    pair; the constructor stays public for callers that want a pair of
+    their own.  ``Record`` gives the rest of the value: two micro contexts
+    are equal when their dimensions and tags are equal, and copies rebuild
+    a pair through the constructor.  The hash and the printed text
+    ``(d, tag)`` are computed once, at construction, and kept in slots.
     """
 
     __slots__ = ("dimension", "tag", "_hash", "_text")
+    _fields = ("dimension", "tag")
 
     def __init__(self, dimension: Dimension, tag: TagValue):
+        if not isinstance(dimension, Dimension):
+            raise KindMismatch(f"not a dimension: {dimension!r}")
         tag = dimension.coerce(tag)
-        put = object.__setattr__
-        put(self, "dimension", dimension)
-        put(self, "tag", tag)
-        put(self, "_hash", hash((dimension, tag)))
-        put(self, "_text", f"({dimension.name}, {format_tag(tag)})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MicroContext is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MicroContext is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.tag == other.tag
-                and self.dimension == other.dimension)
+        _set(self, "dimension", dimension)
+        _set(self, "tag", tag)
+        _set(self, "_hash", hash((dimension, tag)))
+        _set(self, "_text", f"({dimension.name}, {format_tag(tag)})")
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        # Rebuilt from its arguments, so the hash is that of the process
-        # that loads it.
-        return type(self), (self.dimension, self.tag)
 
     def __repr__(self):
         return self._text
@@ -448,15 +426,12 @@ class MicroContext:
 # make no Python call per micro context.
 _DIMENSION = operator.attrgetter("dimension")
 _TEXT = operator.attrgetter("_text")
-_NAME = operator.attrgetter("name")
-# Tags of one dimension share a class; pairs of two registries' same-named
-# dimensions may not, so the class name comes before the tag.
-_ORDER = operator.attrgetter("dimension.name", "tag.__class__.__name__", "tag")
-# A schema orders dimensions by name, then by tag kind, and a row its pairs
-# by their dimensions in that order.  Two dimensions of one name and one
-# kind are equal, so in a simple member no two pairs tie.
+# A schema orders dimensions by name, then by tag kind, and a context its
+# pairs by their dimensions in that order, then by tag.  Two dimensions of
+# one name and one kind are equal, and their tags share a kind, so any two
+# pairs compare; in a simple context no two tie.
 _BY_NAME = operator.attrgetter("_order")
-_PAIR_ORDER = operator.attrgetter("dimension._order")
+_ORDER = operator.attrgetter("dimension._order", "tag")
 
 
 def schema_of(dims) -> tuple:
@@ -466,7 +441,7 @@ def schema_of(dims) -> tuple:
 
 def row_of(context) -> tuple:
     """The micro contexts of a simple context as a row: in schema order."""
-    return tuple(sorted(context, key=_PAIR_ORDER))
+    return tuple(sorted(context, key=_ORDER))
 
 
 class ContextOrder(enum.Enum):
@@ -571,20 +546,19 @@ _set_dims = Context._dims.__set__
 NULL_CONTEXT = Context()
 
 
-class ContextSet:
+class ContextSet(Record):
     """A finite set of simple contexts, stored as a relation per schema.
 
     ``_groups`` maps each schema that a member has (see ``schema_of``) to
     the frozenset of the rows over it (see ``row_of``); no group is empty.
     So a set whose members differ in dimensions holds several groups.  The
-    set is immutable and hashable: ``len``, ``in``, ``==`` and ``hash`` read
-    the groups, iterating builds each member as a ``Context``, and copies
-    and pickles go through the public constructor.  It equals only another
-    ``ContextSet`` with the same members.  It prints as its members' texts
-    in sorted order, each member's text joined from its pairs' cached texts
-    in row order, which is the (name, tag) order ``Context.__str__`` prints
-    in (see the module docstring); a schema with two dimensions of one name
-    sorts each row's pair texts first.
+    set is an immutable ``Record`` of its groups: ``len``, ``in``, ``==``
+    and ``hash`` read the groups, iterating builds each member as a
+    ``Context``, and copies and pickles go through the public constructor.
+    It equals only another ``ContextSet`` with the same members.  It prints
+    as its members' texts in sorted order, each member's text joined from
+    its pairs' cached texts in row order, the order ``Context.__str__``
+    prints a context's pairs in: by dimension name, then by tag kind.
 
     The public constructor is the boundary where members come in from
     outside (a set literal, an API caller, a copy or a pickle), and the one
@@ -596,7 +570,7 @@ class ContextSet:
     proof obligation the tests pin with a property over each of them.
     """
 
-    __slots__ = ("_groups", "_hash")
+    __slots__ = _fields = ("_groups",)
 
     # "/" makes a keyword call fail here rather than build an empty set.
     def __init__(self, members: Iterable[Context] = (), /):
@@ -635,12 +609,6 @@ class ContextSet:
         _set_groups(s, kept)
         return s
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ContextSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ContextSet is immutable")
-
     def __reduce__(self):
         # Copies and pickles rebuild from the members, through the check.
         return type(self), (tuple(self),)
@@ -659,39 +627,26 @@ class ContextSet:
         rows = self._groups.get(tuple(map(_DIMENSION, row)))
         return rows is not None and row in rows
 
-    def __eq__(self, other):
-        if not isinstance(other, ContextSet):
-            return NotImplemented
-        return self._groups == other._groups
-
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # computed once, on the first call
-            h = hash(frozenset(self._groups.values()))
-            _set_hash(self, h)
-            return h
+        # O(number of schemas): each group, a frozenset, caches its hash
+        return hash(frozenset(self._groups.values()))
 
     def dims_union(self) -> frozenset:
         """The union of the members' dimension sets: of the schemas."""
         return frozenset().union(*self._groups)
 
     def __str__(self):
-        texts = []
-        for schema, rows in self._groups.items():
-            if len(set(map(_NAME, schema))) == len(schema):
-                texts += ["{" + ", ".join(map(_TEXT, r)) + "}" for r in rows]
-            else:  # two dimensions of one name
-                texts += ["{" + ", ".join(sorted(map(_TEXT, r))) + "}" for r in rows]
-        return "{" + ", ".join(sorted(texts)) + "}"
+        texts = ["{" + ", ".join(map(_TEXT, r)) + "}"
+                 for rows in self._groups.values() for r in rows]
+        texts.sort()
+        return "{" + ", ".join(texts) + "}"
 
     def __repr__(self):
         return f"ContextSet({self})"
 
 
-# The C-level setters of the ``ContextSet`` slots.
+# The C-level setter of the ``_groups`` slot.
 _set_groups = ContextSet._groups.__set__
-_set_hash = ContextSet._hash.__set__
 
 
 def make_context(registry: DimensionRegistry, pairs) -> Context:

@@ -193,8 +193,7 @@ def lift_substitution(s: ContextSet, pair: Context) -> ContextSet:
 def lift_choice(s1: ContextSet, s2: ContextSet, rng: random.Random) -> ContextSet:
     """Return one of the two sets, picked uniformly by the rng."""
     _check_sets(s1, s2)
-    ops.check_rng(rng)
-    return (s1, s2)[rng.randrange(2)]
+    return ops.choice([s1, s2], rng)
 
 
 def lift_override(s1: ContextSet, s2: ContextSet) -> ContextSet:

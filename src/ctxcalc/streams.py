@@ -61,7 +61,8 @@ from collections.abc import Iterable
 from typing import Mapping, Optional, Tuple
 
 from .errors import (
-    DemandExhausted, DuplicateName, ExprSyntaxError, KindMismatch, UnresolvedReference,
+    ContextCalcError, DemandExhausted, DuplicateName, ExprSyntaxError, KindMismatch,
+    UnresolvedReference,
 )
 from .lexer import BOOLEANS, INT, NAME, RIGHT, Cursor, Grammar, Rule, cursor_of
 from .parser import (
@@ -124,8 +125,37 @@ class EvalContext(tuple):
 
 
 class EquationSet(dict):
-    """Stream equations by name.  Looking up a name with no equation raises
-    UnresolvedReference."""
+    """Stream equations by name, checked where they come in and never
+    changed after.
+
+    The constructor is ``define_streams``: it takes a mapping or an
+    iterable of (name, expression) pairs, whose names must be unique
+    strings and whose references must resolve within the set; recursion
+    is allowed.  A set grows by ``add`` alone, which item assignment
+    calls: a new name whose references resolve to itself or to the
+    equations already here.  No writer changes or drops an equation
+    (``update``, ``setdefault``, ``|=``, ``del``, ``pop``, ``popitem``,
+    ``clear`` raise ``ContextCalcError``), so a warehouse's values stay
+    true for the set they came from.  Copies and pickles rebuild through
+    the constructor.  Looking up a name with no equation raises
+    UnresolvedReference.
+    """
+
+    def __init__(self, equations=()):
+        if isinstance(equations, Mapping):
+            equations = equations.items()
+        elif not isinstance(equations, Iterable):
+            raise ExprSyntaxError(f"stream equations must be iterable, got {equations!r}")
+        for pair in equations:
+            if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+                    or not isinstance(pair[0], str)):
+                raise ExprSyntaxError(f"not a (name, expression) pair: {pair!r}")
+            name, expr = pair
+            if name in self:
+                raise DuplicateName(f"stream {name!r} is defined twice")
+            dict.__setitem__(self, name, expr)
+        for name, expr in self.items():
+            check_references(name, expr, self)
 
     def __missing__(self, name):
         raise UnresolvedReference(f"no equation for stream {name!r}")
@@ -136,32 +166,21 @@ class EquationSet(dict):
         if name in self:
             raise DuplicateName(f"stream {name!r} is already defined")
         check_references(name, expr, self)
-        self[name] = expr
+        dict.__setitem__(self, name, expr)
+
+    __setitem__ = add
+
+    def _refuse(self, *args, **kwargs):
+        raise ContextCalcError("a stream equation cannot be changed or removed")
+
+    update = setdefault = __ior__ = __delitem__ = pop = popitem = clear = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
-def define_streams(equations) -> EquationSet:
-    """Validate a set of stream equations.
-
-    ``equations`` is a mapping or an iterable of (name, expression) pairs.
-    Names must be unique and every reference must resolve within the set;
-    recursion is allowed.
-    """
-    if isinstance(equations, Mapping):
-        equations = equations.items()
-    elif not isinstance(equations, Iterable):
-        raise ExprSyntaxError(f"stream equations must be iterable, got {equations!r}")
-    eqs = EquationSet()
-    for pair in equations:
-        if (not isinstance(pair, (tuple, list)) or len(pair) != 2
-                or not isinstance(pair[0], str)):
-            raise ExprSyntaxError(f"not a (name, expression) pair: {pair!r}")
-        name, expr = pair
-        if name in eqs:
-            raise DuplicateName(f"stream {name!r} is defined twice")
-        eqs[name] = expr
-    for name, expr in eqs.items():
-        check_references(name, expr, eqs)
-    return eqs
+# The public name of the constructor, which checks a set of equations.
+define_streams = EquationSet
 
 
 def check_references(name: str, expr: StreamExpr, defined):
@@ -184,8 +203,9 @@ class Warehouse:
     computation is benign.
 
     A warehouse serves one equation set, ``equations``, the one its
-    entries came from; the set may grow through ``EquationSet.add``,
-    which never changes an equation already there.  An evaluation given
+    entries came from.  Equations enter a set through its constructor or
+    ``EquationSet.add`` alone, and none is changed or dropped after, so
+    the set may grow but an entry never goes stale.  An evaluation given
     another set empties the values and cursors first; ``hits`` and
     ``misses`` keep counting.  A plain mapping of equations becomes a new
     set on each call, so it empties the warehouse each time.

@@ -510,6 +510,13 @@ def test_micro_equality_and_hash_agree_with_an_oracle(m1, m2):
     assert m1 == MicroContext(m1.dimension, m1.tag) and m1 != micro_oracle(m1)
 
 
+@given(st.lists(micro_st(), max_size=4, unique_by=lambda m: m.dimension))
+def test_a_simple_context_prints_alike_alone_and_as_a_set_member(micros):
+    # two registries' same-named dimensions among them: one pair order
+    c = Context(micros)
+    assert str(ContextSet([c])) == "{" + str(c) + "}"
+
+
 def test_micro_contexts_are_immutable_and_carry_no_dict():
     m = MicroContext(REG.get("d"), 1)
     for name in ("tag", "dimension", "fresh"):
@@ -643,14 +650,17 @@ def test_a_member_with_two_registries_same_name_prints():
     # equal names, unequal kinds: two dimensions, so the member is simple
     member = Context([Dimension("d", TagKind.INT).micro(1),
                       Dimension("d", TagKind.STR).micro("x")])
-    assert str(ContextSet([member])) == '{{(d, "x"), (d, 1)}}'
+    assert str(ContextSet([member])) == '{{(d, 1), (d, "x")}}'
 
 
 def test_two_registries_same_name_pairs_print_by_tag_class_first():
-    # equal names, tags of different classes: by class name, then by tag
+    # equal names, tags of different kinds: by tag kind, then by tag
     pairs = [Dimension("d", TagKind.INT).micro(1),
              Dimension("d", TagKind.STR).micro("x")]
     assert str(Context(pairs)) == '{(d, 1), (d, "x")}'
+    pairs = [Dimension("d", TagKind.ENUM, ["a"]).micro("a"),
+             Dimension("d", TagKind.BOOL).micro(True)]
+    assert str(Context(pairs)) == "{(d, true), (d, a)}"
     pairs = [Dimension("d", TagKind.INT).micro(0),
              Dimension("d", TagKind.BOOL).micro(True)]
     assert str(Context(pairs)) == "{(d, true), (d, 0)}"

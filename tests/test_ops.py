@@ -24,6 +24,7 @@ from ctxcalc.model import (
     Context,
     ContextSet,
     DimensionRegistry,
+    MicroContext,
     TagKind,
     make_context,
 )
@@ -402,6 +403,7 @@ WRONG_KINDS = {
     "environment-rng-none": lambda: Environment(DimensionRegistry(), None),
     "environment-rng-int": lambda: Environment(DimensionRegistry(), 7),
     "make-context-registry-none": lambda: make_context(None, [("d", 1)]),
+    "micro-context-dimension-int": lambda: MicroContext(5, 1),
     "choice-int-candidates": lambda: ops.choice(5, random.Random(0)),
     "choice-rng-none": lambda: ops.choice([ctx(("d", 1))], None),
     "lift-choice-rng-none": lambda: lift_choice(_SET, _SET, None),

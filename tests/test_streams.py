@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import typing
 
@@ -34,6 +36,7 @@ from ctxcalc.parser import (
     parse_expr,
 )
 from ctxcalc.streams import (
+    EquationSet,
     EvalContext,
     Warehouse,
     define_streams,
@@ -149,6 +152,54 @@ def test_define_streams_duplicate_name():
 def test_define_streams_unresolved_reference():
     with pytest.raises(UnresolvedReference):
         define_streams({"X": Ref("Y")})
+
+
+def test_an_equation_is_never_changed_behind_its_warehouse():
+    eqs = define_streams({"A": Literal((1, 2, 3))})
+    wh = Warehouse()
+    assert eval_prefix("A", count=3, eqs=eqs, warehouse=wh) == [1, 2, 3]
+    with pytest.raises(DuplicateName):
+        eqs["A"] = Literal((7, 8, 9))
+    assert eval_prefix("A", count=3, eqs=eqs, warehouse=wh) == [1, 2, 3]
+    assert wh.misses == 3 and dict(eqs) == {"A": Literal((1, 2, 3))}
+
+
+# Each writer that would change or drop an equation, and what it is given.
+REFUSED_WRITERS = {
+    "update": lambda eqs: eqs.update({"A": Const(2)}),
+    "update-a-new-name": lambda eqs: eqs.update(B=Const(2)),
+    "setdefault": lambda eqs: eqs.setdefault("B", Const(2)),
+    "in-place-union": lambda eqs: eqs.__ior__({"A": Const(2)}),
+    "del": lambda eqs: eqs.__delitem__("A"),
+    "pop": lambda eqs: eqs.pop("A"),
+    "popitem": lambda eqs: eqs.popitem(),
+    "clear": lambda eqs: eqs.clear(),
+}
+
+
+@pytest.mark.parametrize("write", REFUSED_WRITERS.values(), ids=REFUSED_WRITERS.keys())
+def test_an_equation_set_refuses_writers_that_change_or_drop(write):
+    eqs = define_streams({"A": Const(1)})
+    with pytest.raises(ContextCalcError):
+        write(eqs)
+    assert dict(eqs) == {"A": Const(1)}
+
+
+def test_item_assignment_adds_a_checked_equation():
+    eqs = define_streams({"A": Const(1)})
+    eqs["B"] = Pointwise("+", Ref("A"), Ref("B"))
+    assert list(eqs) == ["A", "B"]
+    with pytest.raises(UnresolvedReference):
+        eqs["C"] = Ref("D")
+    assert "C" not in eqs
+
+
+def test_copies_and_pickles_of_an_equation_set_are_equation_sets():
+    eqs = define_streams({"A": Literal((1, 2)), "B": Next(Ref("A"))})
+    for twin in (copy.copy(eqs), copy.deepcopy(eqs), pickle.loads(pickle.dumps(eqs))):
+        assert type(twin) is EquationSet and twin == eqs and twin is not eqs
+        with pytest.raises(ContextCalcError):
+            twin.clear()
 
 
 def test_references_walks_nested():
@@ -500,6 +551,12 @@ EDUCTION_API_ERRORS = [
     ("equations-of-an-int",
      lambda: define_streams(5),
      ExprSyntaxError, "stream equations must be iterable, got 5"),
+    ("equation-set-of-an-int",
+     lambda: EquationSet(5),
+     ExprSyntaxError, "stream equations must be iterable, got 5"),
+    ("equation-set-that-does-not-resolve",
+     lambda: EquationSet({"A": Ref("B")}),
+     UnresolvedReference, "stream 'A' references undefined stream 'B'"),
     ("equations-with-a-short-pair",
      lambda: define_streams([("A",)]),
      ExprSyntaxError, "not a (name, expression) pair: ('A',)"),
