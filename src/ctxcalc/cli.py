@@ -106,7 +106,7 @@ def _render_prefix(session: Session, dim: str, values) -> str:
     try:
         if session.mode == "json":
             return json.dumps({"kind": "stream_prefix", "value": ints})
-        return " ".join("nil" if v is None else str(v) for v in ints)
+        return " ".join(["nil" if v is None else str(v) for v in ints])
     except ValueError:  # an int of more digits than str() converts
         limit = sys.get_int_max_str_digits()
         t = next(t for t, v in enumerate(ints)

@@ -34,6 +34,7 @@ from .model import (
     ContextSet,
     DimensionRegistry,
     make_context,
+    make_context_set,
 )
 from .parser import (
     CONTEXT, BoxLit, Const, ContextLit, DimSetLit, Node, Ref, SetLit,
@@ -143,7 +144,7 @@ def _leaf(node: Node, env: Environment) -> Value:
     if isinstance(node, DimSetLit):
         return frozenset(env.registry.get(n) for n in node.names)
     if isinstance(node, SetLit):
-        return ContextSet(make_context(env.registry, i.pairs) for i in node.items)
+        return make_context_set(env.registry, [i.pairs for i in node.items])
     if isinstance(node, BoxLit):
         return box_make([env.registry.get(n) for n in node.dims], node.predicate)
     if isinstance(node, Const):

@@ -31,8 +31,9 @@ A dimension's name is a name of the expression language: word characters
 members in a fixed order.  A context's pairs, and a row's, sort by
 dimension name, then by tag kind (bool, enum, int, str), then by tag
 (ints and strs by value, bools false first, enum members by declaration
-order); the tag kind separates only two registries' same-named
-dimensions.  A context set's members sort by their printed text.
+order, then by symbol); the tag kind separates only two registries'
+same-named dimensions, and an enum's symbol only two same-named enums.
+A context set's members sort by their printed text.
 """
 
 from __future__ import annotations
@@ -135,8 +136,10 @@ class Record:
 class EnumValue(Record):
     """One element of a named, finite, ordered enumeration.
 
-    Ordering follows declaration order (the ordinal); two enum values are
-    comparable only within the same enumeration.
+    Ordering follows declaration order (the ordinal), then the symbol; two
+    enum values are comparable only within the same enumeration.  One
+    enumeration never ties on an ordinal, but two of one name from two
+    registries can, and the symbol keeps their order total.
     """
 
     __slots__ = _fields = ("enumeration", "symbol", "ordinal")
@@ -152,7 +155,8 @@ class EnumValue(Record):
     def __lt__(self, other):
         if not isinstance(other, EnumValue) or other.enumeration != self.enumeration:
             raise TagTypeMismatch(f"cannot order {self!r} against {other!r}")
-        return self.ordinal < other.ordinal
+        return (self.ordinal < other.ordinal
+                or self.ordinal == other.ordinal and self.symbol < other.symbol)
 
 
 TagValue = Union[int, str, bool, EnumValue]
@@ -561,13 +565,15 @@ class ContextSet(Record):
     prints a context's pairs in: by dimension name, then by tag kind.
 
     The public constructor is the boundary where members come in from
-    outside (a set literal, an API caller, a copy or a pickle), and the one
-    place they are checked: an argument that is not a collection of
-    ``Context`` values raises ``KindMismatch``, and a non-simple member
-    ``NonSimpleOperand``.  The set operators build their results with
-    ``_of_groups`` instead, which skips the check: every lifted and
-    relational operator gives simple results from simple operands, a
-    proof obligation the tests pin with a property over each of them.
+    outside (an API caller, a copy or a pickle), and ``make_context_set``
+    the one where a set literal's pairs come in; these are the places
+    members are checked.  In the constructor an argument that is not a
+    collection of ``Context`` values raises ``KindMismatch``, and in both
+    a non-simple member raises ``NonSimpleOperand``.  The set operators
+    build their results with ``_of_groups`` instead, which skips the
+    check: every lifted and relational operator gives simple results from
+    simple operands, a proof obligation the tests pin with a property over
+    each of them.
     """
 
     __slots__ = _fields = ("_groups",)
@@ -579,20 +585,7 @@ class ContextSet(Record):
         except TypeError:
             raise KindMismatch(
                 f"not a collection of contexts: {members!r}") from None
-        groups: dict = {}
-        for c in members:
-            if not isinstance(c, Context):
-                raise KindMismatch(f"context set member {c!r} is not a context")
-            row = row_of(c)
-            groups.setdefault(tuple(map(_DIMENSION, row)), []).append(row)
-        for schema, rows in groups.items():
-            # a member binds a dimension twice exactly when its schema
-            # holds it twice
-            if len(set(schema)) < len(schema):
-                member = Context._of_micros(rows[0])
-                raise NonSimpleOperand(f"context set member {member} is not simple")
-            groups[schema] = frozenset(rows)
-        _set_groups(self, groups)
+        _set_groups(self, _groups_of(map(_checked_row, members)))
 
     @classmethod
     def _of_groups(cls, groups) -> "ContextSet":
@@ -649,15 +642,65 @@ class ContextSet(Record):
 _set_groups = ContextSet._groups.__set__
 
 
+def _checked_row(c) -> tuple:
+    if not isinstance(c, Context):
+        raise KindMismatch(f"context set member {c!r} is not a context")
+    return row_of(c)
+
+
+def _groups_of(rows) -> dict:
+    """Schema -> frozenset of rows, for the rows of a set's members, once
+    each is checked to be simple: a member binds a dimension twice exactly
+    when its schema holds it twice.  Every row is read before any is
+    checked, so a bad member's error comes before a non-simple one's."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(tuple(map(_DIMENSION, row)), []).append(row)
+    for schema, rows in groups.items():
+        if len(set(schema)) < len(schema):
+            member = Context._of_micros(rows[0])
+            raise NonSimpleOperand(f"context set member {member} is not simple")
+        groups[schema] = frozenset(rows)
+    return groups
+
+
 def make_context(registry: DimensionRegistry, pairs) -> Context:
     """Build a context from (dimension name, raw tag) pairs.
 
     Duplicate pairs collapse; the result may be non-simple.  Each pair is
     its dimension's one micro context for it (``Dimension.micro``).
     """
+    _check_registry(registry)
+    return Context._of_micros(_micros_of(registry, pairs))
+
+
+def make_context_set(registry: DimensionRegistry, members) -> ContextSet:
+    """Build a context set from its members, each an iterable of
+    (dimension name, raw tag) pairs as ``make_context`` takes it.
+
+    Each member goes straight to its row, with no ``Context`` built for
+    it: its pairs are read as ``make_context`` reads them, duplicates
+    collapse, and the rest sort into schema order.  The result and the
+    errors, in their order, are those of
+    ``ContextSet(make_context(registry, m) for m in members)``.
+    """
+    _check_registry(registry)
+    rows = []
+    for pairs in members:
+        micros = _micros_of(registry, pairs)
+        rows.append(tuple(micros) if len(micros) < 2
+                    else tuple(sorted(set(micros), key=_ORDER)))
+    return ContextSet._of_groups(_groups_of(rows))
+
+
+def _check_registry(registry):
     if not isinstance(registry, DimensionRegistry):
         raise KindMismatch(
             f"not a dimension registry: {type(registry).__name__}")
+
+
+def _micros_of(registry: DimensionRegistry, pairs) -> list:
+    """Each (dimension name, raw tag) pair's micro context, in order."""
     try:  # not an ABC check, which costs more than the rest of a pair
         pairs_iter = iter(pairs)
     except TypeError:
@@ -668,4 +711,4 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
         micros.append(registry.get(pair[0]).micro(pair[1]))
-    return Context._of_micros(micros)
+    return micros

@@ -48,9 +48,15 @@ a hang, and so does a chain of demands nested deeper than the
 interpreter's recursion limit.  A unit is spent by each handler for its
 node, by the left-chain loop of ``Pointwise`` for each chain node below
 the first, in the order recursion would spend them, and by ``_scan`` for
-each guard position it reads.  The loop walks a left chain of pointwise
-operators (``1 + 1 + ... + 1``) without recursion, so only nested
-demands, not long expressions, use up the recursion limit.
+each guard position it reads.  The budget is a C-level counter, an
+``itertools.repeat`` of its length: a unit is spent by one
+``next(st.ticks)``, no Python call, and the first unit past the budget
+raises StopIteration, which ``_evaluate`` turns into DemandExhausted; so a
+call answers with exactly the budget it did when each unit was a method
+call.  The loop walks a left chain of pointwise operators
+(``1 + 1 + ... + 1``) without recursion, and applies each operator as it
+goes, so only nested demands, not long expressions, use up the recursion
+limit.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, insort
 from collections.abc import Iterable
+from itertools import repeat
 from typing import Mapping, Optional, Tuple
 
 from .errors import (
@@ -235,34 +242,39 @@ class _Scan:
 
 class _State:
     """One evaluation call: its warehouse, which holds its equations, and
-    the demand it may still spend."""
+    the demand it may still spend, as ``ticks``: ``next(ticks)`` spends a
+    unit and raises StopIteration when none is left, and
+    ``operator.length_hint(ticks)`` is the number left.  A budget past
+    ``sys.maxsize``, more units than any call can spend, counts as that."""
 
-    __slots__ = ("warehouse", "remaining")
+    __slots__ = ("warehouse", "ticks")
 
-    def __init__(self, warehouse: Warehouse, remaining: int):
+    def __init__(self, warehouse: Warehouse, budget: int):
         self.warehouse = warehouse
-        self.remaining = remaining
-
-    def spend(self):
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise DemandExhausted("demand budget exhausted")
+        self.ticks = repeat(None, min(budget, sys.maxsize))
 
 
 # --- one handler per node type ---------------------------------------------
 #
-# A handler takes (node, context, state).  The helpers it calls (spend,
-# _scan, _pointwise) return before it demands a child, so they add no frame
-# to a nested demand.
+# A handler takes (node, context, state) and spends its unit with
+# next(st.ticks).  The helper it may call, _scan, returns before it demands
+# a child, so it adds no frame to a nested demand.
+#
+# No handler may run inside a generator frame: there the StopIteration of
+# a spent budget would end the generator as if exhausted, and from Python
+# 3.7 on (PEP 479) it turns into a RuntimeError instead of reaching
+# _evaluate.  _evaluate calls the top handler from a list comprehension,
+# which is a plain frame (or none) and only pulls positions from a
+# generator.
 
 
 def _const(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     return expr.value
 
 
 def _literal(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     t = ctx.tag(expr.dim)
     return expr.values[t] if t < len(expr.values) else None
 
@@ -271,7 +283,7 @@ _MISSING = object()
 
 
 def _ref(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     key = (expr.name, ctx)
     wh = st.warehouse
     value = wh._cache.get(key, _MISSING)
@@ -287,29 +299,39 @@ def _ref(expr, ctx, st):
 def _pointwise_chain(expr, ctx, st):
     # A left chain is walked with a loop, spending one unit per node in
     # the order recursion would, so its length costs no host stack.
-    st.spend()
+    next(st.ticks)
     chain = [expr]
     node = expr.left
     while isinstance(node, Pointwise):
-        st.spend()
+        next(st.ticks)
         chain.append(node)
         node = node.left
     a = _HANDLERS[type(node)](node, ctx, st)
     for n in reversed(chain):
         b = n.right
-        a = _pointwise(n.op, a, _HANDLERS[type(b)](b, ctx, st))
+        b = _HANDLERS[type(b)](b, ctx, st)
+        if a is None or b is None:  # nil before the operator is looked up
+            a = None
+            continue
+        fn = OPERATORS.get(n.op)
+        if fn is None:
+            raise KindMismatch(f"unknown pointwise operator {n.op!r}")
+        try:
+            a = fn(a, b)
+        except (TypeError, OverflowError):  # operands the API, not the grammar, built
+            raise KindMismatch(f"{n.op!r} cannot combine {a!r} and {b!r}") from None
     return a
 
 
 def _not(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     x = expr.operand
     a = _HANDLERS[type(x)](x, ctx, st)
     return None if a is None else not a
 
 
 def _if(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     x = expr.cond
     cond = _HANDLERS[type(x)](x, ctx, st)
     if cond is None:
@@ -319,12 +341,12 @@ def _if(expr, ctx, st):
 
 
 def _query(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     return ctx.tag(expr.dim)
 
 
 def _at(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     x = expr.index
     index = _HANDLERS[type(x)](x, ctx, st)
     if index is None:
@@ -334,19 +356,19 @@ def _at(expr, ctx, st):
 
 
 def _first(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     x = expr.operand
     return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, 0), st)
 
 
 def _next(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     x = expr.operand
     return _HANDLERS[type(x)](x, ctx.with_tag(expr.dim, ctx.tag(expr.dim) + 1), st)
 
 
 def _prev(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     t = ctx.tag(expr.dim)
     if t == 0:
         return None
@@ -355,7 +377,7 @@ def _prev(expr, ctx, st):
 
 
 def _fby(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     t = ctx.tag(expr.dim)
     if t == 0:
         x = expr.left
@@ -366,7 +388,7 @@ def _fby(expr, ctx, st):
 
 def _wvr_asa(expr, ctx, st):
     # wvr picks the t-th true guard position, asa always the first.
-    st.spend()
+    next(st.ticks)
     n = ctx.tag(expr.dim) if type(expr) is Wvr else 0
     scan = _scan(expr, ctx, st, lambda sc: len(sc.trues) > n)
     if len(scan.trues) <= n:
@@ -376,7 +398,7 @@ def _wvr_asa(expr, ctx, st):
 
 
 def _upon(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     t = ctx.tag(expr.dim)
     scan = _scan(expr, ctx, st, lambda sc: sc.next >= t)
     if scan.next < t:
@@ -386,7 +408,7 @@ def _upon(expr, ctx, st):
 
 
 def _not_a_stream(expr, ctx, st):
-    st.spend()
+    next(st.ticks)
     raise KindMismatch(f"not a stream expression: {expr!r}")
 
 
@@ -416,18 +438,6 @@ _HANDLERS = _Handlers({
 })
 
 
-def _pointwise(op: str, a: Value, b: Value) -> Value:
-    if a is None or b is None:
-        return None
-    fn = OPERATORS.get(op)
-    if fn is None:
-        raise KindMismatch(f"unknown pointwise operator {op!r}")
-    try:
-        return fn(a, b)
-    except (TypeError, OverflowError):  # operands the API, not the grammar, built
-        raise KindMismatch(f"{op!r} cannot combine {a!r} and {b!r}") from None
-
-
 def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
     """The cursor of the guard of filter ``expr`` in ``ctx``, read further
     until ``done(cursor)`` holds or a nil guard stops it."""
@@ -439,7 +449,7 @@ def _scan(expr, ctx: EvalContext, st: _State, done) -> _Scan:
     if scan is None:
         scan = cursors[key] = _Scan()
     while not scan.stopped and not done(scan):
-        st.spend()
+        next(st.ticks)
         s = scan.next
         guard = _HANDLERS[type(y)](y, base.with_tag(expr.dim, s), st)
         if guard is None:
@@ -471,6 +481,8 @@ def _evaluate(expr, contexts, eqs, warehouse, budget) -> list:
     handler = _HANDLERS[type(expr)]
     try:
         return [handler(expr, ctx, st) for ctx in contexts]
+    except StopIteration:  # next(st.ticks) past the budget
+        raise DemandExhausted("demand budget exhausted") from None
     except RecursionError:
         # A handler calls the handler of each child it demands.
         raise DemandExhausted(
@@ -512,8 +524,11 @@ def eval_prefix(
         raise KindMismatch(f"count must be an integer, got {count!r}")
     if eqs is None:
         eqs = EquationSet()
-    origin = EvalContext()
-    contexts = (origin.with_tag(dim, t) for t in range(count))
+    # Each position is built as EvalContext stores it, lazily: dim is a
+    # string and t a natural, so neither needs a check, and a prefix longer
+    # than its budget builds no more positions than it reads.
+    new = tuple.__new__
+    contexts = (new(EvalContext, ((dim, t),) if t else ()) for t in range(count))
     return _evaluate(expr, contexts, eqs, warehouse, budget)
 
 

@@ -467,6 +467,13 @@ def test_all_false_guard_exhausts_budget():
         )
 
 
+def test_a_prefix_longer_than_its_budget_builds_no_position_it_does_not_read():
+    # a list of 10**12 positions built first would end in MemoryError
+    eqs = define_streams({"N": parse_stream_expr("0 fby N + 1")})
+    with pytest.raises(DemandExhausted, match="budget exhausted"):
+        eval_prefix("N", count=10**12, eqs=eqs, budget=1_000)
+
+
 @pytest.mark.parametrize("terms, budget", [(300, 1200), (1500, 6000)])
 def test_a_left_pointwise_chain_spends_one_unit_per_node(terms, budget):
     # a position costs the reference to T and the chain's 2 * terms - 1 nodes
@@ -535,6 +542,10 @@ def test_budget_must_be_positive():
         eval_stream(Const(1), EvalContext(), example_eqs(), budget=0)
 
 
+def test_a_budget_past_the_machine_word_is_spent_as_any_other():
+    assert eval_prefix(Const(1), count=2, budget=10**30) == [1, 1]
+
+
 # Misuses of the eduction API's entries, which used to end in a raw
 # TypeError, ValueError, AttributeError or KeyError, with the typed error
 # and exact text each ends in now.
@@ -596,6 +607,10 @@ EDUCTION_API_ERRORS = [
      lambda: eval_stream(Pointwise("*", Const("a"), Const(2 ** 70)), EvalContext(),
                          define_streams([])),
      KindMismatch, "'*' cannot combine 'a' and 1180591620717411303424"),
+    ("pointwise-of-an-unknown-operator",
+     lambda: eval_stream(Pointwise("**", Const(1), Const(2)), EvalContext(),
+                         define_streams([])),
+     KindMismatch, "unknown pointwise operator '**'"),
 ]
 
 
@@ -606,6 +621,16 @@ def test_eduction_api_errors_keep_their_class_and_text(action, error, message):
     with pytest.raises(error) as info:
         action()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("expr", [
+    Pointwise("**", Const(None), Const(2)),
+    Pointwise("**", Const(1), Literal(())),
+    # below the top of a left chain, and an operator it could not combine
+    Pointwise("-", Pointwise("**", Const("a"), Const(None)), Const(1)),
+])
+def test_a_nil_operand_gives_nil_before_the_operator_is_looked_up(expr):
+    assert eval_stream(expr, EvalContext(), define_streams([])) is None
 
 
 def test_a_mapping_of_equations_is_read_as_define_streams_reads_it():
