@@ -11,14 +11,19 @@ builds its own with ``Context._of_micros``, which skips the check.
 A context set is a finite set of simple contexts, stored as a relation in
 Codd's sense, one per dimension set: a mapping from each member's
 *schema*, the tuple of its dimensions ordered by name and then by tag kind
-(``schema_of``), to the frozenset of its *rows*, each the tuple of a
+(``schema_of``), to the *group* of its *rows*, each the tuple of a
 member's micro contexts in schema order (``row_of``).  Every member is
 simple, so every member has a row, and a row holds each pair object
-itself, with its hash and its cached text.  A ``Context`` is built only
-when a caller iterates the set.  The set operators (``sets``,
-``ops._range``) work on the rows and build their results with
-``ContextSet._of_groups``, which skips the member checks of the public
-constructor: simple operands give simple results.
+itself, with its hash and its cached text.  A group is a frozenset of
+rows, or a tuple of rows that its builder has shown distinct: a relation
+is a set, so a product or a join of duplicate-free relations needs no
+duplicate check, and hashing a row costs a Python call per pair
+(``MicroContext.__hash__``).  ``==``, ``hash`` and ``in`` freeze a tuple
+group, once; iterating, ``len``, printing and the operators read the rows
+as they are.  A ``Context`` is built only when a caller iterates the set.
+The set operators (``sets``, ``ops._range``) work on the rows and build
+their results with ``ContextSet._of_groups``, which skips the member
+checks of the public constructor: simple operands give simple results.
 
 A micro context is a (dimension, tag) pair whose tag the dimension admits
 (``Dimension.coerce``).  Each dimension builds its own pairs: within the
@@ -554,15 +559,18 @@ class ContextSet(Record):
     """A finite set of simple contexts, stored as a relation per schema.
 
     ``_groups`` maps each schema that a member has (see ``schema_of``) to
-    the frozenset of the rows over it (see ``row_of``); no group is empty.
-    So a set whose members differ in dimensions holds several groups.  The
-    set is an immutable ``Record`` of its groups: ``len``, ``in``, ``==``
-    and ``hash`` read the groups, iterating builds each member as a
-    ``Context``, and copies and pickles go through the public constructor.
-    It equals only another ``ContextSet`` with the same members.  It prints
-    as its members' texts in sorted order, each member's text joined from
-    its pairs' cached texts in row order, the order ``Context.__str__``
-    prints a context's pairs in: by dimension name, then by tag kind.
+    the group of the rows over it (see ``row_of``): a frozenset, or a
+    tuple of rows its builder has shown distinct; no group is empty.  So a
+    set whose members differ in dimensions holds several groups.  The set
+    is an immutable ``Record`` of its groups: ``len`` and ``str`` read the
+    rows as they are, ``in``, ``==`` and ``hash`` first freeze each tuple
+    group into a frozenset in place (once: the set's value does not
+    change), iterating builds each member as a ``Context``, and copies and
+    pickles go through the public constructor.  It equals only another
+    ``ContextSet`` with the same members.  It prints as its members' texts
+    in sorted order, each member's text joined from its pairs' cached
+    texts in row order, the order ``Context.__str__`` prints a context's
+    pairs in: by dimension name, then by tag kind.
 
     The public constructor is the boundary where members come in from
     outside (an API caller, a copy or a pickle), and ``make_context_set``
@@ -592,15 +600,31 @@ class ContextSet(Record):
         """The set of the rows in ``groups``, a mapping from schema to an
         iterable of rows over it, which the caller knows hold the pairs of
         simple contexts in schema order; ``__init__`` does not run.  An
-        empty group is dropped, and a frozenset of rows is kept as it is."""
+        empty group is dropped.  A frozenset of rows, or a tuple of rows
+        the caller knows are distinct, is kept as it is; any other
+        iterable is frozen, which drops its duplicate rows."""
         kept = {}
         for schema, rows in groups.items():
-            rows = frozenset(rows)
+            if rows.__class__ is not tuple and rows.__class__ is not frozenset:
+                rows = frozenset(rows)
             if rows:
                 kept[schema] = rows
         s = object.__new__(cls)
         _set_groups(s, kept)
         return s
+
+    def _frozen(self) -> dict:
+        """The groups, each tuple group replaced by its frozenset first."""
+        groups = self._groups
+        for schema, rows in groups.items():
+            if rows.__class__ is tuple:
+                groups[schema] = frozenset(rows)
+        return groups
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._frozen() == other._frozen()
+        return NotImplemented
 
     def __reduce__(self):
         # Copies and pickles rebuild from the members, through the check.
@@ -617,12 +641,12 @@ class ContextSet(Record):
         if not (isinstance(c, Context) and c.is_simple()):
             return False
         row = row_of(c)
-        rows = self._groups.get(tuple(map(_DIMENSION, row)))
+        rows = self._frozen().get(tuple(map(_DIMENSION, row)))
         return rows is not None and row in rows
 
     def __hash__(self):
-        # O(number of schemas): each group, a frozenset, caches its hash
-        return hash(frozenset(self._groups.values()))
+        # O(number of schemas) once frozen: a frozenset caches its hash
+        return hash(frozenset(self._frozen().values()))
 
     def dims_union(self) -> frozenset:
         """The union of the members' dimension sets: of the schemas."""

@@ -5,7 +5,8 @@ operator that consumes caller-supplied RNG state, which makes its
 "non-deterministic" pick reproducible under a fixed seed.  Each operator
 checks the kinds of its arguments once per call and raises
 ``KindMismatch`` for a wrong one; the set layer shares ``check_dims``.
-The ranges build their context sets as rows (see ``model``).
+The ranges build their context sets as rows (see ``model``), distinct by
+construction, so no row is hashed.
 """
 
 from __future__ import annotations
@@ -190,10 +191,11 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
         )
 
     # The members are the product of one column per dimension, in schema
-    # order: a residue pair rides along as a column of one.
+    # order: a residue pair rides along as a column of one.  Each column's
+    # tags are distinct, so its rows are, and they go in unhashed.
     columns.update((m.dimension, (m,)) for m in residue)
     schema = schema_of(columns)
-    rows = itertools.product(*map(columns.__getitem__, schema))
+    rows = tuple(itertools.product(*map(columns.__getitem__, schema)))
     return ContextSet._of_groups({schema: rows})
 
 

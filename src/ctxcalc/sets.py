@@ -1,6 +1,6 @@
 """Operators over sets of simple contexts, plus intensional Box sets.
 
-A context set is a relation per schema, a frozenset of rows of micro
+A context set is a relation per schema, a group of rows of micro
 contexts (see ``model``), and every operator here works on the rows.  The
 lifted operators apply a context operator member-wise (or pairwise); the
 relational operators treat context sets like relations over their shared
@@ -12,12 +12,26 @@ result schema depends on the tags, group their output by the columns
 kept.  No operator calls a context operator, or builds a ``Context``, per
 member.
 
+Hashing a row costs a Python call per pair, so only the operators that can
+collapse rows dedupe them.  A relation is a set: the product of two
+distinct groups, each member of a join (one left row with one rest of its
+bucket) and each member of a Box (one path of a depth-first walk over
+distinct candidates) are distinct by construction, so ``><``, the
+products of ``(+)`` and ``[+]``, and ``box_enumerate`` hand their rows to
+``ContextSet._of_groups`` as tuples, unhashed.  Cutting columns can make
+two rows one, so the projections of ``!``, ``^``, ``(-)`` and ``[&]``
+(``_restrict`` and the kept columns) and ``/``, which overwrites a column,
+freeze their rows; so does ``_add`` when a second batch of rows meets a
+schema's first, as two schema pairs of ``(+)`` or the two sides of
+``[+]`` can build the same row.
+
 A Box describes a context set by a dimension list and a predicate over
 the current tags instead of by enumeration.  A predicate is a tree of
 ``parser`` nodes (``Const``, ``Ref``, ``Pointwise`` and ``NotOp``) in the
 syntax of ``parser.PREDICATE``.  ``Box`` (also named ``box_make``) is its
 one constructor: it checks the Box, binds its enum symbols and stores the
-plan that ``box_enumerate`` walks, which yields its members as rows.
+plan that ``box_enumerate`` walks, its tests compiled to functions of the
+tags bound, and ``box_enumerate`` yields its members as rows.
 """
 
 from __future__ import annotations
@@ -41,7 +55,6 @@ from .model import (
     Dimension,
     Record,
     TagKind,
-    TagValue,
     kind_of,
     schema_of,
 )
@@ -87,19 +100,21 @@ def _at(schema, cols) -> tuple:
 
 def _concat(left, right, pairs):
     """The schema of ``left + right``, two schemas over disjoint dimensions,
-    and ``pairs`` of a left row and a right row as rows over it."""
+    and ``pairs`` of a left row and a right row, all distinct, as a tuple
+    of the distinct rows over it."""
     cat = left + right
     schema = schema_of(cat)
     rows = itertools.starmap(operator.add, pairs)
     if schema != cat:
         rows = map(_getter(list(map(cat.index, schema))), rows)
-    return schema, rows
+    return schema, tuple(rows)
 
 
 def _add(groups, schema, rows):
     """Add ``rows`` to the rows of ``schema`` in ``groups``, which
     ``ContextSet._of_groups`` takes; a schema's first rows are kept as
-    they are, so that a frozenset passes through uncopied."""
+    they are, so that a frozenset or a tuple of distinct rows passes
+    through unhashed, and a second batch merges the two into a set."""
     have = groups.get(schema)
     if have is None:
         groups[schema] = rows
@@ -111,14 +126,15 @@ def _add(groups, schema, rows):
 
 def _restrict(s: ContextSet, dims, keep: bool) -> dict:
     """The groups of s's members restricted to ``dims`` (keep) or to the
-    others: schema to the frozenset of the distinct rows over it."""
+    others: schema to the group of the distinct rows over it, a group of s
+    itself where no column is cut."""
     out = {}
     for schema, rows in s._groups.items():
         cols = [i for i, d in enumerate(schema) if (d in dims) is keep]
         if len(cols) < len(schema):
             schema, rows = _at(schema, cols), frozenset(map(_getter(cols), rows))
         have = out.get(schema)
-        out[schema] = rows if have is None else have | rows
+        out[schema] = rows if have is None else frozenset(have).union(rows)
     return out
 
 
@@ -377,24 +393,30 @@ def _bind_predicate(node: StreamExpr, dims_by_name) -> tuple:
     return node, kind
 
 
-def _eval_predicate(node: StreamExpr, assignment) -> TagValue:
-    """Evaluate a bound, kind-checked predicate (see ``Box``) under an
-    assignment of a tag to each dimension name it reads."""
+def _compile(node: StreamExpr):
+    """A bound, kind-checked predicate (see ``Box``) as a function of an
+    assignment of a tag to each dimension name it reads.  A chain of left
+    operands compiles to one loop, so a long ``or`` chain costs no
+    recursion, here or when the function runs."""
+    node, chain = left_chain(node, PREDICATE)
     if isinstance(node, Ref):
-        return assignment[node.name]
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, NotOp):
-        return not _eval_predicate(node.operand, assignment)
-    # a Pointwise: left_chain inlined, as this runs once per Box candidate
-    chain = []
-    while isinstance(node, Pointwise):
-        chain.append(node)
-        node = node.left
-    value = _eval_predicate(node, assignment)
-    for n in reversed(chain):
-        value = OPERATORS[n.op](value, _eval_predicate(n.right, assignment))
-    return value
+        first = itemgetter(node.name)
+    elif isinstance(node, Const):
+        value = node.value
+        first = lambda assignment: value
+    else:  # a NotOp
+        operand = _compile(node.operand)
+        first = lambda assignment: not operand(assignment)
+    steps = [(OPERATORS[n.op], _compile(n.right)) for n in chain]
+    if not steps:
+        return first
+
+    def run(assignment):
+        value = first(assignment)
+        for op, right in steps:
+            value = op(value, right(assignment))
+        return value
+    return run
 
 
 def predicate_text(node: StreamExpr) -> str:
@@ -413,10 +435,12 @@ class Box(Record):
     symbol is bound to its member, so every ``Ref`` left names a dimension)
     and the kinds: the predicate must be boolean, so evaluating it is total.
     It stores the plan that ``box_enumerate`` walks, outside equality and
-    ``repr``: ``_tests[i]``, the ``and`` conjuncts whose last dimension
-    read is ``dims[i]`` (a conjunct that reads none is tested with
-    ``dims[0]``); ``_solved[i]``, the pair ``(f, s)`` with which one of
-    them solves ``dims[i]`` (see ``_solved_side``), or None.
+    ``repr``, with each predicate in it compiled once, here, to a function
+    of the assignment (see ``_compile``): ``_tests[i]``, the ``and``
+    conjuncts whose last dimension read is ``dims[i]`` (a conjunct that
+    reads none is tested with ``dims[0]``); ``_solved[i]``, the pair
+    ``(f, s)`` with which one of them solves ``dims[i]`` (see
+    ``_solved_side``), or None.
     """
 
     __slots__ = ("dims", "predicate", "_tests", "_solved")
@@ -453,8 +477,8 @@ class Box(Record):
         put = object.__setattr__
         put(self, "dims", dims)
         put(self, "predicate", predicate)
-        put(self, "_tests", tuple(map(tuple, tests)))
-        put(self, "_solved", solved)
+        put(self, "_tests", tuple(tuple(map(_compile, t)) for t in tests))
+        put(self, "_solved", tuple(s and (_compile(s[0]), s[1]) for s in solved))
 
     def __str__(self):
         names = ", ".join(d.name for d in self.dims)
@@ -476,7 +500,7 @@ def box_contains(box: Box, c: Context) -> bool:
     if c.dims() != frozenset(box.dims):
         return False
     assignment = {m.dimension.name: m.tag for m in c}
-    return bool(_eval_predicate(box.predicate, assignment))
+    return all(t(assignment) for tests in box._tests for t in tests)
 
 
 def _solved_side(conjunct: StreamExpr, d: Dimension) -> tuple:
@@ -525,7 +549,7 @@ def _solved_side(conjunct: StreamExpr, d: Dimension) -> tuple:
 def _admits(tests, assignment) -> bool:
     """Whether one candidate tag passes the conjuncts its binding completes."""
     for t in tests:
-        if not _eval_predicate(t, assignment):
+        if not t(assignment):
             return False
     return True
 
@@ -547,7 +571,8 @@ def box_enumerate(box: Box) -> ContextSet:
     bound to 0, negated when s is 1.  Each member is a row of its
     dimensions' own micro contexts (``Dimension.micro``), taken once per
     candidate bound, so a pair is built once, not once per member or per
-    call.  The result equals filtering the full product of the domains.
+    call.  The members are distinct, one per path of the walk, and go in
+    unhashed.  The result equals filtering the full product of the domains.
     """
     if not isinstance(box, Box):
         raise KindMismatch(f"not a box: {box!r}")
@@ -576,7 +601,7 @@ def box_enumerate(box: Box) -> ContextSet:
             return domain
         f, s = solved[i]
         assignment[dims[i].name] = 0
-        value = _eval_predicate(f, assignment)
+        value = f(assignment)
         k = index.get(-s * value if s else value)
         return () if k is None else (domain[k],)
 
@@ -599,4 +624,4 @@ def box_enumerate(box: Box) -> ContextSet:
             pending.append(iter(candidates(i + 1)))
             continue
         rows.append(row_of_bound(bound))
-    return ContextSet._of_groups({schema: rows})
+    return ContextSet._of_groups({schema: tuple(rows)})

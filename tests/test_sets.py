@@ -16,6 +16,7 @@ from ctxcalc.errors import (
     TagTypeMismatch,
     UnboundedBox,
 )
+from ctxcalc.evaluator import Environment, evaluate
 from ctxcalc.model import (
     NULL_CONTEXT,
     Context,
@@ -576,6 +577,41 @@ def test_set_union_matches_pairwise_definition(s1, s2):
     assert plain(set_union(s1, s2)) == union_oracle(plain(s1), plain(s2))
 
 
+def assert_distinct_rows(r):
+    """A set operator hands rows it knows are distinct to the result
+    unhashed, and ``==``, ``hash`` and ``in`` freeze them, so a duplicate
+    row that an oracle's ``==`` would not see shows here: in ``len``, read
+    before anything freezes the set, and in the set rebuilt from its
+    members through the checked constructor."""
+    n = len(r)
+    members = list(r)
+    assert n == len(members) == len(set(members))
+    twin = ContextSet(members)
+    assert r == twin and hash(r) == hash(twin)
+    assert all(c in r for c in members)
+
+
+@given(wide_st, wide_st, st.sets(st.sampled_from("defgh")),
+       st.sampled_from("defgh"), st.integers(0, 2), simple_st, simple_st)
+def test_set_operators_build_no_duplicate_rows(s1, s2, names, name, tag, c1, c2):
+    some = dims(*names)
+    for value in (
+        lift_projection(s1, some),
+        lift_hiding(s1, some),
+        lift_substitution(s1, ctx((name, tag))),
+        lift_choice(s1, s2, random.Random(tag)),
+        lift_override(s1, s2),
+        lift_difference(s1, s2),
+        join(s1, s2),
+        set_intersection(s1, s2),
+        set_union(s1, s2),
+        set_union(s1, s1),
+        ops.undirected_range(c1, c2),
+        ops.directed_range(c1, c2),
+    ):
+        assert_distinct_rows(value)
+
+
 def one_to_one_grids(n, right="f"):
     left = ContextSet(ctx(("d", i), ("e", i)) for i in range(n))
     return left, ContextSet(ctx(("d", i), (right, i)) for i in range(n))
@@ -639,6 +675,62 @@ def test_lift_override_overrides_distinct_remainders(monkeypatch):
     # each of the SIDE**3 rows kept hashes its 3 pairs, and each row of s1
     # its 1-pair remainder
     assert len(work) <= 3 * SIDE**3 + SIDE * SIDE
+
+
+# Rows that are distinct by construction go into the result unhashed.  Each
+# figure below is the exact count of pair hashes and compares; one that
+# hashed every member it builds would count each of its pairs again.
+
+
+def test_a_range_hashes_none_of_its_members(monkeypatch):
+    env = Environment(int_registry("ab"), random.Random(0))
+    node = parse_expr("{(a,0),(b,0)} <=> {(a,31),(b,31)}")
+    work = count_pair_work(monkeypatch)
+    out = evaluate(node, env)
+    assert len(out) == 1024
+    # the two literals' pairs, each hashed into its context once
+    assert len(work) == 4
+
+
+def test_a_box_hashes_none_of_its_members(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "uv":
+        reg.register(n, TagKind.INT, range(25))
+    box = Box([reg.get("u"), reg.get("v")],
+              parse_expr("Box[u, v | u + v == 24]").predicate)
+    work = count_pair_work(monkeypatch)
+    out = box_enumerate(box)
+    assert len(out) == 25 and len(work) == 0
+
+
+def ctx_abc(*pairs):
+    return make_context(ABC, pairs)
+
+
+def grids_sharing_b(side=8):
+    """Range-built grids over (a, b) and over (b, c), side x side each."""
+    return (ops.undirected_range(ctx_abc(("a", 0), ("b", 0)),
+                                 ctx_abc(("a", side - 1), ("b", side - 1))),
+            ops.undirected_range(ctx_abc(("b", 0), ("c", 0)),
+                                 ctx_abc(("b", side - 1), ("c", side - 1))))
+
+
+def test_a_join_hashes_only_its_keys(monkeypatch):
+    g, h = grids_sharing_b()
+    work = count_pair_work(monkeypatch)
+    out = join(g, h)
+    assert len(out) == 512
+    # the 1-pair key of each of H's 64 rows, bucketed, and of G's, probed
+    assert len(work) == 64 + 64
+
+
+def test_an_override_hashes_only_its_remainders(monkeypatch):
+    g, h = grids_sharing_b()
+    work = count_pair_work(monkeypatch)
+    out = lift_override(g, h)
+    assert len(out) == 512
+    # each of G's 64 rows cut to its 1-pair remainder off (b, c), frozen
+    assert len(work) == 64
 
 
 # --- box enumeration against the filter over the full product ------------------
@@ -806,6 +898,35 @@ def assert_enumerates_as_filtered(conjuncts, order, reg):
         if ev(pred, dict(zip(order, combo)))
     }
     assert plain(got) == want
+
+
+@given(
+    st.lists(conjunct, min_size=1, max_size=3),
+    st.permutations(["x", "y", "m", "b", "s"]),
+    registries,
+)
+def test_box_enumerate_builds_no_duplicate_rows(conjuncts, order, reg):
+    pred = conjuncts[0]
+    for c in conjuncts[1:]:
+        pred = ("op", "and", pred, c)
+    if kind(pred) == "bool":  # the product-filter property checks the rest
+        assert_distinct_rows(box_enumerate(Box([reg.get(n) for n in order],
+                                               node(pred))))
+
+
+def test_a_wide_or_chain_box_enumerates_as_its_product_filter():
+    # a left chain of 1,500 terms: compiled and run with no recursion
+    # along it, where the interpreter's limit is about 1,000 frames
+    reg = DimensionRegistry()
+    x = reg.register("x", TagKind.INT, range(3000))
+    kept = range(0, 3000, 2)
+    pred = Pointwise("==", Ref("x"), Const(kept[0]))
+    for k in kept[1:]:
+        pred = Pointwise("or", pred, Pointwise("==", Ref("x"), Const(k)))
+    box = Box([x], pred)
+    assert box_enumerate(box) == ContextSet(
+        make_context(reg, [("x", k)]) for k in kept)
+    assert box_contains(box, make_context(reg, [("x", 2998)]))
 
 
 def count_admits(monkeypatch):
