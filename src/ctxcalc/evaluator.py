@@ -33,6 +33,7 @@ from .model import (
     Context,
     ContextSet,
     DimensionRegistry,
+    check_registry,
     make_context,
     make_context_set,
 )
@@ -75,9 +76,7 @@ class Environment:
     __slots__ = ("registry", "rng", "bindings")
 
     def __init__(self, registry: DimensionRegistry, rng: random.Random):
-        if not isinstance(registry, DimensionRegistry):
-            raise KindMismatch(
-                f"not a dimension registry: {type(registry).__name__}")
+        check_registry(registry)
         check_rng(rng)
         self.registry = registry
         self.rng = rng

@@ -86,20 +86,31 @@ class Record:
     ``Dimension``, ``MicroContext``, ``ContextSet`` and ``sets.Box``.
 
     A subclass lists its fields in ``_fields``, in order, and in
-    ``__slots__`` (with any slot outside its value), and its ``__init__``
-    sets them with ``object.__setattr__``; assigning or deleting an
-    attribute raises ``AttributeError``.  From ``_fields`` the base gives
+    ``__slots__`` (with any slot outside its value), and ``_defaults``
+    holds the values of its trailing optional fields, if it has any.
+    Assigning or deleting an attribute raises ``AttributeError``.  From
+    ``_fields`` the base gives an ``__init__`` that takes the fields by
+    position or by keyword and sets each with ``object.__setattr__``,
     equality (same class and equal fields), a hash of the fields,
     ``Name(field=value, ...)`` as ``repr`` and a ``__reduce__`` that calls
     the class with the fields, for copy and pickle.  ``repr`` walks nested
     records with a loop over a stack, so a deep tree costs no recursion.
+
+    A class that checks its input writes its own ``__init__``, which sets
+    its slots the same way, and its subclasses inherit it.  The base's
+    initializer is compiled once per class, when the class is created, as
+    ``collections.namedtuple`` builds its methods: its parameters are the
+    fields themselves, so a call costs what a hand-written one does.
     """
 
     __slots__ = ()
     _fields = ()
+    _defaults = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if cls.__init__ is object.__init__ or hasattr(cls.__init__, "_of_fields"):
+            cls.__init__ = _initializer(cls)
         cls._key = operator.attrgetter(*cls._fields)
         cls._labels = tuple(
             _Text(f"{', ' if i else cls.__qualname__ + '('}{name}=")
@@ -137,6 +148,21 @@ class Record:
         return "".join(out)
 
 
+def _initializer(cls):
+    """The ``__init__`` of a record class that writes none: its parameters
+    are the fields, the last ``len(cls._defaults)`` of them optional.  It
+    is marked ``_of_fields``, so a subclass gets one of its own fields."""
+    fields = cls._fields
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": _set, "__name__": cls.__module__}
+    exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init._of_fields = True
+    return init
+
+
 @functools.total_ordering
 class EnumValue(Record):
     """One element of a named, finite, ordered enumeration.
@@ -148,11 +174,6 @@ class EnumValue(Record):
     """
 
     __slots__ = _fields = ("enumeration", "symbol", "ordinal")
-
-    def __init__(self, enumeration: str, symbol: str, ordinal: int):
-        _set(self, "enumeration", enumeration)
-        _set(self, "symbol", symbol)
-        _set(self, "ordinal", ordinal)
 
     def __repr__(self):
         return f"{self.enumeration}.{self.symbol}"
@@ -694,7 +715,7 @@ def make_context(registry: DimensionRegistry, pairs) -> Context:
     Duplicate pairs collapse; the result may be non-simple.  Each pair is
     its dimension's one micro context for it (``Dimension.micro``).
     """
-    _check_registry(registry)
+    check_registry(registry)
     return Context._of_micros(_micros_of(registry, pairs))
 
 
@@ -708,7 +729,7 @@ def make_context_set(registry: DimensionRegistry, members) -> ContextSet:
     errors, in their order, are those of
     ``ContextSet(make_context(registry, m) for m in members)``.
     """
-    _check_registry(registry)
+    check_registry(registry)
     rows = []
     for pairs in members:
         micros = _micros_of(registry, pairs)
@@ -717,7 +738,8 @@ def make_context_set(registry: DimensionRegistry, members) -> ContextSet:
     return ContextSet._of_groups(_groups_of(rows))
 
 
-def _check_registry(registry):
+def check_registry(registry):
+    """Raise ``KindMismatch`` unless ``registry`` is a ``DimensionRegistry``."""
     if not isinstance(registry, DimensionRegistry):
         raise KindMismatch(
             f"not a dimension registry: {type(registry).__name__}")

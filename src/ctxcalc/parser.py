@@ -17,7 +17,10 @@ The nodes are plain slotted classes on ``model.Record``, immutable and
 equal when of one class with equal fields.  A node's ``_fields`` names
 its fields, its children among them, in source order: it is the
 interface a walker reads (``references`` does), and ``repr`` prints the
-fields in that order.
+fields in that order.  A new node is a class that lists its ``_fields``
+and, when its trailing fields are optional, their ``_defaults`` (the
+dimension of ``First`` or ``Fby`` is ``TIME`` unless given); ``Record``
+builds its initializer from them.
 
 Two of the three grammar tables for the operator-precedence core in
 ``lexer`` are here.  ``CONTEXT`` covers context and context-set
@@ -49,7 +52,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import partial
-from typing import Tuple, Union
+from typing import Union
 
 from .errors import KindMismatch
 from .lexer import (
@@ -64,31 +67,19 @@ TIME = "time"
 Value = Union[int, bool, None]
 
 
-_set = object.__setattr__
-
-
 class Const(Record):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Value):
-        _set(self, "value", value)
+    __slots__ = _fields = ("value",)  # a Value
 
 
 class Literal(Record):
     """A finite prefix varying along one dimension; nil past the end."""
 
-    __slots__ = _fields = ("values", "dim")
-
-    def __init__(self, values: Tuple[Value, ...], dim: str = TIME):
-        _set(self, "values", values)
-        _set(self, "dim", dim)
+    __slots__ = _fields = ("values", "dim")  # a tuple of Values, a name
+    _defaults = (TIME,)
 
 
 class Ref(Record):
     __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
 
 class Pointwise(Record):
@@ -96,72 +87,48 @@ class Pointwise(Record):
     # context tree, an operator of ``PRECEDENCE_LEVELS``
     __slots__ = _fields = ("op", "left", "right")
 
-    def __init__(self, op: str, left: StreamExpr, right: StreamExpr):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-
 
 class NotOp(Record):
     __slots__ = _fields = ("operand",)
-
-    def __init__(self, operand: StreamExpr):
-        _set(self, "operand", operand)
 
 
 class If(Record):
     __slots__ = _fields = ("cond", "then", "orelse")
 
-    def __init__(self, cond: StreamExpr, then: StreamExpr, orelse: StreamExpr):
-        _set(self, "cond", cond)
-        _set(self, "then", then)
-        _set(self, "orelse", orelse)
-
-
-def _operand_along(self, operand: StreamExpr, dim: str = TIME):
-    _set(self, "operand", operand)
-    _set(self, "dim", dim)
-
 
 class First(Record):
     __slots__ = _fields = ("operand", "dim")
-    __init__ = _operand_along
+    _defaults = (TIME,)
 
 
 class Next(Record):
     __slots__ = _fields = ("operand", "dim")
-    __init__ = _operand_along
+    _defaults = (TIME,)
 
 
 class Prev(Record):
     __slots__ = _fields = ("operand", "dim")
-    __init__ = _operand_along
-
-
-def _operands_along(self, left: StreamExpr, right: StreamExpr, dim: str = TIME):
-    _set(self, "left", left)
-    _set(self, "right", right)
-    _set(self, "dim", dim)
+    _defaults = (TIME,)
 
 
 class Fby(Record):
     __slots__ = _fields = ("left", "right", "dim")
-    __init__ = _operands_along
+    _defaults = (TIME,)
 
 
 class Wvr(Record):
     __slots__ = _fields = ("left", "right", "dim")
-    __init__ = _operands_along
+    _defaults = (TIME,)
 
 
 class Asa(Record):
     __slots__ = _fields = ("left", "right", "dim")
-    __init__ = _operands_along
+    _defaults = (TIME,)
 
 
 class Upon(Record):
     __slots__ = _fields = ("left", "right", "dim")
-    __init__ = _operands_along
+    _defaults = (TIME,)
 
 
 class At(Record):
@@ -169,19 +136,11 @@ class At(Record):
 
     __slots__ = _fields = ("operand", "dim", "index")
 
-    def __init__(self, operand: StreamExpr, dim: str, index: StreamExpr):
-        _set(self, "operand", operand)
-        _set(self, "dim", dim)
-        _set(self, "index", index)
-
 
 class Query(Record):
     """Intensional query: the current tag along dim."""
 
     __slots__ = _fields = ("dim",)
-
-    def __init__(self, dim: str):
-        _set(self, "dim", dim)
 
 
 StreamExpr = Union[
@@ -194,32 +153,19 @@ StreamExpr = Union[
 
 
 class ContextLit(Record):
-    __slots__ = _fields = ("pairs",)
-
-    def __init__(self, pairs: Tuple[Tuple[str, object], ...]):
-        _set(self, "pairs", pairs)  # (dimension, tag literal)
+    __slots__ = _fields = ("pairs",)  # (dimension, tag literal) pairs
 
 
 class DimSetLit(Record):
     __slots__ = _fields = ("names",)
 
-    def __init__(self, names: Tuple[str, ...]):
-        _set(self, "names", names)
-
 
 class SetLit(Record):
-    __slots__ = _fields = ("items",)
-
-    def __init__(self, items: Tuple[ContextLit, ...]):
-        _set(self, "items", items)
+    __slots__ = _fields = ("items",)  # ContextLits
 
 
 class BoxLit(Record):
     __slots__ = _fields = ("dims", "predicate")
-
-    def __init__(self, dims: Tuple[str, ...], predicate: StreamExpr):
-        _set(self, "dims", dims)
-        _set(self, "predicate", predicate)
 
 
 Node = Union[Ref, ContextLit, DimSetLit, SetLit, BoxLit, Const, Pointwise]

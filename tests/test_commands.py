@@ -147,6 +147,9 @@ ERRORS = [
     ("  eval $", UnknownToken, 8),
     ("eval (a", UnbalancedParens, 6),
     ("eval a)", UnbalancedParens, 7),
+    # "a set literal may only contain context literals", reported after the
+    # literal's closing brace
+    ("eval {{(d,1)}, {d}}", ExprSyntaxError, 20),
     # seed
     ("seed", ExprSyntaxError, 5),
     ("seed +3", ExprSyntaxError, 6),

@@ -5,16 +5,23 @@ Each is built from its fields, positionally or by keyword; equal fields
 give equal values with equal hashes, and the same fields in a sibling
 class do not; ``repr`` prints ``Name(field=value, ...)``; a field can be
 neither assigned nor deleted; and copies and pickles are equal values.
+A record class that checks no input writes no initializer: ``Record``
+builds it from the class's ``_fields`` and ``_defaults``.
 """
 
 import copy
+import inspect
 import pickle
 import typing
 
 import pytest
 
+import ctxcalc.cli  # loads every module, so every record class
 from ctxcalc import parse_expr
-from ctxcalc.model import Dimension, EnumValue, TagKind
+from ctxcalc.errors import ExprSyntaxError
+from ctxcalc.model import (
+    ContextSet, Dimension, EnumValue, MicroContext, Record, TagKind,
+)
 from ctxcalc.parser import (
     Asa, At, BoxLit, Const, ContextLit, DimSetLit, Fby, First, If, Literal,
     Next, NotOp, Pointwise, Prev, Query, Ref, SetLit, StreamExpr, Upon, Wvr,
@@ -109,3 +116,72 @@ def test_repr_of_a_deep_chain_is_its_text():
     head = "Pointwise(op='(+)', left="
     tail = ", right=Ref(name='c'))"
     assert repr(tree) == head * 1499 + "Ref(name='c')" + tail * 1499
+
+
+# --- the initializer Record builds ---------------------------------------------
+
+# the record classes that check their input in an initializer of their own
+CHECKING = {Dimension, MicroContext, ContextSet, Box}
+
+
+def _record_classes():
+    out, stack = set(), [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__.startswith("ctxcalc."):
+                out.add(sub)
+            stack.append(sub)
+    return out
+
+
+BUILT = sorted(_record_classes() - CHECKING, key=lambda cls: cls.__name__)
+
+
+def test_every_record_class_but_the_checking_ones_has_the_built_initializer():
+    assert CHECKING <= _record_classes()
+    assert set(BUILT) == {row[0] for row in RECORDS} - CHECKING
+    assert len(BUILT) == 20  # the 19 syntax-tree nodes and EnumValue
+    for cls in BUILT:
+        assert cls.__dict__["__init__"]._of_fields
+    for cls in CHECKING:
+        assert not hasattr(cls.__init__, "_of_fields")
+
+
+@pytest.mark.parametrize("cls", BUILT, ids=[cls.__name__ for cls in BUILT])
+def test_the_built_initializer_takes_the_fields_in_order(cls):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    defaults = tuple(p.default for p in params.values() if p.default is not p.empty)
+    assert defaults == cls._defaults
+    required = cls._fields[:len(cls._fields) - len(cls._defaults)]
+    args = [object() for _ in required]
+    for value in (cls(*args), cls(**dict(zip(required, args)))):
+        assert [getattr(value, name) for name in required] == args
+        for name, default in zip(cls._fields[len(required):], cls._defaults):
+            assert getattr(value, name) == default
+    with pytest.raises(TypeError):
+        cls(*args[1:])  # a missing field
+    with pytest.raises(TypeError):
+        cls(**dict(zip(required[1:], args)))
+    with pytest.raises(TypeError):
+        cls(*args, unknown=1)
+    with pytest.raises(TypeError):
+        cls(*args, *cls._defaults, 1)  # one field too many
+
+
+def test_a_subclass_keeps_a_written_initializer_and_gets_new_fields():
+    class Checked(Dimension):
+        __slots__ = ()
+
+    with pytest.raises(ExprSyntaxError):
+        Checked("1x", TagKind.INT)  # Dimension's check still runs
+
+    class Along(Ref):
+        __slots__ = ("dim",)
+        _fields = ("name", "dim")
+        _defaults = ("time",)
+
+    assert tuple(inspect.signature(Along).parameters) == ("name", "dim")
+    assert Along("a").dim == "time" and Along("a", "s") == Along(name="a", dim="s")
+    assert tuple(inspect.signature(Ref).parameters) == ("name",)

@@ -21,6 +21,7 @@ from ctxcalc.model import (
     NULL_CONTEXT,
     Context,
     ContextSet,
+    Dimension,
     DimensionRegistry,
     TagKind,
     make_context,
@@ -433,6 +434,10 @@ BOX_API_ERRORS = [
     ("unhashable-name",
      lambda: Box([month_registry().get("m")], Ref(["x"])),
      IllTypedPredicate, "unbound name ['x'] in box predicate"),
+    ("not-of-a-non-boolean",
+     lambda: Box((Dimension("d", TagKind.INT, (1, 2)),
+                  Dimension("b", TagKind.BOOL)), NotOp(Ref("d"))),
+     IllTypedPredicate, "'not' needs a boolean operand"),
     ("contains-in-a-non-box",
      lambda: box_contains(5, ctx(("d", 1))),
      KindMismatch, "not a box: 5"),
