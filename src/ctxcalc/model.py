@@ -64,7 +64,16 @@ from .errors import (
 )
 
 
-class TagKind(enum.Enum):
+class _Enum(enum.Enum):
+    """An enumeration whose lookup of a value it does not hold raises
+    ``KindMismatch``, a typed error, not ``ValueError``."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise KindMismatch(f"not a {cls.__name__}: {value!r}")
+
+
+class TagKind(_Enum):
     """The four tag families a dimension can range over."""
 
     INT = "int"
@@ -474,7 +483,7 @@ def row_of(context) -> tuple:
     return tuple(sorted(context, key=_ORDER))
 
 
-class ContextOrder(enum.Enum):
+class ContextOrder(_Enum):
     """Verdicts of comparing two contexts as micro-context sets."""
 
     EQUAL = "equal"

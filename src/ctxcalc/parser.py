@@ -54,7 +54,7 @@ import re
 from functools import partial
 from typing import Union
 
-from .errors import KindMismatch
+from .errors import ExprSyntaxError, KindMismatch
 from .lexer import (
     BOOLEANS, CTX, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, cursor_of,
 )
@@ -286,17 +286,25 @@ def _brace_literal(cur: Cursor) -> Node:
         cur.expect("}")
         return ContextLit(tuple(pairs))
     if tok.kind == "{" or tok.kind == CTX:
-        items = cur.comma_list(_brace_literal)
+        items = cur.comma_list(_set_item)
         cur.expect("}")
-        for item in items:
-            if not isinstance(item, ContextLit):
-                cur.fail("a set literal may only contain context literals")
         return SetLit(tuple(items))
     if tok.kind == NAME:
         names = cur.comma_list(_name)
         cur.expect("}")
         return DimSetLit(tuple(names))
     cur.fail("expected a context, set, or dimension-set literal")
+
+
+def _set_item(cur: Cursor) -> ContextLit:
+    """A member of a set literal, refused at its first column unless it is
+    a context literal."""
+    column = cur.peek().column
+    item = _brace_literal(cur)
+    if not isinstance(item, ContextLit):
+        raise ExprSyntaxError.at(
+            "a set literal may only contain context literals", column)
+    return item
 
 
 def _box_literal(cur: Cursor) -> BoxLit:

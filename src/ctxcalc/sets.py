@@ -1,29 +1,38 @@
 """Operators over sets of simple contexts, plus intensional Box sets.
 
 A context set is a relation per schema, a group of rows of micro
-contexts (see ``model``), and every operator here works on the rows.  The
-lifted operators apply a context operator member-wise (or pairwise); the
-relational operators treat context sets like relations over their shared
-dimensions: ``><`` is the natural join, a hash join on the shared
-columns, and ``!`` a projection.  For each schema, or pair of schemas, an
-operator works out the column positions once; after that a row costs a
-C-level column pick or tuple concatenation.  ``(-)`` and ``[&]``, whose
-result schema depends on the tags, group their output by the columns
-kept.  No operator calls a context operator, or builds a ``Context``, per
-member.
+contexts (see ``model``), and every operator here works on the rows
+through three kernels, over groups (mappings from a schema to its rows):
 
-Hashing a row costs a Python call per pair, so only the operators that can
-collapse rows dedupe them.  A relation is a set: the product of two
-distinct groups, each member of a join (one left row with one rest of its
-bucket) and each member of a Box (one path of a depth-first walk over
-distinct candidates) are distinct by construction, so ``><``, the
-products of ``(+)`` and ``[+]``, and ``box_enumerate`` hand their rows to
-``ContextSet._of_groups`` as tuples, unhashed.  Cutting columns can make
-two rows one, so the projections of ``!``, ``^``, ``(-)`` and ``[&]``
-(``_restrict`` and the kept columns) and ``/``, which overwrites a column,
-freeze their rows; so does ``_add`` when a second batch of rows meets a
-schema's first, as two schema pairs of ``(+)`` or the two sides of
-``[+]`` can build the same row.
+- ``_restrict`` keeps or cuts columns: ``!`` and ``^``, and the operands
+  that the other operators cut first;
+- ``_join`` is the natural join, a hash join on the shared columns that
+  meets schemas with none as their product: ``><`` on the shared
+  dimensions; ``(+)``, each remainder of s1 with a schema B of s2's
+  dimensions hidden, followed by the rows over B; ``[+]``, each side
+  followed by the unshared remainders of the other; and ``/``, the
+  members that bind d with d hidden, followed by the pair;
+- ``_meet`` meets each row with the distinct projections of the other
+  side onto the shared dimensions and keeps the columns on which they
+  agree, for ``[&]``, or cuts them, for ``(-)``.  Which columns agree
+  depends on the tags, so it groups its output by the columns kept.
+
+For each schema, or pair of schemas, a kernel works out the column
+positions once; after that a row costs a C-level column pick or tuple
+concatenation.  No operator calls a context operator, or builds a
+``Context``, per member.
+
+Hashing a row costs a Python call per pair, so only the kernels that can
+collapse rows dedupe them.  A relation is a set: each member of a join
+(one left row with one rest of its bucket, or one row of each side of a
+product) and each member of a Box (one path of a depth-first walk over
+distinct candidates) are distinct by construction, so ``_join`` and
+``box_enumerate`` hand their rows to ``ContextSet._of_groups`` as
+tuples, unhashed.  Cutting columns can make two rows one, so
+``_restrict`` and the kept columns of ``_meet`` freeze their rows; so
+does ``_add`` when a second batch of rows meets a schema's first, as two
+schema pairs of ``(+)`` or the two sides of ``[+]`` can build the same
+row.
 
 A Box describes a context set by a dimension list and a predicate over
 the current tags instead of by enumeration.  A predicate is a tree of
@@ -90,24 +99,12 @@ def _getter(cols):
 
 def _cols(schema, dims) -> list:
     """The positions in ``schema`` of the dimensions in ``dims``."""
-    return [i for i, d in enumerate(schema) if d in dims]
+    return [i for i, d in enumerate(schema) if d in dims] if dims else []
 
 
 def _at(schema, cols) -> tuple:
     """The schema of the columns ``cols`` of ``schema``."""
     return tuple(map(schema.__getitem__, cols))
-
-
-def _concat(left, right, pairs):
-    """The schema of ``left + right``, two schemas over disjoint dimensions,
-    and ``pairs`` of a left row and a right row, all distinct, as a tuple
-    of the distinct rows over it."""
-    cat = left + right
-    schema = schema_of(cat)
-    rows = itertools.starmap(operator.add, pairs)
-    if schema != cat:
-        rows = map(_getter(list(map(cat.index, schema))), rows)
-    return schema, tuple(rows)
 
 
 def _add(groups, schema, rows):
@@ -124,18 +121,85 @@ def _add(groups, schema, rows):
         have.update(rows)
 
 
-def _restrict(s: ContextSet, dims, keep: bool) -> dict:
-    """The groups of s's members restricted to ``dims`` (keep) or to the
-    others: schema to the group of the distinct rows over it, a group of s
-    itself where no column is cut."""
+def _restrict(groups, dims, keep: bool) -> dict:
+    """``groups``, a mapping from schema to rows, restricted to ``dims``
+    (keep) or to the others: schema to the group of the distinct rows over
+    it, a group of ``groups`` itself where no column is cut."""
     out = {}
-    for schema, rows in s._groups.items():
+    for schema, rows in groups.items():
         cols = [i for i, d in enumerate(schema) if (d in dims) is keep]
         if len(cols) < len(schema):
             schema, rows = _at(schema, cols), frozenset(map(_getter(cols), rows))
         have = out.get(schema)
         out[schema] = rows if have is None else frozenset(have).union(rows)
     return out
+
+
+def _join(out, lefts, rights, shared):
+    """Add to ``out`` the natural join of two groups, mappings from schema
+    to distinct rows, over the dimensions ``shared``.
+
+    Two rows can agree only when they bind the same shared dimensions, so
+    only schemas with the same shared columns meet.  For each such pair of
+    schemas a hash join: the rows on the right are bucketed by their tags
+    on the shared columns, once, and each row on the left probes its own
+    bucket, so the cost is the two sides plus the pairs that agree.
+    Schemas with no shared column meet as their product, and where one of
+    them is ``()`` the other's rows pass through as they are.  Each left
+    row with one rest of its bucket is a distinct row, so a pair of
+    schemas adds a tuple.
+    """
+    for b_schema, b_rows in rights.items():
+        b_keys = _cols(b_schema, shared)
+        on, rest, buckets = _at(b_schema, b_keys), b_schema, None
+        for a_schema, a_rows in lefts.items():
+            a_keys = _cols(a_schema, shared)
+            if _at(a_schema, a_keys) != on:
+                continue
+            if not (a_schema and b_schema):  # one side is the empty row
+                _add(out, a_schema or b_schema, a_rows if a_schema else b_rows)
+                continue
+            if not a_keys:
+                pairs = itertools.product(a_rows, b_rows)
+            else:
+                if buckets is None:  # the rest of b's rows, by key
+                    b_rest = [i for i in range(len(b_schema)) if i not in b_keys]
+                    rest, buckets = _at(b_schema, b_rest), {}
+                    for key, r in zip(map(_getter(b_keys), b_rows),
+                                      map(_getter(b_rest), b_rows)):
+                        buckets.setdefault(key, []).append(r)
+                pairs = []
+                for key, a in zip(map(_getter(a_keys), a_rows), a_rows):
+                    rests = buckets.get(key)
+                    if rests is not None:
+                        pairs.append(zip(itertools.repeat(a), rests))
+                pairs = itertools.chain.from_iterable(pairs)
+            cat = a_schema + rest
+            schema = schema_of(cat)
+            rows = itertools.starmap(operator.add, pairs)
+            if schema != cat:
+                rows = map(_getter(list(map(cat.index, schema))), rows)
+            _add(out, schema, tuple(rows))
+
+
+def _meet(out, lefts, cuts, keep: bool):
+    """Add to ``out`` each row of ``lefts`` met with each distinct row of
+    ``cuts``, two groups, over the columns their schemas share: the row
+    keeps the columns on which they agree (keep), or loses them.  Which columns
+    agree depends on the tags (see ``_agreements``), so the rows are added
+    grouped by the columns kept."""
+    for a_schema, a_rows in lefts.items():
+        for k_schema, k_rows in cuts.items():
+            a_cols = _cols(a_schema, k_schema)
+            ys = set(map(_getter(_cols(k_schema, a_schema)), k_rows))
+            for same, rows in _agreements(a_rows, _getter(a_cols), ys,
+                                          len(a_cols)).items():
+                met = set(map(a_cols.__getitem__, same))
+                kept = [i for i in range(len(a_schema)) if (i in met) is keep]
+                if len(kept) < len(a_schema):
+                    _add(out, _at(a_schema, kept), map(_getter(kept), rows))
+                else:
+                    _add(out, a_schema, rows)
 
 
 def _shared_dims(s1: ContextSet, s2: ContextSet) -> frozenset:
@@ -175,34 +239,32 @@ def lift_projection(s: ContextSet, dims: frozenset) -> ContextSet:
     """Project every member onto ``dims``."""
     _check_sets(s)
     ops.check_dims(dims)
-    return ContextSet._of_groups(_restrict(s, dims, True))
+    return ContextSet._of_groups(_restrict(s._groups, dims, True))
 
 
 def lift_hiding(s: ContextSet, dims: frozenset) -> ContextSet:
     """Hide ``dims`` in every member."""
     _check_sets(s)
     ops.check_dims(dims)
-    return ContextSet._of_groups(_restrict(s, dims, False))
+    return ContextSet._of_groups(_restrict(s._groups, dims, False))
 
 
 def lift_substitution(s: ContextSet, pair: Context) -> ContextSet:
     """Substitute ``pair``, a context of one micro context (a ``<d, t>``
-    pair), into every member: a member that binds its dimension takes the
-    pair in that column, and any other member stays as it is."""
+    pair), into every member: a member that binds its dimension d takes
+    the pair in that column, and any other member stays as it is.  So the
+    members that bind d are hidden on d and joined with the pair."""
     _check_sets(s)
     if not (isinstance(pair, Context) and pair.is_micro()):
         raise KindMismatch(
             "set substitution needs a <dimension, tag> pair on the right"
         )
     (m,) = pair
-    out = {}
+    d = m.dimension
+    out, bound = {}, {}
     for schema, rows in s._groups.items():
-        if m.dimension in schema:
-            i, n = schema.index(m.dimension), len(schema)
-            # the pair appended, then moved into its column
-            rows = map(_getter([*range(i), n, *range(i + 1, n)]),
-                       map(operator.add, rows, itertools.repeat((m,))))
-        _add(out, schema, rows)
+        (bound if d in schema else out)[schema] = rows
+    _join(out, _restrict(bound, (d,), False), {(d,): ((m,),)}, ())
     return ContextSet._of_groups(out)
 
 
@@ -217,18 +279,13 @@ def lift_override(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
     Override drops the left operand's bindings on the right operand's
     dimensions, so ``c1 (+) c2 == (c1 ^ dims(c2)) (+) c2``.  For each schema
-    B of s2, each distinct remainder of s1 with B's dimensions hidden is
-    followed by each row over B.
+    B of s2, the distinct remainders of s1 with B's dimensions hidden are
+    joined with the rows over B, on no column.
     """
     _check_sets(s1, s2)
     out = {}
     for b_schema, b_rows in s2._groups.items():
-        for r_schema, r_rows in _restrict(s1, b_schema, False).items():
-            if r_schema:
-                _add(out, *_concat(r_schema, b_schema,
-                                   itertools.product(r_rows, b_rows)))
-            else:
-                _add(out, b_schema, b_rows)
+        _join(out, _restrict(s1._groups, b_schema, False), {b_schema: b_rows}, ())
     return ContextSet._of_groups(out)
 
 
@@ -237,60 +294,25 @@ def lift_difference(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
     Only a binding on a dimension shared by the two sets can be removed, so
     ``c1 (-) c2 == c1 (-) (c2 ! S)`` with S the shared dimensions; each
-    member of s1 loses each distinct projection of s2 onto S.  Which
-    columns a member loses depends on its tags there (see
-    ``_agreements``), so the output is grouped by the columns kept.
+    member of s1 meets each distinct projection of s2 onto S and loses the
+    columns on which they agree.
     """
     _check_sets(s1, s2)
-    cuts = _restrict(s2, _shared_dims(s1, s2), True)
     out = {}
-    for a_schema, a_rows in s1._groups.items():
-        for k_schema, k_rows in cuts.items():
-            a_cols = _cols(a_schema, k_schema)
-            tags = set(map(_getter(_cols(k_schema, a_schema)), k_rows))
-            for same, rows in _agreements(a_rows, _getter(a_cols), tags,
-                                          len(a_cols)).items():
-                if same:
-                    lost = set(map(a_cols.__getitem__, same))
-                    kept = [i for i in range(len(a_schema)) if i not in lost]
-                    _add(out, _at(a_schema, kept), map(_getter(kept), rows))
-                else:
-                    _add(out, a_schema, rows)
+    _meet(out, s1._groups, _restrict(s2._groups, _shared_dims(s1, s2), True),
+          False)
     return ContextSet._of_groups(out)
 
 
 # --- relational operators -----------------------------------------------------
 
 def join(s1: ContextSet, s2: ContextSet) -> ContextSet:
-    """Natural join: unite pairs that agree on the shared dimensions.
-
-    Two members can agree only when they bind the same shared dimensions,
-    so only schemas with the same shared columns meet.  For each such pair
-    of schemas a hash join: the rows of s2 are bucketed by their tags on
-    the shared columns, and each row of s1 probes its own bucket, so the
-    cost is |s1| + |s2| plus the pairs that agree.
-    """
+    """Natural join: unite pairs that agree on the shared dimensions, a
+    hash join (see ``_join``), so the cost is |s1| + |s2| plus the pairs
+    that agree."""
     _check_sets(s1, s2)
-    shared = _shared_dims(s1, s2)
     out = {}
-    for b_schema, b_rows in s2._groups.items():
-        b_keys = _cols(b_schema, shared)
-        b_rest = [i for i in range(len(b_schema)) if i not in b_keys]
-        buckets: dict = {}
-        for key, rest in zip(map(_getter(b_keys), b_rows),
-                             map(_getter(b_rest), b_rows)):
-            buckets.setdefault(key, []).append(rest)
-        for a_schema, a_rows in s1._groups.items():
-            a_keys = _cols(a_schema, shared)
-            if _at(a_schema, a_keys) != _at(b_schema, b_keys):
-                continue
-            pairs = []
-            for key, a in zip(map(_getter(a_keys), a_rows), a_rows):
-                rests = buckets.get(key)
-                if rests is not None:
-                    pairs.append(zip(itertools.repeat(a), rests))
-            _add(out, *_concat(a_schema, _at(b_schema, b_rest),
-                               itertools.chain.from_iterable(pairs)))
+    _join(out, s1._groups, s2._groups, _shared_dims(s1, s2))
     return ContextSet._of_groups(out)
 
 
@@ -299,42 +321,27 @@ def set_intersection(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
     A common binding lies on a dimension shared by the two sets, so
     ``c1 & c2 == (c1 ! S) & (c2 ! S)`` with S the shared dimensions; each
-    distinct projection of s1 onto S meets each of s2's, over the columns
-    their schemas share, and keeps the columns on which they agree.
+    distinct projection of s1 onto S meets each of s2's and keeps the
+    columns on which they agree.
     """
     _check_sets(s1, s2)
-    shared = _shared_dims(s1, s2)
-    cuts2, out = _restrict(s2, shared, True), {}
-    for p_schema, p_rows in _restrict(s1, shared, True).items():
-        for q_schema, q_rows in cuts2.items():
-            p_cols = _cols(p_schema, q_schema)
-            ys = set(map(_getter(_cols(q_schema, p_schema)), q_rows))
-            for same, rows in _agreements(p_rows, _getter(p_cols), ys,
-                                          len(p_cols)).items():
-                kept = list(map(p_cols.__getitem__, same))
-                _add(out, _at(p_schema, kept), map(_getter(kept), rows))
+    shared, out = _shared_dims(s1, s2), {}
+    _meet(out, _restrict(s1._groups, shared, True),
+          _restrict(s2._groups, shared, True), True)
     return ContextSet._of_groups(out)
 
 
 def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
     """Pairwise union where each member keeps the other's unshared part.
 
-    The distinct unshared remainders of each side are built once; each
-    row is then followed by every remainder of the other side, so the
-    work is that of the output rather than of 2·|s1|·|s2| candidates.
+    Each side is joined, on no column, with the distinct unshared
+    remainders of the other, so the work is that of the output rather
+    than of 2·|s1|·|s2| candidates.
     """
     _check_sets(s1, s2)
-    shared = _shared_dims(s1, s2)
-    out = {}
-    for side, other in ((s1, s2), (s2, s1)):
-        rests = _restrict(other, shared, False)
-        for a_schema, a_rows in side._groups.items():
-            for r_schema, r_rows in rests.items():
-                if r_schema:
-                    _add(out, *_concat(a_schema, r_schema,
-                                       itertools.product(a_rows, r_rows)))
-                else:
-                    _add(out, a_schema, a_rows)
+    shared, out = _shared_dims(s1, s2), {}
+    _join(out, s1._groups, _restrict(s2._groups, shared, False), ())
+    _join(out, s2._groups, _restrict(s1._groups, shared, False), ())
     return ContextSet._of_groups(out)
 
 

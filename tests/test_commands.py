@@ -147,9 +147,10 @@ ERRORS = [
     ("  eval $", UnknownToken, 8),
     ("eval (a", UnbalancedParens, 6),
     ("eval a)", UnbalancedParens, 7),
-    # "a set literal may only contain context literals", reported after the
-    # literal's closing brace
-    ("eval {{(d,1)}, {d}}", ExprSyntaxError, 20),
+    # "a set literal may only contain context literals", reported at the
+    # first column of the member refused, a dimension set or a nested set
+    ("eval {{(d,1)}, {d}}", ExprSyntaxError, 16),
+    ("eval {{(d,1)}, {{(d,2)}}}", ExprSyntaxError, 16),
     # seed
     ("seed", ExprSyntaxError, 5),
     ("seed +3", ExprSyntaxError, 6),

@@ -106,24 +106,28 @@ def outcome(session, line):
         return "err", [c.__name__ for c in type(exc).__mro__]
 
 
-def check_lines(trees):
-    """Evaluate each tree in the REPL and in the reference, and compare.
-    A bare Box is skipped: the reference cannot print one.  Each line runs
-    from seed 0, so a choice picks alike whatever the lines before it
-    picked."""
-    session, ref = new_sessions()
+def assert_same(session, line, want):
+    """Run ``line`` in the REPL and compare with ``want``, the reference's
+    ``("ok", text)`` or ``("err", error class name)``."""
+    kind, got = outcome(session, line)
+    assert kind == want[0], (line, got, want)
+    if kind == "ok":
+        assert got == want[1], line
+    else:
+        assert want[1] in got, (line, got)
+
+
+def check_lines(trees, sessions=None):
+    """Evaluate each tree in the REPL and in the reference, and compare,
+    in ``sessions`` (new ones by default).  A bare Box is skipped: the
+    reference cannot print one.  Each line runs from seed 0, so a choice
+    picks alike whatever the lines before it picked."""
+    session, ref = sessions or new_sessions()
     for tree in trees:
         if tree[0] == "box":
             continue
         assert cli.run_command(session, "seed 0") == [ref.seed(0)[1]]
-        line = "eval " + workloads.ctext(tree)
-        kind, got = outcome(session, line)
-        want_kind, want = ref.eval(tree)
-        assert kind == want_kind, (line, got, want)
-        if kind == "ok":
-            assert got == want, line
-        else:
-            assert want in got, (line, got)
+        assert_same(session, "eval " + workloads.ctext(tree), ref.eval(tree))
 
 
 @settings(deadline=None)
@@ -284,3 +288,36 @@ def test_mixed_kind_operands_raise_what_the_reference_model_raises(left, right):
     operators = dict.fromkeys(CONTEXT_OPERATORS + SET_OPERATORS)
     check_lines([("bin", op, a, b) for op in operators
                  for a, b in ((left, right), (right, left))])
+
+
+# --- slice 3: bound names -----------------------------------------------------
+
+X, Y, UNBOUND = ("var", "X"), ("var", "Y"), ("var", "Z")
+# the operators that take a set on each side, the choice among them
+SET_PAIRWISE = ("><", "[&]", "[+]", "(+)", "(-)", "|")
+
+
+def check_let(session, ref, name, tree):
+    """Bind ``name`` to ``tree`` in the REPL and in the reference, and
+    compare the lines printed, or the errors.  A Box at the top is skipped:
+    the reference cannot print one, so the name stays unbound in both."""
+    if tree[0] != "box":
+        assert_same(session, f"let {name} = {workloads.ctext(tree)}",
+                    ref.let(name, tree))
+
+
+@settings(deadline=None)
+@given(set_or_box_expr(2), set_or_box_expr(2), dims_st, pair_node_st)
+def test_bound_names_print_what_the_reference_model_prints(
+        left, right, names, pair):
+    # each operator over the two names both ways round and over one name
+    # twice, the aliasing case that no drawn tree makes; then a name never
+    # bound, which raises UnboundVariable in both
+    session, ref = new_sessions()
+    check_let(session, ref, "X", left)
+    check_let(session, ref, "Y", right)
+    lines = [("bin", op, a, b) for op in SET_PAIRWISE
+             for a, b in ((X, Y), (Y, X), (X, X))]
+    lines += [("bin", op, v, names) for op in BY_DIMS for v in (X, Y)]
+    lines += [("bin", "/", v, pair) for v in (X, Y)]
+    check_lines([*lines, X, Y, ("bin", "[+]", X, UNBOUND)], (session, ref))

@@ -738,6 +738,40 @@ def test_an_override_hashes_only_its_remainders(monkeypatch):
     assert len(work) == 64
 
 
+# A set of four schemas, (a), (a, b), (b, c) and (c), that meets each grid
+# over several schema pairs, and itself with one side empty after a cut.
+MULTI = ContextSet([ctx_abc(("a", 1)), ctx_abc(("a", 1), ("b", 2)),
+                    ctx_abc(("b", 3), ("c", 1)), ctx_abc(("c", 4))])
+PAIR_B3 = ctx_abc(("b", 3))
+
+# The pair work of each set operator that the pins above leave out, at
+# most, so that a change that hashes fewer rows (an anti-join for [+], say)
+# passes and one that hashes more fails.
+PAIR_WORK_BOUNDS = [
+    ("G [+] H", lambda g, h: set_union(g, h), 512, 3200),
+    ("G (-) H", lambda g, h: lift_difference(g, h), 72, 200),
+    ("G [&] H", lambda g, h: set_intersection(g, h), 9, 152),
+    ("G / <b, 3>", lambda g, h: lift_substitution(g, PAIR_B3), 8, 128),
+    ("M [+] G", lambda g, h: set_union(MULTI, g), 195, 129),
+    ("M (+) M", lambda g, h: lift_override(MULTI, MULTI), 9, 27),
+    ("M (-) H", lambda g, h: lift_difference(MULTI, h), 7, 394),
+    ("M [&] H", lambda g, h: set_intersection(MULTI, h), 6, 395),
+    ("M >< H", lambda g, h: join(MULTI, h), 1, 130),
+    ("M / <b, 3>", lambda g, h: lift_substitution(MULTI, PAIR_B3), 4, 4),
+]
+
+
+@pytest.mark.parametrize("apply, members, bound",
+                         [row[1:] for row in PAIR_WORK_BOUNDS],
+                         ids=[row[0] for row in PAIR_WORK_BOUNDS])
+def test_set_operator_pair_work_is_bounded(monkeypatch, apply, members, bound):
+    g, h = grids_sharing_b()
+    work = count_pair_work(monkeypatch)
+    out = apply(g, h)
+    assert len(out) == members
+    assert len(work) <= bound
+
+
 # --- box enumeration against the filter over the full product ------------------
 
 
