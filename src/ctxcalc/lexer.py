@@ -13,15 +13,19 @@ the token or raises.
 A plain context literal is ``{`` with one or more ``(name, int)`` pairs
 and ``}``, blanks allowed anywhere: the name starts with an ASCII letter or
 ``_``, and the int is ASCII digits with an optional ``-`` directly before
-them.  It is one ``CTX`` token, which ``parser`` reads in one branch.  Any
-other brace text takes the token path, a token per lexeme: a string,
-boolean or enum-symbol tag, ``- 5``, a non-ASCII digit, an empty ``{}``, a
-context set's outer braces, a dimension set, or a malformed literal.  Where
-a grammar takes no context literal, the cursor puts the token path's
-tokens of a ``CTX`` token in its place (``Cursor.split``) before it
-expects another kind (``Cursor.expect``) or names it in an error
-(``Cursor.unexpected``), so the line reads on, or fails, as it would a
-token at a time; so does the parser for a literal whose integer is past
+them.  It is one ``CTX`` token, which ``parser`` reads in one branch.  A
+plain set literal, ``{`` with one or more plain context literals separated
+by commas and ``}``, is likewise one ``SET`` token.  Any other brace text
+takes the token path, a token per lexeme: a string, boolean or
+enum-symbol tag, ``- 5``, a non-ASCII digit, an empty ``{}``, the outer
+braces of a set that holds another kind of member, a dimension set, or a
+malformed literal.  Where a grammar takes no context or set literal, the
+cursor puts the tokens of a ``CTX`` or ``SET`` token's text in its place
+(``Cursor.split``: its ``{``, then the tokens of the rest, so a set
+literal becomes ``{``, its members' ``CTX`` tokens and commas, and ``}``)
+before it expects another kind (``Cursor.expect``) or names it in an
+error (``Cursor.unexpected``), so the line reads on, or fails, as it would
+a token at a time; so does the parser for a literal whose integer is past
 the digit limit, which the token path reports at the digits' column.
 
 Each grammar is a table for one Pratt loop (Pratt, "Top down operator
@@ -62,6 +66,7 @@ NAME = "name"
 INT = "int"
 STRING = "string"
 CTX = "ctx"
+SET = "set"
 END = "end"
 
 # The words that are boolean literals in every grammar, and so name
@@ -103,17 +108,20 @@ UNICODE_ALIASES = {
 _SYMBOL_KIND = {**{s: s for s in SYMBOLS}, **UNICODE_ALIASES}
 
 # One group per token class; a match's ``lastindex`` is the number of its
-# class's group.  ``ctx``, a whole plain context literal, comes first, so it
-# wins over the ``{`` symbol.  Digits are ASCII only.  A name is a run of
-# word characters; whether it starts with a letter or '_' is checked after
+# class's group.  ``set``, a whole plain set literal, comes first, then
+# ``ctx``, a whole plain context literal, so each wins over the ``{`` symbol;
+# each can be matched in one way only, so a literal that fails to match
+# fails in time linear in its text.  Digits are ASCII only.  A name is a run
+# of word characters; whether it starts with a letter or '_' is checked after
 # the match, because no regex class means str.isalpha().  Inside a string a
 # backslash escapes the next character: \" is a quote and \\ a backslash.
 # ``bad`` matches any other non-blank character, so ``finditer`` skips
 # exactly the blanks between tokens.
 _PAIR = r"\(\s*[A-Za-z_]\w*\s*,\s*-?[0-9]+\s*\)"
 _CTX_LITERAL = rf"\{{\s*{_PAIR}(?:\s*,\s*{_PAIR})*\s*\}}"
+_SET_LITERAL = rf"\{{\s*{_CTX_LITERAL}(?:\s*,\s*{_CTX_LITERAL})*\s*\}}"
 _TOKEN = re.compile(
-    rf"(?P<ctx>{_CTX_LITERAL})|(?P<symbol>"
+    rf"(?P<set>{_SET_LITERAL})|(?P<ctx>{_CTX_LITERAL})|(?P<symbol>"
     + "|".join(re.escape(s) for s in SYMBOLS if len(s) > 1)
     + "|["
     + "".join(re.escape(s) for s in _SYMBOL_KIND if len(s) == 1)
@@ -121,14 +129,16 @@ _TOKEN = re.compile(
     + r"|\"(?P<string>[^\"\\]*(?:\\.[^\"\\]*)*)\"|(?P<bad>\S)",
     re.DOTALL,
 )
-_CTX, _SYMBOL, _INT, _NAME, _STRING = map(
-    _TOKEN.groupindex.get, ("ctx", "symbol", "int", "name", "string"))
+_SET, _CTX, _SYMBOL, _INT, _NAME, _STRING = map(
+    _TOKEN.groupindex.get, ("set", "ctx", "symbol", "int", "name", "string"))
+# The kinds of the tokens that hold a whole literal.
+_WHOLE = (CTX, SET)
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 
 
 class Token(NamedTuple):
-    kind: str  # NAME | INT | STRING | CTX | END | one of SYMBOLS
-    text: str  # for CTX, the literal's source text from its '{' to its '}'
+    kind: str  # NAME | INT | STRING | CTX | SET | END | one of SYMBOLS
+    text: str  # for CTX and SET, the literal's source text, '{' to '}'
     pos: int  # 0-based offset into the source
 
     @property
@@ -162,6 +172,8 @@ def tokenize(text: str) -> list:
             if "\\" in lexeme:
                 lexeme = _ESCAPED.sub(r"\1", lexeme)
             append(_new(Token, (STRING, lexeme, m.start())))
+        elif group == _SET:
+            append(_new(Token, (SET, lexeme, m.start())))
         elif lexeme == '"':
             column = m.start() + 1
             raise ExprSyntaxError(
@@ -230,7 +242,7 @@ class Cursor:
     def expect(self, kind: str) -> Token:
         tok = self.tokens[self.i]
         if tok.kind != kind:
-            if tok.kind == CTX:
+            if tok.kind in _WHOLE:
                 self.split()
                 return self.expect(kind)
             self.fail(f"expected {kind!r} but found {tok.text or 'end of input'!r}")
@@ -250,15 +262,18 @@ class Cursor:
 
     def unexpected(self):
         """Raise ``ExprSyntaxError`` that names the token the cursor is on,
-        a plain context literal by its '{' as the token path names it."""
-        if self.tokens[self.i].kind == CTX:
+        a plain context or set literal by its '{' as the token path names
+        it."""
+        if self.tokens[self.i].kind in _WHOLE:
             self.split()
         self.fail(f"unexpected {self.peek().text or 'end of input'!r}")
 
     def split(self):
-        """Put the tokens the token path reads from the plain context
-        literal the cursor is on in its place: its '{', then the tokens of
-        the rest of its text, which holds no '{' to start another."""
+        """Put the tokens the token path reads from the plain context or
+        set literal the cursor is on in its place: its '{', then the tokens
+        of the rest of its text, which holds no literal of the kind split:
+        a context literal's rest holds no '{', and a set literal's rest
+        holds only context literals, commas and its '}'."""
         tok = self.tokens[self.i]
         start = tok.pos + 1
         self.tokens[self.i:self.i + 1] = [Token("{", "{", tok.pos), *(

@@ -17,7 +17,8 @@ simple, so every member has a row, and a row holds each pair object
 itself, with its hash and its cached text.  A group is a frozenset of
 rows, or a tuple of rows that its builder has shown distinct: a relation
 is a set, so a product or a join of duplicate-free relations needs no
-duplicate check, and hashing a row costs a Python call per pair
+duplicate check, a set literal's rows of one schema differ exactly when
+their tags do, and hashing a row costs a Python call per pair
 (``MicroContext.__hash__``).  ``==``, ``hash`` and ``in`` freeze a tuple
 group, once; iterating, ``len``, printing and the operators read the rows
 as they are.  A ``Context`` is built only when a caller iterates the set.
@@ -48,6 +49,7 @@ import functools
 import itertools
 import operator
 import re
+import types
 from collections import Counter
 from collections.abc import Iterable
 from typing import Optional, Tuple, Union
@@ -64,9 +66,22 @@ from .errors import (
 )
 
 
-class _Enum(enum.Enum):
-    """An enumeration whose lookup of a value it does not hold raises
-    ``KindMismatch``, a typed error, not ``ValueError``."""
+class _EnumType(enum.EnumMeta):
+    """The class of ``_Enum``: ``Kind[name]`` of a name the enumeration does
+    not hold, or of an unhashable one, raises ``KindMismatch``, not
+    ``KeyError``."""
+
+    def __getitem__(cls, name):
+        try:
+            return super().__getitem__(name)
+        except (KeyError, TypeError):
+            raise KindMismatch(f"not a {cls.__name__} name: {name!r}") from None
+
+
+class _Enum(enum.Enum, metaclass=_EnumType):
+    """An enumeration whose lookup of a value it does not hold, or of a
+    name, raises ``KindMismatch``, a typed error, not ``ValueError`` or
+    ``KeyError``."""
 
     @classmethod
     def _missing_(cls, value):
@@ -107,9 +122,11 @@ class Record:
 
     A class that checks its input writes its own ``__init__``, which sets
     its slots the same way, and its subclasses inherit it.  The base's
-    initializer is compiled once per class, when the class is created, as
-    ``collections.namedtuple`` builds its methods: its parameters are the
-    fields themselves, so a call costs what a hand-written one does.
+    initializer is compiled once per distinct ``_fields``, when the first
+    class of those fields is created, as ``collections.namedtuple`` builds
+    its methods: its parameters are the fields themselves, so a call costs
+    what a hand-written one does.  Classes of equal fields share the code
+    object, each with a function of its own.
     """
 
     __slots__ = ()
@@ -157,16 +174,24 @@ class Record:
         return "".join(out)
 
 
+# The code of the initializer of each distinct ``_fields`` compiled so far.
+_INIT_CODE: dict = {}
+
+
 def _initializer(cls):
     """The ``__init__`` of a record class that writes none: its parameters
-    are the fields, the last ``len(cls._defaults)`` of them optional.  It
-    is marked ``_of_fields``, so a subclass gets one of its own fields."""
+    are the fields, the last ``len(cls._defaults)`` of them optional.  Its
+    code is compiled for the first class of these fields and shared by the
+    rest.  It is marked ``_of_fields``, so a subclass gets one of its own
+    fields."""
     fields = cls._fields
-    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
     namespace = {"_set": _set, "__name__": cls.__module__}
-    exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}", namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = cls._defaults or None
+    code = _INIT_CODE.get(fields)
+    if code is None:
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+        exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}", namespace)
+        code = _INIT_CODE[fields] = namespace["__init__"].__code__
+    init = types.FunctionType(code, namespace, "__init__", cls._defaults or None)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init._of_fields = True
     return init
@@ -407,10 +432,21 @@ class DimensionRegistry:
     ``Dimension`` validates the rest.  A name that is not a string is in
     no registry.  The registry is left untouched when a registration
     fails.  A pair is built by its dimension: ``get(name).micro(tag)``.
+
+    The registry also keeps the pairs that literals spell, so that a pair
+    a literal repeats costs one dict lookup (``_micros_of``): ``_pairs``
+    maps a ``(name, tag)`` tuple whose tag is exactly an ``int`` to that
+    pair's micro context.  Only an exact ``int`` tag is kept or served,
+    since ``True``, ``1`` and ``1.0`` are one key, and no pair whose build
+    raised is kept.  No entry can go stale: a registry never redefines or
+    drops a name, and a dimension admits the same tags all its life.  The
+    memo holds up to ``_MICRO_MEMO_LIMIT`` pairs and is emptied when full,
+    as a dimension's is.
     """
 
     def __init__(self):
         self._dims: dict = {}
+        self._pairs: dict = {}
 
     def register(self, name: str, tag_type: TagKind, domain=None) -> Dimension:
         if _check_name(name) in self._dims:
@@ -427,6 +463,20 @@ class DimensionRegistry:
 
     def __contains__(self, name) -> bool:
         return isinstance(name, str) and name in self._dims
+
+    def _micro(self, pair) -> "MicroContext":
+        """The micro context of a (dimension name, raw tag) pair, which is
+        kept in ``_pairs`` if its tag is an ``int``."""
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
+        name, tag = pair
+        micro = self.get(name).micro(tag)
+        if tag.__class__ is int:
+            memo = self._pairs
+            if len(memo) >= _MICRO_MEMO_LIMIT:
+                memo.clear()
+            memo[name, tag] = micro
+        return micro
 
 
 class MicroContext(Record):
@@ -471,6 +521,10 @@ _TEXT = operator.attrgetter("_text")
 # pairs compare; in a simple context no two tie.
 _BY_NAME = operator.attrgetter("_order")
 _ORDER = operator.attrgetter("dimension._order", "tag")
+# A pair's place in a schema, as a tuple of strings, which hashes in C where
+# a ``Dimension`` hashes with a Python call.
+_PLACE = operator.attrgetter("dimension._order")
+_TAG = operator.attrgetter("tag")
 
 
 def schema_of(dims) -> tuple:
@@ -623,7 +677,8 @@ class ContextSet(Record):
         except TypeError:
             raise KindMismatch(
                 f"not a collection of contexts: {members!r}") from None
-        _set_groups(self, _groups_of(map(_checked_row, members)))
+        groups = _groups_of(map(_checked_row, members))
+        _set_groups(self, {schema: frozenset(rows) for schema, rows in groups.items()})
 
     @classmethod
     def _of_groups(cls, groups) -> "ContextSet":
@@ -703,18 +758,22 @@ def _checked_row(c) -> tuple:
 
 
 def _groups_of(rows) -> dict:
-    """Schema -> frozenset of rows, for the rows of a set's members, once
-    each is checked to be simple: a member binds a dimension twice exactly
-    when its schema holds it twice.  Every row is read before any is
-    checked, so a bad member's error comes before a non-simple one's."""
-    groups: dict = {}
+    """Schema -> list of rows, for the rows of a set's members, once each
+    is checked to be simple: a member binds a dimension twice exactly when
+    its schema holds it twice.  Every row is read before any is checked, so
+    a bad member's error comes before a non-simple one's.  Rows are filed
+    by their pairs' places (``_PLACE``), which two dimensions share exactly
+    when they are equal, and each group's schema is built from its first
+    row."""
+    places: dict = {}
     for row in rows:
-        groups.setdefault(tuple(map(_DIMENSION, row)), []).append(row)
-    for schema, rows in groups.items():
-        if len(set(schema)) < len(schema):
+        places.setdefault(tuple(map(_PLACE, row)), []).append(row)
+    groups = {}
+    for place, rows in places.items():
+        if len(set(place)) < len(place):
             member = Context._of_micros(rows[0])
             raise NonSimpleOperand(f"context set member {member} is not simple")
-        groups[schema] = frozenset(rows)
+        groups[tuple(map(_DIMENSION, rows[0]))] = rows
     return groups
 
 
@@ -733,18 +792,32 @@ def make_context_set(registry: DimensionRegistry, members) -> ContextSet:
     (dimension name, raw tag) pairs as ``make_context`` takes it.
 
     Each member goes straight to its row, with no ``Context`` built for
-    it: its pairs are read as ``make_context`` reads them, duplicates
-    collapse, and the rest sort into schema order.  The result and the
-    errors, in their order, are those of
+    it: its pairs are read as ``make_context`` reads them and sort into
+    schema order.  A pair with an ``int`` tag comes from the registry's
+    memo of literal pairs (see ``DimensionRegistry``), which holds at most
+    ``_MICRO_MEMO_LIMIT`` pairs and cannot go stale, since a registry
+    never redefines a name.  A repeated pair binds its dimension twice,
+    so while no row does, no row repeats a pair; only then are the pairs
+    collapsed, every row's, and the rows filed again.  Two rows of one
+    schema are equal exactly when their tags are, so each group keeps one
+    row per tuple of tags, as a tuple of distinct rows: no pair is hashed.
+    The result and the errors, in their order, are those of
     ``ContextSet(make_context(registry, m) for m in members)``.
     """
     check_registry(registry)
     rows = []
     for pairs in members:
-        micros = _micros_of(registry, pairs)
-        rows.append(tuple(micros) if len(micros) < 2
-                    else tuple(sorted(set(micros), key=_ORDER)))
-    return ContextSet._of_groups(_groups_of(rows))
+        row = _micros_of(registry, pairs)
+        if len(row) > 1:
+            row.sort(key=_ORDER)
+        rows.append(tuple(row))
+    try:
+        groups = _groups_of(rows)
+    except NonSimpleOperand:
+        groups = _groups_of([tuple(sorted(set(row), key=_ORDER)) for row in rows])
+    return ContextSet._of_groups({
+        schema: tuple({tuple(map(_TAG, row)): row for row in rows}.values())
+        for schema, rows in groups.items()})
 
 
 def check_registry(registry):
@@ -755,15 +828,22 @@ def check_registry(registry):
 
 
 def _micros_of(registry: DimensionRegistry, pairs) -> list:
-    """Each (dimension name, raw tag) pair's micro context, in order."""
+    """Each (dimension name, raw tag) pair's micro context, in order: from
+    the registry's memo when it holds the pair and the tag is an ``int``,
+    else from ``DimensionRegistry._micro``, which checks the pair."""
     try:  # not an ABC check, which costs more than the rest of a pair
         pairs_iter = iter(pairs)
     except TypeError:
         raise ExprSyntaxError(
             f"context pairs must be iterable, got {pairs!r}") from None
+    get = registry._pairs.get
     micros = []
     for pair in pairs_iter:
-        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-            raise ExprSyntaxError(f"not a (dimension, tag) pair: {pair!r}")
-        micros.append(registry.get(pair[0]).micro(pair[1]))
+        try:
+            micro = get(pair)
+        except TypeError:  # an unhashable pair, which ``_micro`` refuses
+            micro = None
+        if micro is None or pair[1].__class__ is not int:
+            micro = registry._micro(pair)
+        micros.append(micro)
     return micros

@@ -56,7 +56,7 @@ from typing import Union
 
 from .errors import ExprSyntaxError, KindMismatch
 from .lexer import (
-    BOOLEANS, CTX, END, NAME, NONE, RIGHT, Cursor, Grammar, Rule, cursor_of,
+    BOOLEANS, CTX, END, NAME, NONE, RIGHT, SET, Cursor, Grammar, Rule, cursor_of,
 )
 from .model import Record, format_tag
 
@@ -255,27 +255,40 @@ def _context_pair(cur: Cursor, open_kind="(", close_kind=")"):
     return dim, tag
 
 
-# A pair of a plain context literal's text, which the lexer checked whole:
-# the dimension name and the tag.
+# In the text of a plain literal, which the lexer checked whole: a pair,
+# as the dimension name and the tag, and a member of a set literal, as the
+# text between its braces.
 _PAIR = re.compile(r"(\w+)\s*,\s*(-?[0-9]+)")
+_MEMBER = re.compile(r"\{([^{}]*)\}")
+
+
+def _context_lit(text: str) -> ContextLit:
+    """The context literal of a plain literal's pairs in text."""
+    return ContextLit(tuple([(name, int(tag)) for name, tag in _PAIR.findall(text)]))
 
 
 def _brace_literal(cur: Cursor) -> Node:
     """A context, context-set or dimension-set literal.  A plain context
-    literal is one ``CTX`` token, whose pairs are read from its text; any
-    other context literal is read a token at a time, and so is a set
-    literal, whose items may be ``CTX`` tokens."""
+    literal is one ``CTX`` token, whose pairs are read from its text, and a
+    plain set literal one ``SET`` token, whose members are read from its
+    text after its own '{', each as a ``CTX`` token's text is; either gives
+    the tree the token path gives.  Any other literal is read a token at a
+    time, a set literal's items among them, which may be ``CTX`` tokens."""
     tok = cur.tokens[cur.i]
-    if tok.kind == CTX:
+    if tok.kind == CTX or tok.kind == SET:
         try:
-            pairs = [(name, int(tag)) for name, tag in _PAIR.findall(tok.text)]
+            if tok.kind == CTX:
+                node = _context_lit(tok.text)
+            else:
+                members = _MEMBER.findall(tok.text, 1)
+                node = SetLit(tuple([_context_lit(member) for member in members]))
         except ValueError:
             # an integer past the digit limit: the token path reports it at
             # its digits' column
             cur.split()
             return _brace_literal(cur)
         cur.i += 1
-        return ContextLit(tuple(pairs))
+        return node
     cur.expect("{")
     tok = cur.peek()
     if tok.kind == "}":
@@ -285,7 +298,7 @@ def _brace_literal(cur: Cursor) -> Node:
         pairs = cur.comma_list(_context_pair)
         cur.expect("}")
         return ContextLit(tuple(pairs))
-    if tok.kind == "{" or tok.kind == CTX:
+    if tok.kind == "{" or tok.kind == CTX or tok.kind == SET:
         items = cur.comma_list(_set_item)
         cur.expect("}")
         return SetLit(tuple(items))
@@ -326,7 +339,7 @@ def _atom(cur: Cursor) -> Node:
         if tok.text in BOOLEANS:
             return Const(BOOLEANS[tok.text])
         return Ref(tok.text)
-    if tok.kind == CTX or tok.kind == "{":
+    if tok.kind == CTX or tok.kind == SET or tok.kind == "{":
         return _brace_literal(cur)
     if tok.kind == "<":
         return ContextLit((_context_pair(cur, "<", ">"),))

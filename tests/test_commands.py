@@ -151,6 +151,12 @@ ERRORS = [
     # first column of the member refused, a dimension set or a nested set
     ("eval {{(d,1)}, {d}}", ExprSyntaxError, 16),
     ("eval {{(d,1)}, {{(d,2)}}}", ExprSyntaxError, 16),
+    # a plain set literal where no grammar takes one is named by its '{',
+    # and an unclosed one fails at the end of the line
+    ("stream S = {{(d,1)}}", ExprSyntaxError, 12),
+    ("eval Box[d | {{(d,1)}}]", ExprSyntaxError, 14),
+    ("seed {{(d,1)}}", ExprSyntaxError, 6),
+    ("eval {{(d,1)},{(d,2)}", ExprSyntaxError, 22),
     # seed
     ("seed", ExprSyntaxError, 5),
     ("seed +3", ExprSyntaxError, 6),
@@ -205,6 +211,12 @@ REFUSED_LITERALS = [
     ("eval {{(d,1)} {(d,2)}}", "expected '}' but found '{' at position 15"),
     ("eval Box[d | d == 1 {(d,1)}]", "expected ']' but found '{' at position 21"),
     ("dim m : enum { (a, 1)}", "expected 'name' but found '(' at position 16"),
+    # and so is a plain set literal, by its own '{'
+    ("show {{(d,1)}}", "unexpected '{' at position 6"),
+    ("eval {{(d,1)}} {{(d,2)}}", "unexpected '{' at position 16"),
+    ("let {{(d,1)}} = 3", "expected 'name' but found '{' at position 5"),
+    ("eval <{{(d,1)}}, 1>", "expected 'name' but found '{' at position 7"),
+    ("dim m : enum {{(d,1)}}", "expected 'name' but found '{' at position 15"),
 ]
 
 
@@ -237,9 +249,10 @@ _LOWEST_LIMIT = 640
     # inside a plain context literal the column is that of the digits
     ("eval {{(d, -{})}}", 12, None),
     ("eval {{(d, 1), (e, {})}}", 19, None),
+    ("eval {{{{(d, 1)}}, {{(e, {})}}}}", 22, None),
     ("eval {{(d, {})}}", 11, _LOWEST_LIMIT),
 ], ids=["eval", "seed", "dim", "stream", "show", "negative", "second pair",
-        "lowered limit"])
+        "second member", "lowered limit"])
 def test_an_integer_literal_past_the_digit_limit_is_a_syntax_error(
         template, position, limit):
     """The limit is read when the line is read: one digit past it, whatever

@@ -21,7 +21,7 @@ from ctxcalc.errors import (
 )
 from ctxcalc.evaluator import evaluate
 from ctxcalc.lexer import (
-    CTX, END, INT, NAME, STRING, SYMBOLS, UNICODE_ALIASES, Cursor, tokenize,
+    CTX, END, INT, NAME, SET, STRING, SYMBOLS, UNICODE_ALIASES, Cursor, tokenize,
 )
 from ctxcalc.model import DimensionRegistry, TagKind
 from ctxcalc.parser import (
@@ -280,10 +280,12 @@ def test_tokens_cover_the_text_in_order(text):
 
 # --- a plain context literal is one token -------------------------------------
 
-# The tokenizer's regex with a ``ctx`` group that never matches: the other
-# groups keep their numbers, and every literal takes the token path.
+# The tokenizer's regex with ``set`` and ``ctx`` groups that never match: the
+# other groups keep their numbers, and every literal takes the token path.
+# The ``set`` group holds the context literal's text, so it goes first.
 _TOKEN_PATH = re.compile(
-    lexer._TOKEN.pattern.replace(lexer._CTX_LITERAL, "(?!)", 1), lexer._TOKEN.flags)
+    lexer._TOKEN.pattern.replace(lexer._SET_LITERAL, "(?!)", 1)
+    .replace(lexer._CTX_LITERAL, "(?!)", 1), lexer._TOKEN.flags)
 
 
 def test_the_token_path_regex_has_no_context_literal_token():
@@ -359,6 +361,69 @@ def test_a_context_literal_reads_as_the_token_path_reads_it(text, head, tail):
     one_token = _read(text, line)
     with mock.patch.object(lexer, "_TOKEN", _TOKEN_PATH):
         assert _read(text, line) == one_token
+
+
+# --- a plain set literal is one token -----------------------------------------
+
+# Members that a drawn set repeats or mixes: a repeated pair, a non-simple
+# member, a dimension the session does not declare, and plain members.
+_SET_MEMBERS = st.sampled_from([
+    "{(d,1)}", "{(e, 2), (d, 1)}", "{(d,1),(d,1)}", "{(d,1),(d,2)}",
+    "{(d, 1), (e, 0), (d, 1)}", "{(q,1)}", "{ (d ,-3) }",
+])
+
+
+@st.composite
+def _set_texts(draw):
+    """Text of a set literal of one to four members, each a plain context
+    literal or a near miss of one (``_literal_texts``), some repeated, with
+    blanks anywhere, or one change away from it: a comma dropped or added,
+    or its closing brace dropped."""
+    members = draw(st.lists(st.one_of(_literal_texts(), _SET_MEMBERS),
+                            min_size=1, max_size=4))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(members)))
+    separators = [draw(_BLANKS) + "," + draw(_BLANKS) for _ in members[1:]]
+    change = draw(st.sampled_from([None, None, "comma", "extra", "close"]))
+    if change == "comma" and separators:
+        separators[draw(st.integers(0, len(separators) - 1))] = " "
+    elif change == "extra":
+        separators.append(",")
+    body = "".join(m + sep for m, sep in zip(members, [*separators, ""]))
+    close = "" if change == "close" else draw(_BLANKS) + "}"
+    return "{" + draw(_BLANKS) + body + close + draw(_BLANKS)
+
+
+@given(_set_texts(), st.sampled_from(_HEADS), st.sampled_from(_TAILS))
+def test_a_set_literal_reads_as_the_token_path_reads_it(text, head, tail):
+    """The one-token path and the token-per-lexeme path give the same tree,
+    or the same error class, message and position, alone or in a line; in
+    the session ``d`` and ``e`` are int dimensions and ``q`` is none."""
+    line = head + text + tail
+    one_token = _read(text, line)
+    with mock.patch.object(lexer, "_TOKEN", _TOKEN_PATH):
+        assert _read(text, line) == one_token
+
+
+def test_a_plain_set_literal_is_one_token():
+    assert [t.kind for t in tokenize(" { {(d, -1),(e,2)} ,{(d,3)}} ")] == [SET, END]
+    # a member that is no plain context literal, and an empty set
+    assert [t.kind for t in tokenize('{{(d, 1)}, {(d, "x")}}')][:2] == ["{", CTX]
+    assert [t.kind for t in tokenize("{{}}")] == ["{", "{", "}", "}", END]
+
+
+def test_an_unclosed_set_literal_lexes_member_by_member():
+    """A literal that the ``set`` group cannot close falls back to a token
+    per member, as the lexer without that group reads it, at any size."""
+    n = 20_000
+    body = "{" + ", ".join(f"{{(d, {i}), (e,-{i})}}" for i in range(n))
+    kinds = ["{", *[CTX, ","] * (n - 1), CTX, END]
+    assert [t.kind for t in tokenize(body)] == kinds
+    no_set = re.compile(lexer._TOKEN.pattern.replace(lexer._SET_LITERAL, "(?!)", 1),
+                        lexer._TOKEN.flags)
+    with mock.patch.object(lexer, "_TOKEN", no_set):
+        assert [t.kind for t in tokenize(body)] == kinds
+    assert [t.kind for t in tokenize(body + "}")] == [SET, END]
 
 
 # --- Box predicate round trip -------------------------------------------------

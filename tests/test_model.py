@@ -907,3 +907,55 @@ def test_a_copied_dimension_starts_with_no_pairs():
     for got in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
         assert got == d and got._micros == {}
         assert got.micro(1) == d.micro(1)
+
+
+# --- the registry's memo of literal pairs ---------------------------------------
+
+
+def test_a_pair_of_an_unknown_dimension_is_not_kept():
+    session = new_session()
+    for _ in range(2):
+        with pytest.raises(UnknownDimension):
+            run_command(session, "eval {{(q,1)}}")
+    assert session.env.registry._pairs == {}
+    run_command(session, "dim q : int")
+    assert run_command(session, "eval {{(q,1)}}") == ["{{(q, 1)}}"]
+
+
+def test_the_literal_memo_serves_only_an_int_tag():
+    reg = DimensionRegistry()
+    reg.register("d", TagKind.INT)
+    reg.register("b", TagKind.BOOL)
+    one = make_context(reg, [("d", 1)])
+    assert make_context_set(reg, [[("d", 1)]]) == ContextSet([one])
+    assert ("d", 1) in reg._pairs
+    # True and 1.0 are the key ("d", 1), and neither is an int tag
+    for tag in (True, 1.0):
+        with pytest.raises(TagTypeMismatch):
+            make_context(reg, [("d", tag)])
+        with pytest.raises(TagTypeMismatch):
+            make_context_set(reg, [[("d", tag)]])
+    make_context(reg, [("b", True)])
+    with pytest.raises(TagTypeMismatch):
+        make_context(reg, [("b", 1)])
+    assert list(reg._pairs) == [("d", 1)]
+    assert make_context(reg, [("d", 1)]) == one
+
+
+def test_the_literal_memo_stays_bounded():
+    from ctxcalc import model
+
+    reg = int_registry("d")
+    for tag in range(10_000):
+        assert make_context(reg, [("d", tag)]) == Context([MicroContext(reg.get("d"), tag)])
+        assert len(reg._pairs) <= model._MICRO_MEMO_LIMIT
+    assert reg._pairs
+
+
+def test_two_registries_share_no_literal_pair():
+    a, b = int_registry("d"), int_registry("d")
+    make_context(a, [("d", 1)])
+    assert b._pairs == {}
+    [pair] = make_context(b, [("d", 1)])
+    assert pair.dimension is b.get("d") and pair is not a._pairs["d", 1]
+    assert a._pairs["d", 1].dimension is a.get("d")

@@ -89,7 +89,8 @@ WRONG_KINDS = {
     "Box": (lambda: Box(5, PREDICATE), lambda: Box([D], 5), lambda: Box([5], PREDICATE)),
     "box_make": (lambda: box_make(5, PREDICATE), lambda: box_make([D], 5)),
     "Context": (lambda: Context(5), lambda: Context([5])),
-    "ContextOrder": (lambda: ContextOrder(5),),
+    "ContextOrder": (lambda: ContextOrder(5), lambda: ContextOrder["x"],
+                     lambda: ContextOrder[[1]]),
     "ContextSet": (lambda: ContextSet(5), lambda: ContextSet([5])),
     "Dimension": (lambda: Dimension(5, TagKind.INT), lambda: Dimension("d", 5),
                   lambda: Dimension("d", TagKind.INT, 5)),
@@ -102,7 +103,7 @@ WRONG_KINDS = {
     "EvalContext": (lambda: EvalContext(5), lambda: EvalContext({5: 1}),
                     lambda: EvalContext({"time": "x"})),
     "MicroContext": (lambda: MicroContext(5, 1), lambda: MicroContext(D, "x")),
-    "TagKind": (lambda: TagKind(5),),
+    "TagKind": (lambda: TagKind(5), lambda: TagKind["x"], lambda: TagKind[[1]]),
     # takes no argument; it is passed to the stream evaluators
     "Warehouse": (lambda: eval_stream(STREAM, AT, EQS, warehouse=5),
                   lambda: eval_prefix(STREAM, warehouse=5)),

@@ -185,3 +185,16 @@ def test_a_subclass_keeps_a_written_initializer_and_gets_new_fields():
     assert tuple(inspect.signature(Along).parameters) == ("name", "dim")
     assert Along("a").dim == "time" and Along("a", "s") == Along(name="a", dim="s")
     assert tuple(inspect.signature(Ref).parameters) == ("name",)
+
+
+def test_classes_of_equal_fields_share_one_compiled_initializer():
+    pairs = [(First, Next), (First, Prev), (Fby, Wvr), (Fby, Asa), (Fby, Upon)]
+    for one, other in pairs:
+        assert one.__init__ is not other.__init__
+        assert one.__init__.__code__ is other.__init__.__code__
+        assert other.__init__.__qualname__ == f"{other.__name__}.__init__"
+        assert other.__init__.__module__ == other.__module__
+        assert other.__init__._of_fields
+    # the defaults are each class's own
+    assert First.__init__.__defaults__ == ("time",)
+    assert Fby.__init__.__code__ is not First.__init__.__code__
