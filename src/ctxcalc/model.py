@@ -27,10 +27,14 @@ their results with ``ContextSet._of_groups``, which skips the member
 checks of the public constructor: simple operands give simple results.
 
 A micro context is a (dimension, tag) pair whose tag the dimension admits
-(``Dimension.coerce``).  Each dimension builds its own pairs: within the
-package every pair is built by ``Dimension.micro``, which keeps one pair
-object per tag, so a pair read from a literal, enumerated from a Box or
-swept by a range is the same object wherever it recurs.
+(``Dimension.coerce``).  Each dimension builds its own pairs and keeps one
+pair object per tag, so a pair read from a literal, enumerated from a Box
+or swept by a range is the same object wherever it recurs.  Within the
+package every pair is built by ``Dimension.micro``, through the public
+constructor, which checks and coerces a tag given from outside, or by
+``Dimension._sweep``, which yields the dimension's own tags from one to
+another and so checks none.  Both end in ``MicroContext._of``, the one
+place a pair's hash and text are computed.
 
 A dimension's name is a name of the expression language: word characters
 (``\\w``), the first a letter or ``_``.  A value prints with its pairs and
@@ -50,6 +54,7 @@ import itertools
 import operator
 import re
 import types
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from typing import Optional, Tuple, Union
@@ -282,8 +287,9 @@ class Dimension(Record):
     A dimension is the one builder of its pairs: ``micro(tag)`` builds
     the micro context (self, tag) the first time it is asked for and
     hands the same object back after (hash-consing: Filliâtre & Conchon,
-    "Type-safe modular hash-consing", 2006).  Asking for a pair thus
-    writes to the dimension's memo, which is outside its identity.
+    "Type-safe modular hash-consing", 2006), and ``_sweep(lo, hi)`` does
+    the same for each tag it yields.  Asking for a pair thus writes to the
+    dimension's memo, which is outside its identity.
     """
 
     __slots__ = ("name", "tag_type", "domain", "index", "symbols", "_hash",
@@ -405,15 +411,44 @@ class Dimension(Record):
         memory, and a pair asked for again after a flush is an equal, new
         object.
         """
-        memo, key = self._micros, (tag.__class__, tag)
+        key = (tag.__class__, tag)
         try:
-            return memo[key]
+            return self._micros[key]
         except (KeyError, TypeError):  # a new tag, or an unhashable one
-            micro = MicroContext(self, tag)
+            return self._keep(key, MicroContext(self, tag))
+
+    def _keep(self, key, micro) -> "MicroContext":
+        """``micro``, a new pair of this dimension, kept in the memo under
+        ``key``."""
+        memo = self._micros
         if len(memo) >= _MICRO_MEMO_LIMIT:
             memo.clear()
         memo[key] = micro
         return micro
+
+    def _sweep(self, lo, hi) -> list:
+        """The pairs of the tags from ``lo`` to ``hi``, inclusive, in
+        order, two tags of the dimension's kind, taken from the memo or
+        built as ``micro`` builds them.
+
+        The tags are the dimension's own, so none is coerced: over a
+        declared domain, the slice between the bisected places of lo and
+        hi, so the cost is that of the output; over an int dimension
+        without one, the ints from lo to hi.
+        """
+        domain = self.domain
+        if domain is None:
+            tags = range(lo, hi + 1)
+        else:
+            tags = domain[bisect_left(domain, lo):bisect_right(domain, hi)]
+        get, pairs = self._micros.get, []
+        for tag in tags:
+            key = (tag.__class__, tag)
+            micro = get(key)
+            if micro is None:
+                micro = self._keep(key, MicroContext._of(self, tag))
+            pairs.append(micro)
+        return pairs
 
 
 def _check_name(name) -> str:
@@ -483,26 +518,37 @@ class MicroContext(Record):
     """A single (dimension, tag) pair; the atom contexts are built from.
 
     The constructor checks that ``dimension`` is a ``Dimension`` and
-    coerces the tag (see ``Dimension.coerce``).  Within the package every
-    pair is built by its dimension's ``micro``, which keeps one object per
-    pair; the constructor stays public for callers that want a pair of
-    their own.  ``Record`` gives the rest of the value: two micro contexts
-    are equal when their dimensions and tags are equal, and copies rebuild
-    a pair through the constructor.  The hash and the printed text
-    ``(d, tag)`` are computed once, at construction, and kept in slots.
+    coerces the tag (see ``Dimension.coerce``), then builds the pair with
+    ``_of``.  Within the package every pair is built by its dimension (see
+    ``Dimension.micro``), which keeps one object per pair; the constructor
+    stays public for callers that want a pair of their own.  ``Record``
+    gives the rest of the value: two micro contexts are equal when their
+    dimensions and tags are equal, and copies rebuild a pair through the
+    constructor.  The hash and the printed text ``(d, tag)`` are computed
+    once, by ``_of``, and kept in slots.
     """
 
     __slots__ = ("dimension", "tag", "_hash", "_text")
     _fields = ("dimension", "tag")
 
-    def __init__(self, dimension: Dimension, tag: TagValue):
+    def __new__(cls, dimension: Dimension, tag: TagValue):
         if not isinstance(dimension, Dimension):
             raise KindMismatch(f"not a dimension: {dimension!r}")
-        tag = dimension.coerce(tag)
-        _set(self, "dimension", dimension)
-        _set(self, "tag", tag)
-        _set(self, "_hash", hash((dimension, tag)))
-        _set(self, "_text", f"({dimension.name}, {format_tag(tag)})")
+        return cls._of(dimension, dimension.coerce(tag))
+
+    def __init__(self, dimension: Dimension, tag: TagValue):
+        """Nothing is left to do: ``__new__`` built the pair."""
+
+    @classmethod
+    def _of(cls, dimension: Dimension, tag: TagValue) -> "MicroContext":
+        """The pair (dimension, tag), for a tag that the dimension admits;
+        no check runs."""
+        micro = object.__new__(cls)
+        _set(micro, "dimension", dimension)
+        _set(micro, "tag", tag)
+        _set(micro, "_hash", hash((dimension, tag)))
+        _set(micro, "_text", f"({dimension.name}, {format_tag(tag)})")
+        return micro
 
     def __hash__(self):
         return self._hash

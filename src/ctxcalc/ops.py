@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .errors import (
@@ -142,18 +141,6 @@ def _check_steppable(dim: Dimension):
         )
 
 
-def _subrange(dim: Dimension, lo, hi):
-    """Inclusive tag subrange lo..hi along one dimension.
-
-    Over a declared domain this is a slice of the ordered domain between
-    the bisected places of lo and hi, so it costs the length of its output.
-    """
-    if dim.domain is not None:
-        domain = dim.domain
-        return domain[bisect_left(domain, lo):bisect_right(domain, hi)]
-    return range(lo, hi + 1)
-
-
 def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     _check_contexts(c1, c2)
     if directed and not c2.is_simple():
@@ -169,12 +156,12 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     # operand's dimension object and its domain.  Both tags passed the
     # dimension's kind check, so < orders them.  Each (dimension, tag)
     # pair is the dimension's one micro context for it
-    # (``Dimension.micro``), shared by every member and every call.
-    # Dimensions are checked and swept in name order, then kind order, so
-    # which unsteppable dimension a range reports does not hang on the
-    # hash seed; a sweep is lazy, so none is built before every dimension
-    # and the residue pass their checks.
-    columns = {}
+    # (``Dimension._sweep``), shared by every member and every call.
+    # Dimensions are checked in name order, then kind order, so which
+    # unsteppable dimension a range reports does not hang on the hash
+    # seed; only the bounds are kept, and no pair is swept before every
+    # dimension and the residue pass their checks.
+    bounds = {}
     for dim in schema_of(d for d in c1.dims() if d in shared):
         _check_steppable(dim)
         left = [m.tag for m in c1 if m.dimension == dim]
@@ -182,7 +169,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
         lo = min(left) if directed else min(left + right)
         hi = right[0] if directed else max(left + right)
         if not directed or lo < hi:
-            columns[dim] = map(dim.micro, _subrange(dim, lo, hi))
+            bounds[dim] = lo, hi
 
     residue = Context._of_micros(_hiding(c1, shared) | _hiding(c2, shared))
     if not residue.is_simple():
@@ -193,6 +180,7 @@ def _range(c1: Context, c2: Context, directed: bool) -> ContextSet:
     # The members are the product of one column per dimension, in schema
     # order: a residue pair rides along as a column of one.  Each column's
     # tags are distinct, so its rows are, and they go in unhashed.
+    columns = {dim: dim._sweep(lo, hi) for dim, (lo, hi) in bounds.items()}
     columns.update((m.dimension, (m,)) for m in residue)
     schema = schema_of(columns)
     rows = tuple(itertools.product(*map(columns.__getitem__, schema)))

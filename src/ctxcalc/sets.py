@@ -28,11 +28,13 @@ collapse rows dedupe them.  A relation is a set: each member of a join
 product) and each member of a Box (one path of a depth-first walk over
 distinct candidates) are distinct by construction, so ``_join`` and
 ``box_enumerate`` hand their rows to ``ContextSet._of_groups`` as
-tuples, unhashed.  Cutting columns can make two rows one, so
-``_restrict`` and the kept columns of ``_meet`` freeze their rows; so
-does ``_add`` when a second batch of rows meets a schema's first, as two
-schema pairs of ``(+)`` or the two sides of ``[+]`` can build the same
-row.
+tuples, unhashed.  The two sides of ``[+]`` could build the same row,
+so its second side is an anti-join (``_unseen``) that builds only the
+rows the first did not, and ``_add`` appends them to the first side's.
+Cutting columns can make two rows one, so ``_restrict`` and the kept
+columns of ``_meet`` freeze their rows; so does ``_add`` when any other
+second batch of rows meets a schema's first, as two schema pairs of
+``(+)`` can build the same row.
 
 A Box describes a context set by a dimension list and a predicate over
 the current tags instead of by enumeration.  A predicate is a tree of
@@ -107,14 +109,18 @@ def _at(schema, cols) -> tuple:
     return tuple(map(schema.__getitem__, cols))
 
 
-def _add(groups, schema, rows):
+def _add(groups, schema, rows, disjoint=False):
     """Add ``rows`` to the rows of ``schema`` in ``groups``, which
     ``ContextSet._of_groups`` takes; a schema's first rows are kept as
     they are, so that a frozenset or a tuple of distinct rows passes
-    through unhashed, and a second batch merges the two into a set."""
+    through unhashed.  A second batch that the caller has shown
+    ``disjoint`` from the first is appended to it, as a tuple; any other
+    merges the two into a set."""
     have = groups.get(schema)
     if have is None:
         groups[schema] = rows
+    elif disjoint:
+        groups[schema] = (*have, *rows)
     else:
         if type(have) is not set:
             have = groups[schema] = set(have)
@@ -135,7 +141,7 @@ def _restrict(groups, dims, keep: bool) -> dict:
     return out
 
 
-def _join(out, lefts, rights, shared):
+def _join(out, lefts, rights, shared, seen=None):
     """Add to ``out`` the natural join of two groups, mappings from schema
     to distinct rows, over the dimensions ``shared``.
 
@@ -148,6 +154,13 @@ def _join(out, lefts, rights, shared):
     them is ``()`` the other's rows pass through as they are.  Each left
     row with one rest of its bucket is a distinct row, so a pair of
     schemas adds a tuple.
+
+    With ``seen``, a pair of a group and a set of dimensions D, and no
+    ``shared`` dimension, the join is an anti-join: a left row a and a
+    right row r are not joined when r with a's columns on D is a row of
+    the group (see ``_unseen``).  ``set_union`` passes its first side and
+    its shared dimensions, so that its second side builds only the rows
+    the first did not, and ``_add`` appends them unhashed.
     """
     for b_schema, b_rows in rights.items():
         b_keys = _cols(b_schema, shared)
@@ -156,10 +169,12 @@ def _join(out, lefts, rights, shared):
             a_keys = _cols(a_schema, shared)
             if _at(a_schema, a_keys) != on:
                 continue
-            if not (a_schema and b_schema):  # one side is the empty row
+            if seen is not None:
+                pairs = _unseen(a_schema, a_rows, b_schema, b_rows, *seen)
+            elif not (a_schema and b_schema):  # one side is the empty row
                 _add(out, a_schema or b_schema, a_rows if a_schema else b_rows)
                 continue
-            if not a_keys:
+            elif not a_keys:
                 pairs = itertools.product(a_rows, b_rows)
             else:
                 if buckets is None:  # the rest of b's rows, by key
@@ -179,7 +194,43 @@ def _join(out, lefts, rights, shared):
             rows = itertools.starmap(operator.add, pairs)
             if schema != cat:
                 rows = map(_getter(list(map(cat.index, schema))), rows)
-            _add(out, schema, tuple(rows))
+            _add(out, schema, tuple(rows), seen is not None)
+
+
+def _unseen(a_schema, a_rows, rest, rests, seen, dims):
+    """The pairs (a, r) of a row of ``a_rows``, over ``a_schema``, and a
+    row of ``rests``, distinct rows over ``rest``, which holds none of
+    ``dims``, for which r with a's columns on ``dims`` is not a row of
+    ``seen``, a mapping from schema to rows.
+
+    Such a row lies in seen's group over the schema of ``rest`` and a's
+    columns on ``dims``.  If there is none, every pair is kept.  If that
+    schema is a's own, the rest is ``()`` and the row is a itself, so the
+    pairs are a's rows less the group's, a set difference that reuses the
+    hashes a frozenset keeps.  Otherwise the group's rows are bucketed,
+    once, by their columns on ``dims``, each bucket the set of the rest of
+    its rows, and each distinct key of a's rows is paired with ``rests``
+    less its bucket, worked out once per key.
+    """
+    a_keys = _cols(a_schema, dims)
+    over = schema_of(rest + _at(a_schema, a_keys))
+    found = seen.get(over)
+    if found is None:
+        return itertools.product(a_rows, rests)
+    if over == a_schema:
+        return zip(frozenset(a_rows).difference(found), itertools.repeat(()))
+    keys = _cols(over, dims)
+    others = [i for i in range(len(over)) if i not in keys]
+    buckets: dict = {}
+    for key, r in zip(map(_getter(keys), found), map(_getter(others), found)):
+        buckets.setdefault(key, set()).add(r)
+    by_key: dict = {}
+    for key, a in zip(map(_getter(a_keys), a_rows), a_rows):
+        by_key.setdefault(key, []).append(a)
+    rests = frozenset(rests)
+    return itertools.chain.from_iterable(
+        itertools.product(rows, rests.difference(buckets.get(key, ())))
+        for key, rows in by_key.items())
 
 
 def _meet(out, lefts, cuts, keep: bool):
@@ -336,12 +387,18 @@ def set_union(s1: ContextSet, s2: ContextSet) -> ContextSet:
 
     Each side is joined, on no column, with the distinct unshared
     remainders of the other, so the work is that of the output rather
-    than of 2·|s1|·|s2| candidates.
+    than of 2·|s1|·|s2| candidates.  A row of the second side, a member b
+    of s2 with a remainder r of s1, repeats a row of the first exactly
+    when r with b's shared part is a member of s1, so the second join is
+    an anti-join against s1 (Codd's union of relations): each side's rows
+    are distinct and the two sides' disjoint, so only keys are hashed, and
+    whole rows only where a schema of s2 lies inside the shared dimensions.
     """
     _check_sets(s1, s2)
     shared, out = _shared_dims(s1, s2), {}
     _join(out, s1._groups, _restrict(s2._groups, shared, False), ())
-    _join(out, s2._groups, _restrict(s1._groups, shared, False), ())
+    _join(out, s2._groups, _restrict(s1._groups, shared, False), (),
+          (s1._groups, shared))
     return ContextSet._of_groups(out)
 
 

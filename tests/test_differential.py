@@ -4,7 +4,9 @@ printed value, or the class of the typed error.
 
 The trees are drawn as the reference takes them, tuples, and rendered to
 command text by the benchmark's own printer (``workloads.ctext``), over
-four int dimensions with the domain 0..3.  The first property nests sets,
+four int dimensions with the domain 0..3 and one, ``e``, with no domain,
+whose tags are drawn from -1..2, so that a range over it sweeps the ints
+between its tags and not a slice of a domain.  The first property nests sets,
 ``<=>`` and ``=>`` ranges and the eight set operators ``><``, ``[&]``,
 ``[+]``, ``(+)``, ``(-)``, ``!``, ``^`` and ``/`` to depth 3.  The others
 draw context trees, of context literals and ``<d, t>`` pairs, under every
@@ -35,14 +37,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import reference  # noqa: E402
 import workloads  # noqa: E402
 
-DIMS = "abcd"
 DOMAIN = (0, 1, 2, 3)
+# e is declared without a domain, and its tags are drawn from a window
+OPEN, WINDOW = "e", (-1, 0, 1, 2)
+TAGS = {**dict.fromkeys("abcd", DOMAIN), OPEN: WINDOW}
+DIMS = "".join(TAGS)
 PAIRWISE = ("><", "[&]", "[+]", "(+)", "(-)")
 
-pair_st = st.tuples(st.sampled_from(DIMS), st.sampled_from(DOMAIN))
-simple_ctx_st = st.dictionaries(
-    st.sampled_from(DIMS), st.sampled_from(DOMAIN), max_size=3).map(
-    lambda pairs: ("ctx", tuple(pairs.items())))
+pair_st = st.sampled_from(DIMS).flatmap(
+    lambda d: st.tuples(st.just(d), st.sampled_from(TAGS[d])))
+simple_ctx_st = st.lists(pair_st, max_size=3, unique_by=lambda pair: pair[0]).map(
+    lambda pairs: ("ctx", tuple(pairs)))
 # up to three pairs, so a dimension may be bound twice: a non-simple context
 any_ctx_st = st.lists(pair_st, max_size=3).map(lambda pairs: ("ctx", tuple(pairs)))
 # a non-empty literal: "{}" reads as the empty context, not the empty set
@@ -61,9 +66,9 @@ def range_st(draw):
     # the right operand's tags are drawn from the top down, so that the
     # draws that hypothesis favours sweep the whole domain
     left, right = (
-        ("ctx", tuple((d, draw(st.sampled_from(tags))) for d in names)
+        ("ctx", tuple((d, draw(st.sampled_from(TAGS[d][::step]))) for d in names)
          + tuple(draw(st.lists(pair_st, max_size=1))))
-        for tags in (DOMAIN, DOMAIN[::-1]))
+        for step in (1, -1))
     return "bin", draw(st.sampled_from(["<=>", "=>"])), left, right
 
 
@@ -93,8 +98,9 @@ def set_expr(depth):
 def new_sessions():
     session, ref = cli.new_session(seed=0), reference.RefSession(0)
     for d in DIMS:
-        text = f"dim {d} : int " + " ".join(map(str, DOMAIN))
-        assert cli.run_command(session, text) == [ref.dim(d, DOMAIN)[1]]
+        domain = None if d == OPEN else DOMAIN
+        text = f"dim {d} : int " + " ".join(map(str, domain or ()))
+        assert cli.run_command(session, text.rstrip()) == [ref.dim(d, domain)[1]]
     return session, ref
 
 

@@ -72,14 +72,23 @@ def test_relative_imports_are_read(tmp_path):
     assert relative_imports(module) == {"lexer", "ops", "sets", "evaluator"}
 
 
+def dotted(func) -> list:
+    """The names of a called expression, outermost last: ``a.b.c`` gives
+    ``["c", "b", "a"]``."""
+    names = []
+    while isinstance(func, ast.Attribute):
+        names.append(func.attr)
+        func = func.value
+    return names + [getattr(func, "id", None)]
+
+
 def pair_builds(path: Path) -> list:
-    """The lines where a module calls ``MicroContext``, by name or as an
-    attribute."""
+    """The lines where a module calls ``MicroContext`` or its unchecked
+    builder ``MicroContext._of``, by name or as an attribute."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and "MicroContext" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        if isinstance(node, ast.Call) and "MicroContext" in dotted(node.func)
     ]
 
 
@@ -97,9 +106,11 @@ def test_pair_builds_are_read(tmp_path):
         "a = MicroContext(d, 1)\n"
         "b = model.MicroContext(d, 2)\n"
         "c = MicroContext\n"
-        "e = d.micro(3)\n",
+        "e = d.micro(3)\n"
+        "f = MicroContext._of(d, 4)\n"
+        "g = model.MicroContext._of(d, 5)\n",
         encoding="utf-8")
-    assert pair_builds(module) == [2, 3]
+    assert pair_builds(module) == [2, 3, 6, 7]
     assert pair_builds(PACKAGE / "model.py")
 
 

@@ -13,8 +13,10 @@ from ctxcalc.errors import (
     IllTypedPredicate,
     KindMismatch,
     NonSimpleOperand,
+    NonSimpleResidue,
     TagTypeMismatch,
     UnboundedBox,
+    UnorderedRangeDimension,
 )
 from ctxcalc.evaluator import Environment, evaluate
 from ctxcalc.model import (
@@ -23,6 +25,7 @@ from ctxcalc.model import (
     ContextSet,
     Dimension,
     DimensionRegistry,
+    MicroContext,
     TagKind,
     make_context,
 )
@@ -745,10 +748,16 @@ MULTI = ContextSet([ctx_abc(("a", 1)), ctx_abc(("a", 1), ("b", 2)),
 PAIR_B3 = ctx_abc(("b", 3))
 
 # The pair work of each set operator that the pins above leave out, at
-# most, so that a change that hashes fewer rows (an anti-join for [+], say)
-# passes and one that hashes more fails.
+# most, so that a change that hashes fewer rows passes and one that hashes
+# more fails.  The second side of [+] is an anti-join: for G [+] H that is
+# each side's 64 rows cut to their remainder, G's 64 rows bucketed by b
+# with their a remainders, and H's 64 b keys grouped and the 8 distinct
+# ones looked up, 5 * 64 + 8, where hashing the 512 members of both sides
+# to drop the repeats cost 3,200.  In M [+] G the grid's rows lie
+# inside the shared dimensions, so the anti-join is a set difference of
+# whole rows, which hashes each row of G.
 PAIR_WORK_BOUNDS = [
-    ("G [+] H", lambda g, h: set_union(g, h), 512, 3200),
+    ("G [+] H", lambda g, h: set_union(g, h), 512, 328),
     ("G (-) H", lambda g, h: lift_difference(g, h), 72, 200),
     ("G [&] H", lambda g, h: set_intersection(g, h), 9, 152),
     ("G / <b, 3>", lambda g, h: lift_substitution(g, PAIR_B3), 8, 128),
@@ -1033,15 +1042,17 @@ def test_box_solves_a_linear_equality_for_its_last_dimension(
 
 
 def count_micros(monkeypatch):
-    """The (dimension name, tag) of every micro context built from here on."""
+    """The (dimension name, tag) of every micro context built from here on,
+    by the constructor or unchecked: both build through
+    ``MicroContext._of``."""
     built = []
-    real = model.MicroContext
+    real = model.MicroContext._of
 
-    def counted(dimension, tag):
+    def counted(cls, dimension, tag):
         built.append((dimension.name, tag))
         return real(dimension, tag)
 
-    monkeypatch.setattr(model, "MicroContext", counted)
+    monkeypatch.setattr(model.MicroContext, "_of", classmethod(counted))
     return built
 
 
@@ -1079,3 +1090,79 @@ def test_a_range_evaluated_twice_builds_no_new_pair(monkeypatch):
     assert ops.directed_range(c2, c1) == ContextSet(
         make_context(reg, [("y", k)]) for k in range(6))
     assert built == []
+
+
+def range_registry():
+    reg = DimensionRegistry()
+    for n in "kn":
+        reg.register(n, TagKind.INT)  # no domain
+    reg.register("m", TagKind.ENUM, ["Ja", "Fe", "Mr", "Ap", "My", "Jn"])
+    reg.register("s", TagKind.STR)
+    return reg
+
+
+# A range's operands, and the pairs its first evaluation builds: each
+# swept (dimension, tag) that no literal built, once.
+RANGE_PAIR_BUILDS = [
+    # n sweeps the ints 0..9 and k -2..3, less the four endpoints
+    ("int dimensions without a domain", [("n", 0), ("k", 3)],
+     [("n", 9), ("k", -2)], 10 + 6 - 4),
+    # Fe..My: the literals asked for the endpoints by symbol and the sweep
+    # asks by member, which the memo keys apart, so all four are new
+    ("an enum dimension", [("m", "Fe")], [("m", "My")], 4),
+]
+
+
+@pytest.mark.parametrize("left, right, builds",
+                         [row[1:] for row in RANGE_PAIR_BUILDS],
+                         ids=[row[0] for row in RANGE_PAIR_BUILDS])
+def test_a_range_builds_each_new_pair_once(monkeypatch, left, right, builds):
+    reg = range_registry()
+    c1, c2 = make_context(reg, left), make_context(reg, right)
+    built = count_micros(monkeypatch)
+    got = ops.undirected_range(c1, c2)
+    assert len(built) == len(set(built)) == builds
+    built.clear()
+    assert ops.undirected_range(c1, c2) == got and built == []
+
+
+# Ranges that fail a check after n, first in name order, has passed its
+# own: a sweep of n would build 1,001 pairs.
+FAILING_RANGES = [
+    ("second shared dimension unordered", [("n", 0), ("s", "a")],
+     [("n", 1000), ("s", "b")], UnorderedRangeDimension),
+    ("residue binds m twice", [("n", 0), ("m", "Ja"), ("m", "Fe")],
+     [("n", 1000)], NonSimpleResidue),
+]
+
+
+@pytest.mark.parametrize("left, right, error",
+                         [row[1:] for row in FAILING_RANGES],
+                         ids=[row[0] for row in FAILING_RANGES])
+def test_a_failing_range_builds_no_pair(monkeypatch, left, right, error):
+    reg = range_registry()
+    c1, c2 = make_context(reg, left), make_context(reg, right)
+    built = count_micros(monkeypatch)
+    for range_op in (ops.undirected_range, ops.directed_range):
+        with pytest.raises(error):
+            range_op(c1, c2)
+    assert built == []
+
+
+@pytest.mark.parametrize("name, lo, hi, texts", [
+    ("n", 0, 4, ["(n, 0)", "(n, 1)", "(n, 2)", "(n, 3)", "(n, 4)"]),
+    ("m", "Ja", "Mr", ["(m, Ja)", "(m, Fe)", "(m, Mr)"]),
+])
+def test_a_swept_pair_is_its_dimensions_pair(name, lo, hi, texts):
+    reg = range_registry()
+    got = ops.undirected_range(make_context(reg, [(name, lo)]),
+                               make_context(reg, [(name, hi)]))
+    d = reg.get(name)
+    (rows,) = got._groups.values()
+    pairs = [pair for (pair,) in rows]
+    assert [repr(pair) for pair in pairs] == texts
+    for pair in pairs:
+        assert d.micro(pair.tag) is pair
+        twin = MicroContext(d, pair.tag)
+        assert pair == twin and hash(pair) == hash(twin)
+        assert str(pair) == repr(twin)
