@@ -9,6 +9,8 @@ benchmark's worker does, and times each line; a line's time is the least
 over the passes.  A line's shape is its command word and the root
 operator of its expression (``eval``, ``let`` and ``show``): the symbol of
 an infix operator, or the class of any other node, such as ``SetLit``.
+An operator whose left operand is a Box literal is marked ``(Box)``, as
+in ``eval !(Box)``, so that Box lines show as shapes of their own.
 For each shape it prints the number of lines, their time per pass and
 their share of the pass, costliest first.
 
@@ -26,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from ctxcalc import cli, streams  # noqa: E402
 from ctxcalc.errors import ContextCalcError  # noqa: E402
-from ctxcalc.parser import parse_expr  # noqa: E402
+from ctxcalc.parser import BoxLit, parse_expr  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -46,7 +48,9 @@ def shape(line: str) -> str:
     except ContextCalcError:
         return f"{word} (error)"
     op = getattr(node, "op", None)
-    return f"{word} {op if isinstance(op, str) else type(node).__name__}"
+    if not isinstance(op, str):
+        return f"{word} {type(node).__name__}"
+    return f"{word} {op}(Box)" if isinstance(node.left, BoxLit) else f"{word} {op}"
 
 
 def line_times(workload, passes: int) -> list:

@@ -403,18 +403,21 @@ class Dimension(Record):
         for, which coerces the tag once, and the same object after.
 
         The memo is keyed by the tag as given, its class as well as its
-        value, since ``True == 1``; so an enum pair asked for by symbol
-        and by member is built once for each.  An unhashable tag goes
-        straight to the build, which refuses it, and no pair whose build
-        raised is kept.  It holds up to ``_MICRO_MEMO_LIMIT`` pairs; when
-        full it is emptied and refills, so ever new tags cost bounded
-        memory, and a pair asked for again after a flush is an equal, new
-        object.
+        value, since ``True == 1``.  An enum symbol resolves to its
+        member's pair, which is kept under the symbol's key too, so a pair
+        asked for by symbol and by member is one object.  An unhashable
+        tag goes straight to the build, which refuses it, and no pair
+        whose build raised is kept.  It holds up to ``_MICRO_MEMO_LIMIT``
+        pairs; when full it is emptied and refills, so ever new tags cost
+        bounded memory, and a pair asked for again after a flush is an
+        equal, new object.
         """
         key = (tag.__class__, tag)
         try:
             return self._micros[key]
         except (KeyError, TypeError):  # a new tag, or an unhashable one
+            if self.symbols is not None and isinstance(tag, str):
+                return self._keep(key, self.micro(self.coerce(tag)))
             return self._keep(key, MicroContext(self, tag))
 
     def _keep(self, key, micro) -> "MicroContext":

@@ -25,7 +25,7 @@ concatenation.  No operator calls a context operator, or builds a
 Hashing a row costs a Python call per pair, so only the kernels that can
 collapse rows dedupe them.  A relation is a set: each member of a join
 (one left row with one rest of its bucket, or one row of each side of a
-product) and each member of a Box (one path of a depth-first walk over
+product) and each member of a Box (one path through its loop nest over
 distinct candidates) are distinct by construction, so ``_join`` and
 ``box_enumerate`` hand their rows to ``ContextSet._of_groups`` as
 tuples, unhashed.  The two sides of ``[+]`` could build the same row,
@@ -40,9 +40,21 @@ A Box describes a context set by a dimension list and a predicate over
 the current tags instead of by enumeration.  A predicate is a tree of
 ``parser`` nodes (``Const``, ``Ref``, ``Pointwise`` and ``NotOp``) in the
 syntax of ``parser.PREDICATE``.  ``Box`` (also named ``box_make``) is its
-one constructor: it checks the Box, binds its enum symbols and stores the
-plan that ``box_enumerate`` walks, its tests compiled to functions of the
-tags bound, and ``box_enumerate`` yields its members as rows.
+one constructor: it checks the Box, binds its enum symbols, plans the
+search (a level per dimension, swept or solved, with the conjuncts that
+level completes) and lowers the plan to the source of one Python
+function, a loop nest (``_lower``; Neumann, "Efficiently compiling
+efficient query plans for modern hardware", VLDB 2011).
+``box_enumerate`` runs the nest over the dimensions' domains, and
+``box_contains`` over one context's tags.  Names in the source are
+positional and constants and enum members are arguments, so the source is
+a function of the Box's shape alone: the compiled nests are cached by
+source, and by shape, which spares planning too; each cache keeps at most
+``_NEST_LIMIT`` and drops its oldest first.  Two limits of the host
+compiler are kept clear: a predicate lowers to straight-line statements,
+so a long chain nests no expression and reaches no recursion limit, and a
+function binds at most ``_LEVELS_PER_FUNCTION`` levels, under the 20
+nested blocks CPython allows, before it calls a nested one for the rest.
 """
 
 from __future__ import annotations
@@ -70,7 +82,7 @@ from .model import (
     schema_of,
 )
 from .parser import (
-    OPERATORS, PREDICATE, Const, NotOp, Pointwise, Ref, StreamExpr, left_chain,
+    PREDICATE, Const, NotOp, Pointwise, Ref, StreamExpr, left_chain,
     references, unparse,
 )
 from . import ops
@@ -457,32 +469,6 @@ def _bind_predicate(node: StreamExpr, dims_by_name) -> tuple:
     return node, kind
 
 
-def _compile(node: StreamExpr):
-    """A bound, kind-checked predicate (see ``Box``) as a function of an
-    assignment of a tag to each dimension name it reads.  A chain of left
-    operands compiles to one loop, so a long ``or`` chain costs no
-    recursion, here or when the function runs."""
-    node, chain = left_chain(node, PREDICATE)
-    if isinstance(node, Ref):
-        first = itemgetter(node.name)
-    elif isinstance(node, Const):
-        value = node.value
-        first = lambda assignment: value
-    else:  # a NotOp
-        operand = _compile(node.operand)
-        first = lambda assignment: not operand(assignment)
-    steps = [(OPERATORS[n.op], _compile(n.right)) for n in chain]
-    if not steps:
-        return first
-
-    def run(assignment):
-        value = first(assignment)
-        for op, right in steps:
-            value = op(value, right(assignment))
-        return value
-    return run
-
-
 def predicate_text(node: StreamExpr) -> str:
     """Render a predicate in the syntax the box-literal parser accepts."""
     return unparse(node, PREDICATE)
@@ -498,16 +484,24 @@ class Box(Record):
     the dimensions, then, in one walk of the predicate, the names (an enum
     symbol is bound to its member, so every ``Ref`` left names a dimension)
     and the kinds: the predicate must be boolean, so evaluating it is total.
-    It stores the plan that ``box_enumerate`` walks, outside equality and
-    ``repr``, with each predicate in it compiled once, here, to a function
-    of the assignment (see ``_compile``): ``_tests[i]``, the ``and``
-    conjuncts whose last dimension read is ``dims[i]`` (a conjunct that
-    reads none is tested with ``dims[0]``); ``_solved[i]``, the pair
-    ``(f, s)`` with which one of them solves ``dims[i]`` (see
-    ``_solved_side``), or None.
+
+    It then plans the search, one level per dimension in Box order: level
+    i binds ``dims[i]`` and tests the ``and`` conjuncts whose last
+    dimension read is ``dims[i]`` (a conjunct that reads none is tested at
+    level 0).  A level sweeps its dimension's domain, unless one of its
+    conjuncts solves the dimension (see ``_solved_side``): then the
+    domain's own tag equal to the solved value, if any, is its one
+    candidate.  The plan is lowered to one loop nest (see ``_lower``),
+    kept outside equality and ``repr``: ``_nest``, a compiled function,
+    and ``_consts``, the predicate's constants and enum members, which it
+    is called with.  Boxes of one shape (see ``_shape``) share one nest,
+    which ``_PLANS`` keeps by shape, so a Box of a shape met before is
+    bound and checked but neither planned nor lowered again; both caches
+    of nests hold at most ``_NEST_LIMIT`` entries, the oldest dropped
+    first.
     """
 
-    __slots__ = ("dims", "predicate", "_tests", "_solved")
+    __slots__ = ("dims", "predicate", "_nest", "_consts")
     _fields = ("dims", "predicate")
 
     def __init__(self, dims: Tuple[Dimension, ...], predicate: StreamExpr):
@@ -526,23 +520,18 @@ class Box(Record):
         if kind != _BOOL:
             raise IllTypedPredicate("box predicate must be boolean")
         level_of = {name: i for i, name in enumerate(by_name)}
-        tests, stack = [[] for _ in dims], [predicate]
-        while stack:  # the top-level ``and`` conjuncts, left to right
-            conjunct = stack.pop()
-            if isinstance(conjunct, Pointwise) and conjunct.op == "and":
-                stack += (conjunct.right, conjunct.left)
-            else:
-                level = max(map(level_of.get, references(conjunct)), default=0)
-                tests[level].append(conjunct)
-        # every name in tests[i] other than dims[i] is bound before it
-        solved = tuple(
-            next(filter(None, (_solved_side(t, d) for t in level_tests)), None)
-            for d, level_tests in zip(dims, tests))
+        row = tuple(map(dims.index, schema_of(dims)))
+        shape, consts, slots = _shape(predicate, level_of)
+        nest = _PLANS.get((row, shape))
+        if nest is None:
+            nest = _kept(_PLANS, (row, shape),
+                         _lower(level_of, row, *_plan(dims, level_of, predicate),
+                                slots))
         put = object.__setattr__
         put(self, "dims", dims)
         put(self, "predicate", predicate)
-        put(self, "_tests", tuple(tuple(map(_compile, t)) for t in tests))
-        put(self, "_solved", tuple(s and (_compile(s[0]), s[1]) for s in solved))
+        put(self, "_nest", nest)
+        put(self, "_consts", consts)
 
     def __str__(self):
         names = ", ".join(d.name for d in self.dims)
@@ -552,24 +541,56 @@ class Box(Record):
 box_make = Box
 
 
-def box_contains(box: Box, c: Context) -> bool:
-    """Whether a simple context over exactly the box dimensions satisfies
-    the predicate."""
-    if not isinstance(box, Box):
-        raise KindMismatch(f"not a box: {box!r}")
-    if not isinstance(c, Context):
-        raise KindMismatch(f"not a context: {c!r}")
-    if not c.is_simple():
-        raise NonSimpleOperand("box membership is defined for simple contexts")
-    if c.dims() != frozenset(box.dims):
-        return False
-    assignment = {m.dimension.name: m.tag for m in c}
-    return all(t(assignment) for tests in box._tests for t in tests)
+def _plan(dims, level_of, predicate) -> tuple:
+    """A Box's plan (see ``Box``): each level's conjuncts, and the solution
+    of each level's dimension, or None."""
+    tests, stack = [[] for _ in dims], [predicate]
+    while stack:  # the top-level ``and`` conjuncts, left to right
+        conjunct = stack.pop()
+        if isinstance(conjunct, Pointwise) and conjunct.op == "and":
+            stack += (conjunct.right, conjunct.left)
+        else:
+            level = max(map(level_of.get, references(conjunct)), default=0)
+            tests[level].append(conjunct)
+    # every name in tests[i] other than dims[i] is bound before it
+    solved = [
+        next(filter(None, (_solved_side(t, d) for t in level_tests)), None)
+        for d, level_tests in zip(dims, tests)]
+    return tests, solved
+
+
+def _shape(predicate, level_of) -> tuple:
+    """The shape of a bound predicate, its constants, and the place of each
+    ``Const`` node among them.  The shape lists the nodes in pre-order:
+    an operator as its text, a ``Ref`` as its dimension's level, and a
+    ``Const`` as -1 less its node's place among the constants, the values
+    of the distinct nodes in the order first met.  With the Box's schema
+    order the shape fixes the Box's plan and loop nest, which take the
+    constants as arguments."""
+    tokens, consts, slots = [], [], {}
+    stack = [predicate]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Ref):
+            tokens.append(level_of[n.name])
+        elif isinstance(n, Const):
+            place = slots.get(id(n))
+            if place is None:  # the node's first occurrence
+                place = slots[id(n)] = len(consts)
+                consts.append(n.value)
+            tokens.append(-1 - place)
+        elif isinstance(n, NotOp):
+            tokens.append("not")
+            stack.append(n.operand)
+        else:
+            tokens.append(n.op)
+            stack += (n.right, n.left)
+    return tuple(tokens), tuple(consts), slots
 
 
 def _solved_side(conjunct: StreamExpr, d: Dimension) -> tuple:
     """For an ``==`` conjunct ``L == R`` that fixes dimension d, the pair
-    ``(f, s)`` that ``box_enumerate`` solves d with; else None.
+    ``(f, s)`` that the loop nest solves d with (see ``_lower``); else None.
 
     The conjunct fixes d when d occurs in it exactly once: as one side of
     the ``==``, or reached from the root through binary ``+`` and ``-``
@@ -610,12 +631,142 @@ def _solved_side(conjunct: StreamExpr, d: Dimension) -> tuple:
     return Pointwise("-", left, right), sign
 
 
-def _admits(tests, assignment) -> bool:
-    """Whether one candidate tag passes the conjuncts its binding completes."""
-    for t in tests:
-        if not t(assignment):
-            return False
-    return True
+# The compiled loop nests, by their source (``_NESTS``) and by the shape of
+# their Box (``_PLANS``, see ``_shape``): at most ``_NEST_LIMIT`` each, the
+# oldest dropped first.
+_NESTS: dict = {}
+_PLANS: dict = {}
+_NEST_LIMIT = 256
+
+
+def _kept(cache: dict, key, value):
+    """``value``, kept in ``cache`` under ``key``, which drops its oldest
+    entry when it holds ``_NEST_LIMIT``."""
+    if len(cache) >= _NEST_LIMIT:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+# The most levels one generated function binds: CPython refuses more than
+# 20 statically nested blocks in a function, and a swept level is a ``for``.
+_LEVELS_PER_FUNCTION = 16
+
+
+def _lower(level_of, row, tests, solved, slots):
+    """A Box's plan as one loop nest, compiled.  ``level_of`` maps each
+    dimension name to its level, ``row`` lists the levels in schema order,
+    ``tests[i]`` and ``solved[i]`` are level i's conjuncts and solution
+    (see ``Box``), and ``slots`` gives each ``Const`` node its place among
+    the constants (see ``_shape``).
+
+    The source is that of ``_nest(out, L, C)``, where ``L[i]`` is level
+    i's domain, the index of its tags and its pair builder, and ``C`` the
+    constants.  Level i is ``for vi in di`` when swept; when solved, one
+    ``xi.get`` of the solved value, which skips the level on a miss.  Each
+    conjunct is an inline ``if`` that skips the candidate (``continue`` to
+    the nearest swept level, or ``return``), then ``pi`` is the
+    candidate's pair; the innermost level passes ``out`` the row of pairs
+    in schema order.  The names in the source are positional and every
+    constant and enum member is an argument, so no dimension name or tag
+    is source text, and Boxes of one shape share one source: it keys the
+    cache ``_NESTS``, and is compiled the first time it is met.
+
+    Two limits of the host compiler are kept clear.  Each predicate is
+    straight-line statements, one temporary per operator node below a
+    conjunct's root, named by its depth in an operand stack (see
+    ``value``), so a long chain nests no expression.  And each function
+    binds at most ``_LEVELS_PER_FUNCTION`` levels, then calls a nested
+    function that binds the next, with the tags and pairs bound so far.
+    """
+    def value(node, lines, pad) -> str:
+        """Append to ``lines`` the statements that compute ``node`` and
+        return the expression of its value, over the names of its
+        operands; no recursion, so a chain of any length lowers."""
+        operands, stack = [], [(node, False)]
+        while stack:
+            n, ready = stack.pop()
+            if isinstance(n, Ref):
+                operands.append(f"v{level_of[n.name]}")
+            elif isinstance(n, Const):
+                operands.append(f"c{slots[id(n)]}")
+            elif not ready:
+                stack.append((n, True))
+                stack += ([(n.operand, False)] if isinstance(n, NotOp)
+                          else [(n.right, False), (n.left, False)])
+            else:  # the operators of a bound predicate are Python's own
+                if isinstance(n, NotOp):
+                    text = f"not {operands.pop()}"
+                else:
+                    right = operands.pop()
+                    text = f"{operands.pop()} {n.op} {right}"
+                if not stack:
+                    return text
+                lines.append(f"{pad}t{len(operands)} = {text}")
+                operands.append(f"t{len(operands)}")
+        return operands[0]
+
+    n = len(level_of)
+    functions = []
+    for first in range(0, n, _LEVELS_PER_FUNCTION):
+        last = first + _LEVELS_PER_FUNCTION
+        bound = [f"{v}{i}" for v in "vp" for i in range(first)]
+        lines = [f" def _n{first}({', '.join(bound)}):"] if first else []
+        pad, skip = "  " if first else " ", "return"
+        for i in range(first, min(last, n)):
+            if solved[i] is None:
+                lines.append(f"{pad}for v{i} in d{i}:")
+                pad, skip = pad + " ", "continue"
+            else:
+                f, s = solved[i]
+                if s:  # dims[i] is -s times f with dims[i] bound to 0
+                    lines.append(f"{pad}v{i} = 0")
+                found = value(f, lines, pad)
+                lines += [f"{pad}k = x{i}.get({f'-({found})' if s == 1 else found})",
+                          f"{pad}if k is None: {skip}",
+                          f"{pad}v{i} = d{i}[k]"]
+            for t in tests[i]:
+                holds = value(t, lines, pad)
+                lines.append(f"{pad}if not ({holds}): {skip}")
+            lines.append(f"{pad}p{i} = m{i}(v{i})")
+        if last < n:
+            bound = [f"{v}{i}" for v in "vp" for i in range(last)]
+            lines.append(f"{pad}_n{last}({', '.join(bound)})")
+        else:
+            lines.append(f"{pad}out(({''.join(f'p{i}, ' for i in row)}))")
+        functions.append(lines)
+    head = ["def _nest(out, L, C):",
+            f" {''.join(f'(d{i}, x{i}, m{i}), ' for i in range(n))}= L"]
+    if slots:
+        head.append(f" {''.join(f'c{j}, ' for j in range(len(slots)))}= C")
+    source = "\n".join(itertools.chain(head, *functions[1:], functions[0]))
+    nest = _NESTS.get(source)
+    if nest is None:
+        namespace = {"__builtins__": {}}
+        exec(source, namespace)
+        nest = _kept(_NESTS, source, namespace["_nest"])
+    return nest
+
+
+def box_contains(box: Box, c: Context) -> bool:
+    """Whether a simple context over exactly the box dimensions satisfies
+    the predicate: whether the Box's loop nest, over each dimension's tag
+    in c alone, finds a member."""
+    if not isinstance(box, Box):
+        raise KindMismatch(f"not a box: {box!r}")
+    if not isinstance(c, Context):
+        raise KindMismatch(f"not a context: {c!r}")
+    if not c.is_simple():
+        raise NonSimpleOperand("box membership is defined for simple contexts")
+    if c.dims() != frozenset(box.dims):
+        return False
+    pairs = {m.dimension: m for m in c}
+    found = []
+    box._nest(found.append,
+              [((m.tag,), {m.tag: 0}, {m.tag: m}.__getitem__)
+               for m in map(pairs.__getitem__, box.dims)],
+              box._consts)
+    return bool(found)
 
 
 # The tags of a bool dimension declared without a domain, and their index:
@@ -623,69 +774,32 @@ def _admits(tests, assignment) -> bool:
 _BOOL_TAGS = ((False, True), {False: 0, True: 1})
 
 
+def _domain(d: Dimension) -> tuple:
+    """The tags a Box tries for d, and their index: d's declared domain,
+    or false and true for a bool dimension declared without one."""
+    if d.domain is not None:
+        return d.domain, d.index
+    if d.tag_type is TagKind.BOOL:
+        return _BOOL_TAGS
+    raise UnboundedBox(f"dimension {d.name!r} has no finite domain to enumerate")
+
+
 def box_enumerate(box: Box) -> ContextSet:
     """Materialize the box over the declared domains of its dimensions (a
     bool dimension declared without one ranges over false and true) by
-    walking the plan the Box stored when it was built (see ``Box``): the
-    dimensions are bound depth first, in Box order, and ``_tests[i]`` is
-    tested as soon as ``dims[i]`` is bound, so a failing prefix prunes
-    every extension of it.  A solved dimension is not swept: the domain's
-    own tag equal to its solved value, if any, is the only candidate.  With
-    ``_solved[i] == (f, s)``, that value is f evaluated with ``dims[i]``
-    bound to 0, negated when s is 1.  Each member is a row of its
-    dimensions' own micro contexts (``Dimension.micro``), taken once per
-    candidate bound, so a pair is built once, not once per member or per
-    call.  The members are distinct, one per path of the walk, and go in
-    unhashed.  The result equals filtering the full product of the domains.
+    running the loop nest the Box was lowered to when it was built (see
+    ``Box`` and ``_lower``): the dimensions are bound depth first, in Box
+    order, and level i's conjuncts are tested as soon as ``dims[i]`` is
+    bound, so a failing prefix prunes every extension of it; a solved
+    dimension is not swept.  Each member is a row of its dimensions' own
+    micro contexts (``Dimension.micro``), taken once per candidate bound,
+    so a pair is built once, not once per member or per call.  The members
+    are distinct, one per path through the nest, and go in unhashed.  The
+    result equals filtering the full product of the domains.
     """
     if not isinstance(box, Box):
         raise KindMismatch(f"not a box: {box!r}")
-    dims, tests, solved = box.dims, box._tests, box._solved
-    domains = []
-    for d in dims:
-        if d.domain is not None:
-            domains.append((d.domain, d.index))
-        elif d.tag_type is TagKind.BOOL:
-            domains.append(_BOOL_TAGS)
-        else:
-            raise UnboundedBox(
-                f"dimension {d.name!r} has no finite domain to enumerate"
-            )
-    assignment: dict = {}
-    schema = schema_of(dims)
-    # bound[i] is the pair of dims[i] under the candidate bound to it; a
-    # member's row is bound in schema order
-    bound = [None] * len(dims)
-    row_of_bound = (_getter(tuple(map(dims.index, schema))) if len(dims) > 1
-                    else tuple)
-
-    def candidates(i):
-        domain, index = domains[i]
-        if solved[i] is None:
-            return domain
-        f, s = solved[i]
-        assignment[dims[i].name] = 0
-        value = f(assignment)
-        k = index.get(-s * value if s else value)
-        return () if k is None else (domain[k],)
-
-    # pending[i] yields the untried candidates of dimension i under the
-    # tags bound to the dimensions before it.
     rows = []
-    pending = [iter(candidates(0))]
-    while pending:
-        i = len(pending) - 1
-        d = dims[i]
-        for v in pending[-1]:
-            assignment[d.name] = v
-            if _admits(tests[i], assignment):
-                break
-        else:
-            pending.pop()
-            continue
-        bound[i] = d.micro(v)
-        if i + 1 < len(dims):
-            pending.append(iter(candidates(i + 1)))
-            continue
-        rows.append(row_of_bound(bound))
-    return ContextSet._of_groups({schema: tuple(rows)})
+    box._nest(rows.append, [(*_domain(d), d.micro) for d in box.dims],
+              box._consts)
+    return ContextSet._of_groups({schema_of(box.dims): tuple(rows)})

@@ -27,6 +27,8 @@ def test_one_pass_of_set_algebra_prints_each_shape():
     assert sum(lines for lines, _, _ in shapes.values()) == 200
     assert shapes["let <=>"][0] == 16
     assert shapes["eval [+]"][0] == 17 and shapes["eval <=>"][0] == 36
+    # the 35 Box lines: 31 over two dimensions, 4 over three
+    assert shapes["eval !(Box)"][0] + shapes["eval ^(Box)"][0] == 35
     # costliest first, and the shares add up to the whole pass
     costs = [ms for _, ms, _ in shapes.values()]
     assert costs == sorted(costs, reverse=True)
@@ -42,6 +44,9 @@ def test_a_line_has_the_shape_of_its_root_operator():
     assert shape("eval G0 [+] H1") == "eval [+]"
     assert shape("let G0 = {(a,0),(b,0)} <=> {(a,3),(b,3)}") == "let <=>"
     assert shape("eval {(a,1)}") == "eval ContextLit"
+    assert shape("eval Box[u, v | u + v == 3] ! {u}") == "eval !(Box)"
+    assert shape("eval Box[u, v, w | u + v == w] ^ {w}") == "eval ^(Box)"
+    assert shape("let B = Box[u | u < 3]") == "let BoxLit"
     assert shape("show N fby 1 time 3") == "show Fby"
     assert shape("eval {(a,") == "eval (error)"
     assert shape("dim a : int") == "dim"

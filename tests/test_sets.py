@@ -18,6 +18,7 @@ from ctxcalc.errors import (
     UnboundedBox,
     UnorderedRangeDimension,
 )
+from ctxcalc.cli import new_session, run_command
 from ctxcalc.evaluator import Environment, evaluate
 from ctxcalc.model import (
     NULL_CONTEXT,
@@ -784,6 +785,23 @@ def test_set_operator_pair_work_is_bounded(monkeypatch, apply, members, bound):
 # --- box enumeration against the filter over the full product ------------------
 
 
+def box_of(reg, text):
+    """The Box of a Box literal over the dimensions of ``reg``."""
+    lit = parse_expr(text)
+    return Box([reg.get(n) for n in lit.dims], lit.predicate)
+
+
+def product_filter(reg, names, holds):
+    """The members of the full product of the domains of ``names`` (a bool
+    dimension without one ranges over false and true) on which ``holds``,
+    a function of the tags by name, is true."""
+    return ContextSet(
+        make_context(reg, zip(names, combo))
+        for combo in itertools.product(*(reg.get(n).domain or (False, True)
+                                         for n in names))
+        if holds(dict(zip(names, combo))))
+
+
 def box_oracle_registry(bool_domain):
     reg = DimensionRegistry()
     reg.register("x", TagKind.INT, range(5))
@@ -930,6 +948,9 @@ def test_box_solves_linear_equalities_as_the_product_filter(conjuncts, order, re
 
 
 def assert_enumerates_as_filtered(conjuncts, order, reg):
+    """The Box over ``order`` enumerates as the filter of the full product
+    of its domains by the conjuncts, and ``box_contains`` answers the
+    filter on every member of the product."""
     pred = conjuncts[0]
     for c in conjuncts[1:]:
         pred = ("op", "and", pred, c)
@@ -938,13 +959,16 @@ def assert_enumerates_as_filtered(conjuncts, order, reg):
         with pytest.raises(IllTypedPredicate):
             Box(dims, node(pred))
         return
-    got = box_enumerate(Box(dims, node(pred)))
+    box = Box(dims, node(pred))
+    got = box_enumerate(box)
     assert_simple_set(got)
-    want = {
-        frozenset(zip(order, combo))
-        for combo in itertools.product(*(d.domain or (False, True) for d in dims))
-        if ev(pred, dict(zip(order, combo)))
-    }
+    want = set()
+    for c in product_filter(reg, order, lambda tags: True):
+        tags = {m.dimension.name: m.tag for m in c}
+        holds = bool(ev(pred, tags))
+        assert box_contains(box, c) is holds
+        if holds:
+            want.add(frozenset(tags.items()))
     assert plain(got) == want
 
 
@@ -977,17 +1001,174 @@ def test_a_wide_or_chain_box_enumerates_as_its_product_filter():
     assert box_contains(box, make_context(reg, [("x", 2998)]))
 
 
-def count_admits(monkeypatch):
-    """A list that grows by one on each candidate tag that box_enumerate tries."""
+def test_a_box_over_25_dimensions_enumerates_as_its_product_filter():
+    # 25 swept or solved levels, more than the 20 nested blocks that one
+    # function may hold: the nest binds 16 levels, then calls a function
+    # that binds the rest; d18 and d21 are tested there against tags bound
+    # in the first, and d24, in a sum of nine, is solved there
+    reg = DimensionRegistry()
+    names = [f"d{i:02}" for i in range(25)]
+    for i, n in enumerate(names):
+        reg.register(n, TagKind.INT, [0, 1] if i % 3 == 0 else [i])
+    text = (" + ".join(names[::3]) + " == 4 and d18 != d03"
+            " and d21 + d01 > d00 + 1")
+    box = box_of(reg, f"Box[{', '.join(names)} | {text}]")
+
+    def holds(t):
+        return (sum(t[n] for n in names[::3]) == 4 and t["d18"] != t["d03"]
+                and t["d21"] + t["d01"] > t["d00"] + 1)
+    want = product_filter(reg, names, holds)
+    assert len(want) == 20
+    assert box_enumerate(box) == want
+    member = next(iter(want))
+    assert box_contains(box, member)
+
+
+def test_a_box_over_a_3000_term_plus_chain_enumerates_as_its_product_filter():
+    # x + 1 + ... + 1 == y + 2999, a left chain 3,000 terms deep on the
+    # left: lowered to straight-line statements, it compiles where one
+    # nested expression would exhaust the compiler's recursion; y is
+    # solved through it
+    reg = DimensionRegistry()
+    x = reg.register("x", TagKind.INT, range(6))
+    y = reg.register("y", TagKind.INT, range(4))
+    chain = Ref("x")
+    for _ in range(2999):
+        chain = Pointwise("+", chain, Const(1))
+    box = Box([x, y], Pointwise("==", chain, Pointwise("+", Ref("y"), Const(2999))))
+    want = product_filter(reg, ["x", "y"], lambda t: t["x"] == t["y"])
+    assert len(want) == 4
+    assert box_enumerate(box) == want
+    for c in product_filter(reg, ["x", "y"], lambda t: True):
+        assert box_contains(box, c) is (c in want)
+
+
+def test_boxes_of_one_shape_share_one_compiled_nest(monkeypatch):
+    monkeypatch.setattr(sets, "_NESTS", {})
+    monkeypatch.setattr(sets, "_PLANS", {})
+    reg = box_registry()
+    boxes = {k: box_of(reg, f"Box[d1, d2 | d1 + d2 == {k} and d1 < {k - 1}]")
+             for k in range(2, 8)}
+    # one shape: one source compiled, one plan kept, the constants apart
+    assert len(sets._NESTS) == len(sets._PLANS) == 1
+    assert len({id(b._nest) for b in boxes.values()}) == 1
+    assert {b._consts for b in boxes.values()} == {(k, k - 1) for k in boxes}
+    for k, b in boxes.items():
+        assert box_enumerate(b) == product_filter(
+            reg, ["d1", "d2"], lambda t: t["d1"] + t["d2"] == k and t["d1"] < k - 1)
+    # enum members are constants too
+    reg = month_registry()
+    m = reg.get("m")
+    months = [Box([m], Pointwise("!=", Ref("m"), Ref(s))) for s in ("Fe", "Mr")]
+    assert months[0]._nest is months[1]._nest and len(sets._NESTS) == 2
+    assert [len(box_enumerate(b)) for b in months] == [2, 2]
+
+
+def test_the_nest_caches_keep_at_most_their_bound(monkeypatch):
+    monkeypatch.setattr(sets, "_NESTS", {})
+    monkeypatch.setattr(sets, "_PLANS", {})
+    monkeypatch.setattr(sets, "_NEST_LIMIT", 8)
+    reg = box_registry()
+    for n in range(1, 30):  # 29 shapes: d1 + ... + d1 < d2, n terms
+        box = box_of(reg, f"Box[d1, d2 | {' + '.join(['d1'] * n)} < d2]")
+        assert len(sets._NESTS) <= 8 and len(sets._PLANS) <= 8
+        assert box_enumerate(box) == product_filter(
+            reg, ["d1", "d2"], lambda t: n * t["d1"] < t["d2"])
+    # the oldest go first: the newest shape is kept
+    assert box._nest in sets._NESTS.values()
+
+
+def odd_session():
+    """A session whose dimension names are a Python keyword, constant and
+    operator, a name the loop nest gives its own variables, and a
+    non-ASCII name, and whose str tags hold quotes and Python syntax."""
+    session = new_session()
+    for line in ("dim for : int 1 2 3", "dim None : int 0 1 2", "dim not : bool",
+                 "dim v0 : int 1 2 3 4", "dim é : enum {A, B}",
+                 'dim s : str "" "); x = (" "a\\"b"'):
+        run_command(session, line)
+    return session
+
+
+# A Box's dimensions and predicate, and the predicate over the tags by
+# name (enum members by symbol).
+ODD_BOXES = [
+    ("for, None, not, v0, é", "for + None == v0 and é != A",
+     lambda t: t["for"] + t["None"] == t["v0"] and t["é"].symbol != "A"),
+    ("s, v0", 's != "a\\"b" and v0 < 3 or s == "); x = ("',
+     lambda t: t["s"] != 'a"b' and t["v0"] < 3 or t["s"] == "); x = ("),
+    ("None, s", 's == "); x = (" or None == 0',
+     lambda t: t["s"] == "); x = (" or t["None"] == 0),
+]
+
+
+@pytest.mark.parametrize("names, text, holds", ODD_BOXES,
+                         ids=[row[1] for row in ODD_BOXES])
+def test_no_dimension_name_or_tag_is_source_text(names, text, holds):
+    session = odd_session()
+    reg = session.env.registry
+    box = box_of(reg, f"Box[{names} | {text}]")
+    dims = [d.name for d in box.dims]
+    product = product_filter(reg, dims, lambda t: True)
+    want = product_filter(reg, dims, holds)
+    assert 0 < len(want) < len(product)
+    assert box_enumerate(box) == want
+    assert [box_contains(box, c) for c in product] == [c in want for c in product]
+    line = f"eval Box[{names} | {text}] ! {{{names}}}"
+    assert run_command(session, line) == [str(want)]
+
+
+def test_a_box_reads_a_dimension_named_not():
+    # the grammar reads ``not`` as its operator, so only the constructor
+    # can build a predicate that reads the dimension
+    reg = odd_session().env.registry
+    names = ["not", "for", "v0"]
+    box = Box([reg.get(n) for n in names],
+              Pointwise("or", NotOp(Ref("not")), Pointwise("==", Ref("for"), Ref("v0"))))
+    product = product_filter(reg, names, lambda t: True)
+    want = product_filter(reg, names, lambda t: not t["not"] or t["for"] == t["v0"])
+    assert 0 < len(want) < len(product)
+    assert box_enumerate(box) == want
+    assert [box_contains(box, c) for c in product] == [c in want for c in product]
+
+
+def count_tries(monkeypatch):
+    """A list that grows by one on each candidate tag that box_enumerate
+    tries: each tag that a level's ``for`` takes from its domain, and each
+    tag that a solved level's index lookup finds in it.  Both read the
+    domain that ``sets._domain`` hands the loop nest, so it is handed one
+    that counts its reads."""
     tries = []
-    real = sets._admits
+    real = sets._domain
 
-    def counted(tests, assignment):
-        tries.append(1)
-        return real(tests, assignment)
+    class Counted(tuple):
+        def __iter__(self):
+            for tag in tuple.__iter__(self):
+                tries.append(tag)
+                yield tag
 
-    monkeypatch.setattr(sets, "_admits", counted)
+        def __getitem__(self, k):
+            tries.append(tuple.__getitem__(self, k))
+            return tries[-1]
+
+    def counted(d):
+        domain, index = real(d)
+        return Counted(domain), index
+
+    monkeypatch.setattr(sets, "_domain", counted)
     return tries
+
+
+def test_count_tries_counts_swept_and_solved_candidates(monkeypatch):
+    reg = DimensionRegistry()
+    for n in "xy":
+        reg.register(n, TagKind.INT, range(10))
+    tries = count_tries(monkeypatch)
+    # x swept, all 10 tried; y solved, tried where 5 - x lies in range(10)
+    got = box_enumerate(box_make([reg.get("x"), reg.get("y")],
+                                 parse_expr("Box[x, y | x + y == 5]").predicate))
+    assert len(got) == 6
+    assert sorted(tries) == sorted([*range(10), *range(6)])
 
 
 def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
@@ -1001,10 +1182,13 @@ def test_box_tries_at_most_one_domain_per_dimension(monkeypatch):
                   Pointwise("==", Ref("y"), Const(4))),
         Pointwise("==", Ref("z"), Const(5)),
     )
-    tries = count_admits(monkeypatch)
+    tries = count_tries(monkeypatch)
     got = box_enumerate(box_make([x, y, z], pred))
     assert got == cs(make_context(reg, [("x", 3), ("y", 4), ("z", 5)]))
-    assert len(tries) <= 3 * 60  # the full product is 216,000
+    # each dimension is solved, so its one candidate is its only try; a
+    # nest that swept them would try a domain per dimension, 3 * 60, and
+    # one that did not prune the full product, 216,000
+    assert len(tries) == 3
 
 
 # Each shape fixes y once x is bound.  ``tries_made`` is the count of
@@ -1030,15 +1214,15 @@ def test_box_solves_a_linear_equality_for_its_last_dimension(
     for n in "xy":
         reg.register(n, TagKind.INT, range(60))
     x, y = reg.get("x"), reg.get("y")
-    tries = count_admits(monkeypatch)
+    tries = count_tries(monkeypatch)
     pred = parse_expr(f"Box[x, y | {shape}]").predicate
     got = box_enumerate(box_make([x, y], pred))
     assert got == ContextSet(
         make_context(reg, [("x", k), ("y", solution(k))])
         for k in range(60) if solution(k) in range(60))
     # x is swept and y is solved: one try per value of x, and one per
-    # value of y that it solves to inside the domain
-    assert len(tries) <= tries_made <= 2 * 60
+    # value of y that it solves to inside the domain, each member's at least
+    assert 60 + len(got) <= len(tries) <= tries_made <= 2 * 60
 
 
 def count_micros(monkeypatch):
@@ -1107,9 +1291,9 @@ RANGE_PAIR_BUILDS = [
     # n sweeps the ints 0..9 and k -2..3, less the four endpoints
     ("int dimensions without a domain", [("n", 0), ("k", 3)],
      [("n", 9), ("k", -2)], 10 + 6 - 4),
-    # Fe..My: the literals asked for the endpoints by symbol and the sweep
-    # asks by member, which the memo keys apart, so all four are new
-    ("an enum dimension", [("m", "Fe")], [("m", "My")], 4),
+    # Fe..My: the literals built the endpoints, asked for by symbol, and
+    # the sweep asks by member, which finds them, so only Mr and Ap are new
+    ("an enum dimension", [("m", "Fe")], [("m", "My")], 2),
 ]
 
 
@@ -1147,6 +1331,19 @@ def test_a_failing_range_builds_no_pair(monkeypatch, left, right, error):
         with pytest.raises(error):
             range_op(c1, c2)
     assert built == []
+
+
+def test_an_enum_pair_by_symbol_is_the_pair_by_member(monkeypatch):
+    reg = range_registry()
+    m = reg.get("m")
+    built = count_micros(monkeypatch)
+    (literal,) = make_context(reg, [("m", "Fe")])
+    ((member,),) = box_enumerate(box_of(reg, "Box[m | m == Fe]"))
+    assert member is literal is m.micro(m.symbols["Fe"]) is m.micro("Fe")
+    ((swept,),) = ops.undirected_range(make_context(reg, [("m", "Fe")]),
+                                       make_context(reg, [("m", "Fe")]))
+    assert swept is literal
+    assert built == [("m", m.symbols["Fe"])]
 
 
 @pytest.mark.parametrize("name, lo, hi, texts", [
